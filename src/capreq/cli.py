@@ -4,7 +4,10 @@ Commands: validate, price, arbitrage, requirement, portfolio, levelset,
 properties. Output is JSON first (``--format table`` renders a cosmetic
 text view); infinities are serialized as the strings "-inf"/"+inf" to stay
 inside JSON. Exit codes: 0 success, 1 domain failure (validation failed,
-arbitrage found, property violations), 2 usage or parse errors.
+arbitrage found, property violations, or a solver refusal: too many states
+to enumerate, a degenerate induced set, a set the check cannot handle, a
+numerical breakdown), 2 usage or parse errors. Errors go to stderr as one
+JSON object, never as a traceback.
 
 Given identical input files, flags and seed, the emitted JSON is
 byte-identical across runs.
@@ -22,11 +25,13 @@ import numpy as np
 
 from . import verify
 from .acceptance import AcceptanceParseError, AcceptanceSet, load_acceptance
+from .linprog import NumericalBreakdown
 from .market import (MarketError, MarketParseError, ValidatedMarket,
                      check_monotone_pricing, check_no_arbitrage, load_market,
                      validate_market)
-from .riskmeasure import (DEFAULT_OPTIONS, SolveOptions, extreal_str,
-                          is_finite, solve_rho)
+from .riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance, EnumerationTooLarge,
+                          NotPolyhedral, SolveOptions, extreal_str, is_finite,
+                          solve_rho)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -341,7 +346,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return exc.code
-    except (MarketError, AcceptanceParseError, verify.NotPolyhedral) as exc:
+    except (MarketError, AcceptanceParseError, NotPolyhedral, EnumerationTooLarge,
+            DegenerateAcceptance, NumericalBreakdown) as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}, sort_keys=True),
               file=sys.stderr)
         return EXIT_DOMAIN

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linprog import GE, LE, EQ, OPTIMAL, UNBOUNDED, make_problem, solve_lp
+from .linprog import GE, LE, EQ, OPTIMAL, make_problem, solve_lp
 
 PROB_SUM_TOL = 1e-12
 PARSER_PROB_TOL = 1e-9
@@ -315,33 +315,21 @@ def check_monotone_pricing(vm: ValidatedMarket, tol: float = STRICT_PSI_TOL):
 
     Minimizes the cost of a nonnegative eligible payoff normalized to total
     mass one. Returns (True, None) when the optimum is >= -tol, else
-    (False, violating_payoff).
+    (False, violating_payoff). Such payoffs lie in the probability simplex
+    and the weights that replicate them are unique, so the LP is bounded.
     """
     s0, s1 = vm.market.prices, vm.market.payoffs
-    n_assets, n = s1.shape
-    lhs = np.vstack([s1.T, s1.sum(axis=0).reshape(1, -1)])
+    n = s1.shape[1]
+    # variables: asset weights w; rows: payoff s1.T @ w >= 0, its state sum = 1
+    lhs = np.vstack([s1.T, s1.sum(axis=1).reshape(1, -1)])
     rhs = np.concatenate([np.zeros(n), [1.0]])
-    senses = (GE,) * n + (EQ,)
-    out = solve_lp(make_problem(s0, lhs, rhs, senses))
-    if out.status == UNBOUNDED:
-        return False, s1.T @ _bounded_violation(vm)
+    out = solve_lp(make_problem(s0, lhs, rhs, (GE,) * n + (EQ,)))
     if out.status != OPTIMAL:
         # nonnegative mass-one payoffs may not exist in thin spans
         return True, None
     if out.objective_value >= -tol:
         return True, None
     return False, s1.T @ out.x
-
-
-def _bounded_violation(vm: ValidatedMarket) -> np.ndarray:
-    s0, s1 = vm.market.prices, vm.market.payoffs
-    n_assets, n = s1.shape
-    lhs = np.vstack([s1.T, s1.sum(axis=0).reshape(1, -1)])
-    rhs = np.concatenate([np.zeros(n), [1.0]])
-    senses = (GE,) * n + (EQ,)
-    out = solve_lp(make_problem(s0, lhs, rhs, senses,
-                                lower=np.full(n_assets, -1e6), upper=np.full(n_assets, 1e6)))
-    return out.x
 
 
 def load_market(source) -> tuple[Market, np.ndarray | None]:

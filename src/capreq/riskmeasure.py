@@ -6,16 +6,20 @@ implemented and cross-check each other:
 
 * a direct LP over portfolio weights for polyhedral acceptance sets,
 * exact enumeration of admissible loss sets for value-at-risk acceptance,
-* a one-dimensional bracketed search along the numeraire against the
-  zero-cost-reachable set (acceptance set plus pricing kernel), valid for
-  any acceptance set with a membership oracle.
+* a reduction to cash along the numeraire against the zero-cost-reachable
+  set (acceptance set plus pricing kernel), valid for any acceptance set
+  with a membership oracle.
 
 The third route exists because adding multiples of the numeraire, modulo
 price-zero movements, sweeps out every eligible movement: the search over
-the whole span collapses to a line search whose feasible set is an upward
-ray. Values live in [-inf, +inf]; the infinite tags carry meaning (positions
-that cannot be made acceptable at any cost, and positions acceptable at
-arbitrarily negative cost) and detection of them is bracket-bounded.
+the whole span collapses to one dimension whose feasible set is an upward
+ray. For exact sets (polyhedral rows, enumerable value-at-risk) that search
+is one cash-minimising LP per loss set over (cash, kernel coordinates,
+auxiliaries), never over asset weights, so it stays an independent check
+of the direct LP. Only oracle and induced sets bisect, to ``bisect_tol``
+(1e-7 by default). Values live in [-inf, +inf]; the infinite tags carry
+meaning (positions that cannot be made acceptable at any cost, and
+positions acceptable at arbitrarily negative cost).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ POS_INF = float("inf")
 
 
 class NotPolyhedral(ValueError):
-    """Direct LP strategy needs polyhedral rows."""
+    """Operation needs polyhedral rows or, for property checks, an exact membership strategy."""
 
 
 class EnumerationTooLarge(ValueError):
@@ -107,10 +111,12 @@ class MembershipOracle:
     """Decides whether a position can be made acceptable at zero cost.
 
     Concretely: does some price-zero eligible movement take the position
-    into the acceptance set? The strategy ladder picks the cheapest exact
-    test available; the generic grid fallback is one-sided (a True answer
-    is certified by a witness, a False answer may be wrong) and is flagged
-    as inexact.
+    into the acceptance set? Exact sets are a union of linear systems - one
+    for polyhedral rows, one per maximal loss set for value-at-risk - and
+    every exact question (zero-cost witness, cheapest cash level) is one LP
+    per system over the same constraint block. The generic grid fallback is
+    one-sided (a True answer is certified by a witness, a False answer may
+    be wrong) and is flagged as inexact.
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
@@ -122,25 +128,87 @@ class MembershipOracle:
         self.kernel = vm.kernel_basis  # (k, n)
         if a.polyhedral is not None:
             self.strategy = "polyhedral"
-            self.exact = True
+            self._systems = (None,)
         elif a.kind == "var" and a.var_alpha is not None and a.space is not None:
             if vm.n_states > opts.n_enum:
                 if not opts.allow_inexact:
                     raise EnumerationTooLarge(
                         f"{vm.n_states} states exceed the enumeration cap {opts.n_enum}")
                 self.strategy = "grid"
-                self.exact = False
             else:
                 self.strategy = "var_enum"
-                self.exact = True
-                self._loss_sets = feasible_loss_sets(a.space, a.var_alpha, maximal_only=True)
+                self._systems = feasible_loss_sets(a.space, a.var_alpha, maximal_only=True)
         else:
             self.strategy = "grid"
-            self.exact = False
-        if self.strategy == "grid":
-            self._grid_axes = self._build_grid()
+        self.exact = self.strategy != "grid"
 
-    # -- strategies ------------------------------------------------------
+    # -- exact systems -----------------------------------------------------
+
+    def _solve_systems(self, y: np.ndarray, cash: bool):
+        """One LP per system of y + m U - K^T c in A over (m, kernel coords c, aux).
+
+        With ``cash`` the LP minimises m; otherwise the cash column is left
+        out (m = 0) and the LP only asks for feasibility. Yields (status, m,
+        c) per system; m and c are meaningful only when the status is optimal.
+        """
+        n, kdim = y.shape[0], self.kernel.shape[0]
+        for loss_set in self._systems:
+            if loss_set is None:
+                rep = self.a.polyhedral
+                rows, aux, rhs = rep.rows, rep.aux, rep.rhs
+            else:
+                rows = np.eye(n)[[w for w in range(n) if w not in loss_set]]
+                aux, rhs = np.zeros((rows.shape[0], 0)), np.zeros(rows.shape[0])
+            blocks = [-(rows @ self.kernel.T), aux]
+            if cash:
+                blocks.insert(0, (rows @ self.vm.numeraire).reshape(-1, 1))
+            lhs, rhs = np.hstack(blocks), rhs - rows @ y
+            objective = np.zeros(lhs.shape[1])
+            objective[0] = float(cash)
+            out = solve_lp(make_problem(objective, lhs, rhs, GE), tol=self.opts.lp_tol)
+            if out.status != OPTIMAL:
+                yield out.status, None, None
+            elif cash:
+                yield OPTIMAL, float(out.x[0]), out.x[1:1 + kdim]
+            else:
+                yield OPTIMAL, 0.0, out.x[:kdim]
+
+    def cash_lp(self, position):
+        """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
+
+        Returns (status, m, payoff): optimal with the minimal m and the
+        payoff m U - K^T c that attains it, unbounded with m = -inf, or
+        infeasible with m = +inf (payoff None for both). Returns None for the
+        grid oracle, which has no exact formulation. Ties between loss sets
+        keep the earliest, so the reported payoff is deterministic.
+        """
+        if not self.exact:
+            return None
+        y = np.asarray(position, dtype=float)
+        best = (INFEASIBLE, POS_INF, None)
+        for status, m, c in self._solve_systems(y, cash=True):
+            if status == UNBOUNDED:
+                return UNBOUNDED, NEG_INF, None
+            if status == OPTIMAL and m < best[1]:
+                best = (OPTIMAL, m, m * self.vm.numeraire - self.kernel.T @ c)
+        return best
+
+    def reachable_along_u(self, position) -> bool | None:
+        """Exact test for: some cash level makes the position reachable (value < +inf).
+
+        Returns None when the strategy has no exact test (grid oracle).
+        """
+        return None if not self.exact else self.cash_lp(position)[0] != INFEASIBLE
+
+    def line_along_u(self, position) -> bool | None:
+        """Exact test for: every cash level keeps the position reachable (value -inf).
+
+        The feasible cash set is an upward-closed ray, so containing a full
+        line is equivalent to the cash-minimizing LP being unbounded.
+        """
+        return None if not self.exact else self.cash_lp(position)[0] == UNBOUNDED
+
+    # -- membership --------------------------------------------------------
 
     def contains(self, position) -> bool:
         return self.witness(position) is not None
@@ -148,62 +216,18 @@ class MembershipOracle:
     def witness(self, position) -> np.ndarray | None:
         """Price-zero movement k with position - k acceptable, or None."""
         y = np.asarray(position, dtype=float)
-        if self.strategy == "polyhedral":
-            return self._witness_polyhedral(y)
-        if self.strategy == "var_enum":
-            return self._witness_var(y)
-        return self._witness_grid(y)
-
-    def _witness_polyhedral(self, y: np.ndarray) -> np.ndarray | None:
-        rep = self.a.polyhedral
-        kdim = self.kernel.shape[0]
-        # feasibility over kernel coordinates c and block auxiliaries u:
-        #   rows @ (y - K^T c) + aux @ u >= rhs
-        lhs = np.hstack([-(rep.rows @ self.kernel.T), rep.aux])
-        rhs = rep.rhs - rep.rows @ y
-        n_vars = kdim + rep.n_aux
-        if n_vars == 0:
-            ok = bool(np.all(-rhs >= -self.opts.lp_tol))
-            return np.zeros_like(y) if ok else None
-        problem = make_problem(np.zeros(n_vars), lhs, rhs, (GE,) * lhs.shape[0])
-        out = solve_lp(problem, tol=self.opts.lp_tol)
-        if out.status != OPTIMAL:
-            return None
-        return self.kernel.T @ out.x[:kdim]
-
-    def _witness_var(self, y: np.ndarray) -> np.ndarray | None:
-        kdim = self.kernel.shape[0]
-        n = y.shape[0]
-        for loss_set in self._loss_sets:
-            keep = [w for w in range(n) if w not in loss_set]
-            if not keep:
-                return np.zeros_like(y)
-            lhs = -(self.kernel.T[keep])  # rows: (y - K^T c)_w >= 0
-            rhs = -y[keep]
-            if kdim == 0:
-                if np.all(y[keep] >= -self.opts.lp_tol):
-                    return np.zeros_like(y)
-                continue
-            problem = make_problem(np.zeros(kdim), lhs, rhs, (GE,) * len(keep))
-            out = solve_lp(problem, tol=self.opts.lp_tol)
-            if out.status == OPTIMAL:
-                return self.kernel.T @ out.x
-        return None
-
-    def _build_grid(self):
-        kdim = self.kernel.shape[0]
-        if kdim == 0:
-            return [np.zeros(1)]
-        per_axis = self.opts.kernel_grid
-        while per_axis > 3 and per_axis ** kdim > 200_000:
-            per_axis = (per_axis + 1) // 2
-        return per_axis
+        if not self.exact:
+            return self._witness_grid(y)
+        return next((self.kernel.T @ c for status, _, c in self._solve_systems(y, cash=False)
+                     if status == OPTIMAL), None)
 
     def _witness_grid(self, y: np.ndarray) -> np.ndarray | None:
         kdim = self.kernel.shape[0]
         if kdim == 0:
             return np.zeros_like(y) if self.a.member(y) else None
-        per_axis = self._grid_axes
+        per_axis = self.opts.kernel_grid
+        while per_axis > 3 and per_axis ** kdim > 200_000:
+            per_axis = (per_axis + 1) // 2
         box = self.opts.kernel_box
         # staged grids: full box, then two zoomed passes near small movements
         for width in (box, box / 8.0, box / 64.0):
@@ -213,70 +237,6 @@ class MembershipOracle:
                 k = self.kernel.T @ c
                 if self.a.member(y - k):
                     return k
-        return None
-
-    # -- structural tests along the numeraire ----------------------------
-
-    def _reach_system(self, y: np.ndarray, loss_set=None):
-        """Constraint block over (m, kernel coords, aux) for y + m U - K^T c in A."""
-        u = self.vm.numeraire
-        if loss_set is None:
-            rep = self.a.polyhedral
-            rows, aux, rhs = rep.rows, rep.aux, rep.rhs
-        else:
-            n = y.shape[0]
-            keep = [w for w in range(n) if w not in loss_set]
-            rows = np.eye(n)[keep]
-            aux = np.zeros((len(keep), 0))
-            rhs = np.zeros(len(keep))
-        lhs = np.hstack([(rows @ u).reshape(-1, 1), -(rows @ self.kernel.T), aux])
-        return lhs, rhs - rows @ y
-
-    def reachable_along_u(self, position) -> bool | None:
-        """Exact test for: some cash level makes the position reachable (value < +inf).
-
-        Returns None when the strategy has no exact test (grid oracle).
-        """
-        y = np.asarray(position, dtype=float)
-        if self.strategy == "polyhedral":
-            lhs, rhs = self._reach_system(y)
-            problem = make_problem(np.zeros(lhs.shape[1]), lhs, rhs, (GE,) * lhs.shape[0])
-            return solve_lp(problem, tol=self.opts.lp_tol).status == OPTIMAL
-        if self.strategy == "var_enum":
-            for loss_set in self._loss_sets:
-                lhs, rhs = self._reach_system(y, loss_set)
-                if lhs.shape[0] == 0:
-                    return True
-                problem = make_problem(np.zeros(lhs.shape[1]), lhs, rhs, (GE,) * lhs.shape[0])
-                if solve_lp(problem, tol=self.opts.lp_tol).status == OPTIMAL:
-                    return True
-            return False
-        return None
-
-    def line_along_u(self, position) -> bool | None:
-        """Exact test for: every cash level keeps the position reachable (value -inf).
-
-        The feasible cash set is an upward-closed ray, so containing a full
-        line is equivalent to the cash-minimizing LP being unbounded.
-        """
-        y = np.asarray(position, dtype=float)
-        if self.strategy == "polyhedral":
-            lhs, rhs = self._reach_system(y)
-            c = np.zeros(lhs.shape[1])
-            c[0] = 1.0
-            problem = make_problem(c, lhs, rhs, (GE,) * lhs.shape[0])
-            return solve_lp(problem, tol=self.opts.lp_tol).status == UNBOUNDED
-        if self.strategy == "var_enum":
-            for loss_set in self._loss_sets:
-                lhs, rhs = self._reach_system(y, loss_set)
-                if lhs.shape[0] == 0:
-                    return True
-                c = np.zeros(lhs.shape[1])
-                c[0] = 1.0
-                problem = make_problem(c, lhs, rhs, (GE,) * lhs.shape[0])
-                if solve_lp(problem, tol=self.opts.lp_tol).status == UNBOUNDED:
-                    return True
-            return False
         return None
 
 
@@ -295,6 +255,8 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
                         strategy: str = "reduction", exact: bool = True) -> RiskResult:
     """Bracketed line search along the numeraire against a membership functional.
 
+    This is the route for sets known only through membership (grid oracle,
+    induced sets); exact sets solve ``MembershipOracle.cash_lp`` instead.
     The feasible cash amounts form an upward-closed ray, so a doubling
     bracket either finds an (infeasible, feasible) pair or certifies an
     infinite tag at the configured bracket bound. When the caller provides
@@ -349,26 +311,43 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
     if witness is not None and member is not None:
         for level in (value, hi):
             k = witness(x + level * u)
-            if k is None:
-                continue
-            movement = level * u - k
-            price_ok = abs(vm.price(movement) - value) <= max(10 * opts.bisect_tol, 1e-8)
-            if member(x + movement) and price_ok:
-                result.optimal_payoff = movement
-                result.attained = True
+            if k is not None and _certify(result, x, level * u - k, member, vm, opts):
                 break
     return result
 
 
+def _certify(result: RiskResult, x: np.ndarray, movement: np.ndarray,
+             member: Callable[[np.ndarray], bool], vm: ValidatedMarket,
+             opts: SolveOptions) -> bool:
+    """Record ``movement`` as the optimal payoff if it moves x into the set at the value's price."""
+    price_ok = abs(vm.price(movement) - result.value) <= max(10 * opts.bisect_tol, 1e-8)
+    if member(x + movement) and price_ok:
+        result.optimal_payoff = movement
+        result.attained = True
+    return result.attained
+
+
 def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
                   opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement via the numeraire line search (works for any oracle set)."""
+    """Requirement along the numeraire modulo the pricing kernel (works for any oracle set).
+
+    Exact sets solve the oracle's cash-minimising LP once per system:
+    infeasible is +inf, unbounded is -inf, otherwise the optimum with its
+    payoff. Oracle sets fall back to the bracketed bisection.
+    """
     oracle = MembershipOracle(a, vm, opts)
-    return rho_from_membership(
-        oracle.contains, vm, position, opts,
-        witness=oracle.witness, member=a.member,
-        reachable=oracle.reachable_along_u, line=oracle.line_along_u,
-        strategy=f"reduction[{oracle.strategy}]", exact=oracle.exact)
+    x = np.asarray(position, dtype=float)
+    strategy = f"reduction[{oracle.strategy}]"
+    solved = oracle.cash_lp(x)
+    if solved is None:
+        return rho_from_membership(oracle.contains, vm, x, opts, witness=oracle.witness,
+                                   member=a.member, strategy=strategy, exact=False)
+    status, m, payoff = solved
+    result = RiskResult(m, strategy=strategy,
+                        diagnostics={"tag_test": "structural", "approximate": False})
+    if status == OPTIMAL:
+        _certify(result, x, payoff, a.member, vm, opts)
+    return result
 
 
 def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
@@ -459,22 +438,23 @@ def domain_classify(a: AcceptanceSet, vm: ValidatedMarket, position,
     """Tag the position finite/+inf/-inf along the numeraire.
 
     The feasible cash set is an upward ray: exact strategies decide both
-    ends structurally (reachability LP, unbounded-cash LP), while the grid
-    oracle falls back to membership probes at the configured bracket bound.
+    ends structurally from the status of one cash-minimising LP per system
+    (infeasible, unbounded or optimal), while the grid oracle falls back to
+    membership probes at the configured bracket bound.
     Returns (tag, evidence).
     """
     oracle = MembershipOracle(a, vm, opts)
     x = np.asarray(position, dtype=float)
     u = vm.numeraire
-    reach = oracle.reachable_along_u(x)
-    if reach is not None:
-        evidence = {"method": "structural", "reachable": reach,
+    solved = oracle.cash_lp(x)
+    if solved is not None:
+        status = solved[0]
+        evidence = {"method": "structural", "reachable": status != INFEASIBLE,
                     "approximate": False}
-        if not reach:
+        if status == INFEASIBLE:
             return "pos_inf", evidence
-        contains_line = bool(oracle.line_along_u(x))
-        evidence["line_contained"] = contains_line
-        return ("neg_inf" if contains_line else "finite"), evidence
+        evidence["line_contained"] = status == UNBOUNDED
+        return ("neg_inf" if status == UNBOUNDED else "finite"), evidence
 
     at_top = oracle.contains(x + opts.m_bracket_max * u)
     evidence = {"method": "probe", "feasible_at_top": at_top,
@@ -503,10 +483,11 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     oracle = MembershipOracle(a, vm, opts)
 
     def rho_value(x: np.ndarray) -> float:
+        solved = oracle.cash_lp(x)
+        if solved is not None:
+            return solved[1]
         return rho_from_membership(oracle.contains, vm, x, opts,
-                                   reachable=oracle.reachable_along_u,
-                                   line=oracle.line_along_u,
-                                   strategy="induced", exact=oracle.exact).value
+                                   strategy="induced", exact=False).value
 
     at_zero = rho_value(np.zeros(a.dim))
     if at_zero == NEG_INF:

@@ -25,14 +25,12 @@ import numpy as np
 from .acceptance import AcceptanceSet, PolyhedralRep
 from .directional import (DEFAULT_PROBE, DirectionalProbe, dir_bd_member,
                           dir_cl_member, dir_int_member, rec_member)
+from .linprog import INFEASIBLE, UNBOUNDED
 from .market import ValidatedMarket
 from .riskmeasure import (DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
-                          RiskResult, SolveOptions, induced_rho_acceptance,
-                          is_finite, rho_from_membership, solve_rho)
-
-
-class NotPolyhedral(ValueError):
-    """Check needs plain polyhedral rows (no auxiliary block)."""
+                          NotPolyhedral, RiskResult, SolveOptions,
+                          induced_rho_acceptance, is_finite, rho_from_membership,
+                          solve_rho)
 
 
 class EliminationTooLarge(RuntimeError):
@@ -197,8 +195,9 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     A finite value means the position is reachable at some cash level but
     not at all of them, and the position shifted by its own requirement must
     classify on the directional boundary (within the band, else
-    inconclusive). Infinite tags are cross-checked against the structural
-    ray tests.
+    inconclusive). Infinite tags are cross-checked against the status of
+    the oracle's cash-minimising LP (infeasible: not reachable; unbounded:
+    the whole numeraire line is reachable).
     """
     oracle = MembershipOracle(a, vm, opts)
     if not oracle.exact:
@@ -211,8 +210,8 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     for trial in range(trials):
         x = _sample_position(rng, n)
         value = solve_rho(a, vm, x, opts).value
-        reachable = oracle.reachable_along_u(x)
-        line = oracle.line_along_u(x)
+        status = oracle.cash_lp(x)[0]
+        reachable, line = status != INFEASIBLE, status == UNBOUNDED
         if _tag(value) == "pos_inf":
             if reachable:
                 report.violation(trial=trial, check="domain", x=_listify(x),

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import capreq.cli as cli
+import capreq.riskmeasure as rm
 from capreq.cli import main
+from capreq.linprog import NumericalBreakdown
 
 MARKET = {
     "states": [{"label": "u", "prob": 0.5}, {"label": "d", "prob": 0.5}],
@@ -33,17 +35,37 @@ RANK_DEFICIENT = {
 }
 
 
+THREE_STATE_TWO_ASSETS = {
+    "states": [{"label": f"s{i}", "prob": 1 / 3} for i in range(3)],
+    "assets": [
+        {"name": "secure", "price": 1.0, "payoff": [1, 1, 1]},
+        {"name": "stock", "price": 1.0, "payoff": [2, 1, 0.5]},
+    ],
+}
+
+SEVENTEEN_STATES = {
+    "states": [{"label": f"s{i}", "prob": 1 / 17} for i in range(17)],
+    "assets": [
+        {"name": "secure", "price": 1.0, "payoff": [1] * 17},
+        {"name": "stock", "price": 1.0, "payoff": [0.5 + 0.0625 * i for i in range(17)]},
+    ],
+}
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, doc in (("market", MARKET), ("halfplane_market", HALFPLANE_MARKET),
-                      ("rank_deficient", RANK_DEFICIENT)):
+                      ("rank_deficient", RANK_DEFICIENT),
+                      ("three_state", THREE_STATE_TWO_ASSETS),
+                      ("seventeen", SEVENTEEN_STATES)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
     for name, doc in (("poscone", {"type": "positive_cone"}),
                       ("halfplane", {"type": "halfspace", "normal": [1, 0]}),
-                      ("avar", {"type": "avar", "alpha": 0.5})):
+                      ("avar", {"type": "avar", "alpha": 0.5}),
+                      ("var", {"type": "var", "alpha": 0.1})):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -80,6 +102,13 @@ class TestValidate:
         code, _, _ = run(capsys, ["validate", "/nonexistent/market.json"])
         assert code == 2
 
+    def test_fewer_assets_than_states(self, files, capsys):
+        code, out, _ = run(capsys, ["validate", files["three_state"]])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["states"] == 3 and doc["assets"] == 2
+        assert doc["monotone_pricing"] is True
+
 
 class TestRequirement:
     def test_binding_value(self, files, capsys):
@@ -106,6 +135,28 @@ class TestRequirement:
         code, _, _ = run(capsys, ["requirement", files["market"], files["poscone"],
                                   "--position=1,2,3"])
         assert code == 2
+
+
+class TestErrorContract:
+    def test_enumeration_refusal_exits_one(self, files, capsys):
+        code, out, err = run(capsys, ["requirement", files["seventeen"], files["var"],
+                                      "--position=" + ",".join(["-1"] * 17)])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"].startswith("EnumerationTooLarge")
+
+    @pytest.mark.parametrize("exc", [rm.EnumerationTooLarge, rm.DegenerateAcceptance,
+                                     rm.NotPolyhedral, NumericalBreakdown])
+    def test_solver_refusals_exit_one(self, files, capsys, monkeypatch, exc):
+        def refuse(*args, **kwargs):
+            raise exc("refused")
+
+        monkeypatch.setattr(cli, "solve_rho", refuse)
+        code, _, err = run(capsys, ["requirement", files["market"], files["poscone"],
+                                    "--position=-3,0"])
+        assert code == 1
+        assert json.loads(err) == {"error": f"{exc.__name__}: refused"}
 
 
 class TestPortfolio:

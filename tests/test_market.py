@@ -163,6 +163,34 @@ class TestMonotonePricing:
         assert vm.price(witness) < 0
 
 
+    def test_verdict_matches_state_prices_on_complete_markets(self):
+        # complete markets have unique state prices; pricing is monotone iff all are >= 0
+        rng = np.random.default_rng(61)
+        verdicts = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 5))
+            psi = rng.uniform(-0.4, 1.0, size=n)
+            if psi.sum() < 0.1:
+                continue
+            psi /= psi.sum()
+            payoffs = np.vstack([np.ones(n), rng.uniform(-2.0, 5.0, size=(n - 1, n))])
+            if np.linalg.cond(payoffs) > 1e6:
+                continue
+            prices = payoffs @ psi
+            prices[0] = 1.0
+            vm = validate_market(Market(uniform_space(n), prices, payoffs))
+            truth = np.linalg.solve(payoffs, prices)
+            if abs(truth.min()) < 1e-6:
+                continue
+            ok, witness = check_monotone_pricing(vm)
+            assert ok == bool(truth.min() >= 0)
+            if not ok:
+                assert np.all(witness >= -1e-7)
+                assert vm.price(witness) < 0
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+
 class TestMarketInvariants:
     def test_price_monotone_on_random_pairs(self):
         rng = np.random.default_rng(5)

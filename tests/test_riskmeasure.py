@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from capreq.acceptance import (avar_acceptance, compute_avar, halfspace_acceptance,
-                               oracle_acceptance, positive_cone, var_acceptance)
+import capreq.riskmeasure as rm
+from capreq.acceptance import (avar_acceptance, compute_avar, feasible_loss_sets,
+                               halfspace_acceptance, oracle_acceptance,
+                               positive_cone, var_acceptance)
 from capreq.market import Market, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
@@ -75,6 +77,86 @@ class TestReduction:
         assert np.all(moved >= -1e-7)
         assert two_state_market.price(result.optimal_payoff) == pytest.approx(
             result.value, abs=BAND)
+
+
+class TestExactReductionLp:
+    """Exact sets answer with one cash-minimising LP per system, never by bisection."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        real = rm.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("exact path must not bisect")
+
+        monkeypatch.setattr(rm, "solve_lp", counting)
+        monkeypatch.setattr(rm, "rho_from_membership", no_bisection)
+        return calls
+
+    def test_one_lp_on_polyhedral_sets(self, lp_calls):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            vm = random_market(rng)
+            x = rng.uniform(-5, 5, size=vm.n_states)
+            for a in (positive_cone(vm.n_states), avar_acceptance(vm.space, 0.5)):
+                for run in (lambda: rho_reduction(a, vm, x),
+                            lambda: domain_classify(a, vm, x)):
+                    lp_calls.clear()
+                    run()
+                    assert len(lp_calls) == 1
+
+    def test_at_most_one_lp_per_maximal_loss_set(self, lp_calls):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            vm = random_market(rng, n_states=int(rng.integers(2, 7)), n_risky=1)
+            alpha = float(rng.uniform(1.0 / vm.n_states, 2.0 / vm.n_states))
+            a = var_acceptance(vm.space, alpha)
+            maximal = len(feasible_loss_sets(vm.space, alpha, maximal_only=True))
+            x = rng.uniform(-5, 5, size=vm.n_states)
+            lp_calls.clear()
+            rho_reduction(a, vm, x)
+            assert 1 <= len(lp_calls) <= maximal
+
+    def test_induced_membership_is_one_lp(self, lp_calls, two_state_market):
+        induced = induced_rho_acceptance(positive_cone(2), two_state_market)
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            lp_calls.clear()
+            induced(rng.uniform(-4, 4, size=2))
+            assert len(lp_calls) == 1
+
+    def test_matches_direct_lp_tightly(self):
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            vm = random_market(rng)
+            x = rng.uniform(-5, 5, size=vm.n_states)
+            for a in (positive_cone(vm.n_states),
+                      avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8)))):
+                d = rho_direct_lp(a, vm, x)
+                r = rho_reduction(a, vm, x)
+                assert r.diagnostics["approximate"] is False
+                if is_finite(d.value) or is_finite(r.value):
+                    assert r.value == pytest.approx(d.value, abs=1e-9)
+                    assert r.attained
+                    assert vm.price(r.optimal_payoff) == pytest.approx(r.value, abs=1e-8)
+                else:
+                    assert r.value == d.value
+
+    def test_grid_oracle_still_bisects(self, two_state_market):
+        a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
+        x = np.array([-3.0, 0.0])
+        r = rho_reduction(a, two_state_market, x, SolveOptions(kernel_box=8.0, kernel_grid=33))
+        assert r.strategy == "reduction[grid]"
+        assert r.diagnostics["approximate"] is True
+        assert r.diagnostics["bisect_steps"] > 0
+        # a grid may miss witnesses, never invent them: the value errs upward
+        exact = rho_direct_lp(positive_cone(2), two_state_market, x).value
+        assert exact - BAND <= r.value <= exact + 0.2
 
 
 class TestDirectLp:
