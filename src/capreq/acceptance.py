@@ -11,7 +11,6 @@ sampling validator that can falsify asserted structure.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -212,21 +211,25 @@ def loss_probability(space: ScenarioSpace, position, tol: float = MEMBER_TOL) ->
 
 
 def feasible_loss_sets(space: ScenarioSpace, alpha: float, maximal_only: bool = False):
-    """State subsets whose probability fits under alpha, in lexicographic order."""
-    n = space.n
-    p = space.probs
+    """State subsets whose probability fits under alpha, in lexicographic order.
+
+    Depth-first search over increasing state indices that extends a subset
+    only while its mass fits, so inadmissible subsets are never built.
+    Visiting each subset before its extensions yields lexicographic order.
+    With ``maximal_only``, a subset is kept only if no outside state fits.
+    """
+    p = [float(v) for v in space.probs]
+    cap = alpha + PROB_EPS
     subsets = []
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            mass = float(p[list(combo)].sum())
-            if mass > alpha + PROB_EPS:
-                continue
-            if maximal_only:
-                rest = [w for w in range(n) if w not in combo]
-                if any(mass + p[w] <= alpha + PROB_EPS for w in rest):
-                    continue
+
+    def visit(combo: tuple, mass: float) -> None:
+        if not maximal_only or all(mass + p[w] > cap for w in range(len(p)) if w not in combo):
             subsets.append(combo)
-    subsets.sort()
+        for j in range(combo[-1] + 1 if combo else 0, len(p)):
+            if mass + p[j] <= cap:
+                visit(combo + (j,), mass + p[j])
+
+    visit((), 0.0)
     return subsets
 
 
@@ -235,7 +238,8 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
 
     Always a cone; convex exactly when a single maximal loss set dominates
     (then the set is an intersection of halfspaces), which covers the
-    small-alpha case where it collapses to the positive cone.
+    small-alpha case where it collapses to the positive cone. Above 16
+    states the loss sets are not enumerated and the flag stays unknown.
     """
     _check_alpha(alpha)
     tol = MEMBER_TOL
@@ -243,8 +247,9 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     def member(x: np.ndarray) -> bool:
         return loss_probability(space, x, tol) <= alpha + PROB_EPS
 
-    maximal = feasible_loss_sets(space, alpha, maximal_only=True)
-    convex: TriState = (len(maximal) == 1) if space.n <= 16 else None
+    convex: TriState = None
+    if space.n <= 16:
+        convex = len(feasible_loss_sets(space, alpha, maximal_only=True)) == 1
     return AcceptanceSet(
         dim=space.n, member=member, non_member=-np.ones(space.n),
         kind="var", is_convex=convex, is_cone=True,

@@ -8,6 +8,11 @@ and statuses that are certified before they are returned.
 Conventions: minimize ``c @ x`` subject to row constraints ``A @ x`` with
 per-row senses ("<=", "=", ">=") and per-variable bounds in which
 ``-inf``/``+inf`` mean unbounded.
+
+Phase 1 starts from a slack basis: a row that has a column of its own
+(a slack, or any column nonzero in that row only) whose value there is
+nonnegative starts with that column basic. Only the remaining rows get
+artificial columns, so phase 1 prices and pivots only those rows.
 """
 
 from __future__ import annotations
@@ -239,16 +244,15 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row, col] = 1.0
 
 
-def _run_simplex(tableau, basis, allowed, pivot_tol):
+def _run_simplex(tableau, basis, pivot_tol):
     """Bland's rule loop. Returns ("optimal", pivots) or ("unbounded", entering, pivots)."""
     m = len(basis)
     pivots = 0
     while True:
-        reduced = tableau[-1, :-1]
-        candidates = np.flatnonzero(allowed & (reduced < -pivot_tol))
-        if candidates.size == 0:
+        improving = tableau[-1, :-1] < -pivot_tol
+        entering = int(np.argmax(improving))  # Bland: lowest index
+        if not improving[entering]:
             return ("optimal", pivots)
-        entering = int(candidates[0])  # Bland: lowest index
         col = tableau[:m, entering]
         positive = col > pivot_tol
         if not positive.any():
@@ -329,21 +333,36 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     a_std = a_std / row_scale[:, None]
     b_std = b_std / row_scale
 
-    flip = np.where(b_std < 0, -1.0, 1.0)
-    a_std = a_std * flip[:, None]
-    b_std = b_std * flip
-    a_work = np.hstack([a_std, np.eye(m)])  # artificial columns on the right
+    # slack starting basis: a column whose only nonzero lies in row i, with
+    # the sign of b_i (any sign when b_i = 0), starts basic in row i once the
+    # row is divided by that entry. Every other row is flipped to b_i >= 0
+    # and gets an artificial column on the right.
+    mult = np.where(b_std < 0, -1.0, 1.0)
+    basis = [-1] * m
+    nonzero = a_std != 0.0
+    cols = np.flatnonzero(nonzero.sum(axis=0) == 1)
+    rows = np.arange(m) @ nonzero[:, cols]  # the one row each such column touches
+    vals = a_std[rows, cols]
+    usable = (np.abs(vals) > pivot_tol) & ((vals * mult[rows] > 0) | (b_std[rows] == 0.0))
+    for i, j, v in zip(rows[usable].tolist(), cols[usable].tolist(), vals[usable].tolist()):
+        if basis[i] < 0:  # lowest column index wins
+            basis[i] = j
+            mult[i] = 1.0 / v
+    a_std = a_std * mult[:, None]
+    b_std = b_std * mult
+    art_rows = [i for i in range(m) if basis[i] < 0]
 
-    tableau = np.zeros((m + 1, n_std + m + 1))
-    tableau[:m, :-1] = a_work
+    tableau = np.zeros((m + 1, n_std + len(art_rows) + 1))
+    tableau[:m, :n_std] = a_std
     tableau[:m, -1] = b_std
-    basis = list(range(n_std, n_std + m))
-    # phase-1 reduced costs: sum of artificial rows subtracted from their unit costs
-    tableau[-1, :n_std] = -a_std.sum(axis=0)
-    tableau[-1, -1] = -b_std.sum()
+    for k, i in enumerate(art_rows):
+        tableau[i, n_std + k] = 1.0
+        basis[i] = n_std + k
+    # phase-1 reduced costs: artificial rows subtracted from their unit costs
+    tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
+    tableau[-1, -1] = -b_std[art_rows].sum()
 
-    allowed = np.ones(n_std + m, dtype=bool)
-    status = _run_simplex(tableau, basis, allowed, pivot_tol)
+    status = _run_simplex(tableau, basis, pivot_tol)
     pivots = status[1]
     phase1_value = -tableau[-1, -1]
     if phase1_value > tol:
@@ -370,18 +389,15 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
             # else: redundant constraint, row dropped below
         else:
             keep_rows.append(i)
-    row_sel = keep_rows + [m]
-    tableau = tableau[row_sel][:, list(range(n_std)) + [n_std + m]]
+    tableau = tableau[keep_rows + [m]][:, list(range(n_std)) + [-1]]
     basis = [basis[i] for i in keep_rows]
-    kept_flip = flip[keep_rows]
 
     # phase 2: rebuild reduced costs for the true objective
     cb = c_std[basis]
     tableau[-1, :-1] = c_std - cb @ tableau[:-1, :-1]
     tableau[-1, -1] = -(cb @ tableau[:-1, -1])
 
-    allowed = np.ones(n_std, dtype=bool)
-    status = _run_simplex(tableau, basis, allowed, pivot_tol)
+    status = _run_simplex(tableau, basis, pivot_tol)
     pivots += status[-1]
 
     if status[0] == "unbounded":
@@ -412,7 +428,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
             dual = np.zeros(problem.n_rows)
             for pos, i in enumerate(keep_rows):
                 if i < problem.n_rows:
-                    dual[i] = y_kept[pos] * kept_flip[pos] / row_scale[i]
+                    dual[i] = y_kept[pos] * mult[i] / row_scale[i]
         except np.linalg.LinAlgError:
             dual = None
 

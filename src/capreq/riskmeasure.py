@@ -379,8 +379,11 @@ def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
                   opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
     """Requirement for value-at-risk acceptance by loss-set enumeration.
 
-    Minimizes over admissible loss sets J (probability at most alpha) the
-    cost of lifting the position to nonnegative outside J. Loss sets scan in
+    Minimizes over the maximal admissible loss sets J (probability at most
+    alpha, and no outside state fits) the cost of lifting the position to
+    nonnegative outside J. Every admissible loss set lies inside a maximal
+    one, whose LP drops constraints, so the minimum and both infinite tags
+    are those of the scan over all admissible sets. Loss sets scan in
     lexicographic order and ties keep the earliest optimum, so the reported
     movement is deterministic. Any unbounded subproblem makes the whole
     requirement -inf; +inf means no subproblem was feasible.
@@ -391,7 +394,7 @@ def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
     n_assets = s1.shape[0]
-    loss_sets = feasible_loss_sets(vm.space, alpha, maximal_only=False)
+    loss_sets = feasible_loss_sets(vm.space, alpha, maximal_only=True)
 
     best = None  # (value, loss_set, weights)
     scanned = 0

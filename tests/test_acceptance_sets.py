@@ -6,15 +6,17 @@ quantile curve for its tail average. Expected values quoted in the tests
 were produced by those oracles.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreq.acceptance import (AcceptanceParseError, BadNormal,
+import capreq.acceptance as ac
+from capreq.acceptance import (PROB_EPS, AcceptanceParseError, BadNormal,
                                DimensionMismatch, avar_acceptance,
-                               compute_avar, compute_var,
+                               compute_avar, compute_var, feasible_loss_sets,
                                find_convexity_violation, halfspace_acceptance,
                                intersect, load_acceptance, loss_probability,
                                oracle_acceptance, positive_cone,
@@ -243,6 +245,47 @@ class TestVarAcceptance:
         assert pair is not None
         x, y = pair
         assert a(x) and a(y) and not a(0.5 * (x + y))
+
+
+def loss_sets_brute_force(space, alpha, maximal_only=False):
+    """Every state subset, filtered by mass (and maximality), sorted."""
+    n, p = space.n, space.probs
+    subsets = []
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            mass = float(p[list(combo)].sum())
+            if mass > alpha + PROB_EPS:
+                continue
+            if maximal_only and any(mass + p[w] <= alpha + PROB_EPS
+                                    for w in range(n) if w not in combo):
+                continue
+            subsets.append(combo)
+    return sorted(subsets)
+
+
+class TestFeasibleLossSets:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(59)
+        for trial in range(200):
+            n = int(rng.integers(2, 11))
+            if trial % 2:
+                sp, alpha = uniform_space(n), float(rng.integers(1, n)) / n
+            else:
+                probs = rng.uniform(0.05, 1.0, size=n)
+                sp = ScenarioSpace(tuple(f"s{i}" for i in range(n)), probs / probs.sum())
+                alpha = float(rng.uniform(0.01, 0.7))
+            for maximal_only in (False, True):
+                assert (feasible_loss_sets(sp, alpha, maximal_only)
+                        == loss_sets_brute_force(sp, alpha, maximal_only))
+
+    def test_var_acceptance_does_not_enumerate_above_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated loss sets above 16 states")
+
+        monkeypatch.setattr(ac, "feasible_loss_sets", refuse)
+        a = var_acceptance(uniform_space(17), 0.5)
+        assert a.is_convex is None and a.closed_under_addition is None
+        assert a.is_cone is True
 
 
 class TestAvarAcceptance:

@@ -148,3 +148,115 @@ def test_unbounded_ray_certified():
     ray = out.ray
     assert float(np.array([-1.0, -1.0]) @ ray) < 0
     assert float(np.array([1.0, -1.0]) @ ray) <= 1e-9
+
+
+def test_slack_rows_need_no_pivot():
+    # every GE row with rhs <= 0 holds at x = 0 on its own slack, so with a
+    # zero objective the starting basis is already optimal
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        rhs = -rng.uniform(0.0, 2.0, size=m)
+        rhs[rng.uniform(size=m) < 0.3] = 0.0
+        out = solve_lp(make_problem(np.zeros(n), rng.normal(size=(m, n)), rhs, [GE] * m,
+                                    lower=np.zeros(n)))
+        assert out.status == OPTIMAL
+        assert out.pivots == 0
+
+
+def _planted_lp(rng, status):
+    """Random LP whose status is known by construction.
+
+    Mixed senses, bounded and free variables, a zero row and a redundant
+    (scaled duplicate) row, all satisfied by a planted point x0. For
+    "optimal" a box around x0 is added (as rows for variables without both
+    bounds); for "unbounded" rows and bounds are bent so that a planted ray
+    d keeps them satisfied while the objective falls along it; for
+    "infeasible" a contradictory row pair is added. Rows are then scaled.
+    """
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+    x0 = rng.uniform(-3.0, 3.0, size=n)
+    bound_kind = rng.integers(0, 4, size=n)   # 0 lower, 1 upper, 2 both, 3 free
+    if status == UNBOUNDED:
+        bound_kind[0] = 3   # leaves the ray a free direction
+    lower = np.where(np.isin(bound_kind, (0, 2)), x0 - rng.uniform(0.0, 2.0, size=n), -np.inf)
+    upper = np.where(np.isin(bound_kind, (1, 2)), x0 + rng.uniform(0.0, 2.0, size=n), np.inf)
+    d = rng.normal(size=n)
+    d[bound_kind == 0] = np.abs(d[bound_kind == 0])
+    d[bound_kind == 1] = -np.abs(d[bound_kind == 1])
+    d[bound_kind == 2] = 0.0
+
+    a = rng.normal(size=(m, n))
+    a[rng.uniform(size=(m, n)) < 0.3] = 0.0
+    senses = [(GE, LE, EQ)[k] for k in rng.integers(0, 3, size=m)]
+    for i, s in enumerate(senses):
+        if status == UNBOUNDED:
+            if s == EQ:
+                a[i] -= (a[i] @ d) / (d @ d) * d
+            elif (a[i] @ d < 0) == (s == GE):
+                a[i] = -a[i]
+    gap = np.where(rng.uniform(size=m) < 0.3, 0.0, rng.uniform(0.1, 1.0, size=m))
+    sign = np.array([{GE: -1.0, LE: 1.0, EQ: 0.0}[s] for s in senses])
+    rows, rhs = list(a), list(a @ x0 + sign * gap)
+    rows.append(np.zeros(n))
+    rhs.append(0.0)
+    senses.append(senses[0])
+    dup = int(rng.integers(0, m))
+    rows.append(2.0 * rows[dup])
+    rhs.append(2.0 * rhs[dup])
+    senses.append(senses[dup])
+
+    if status == OPTIMAL:
+        for j in range(n):
+            if not np.isfinite(lower[j]):
+                rows.append(np.eye(n)[j])
+                rhs.append(x0[j] - 1.0)
+                senses.append(GE)
+            if not np.isfinite(upper[j]):
+                rows.append(np.eye(n)[j])
+                rhs.append(x0[j] + 1.0)
+                senses.append(LE)
+    if status == INFEASIBLE:
+        g, t = rng.normal(size=n), float(rng.uniform(-2.0, 2.0))
+        rows += [g, g]
+        rhs += [t + 1.0, t]
+        senses += [GE, (LE, EQ)[int(rng.integers(0, 2))]]
+
+    # rows scaled over six decades exercise the solver's row equilibration
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=len(rows))
+    rows = [r * f for r, f in zip(rows, scale)]
+    rhs = [b * f for b, f in zip(rhs, scale)]
+    c = rng.normal(size=n)
+    if status == UNBOUNDED:
+        c -= (c @ d + d @ d) / (d @ d) * d   # c @ d = -|d|^2 < 0
+    return make_problem(c, np.array(rows), np.array(rhs), senses, lower, upper)
+
+
+def _highs(problem):
+    from scipy.optimize import linprog
+    senses = np.array(problem.senses)
+    ub = senses != EQ
+    flip = np.where(senses == GE, -1.0, 1.0)[ub]
+    res = linprog(problem.objective,
+                  A_ub=problem.lhs[ub] * flip[:, None], b_ub=problem.rhs[ub] * flip,
+                  A_eq=problem.lhs[~ub], b_eq=problem.rhs[~ub],
+                  bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+                          for lo, hi in zip(problem.lower, problem.upper)],
+                  method="highs")
+    return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message), res.fun
+
+
+@pytest.mark.parametrize("status, seed", [(OPTIMAL, 23), (INFEASIBLE, 29), (UNBOUNDED, 31)])
+def test_matches_highs_on_planted_statuses(status, seed):
+    # the planted status is the reference: on scaled instances HiGHS was
+    # seen to call a few planted-unbounded (feasible) problems infeasible
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        problem = _planted_lp(rng, status)
+        out = solve_lp(problem)
+        highs_status, highs_value = _highs(problem)
+        assert out.status == status
+        assert highs_status == status
+        if status == OPTIMAL:
+            assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))

@@ -1,12 +1,15 @@
 """Requirement solvers: strategy examples, agreement, axioms, degeneracy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import (avar_acceptance, compute_avar, feasible_loss_sets,
+from capreq.acceptance import (PROB_EPS, avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, oracle_acceptance,
                                positive_cone, var_acceptance)
+from capreq.linprog import GE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
 from capreq.market import Market, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
@@ -118,9 +121,10 @@ class TestExactReductionLp:
             a = var_acceptance(vm.space, alpha)
             maximal = len(feasible_loss_sets(vm.space, alpha, maximal_only=True))
             x = rng.uniform(-5, 5, size=vm.n_states)
-            lp_calls.clear()
-            rho_reduction(a, vm, x)
-            assert 1 <= len(lp_calls) <= maximal
+            for run in (lambda: rho_reduction(a, vm, x), lambda: rho_var_exact(vm, x, alpha)):
+                lp_calls.clear()
+                run()
+                assert 1 <= len(lp_calls) <= maximal
 
     def test_induced_membership_is_one_lp(self, lp_calls, two_state_market):
         induced = induced_rho_acceptance(positive_cone(2), two_state_market)
@@ -202,6 +206,35 @@ class TestVarExact:
     def test_enumeration_cap(self, two_state_market):
         with pytest.raises(EnumerationTooLarge):
             rho_var_exact(two_state_market, [0.0, 0.0], 0.5, SolveOptions(n_enum=1))
+
+    def test_matches_minimum_over_all_admissible_loss_sets(self):
+        def brute_force(vm, x, alpha):
+            n, s0, s1 = vm.n_states, vm.market.prices, vm.market.payoffs
+            best = POS_INF
+            for r in range(n + 1):
+                for loss_set in itertools.combinations(range(n), r):
+                    if vm.space.probs[list(loss_set)].sum() > alpha + PROB_EPS:
+                        continue
+                    keep = [w for w in range(n) if w not in loss_set]
+                    if not keep:
+                        return NEG_INF
+                    out = solve_lp(make_problem(s0, s1.T[keep], -x[keep], GE))
+                    if out.status == UNBOUNDED:
+                        return NEG_INF
+                    if out.status == OPTIMAL:
+                        best = min(best, out.objective_value)
+            return best
+
+        rng = np.random.default_rng(67)
+        values = []
+        for _ in range(120):
+            vm = random_market(rng, n_states=int(rng.integers(2, 9)))
+            alpha = float(rng.uniform(0.05, 0.5))
+            x = rng.uniform(-5, 5, size=vm.n_states)
+            want = brute_force(vm, x, alpha)
+            assert rho_var_exact(vm, x, alpha).value == pytest.approx(want, rel=1e-9, abs=1e-9)
+            values.append(want)
+        assert sum(map(is_finite, values)) >= 40 and NEG_INF in values
 
     def test_deterministic_loss_set_reporting(self, two_state_market):
         r1 = rho_var_exact(two_state_market, [-1.0, -1.0], 0.2)
