@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,12 +96,55 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
         values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
         raise CliError(f"{what} must be a list of numbers", EXIT_USAGE) from exc
+    return _checked_vector(values, n, what)
+
+
+def _checked_vector(values: list, n: int, what: str) -> np.ndarray:
     if len(values) != n:
         raise CliError(f"{what} needs {n} entries, got {len(values)}", EXIT_USAGE)
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError as exc:   # a JSON integer beyond float range
+        raise CliError(f"{what} must be finite", EXIT_USAGE) from exc
     if not np.all(np.isfinite(arr)):
         raise CliError(f"{what} must be finite", EXIT_USAGE)
     return arr
+
+
+def _parse_points(text: str, n: int) -> list[np.ndarray]:
+    """A JSON list of points, each checked like a ``--position`` vector."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"points file is not valid JSON: {exc}", EXIT_USAGE) from exc
+    if not isinstance(doc, list):
+        raise CliError("points file must hold a JSON list of points", EXIT_USAGE)
+    points = []
+    for k, p in enumerate(doc):
+        if not (isinstance(p, list) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)):
+            raise CliError(f"point {k} must be a list of numbers", EXIT_USAGE)
+        points.append(_checked_vector(p, n, f"point {k}"))
+    return points
+
+
+def _check_options(args) -> None:
+    """Reject option values no solver can use, before any file is read."""
+    for name in ("tol", "bracket_max"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            raise CliError(f"--{name.replace('_', '-')} must be positive and finite, "
+                           f"got {value}", EXIT_USAGE)
+    for name in ("lo", "hi", "level"):
+        value = getattr(args, name, 0.0)
+        if not math.isfinite(value):
+            raise CliError(f"--{name} must be finite, got {value}", EXIT_USAGE)
+    for name in ("grid", "trials"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise CliError(f"--{name} must be at least 1, got {value}", EXIT_USAGE)
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_USAGE)
 
 
 def _options_from_args(args) -> SolveOptions:
@@ -206,8 +250,7 @@ def cmd_levelset(args) -> int:
     n = vm.n_states
 
     if args.points is not None:
-        pts = json.loads(_read_file(args.points))
-        points = [np.asarray(p, dtype=float) for p in pts]
+        points = _parse_points(_read_file(args.points), n)
     else:
         if n > 3:
             raise CliError("grid output needs 2 or 3 states; use --points", EXIT_USAGE)
@@ -342,6 +385,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_options(args)
         return args.func(args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

@@ -13,18 +13,27 @@ Phase 1 starts from a slack basis: a row that has a column of its own
 (a slack, or any column nonzero in that row only) whose value there is
 nonnegative starts with that column basic. Only the remaining rows get
 artificial columns, so phase 1 prices and pivots only those rows.
+
+At these sizes a call costs Python and numpy call overhead, not
+arithmetic, so the per-call work is whole-array: validation, the standard
+form, the read-out of the point, ray and dual, and both certificates make
+a fixed number of numpy calls whatever the row and column counts, and a
+pivot is a fixed handful of array operations. Python loops remain only
+over the columns that can start basic and over the artificials still
+basic after phase 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 LE = "<="
 EQ = "="
 GE = ">="
-_SENSES = (LE, EQ, GE)
+_SLACK_SIGN = {LE: 1, EQ: 0, GE: -1}   # slack coefficient of each sense
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,14 +69,13 @@ class LpProblem:
     senses: tuple[str, ...]
     lower: np.ndarray
     upper: np.ndarray
+    # per-row slack coefficient, int8: +1 for "<=", 0 for "=", -1 for ">="
+    _sign: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", _as_float_array(self.objective, "objective", 1))
-        object.__setattr__(self, "lhs", _as_float_array(self.lhs, "lhs", 2))
-        object.__setattr__(self, "rhs", _as_float_array(self.rhs, "rhs", 1))
+        for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1), ("lower", 1), ("upper", 1)):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), name, ndim))
         object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(self, "lower", _as_float_array(self.lower, "lower", 1))
-        object.__setattr__(self, "upper", _as_float_array(self.upper, "upper", 1))
         m, n = self.lhs.shape
         if n == 0:
             raise MalformedProblem("problem must have at least one variable")
@@ -77,13 +85,14 @@ class LpProblem:
             raise MalformedProblem("rhs/senses length does not match row count")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise MalformedProblem("bounds length does not match column count")
-        for s in self.senses:
-            if s not in _SENSES:
-                raise MalformedProblem(f"unknown sense {s!r}")
-        for arr in (self.objective, self.lhs, self.rhs):
-            if not np.all(np.isfinite(arr)):
-                raise MalformedProblem("objective, lhs and rhs must be finite")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+        sign = [_SLACK_SIGN.get(s) if isinstance(s, str) else None for s in self.senses]
+        if None in sign:
+            raise MalformedProblem(f"unknown sense {self.senses[sign.index(None)]!r}")
+        object.__setattr__(self, "_sign", np.array(sign, dtype=np.int8))
+        if any(np.count_nonzero(np.isfinite(a)) < a.size
+               for a in (self.objective, self.lhs, self.rhs)):
+            raise MalformedProblem("objective, lhs and rhs must be finite")
+        if np.count_nonzero(np.isnan(self.lower)) or np.count_nonzero(np.isnan(self.upper)):
             raise MalformedProblem("bounds must not be NaN")
 
     @property
@@ -122,148 +131,92 @@ class LpOutcome:
 
 
 class _Encoding:
-    """Affine map from nonnegative standard variables back to the original ones."""
+    """Affine map from nonnegative standard variables u back to the original ones.
+
+    Column j is x_j = shift_j + sign_j * u[first_j]: shift = lower and
+    sign = +1 when the lower bound is finite (a finite upper bound then
+    adds the row u[first_j] <= upper - lower; those columns are
+    ``capped``), shift = upper and sign = -1 when only the upper bound is.
+    A ``free`` column is x_j = u[first_j] - u[second], second = first_j + 1.
+    """
 
     def __init__(self, problem: LpProblem):
-        self.kinds: list[tuple] = []
-        self.n_std = 0
-        self.shift = np.zeros(problem.n_cols)
-        self.infeasible_bounds = False
-        for j in range(problem.n_cols):
-            lo, hi = problem.lower[j], problem.upper[j]
-            if lo > hi:
-                self.infeasible_bounds = True
-            if np.isfinite(lo):
-                # x = lo + u, u >= 0; finite upper handled by an extra row u <= hi - lo
-                self.kinds.append(("lo", self.n_std, lo, hi))
-                self.n_std += 1
-            elif np.isfinite(hi):
-                # x = hi - u, u >= 0
-                self.kinds.append(("hi", self.n_std, hi))
-                self.n_std += 1
-            else:
-                # free: x = u - v
-                self.kinds.append(("free", self.n_std, self.n_std + 1))
-                self.n_std += 2
+        lower, upper = problem.lower, problem.upper
+        has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
+        self.infeasible_bounds = np.count_nonzero(lower > upper) > 0
+        self.free = ~(has_lo | has_hi)
+        hi_only = has_hi > has_lo
+        self.width = self.free + 1   # standard columns per original column
+        self.first = self.width.cumsum() - self.width
+        self.second = self.first[self.free] + 1
+        self.sign = np.where(hi_only, -1.0, 1.0)
+        self.std_sign = self.sign.repeat(self.width)   # sign of each standard column
+        self.std_sign[self.second] = -1.0
+        self.shift = np.where(has_lo, lower, np.where(hi_only, upper, 0.0))
+        self.capped = (has_lo & has_hi).nonzero()[0]
 
-    def columns(self, a_col: np.ndarray, kind: tuple) -> list[tuple[int, np.ndarray]]:
-        if kind[0] == "lo":
-            return [(kind[1], a_col)]
-        if kind[0] == "hi":
-            return [(kind[1], -a_col)]
-        return [(kind[1], a_col), (kind[2], -a_col)]
-
-    def to_original(self, x_std: np.ndarray, problem: LpProblem) -> np.ndarray:
-        x = np.zeros(problem.n_cols)
-        for j, kind in enumerate(self.kinds):
-            if kind[0] == "lo":
-                x[j] = kind[2] + x_std[kind[1]]
-            elif kind[0] == "hi":
-                x[j] = kind[2] - x_std[kind[1]]
-            else:
-                x[j] = x_std[kind[1]] - x_std[kind[2]]
+    def to_original(self, x_std: np.ndarray) -> np.ndarray:
+        x = self.shift + self.sign * x_std[self.first]
+        x[self.free] = x_std[self.second - 1] - x_std[self.second]
         return x
 
-    def ray_to_original(self, d_std: np.ndarray, problem: LpProblem) -> np.ndarray:
-        d = np.zeros(problem.n_cols)
-        for j, kind in enumerate(self.kinds):
-            if kind[0] == "lo":
-                d[j] = d_std[kind[1]]
-            elif kind[0] == "hi":
-                d[j] = -d_std[kind[1]]
-            else:
-                d[j] = d_std[kind[1]] - d_std[kind[2]]
+    def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
+        d = self.sign * d_std[self.first]
+        d[self.free] = d_std[self.second - 1] - d_std[self.second]
         return d
 
 
 def _standardize(problem: LpProblem):
     """Rewrite as min c_std @ u s.t. A_std @ u = b_std, u >= 0 (b possibly negative)."""
     enc = _Encoding(problem)
-    m, n = problem.n_rows, problem.n_cols
-
-    extra_rows = []  # (std_col, cap) for "lo" variables with finite upper bound
-    for kind in enc.kinds:
-        if kind[0] == "lo" and np.isfinite(kind[3]):
-            extra_rows.append((kind[1], kind[3] - kind[2]))
-
-    n_slack = sum(1 for s in problem.senses if s != EQ) + len(extra_rows)
-    total_rows = m + len(extra_rows)
-    a_std = np.zeros((total_rows, enc.n_std + n_slack))
-    b_std = np.zeros(total_rows)
-    c_std = np.zeros(enc.n_std + n_slack)
-    obj_const = 0.0
-    shift = np.zeros(n)  # constant part of the substitution x = shift +/- u
-
-    for j, kind in enumerate(enc.kinds):
-        cj = problem.objective[j]
-        col = problem.lhs[:, j]
-        if kind[0] == "lo":
-            c_std[kind[1]] += cj
-            obj_const += cj * kind[2]
-            shift[j] = kind[2]
-            a_std[:m, kind[1]] += col
-        elif kind[0] == "hi":
-            c_std[kind[1]] -= cj
-            obj_const += cj * kind[2]
-            shift[j] = kind[2]
-            a_std[:m, kind[1]] -= col
-        else:
-            c_std[kind[1]] += cj
-            c_std[kind[2]] -= cj
-            a_std[:m, kind[1]] += col
-            a_std[:m, kind[2]] -= col
-
-    b_std[:m] = problem.rhs - problem.lhs @ shift
-
-    slack_at = enc.n_std
-    for i, s in enumerate(problem.senses):
-        if s == LE:
-            a_std[i, slack_at] = 1.0
-            slack_at += 1
-        elif s == GE:
-            a_std[i, slack_at] = -1.0
-            slack_at += 1
-
-    for k, (col_idx, cap) in enumerate(extra_rows):
-        i = m + k
-        a_std[i, col_idx] = 1.0
-        a_std[i, slack_at] = 1.0
-        slack_at += 1
-        b_std[i] = cap
-
+    m, n_std = problem.n_rows, len(enc.std_sign)
+    ineq, capped = problem._sign.nonzero()[0], enc.capped
+    n_ineq, n_cap = len(ineq), len(capped)
+    a_std = np.zeros((m + n_cap, n_std + n_ineq + n_cap))
+    c_std = np.zeros(n_std + n_ineq + n_cap)
+    # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
+    a_std[:m, :n_std] = problem.lhs.repeat(enc.width, axis=1) * enc.std_sign + 0.0
+    c_std[:n_std] = problem.objective.repeat(enc.width) * enc.std_sign + 0.0
+    a_std[ineq, np.arange(n_std, n_std + n_ineq)] = problem._sign[ineq]
+    b_std = problem.rhs - problem.lhs @ enc.shift
+    if n_cap:
+        cap_rows = np.arange(m, m + n_cap)
+        a_std[cap_rows, enc.first[capped]] = 1.0
+        a_std[cap_rows, np.arange(n_std + n_ineq, n_std + n_ineq + n_cap)] = 1.0
+        b_std = np.concatenate((b_std, problem.upper[capped] - problem.lower[capped]))
+    # sequential sum in column order from +0.0, the value a scalar loop gives
+    obj_const = 0.0 + float(np.cumsum(problem.objective * enc.shift)[-1])
     return enc, a_std, b_std, c_std, obj_const
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
     piv_row = tableau[row]
+    piv_row /= piv_row[col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, piv_row)
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    # p / p is exactly 1 and f - f * 1 exactly 0: column ``col`` becomes a unit column
+    tableau -= factors[:, None] * piv_row
 
 
 def _run_simplex(tableau, basis, pivot_tol):
     """Bland's rule loop. Returns ("optimal", pivots) or ("unbounded", entering, pivots)."""
     m = len(basis)
+    cost, values = tableau[-1, :-1], tableau[:m, -1]   # views, updated by each pivot
     pivots = 0
     while True:
-        improving = tableau[-1, :-1] < -pivot_tol
-        entering = int(np.argmax(improving))  # Bland: lowest index
+        improving = cost < -pivot_tol
+        entering = improving.argmax()  # Bland: lowest index
         if not improving[entering]:
             return ("optimal", pivots)
         col = tableau[:m, entering]
-        positive = col > pivot_tol
-        if not positive.any():
+        rows = (col > pivot_tol).nonzero()[0]
+        if not rows.size:
             # entries in (0, pivot_tol] are treated as zero; the unbounded
             # conclusion is certified (or rejected) on the returned ray
             return ("unbounded", entering, pivots)
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / col[positive]
-        best = ratios.min()
-        tied = np.flatnonzero(ratios <= best + 1e-15)
-        leaving = int(tied[np.argmin([basis[i] for i in tied])])  # Bland tie-break
+        ratios = values[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + 1e-15]
+        leaving = tied[basis[tied].argmin()]  # Bland tie-break
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         pivots += 1
@@ -271,43 +224,35 @@ def _run_simplex(tableau, basis, pivot_tol):
             raise NumericalBreakdown("pivot budget exhausted")
 
 
+def _rows_violated(problem, row_values, limit) -> bool:
+    """Some "<=" row above ``limit``, ">=" row below ``-limit`` or "=" row off by more."""
+    sign = problem._sign
+    return np.count_nonzero(np.where(sign == 0, np.abs(row_values), sign * row_values) > limit) > 0
+
+
 def _certify_optimal(problem, x, tol):
-    if not np.all(np.isfinite(x)):
+    size = float(np.abs(x).max())
+    if not math.isfinite(size):
         return False
-    lhs = problem.lhs @ x
-    for i, s in enumerate(problem.senses):
-        resid = lhs[i] - problem.rhs[i]
-        # row scale from the actual cancellation magnitude on this row
-        scale = max(1.0, abs(problem.rhs[i]), float(np.abs(problem.lhs[i]) @ np.abs(x)))
-        if s == LE and resid > tol * scale:
-            return False
-        if s == GE and resid < -tol * scale:
-            return False
-        if s == EQ and abs(resid) > tol * scale:
-            return False
-    scale_x = max(1.0, float(np.abs(x).max(initial=0.0)))
-    if np.any(x < problem.lower - tol * scale_x) or np.any(x > problem.upper + tol * scale_x):
+    resid = problem.lhs @ x - problem.rhs
+    # row scale from the actual cancellation magnitude on each row
+    scale = np.maximum(1.0, np.maximum(np.abs(problem.rhs), np.abs(problem.lhs) @ np.abs(x)))
+    if _rows_violated(problem, resid, tol * scale):
         return False
-    return True
+    margin = tol * max(1.0, size)
+    return np.count_nonzero((x < problem.lower - margin) | (x > problem.upper + margin)) == 0
 
 
 def _certify_ray(problem, ray, tol):
-    if not np.all(np.isfinite(ray)) or np.abs(ray).max(initial=0.0) <= tol:
+    size = float(np.abs(ray).max())
+    if not (math.isfinite(size) and size > tol):
         return False
-    scale = max(1.0, float(np.abs(ray).max()))
-    lhs = problem.lhs @ ray
-    for i, s in enumerate(problem.senses):
-        if s == LE and lhs[i] > tol * scale:
-            return False
-        if s == GE and lhs[i] < -tol * scale:
-            return False
-        if s == EQ and abs(lhs[i]) > tol * scale:
-            return False
-    for j in range(problem.n_cols):
-        if np.isfinite(problem.lower[j]) and ray[j] < -tol * scale:
-            return False
-        if np.isfinite(problem.upper[j]) and ray[j] > tol * scale:
-            return False
+    limit = tol * max(1.0, size)
+    if _rows_violated(problem, problem.lhs @ ray, limit):
+        return False
+    if np.count_nonzero((np.isfinite(problem.lower) & (ray < -limit))
+                        | (np.isfinite(problem.upper) & (ray > limit))):
+        return False
     return float(problem.objective @ ray) < 0.0
 
 
@@ -328,8 +273,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     m, n_std = a_std.shape
     # per-row equilibration keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^40) entries)
-    row_scale = np.maximum(1.0, np.maximum(
-        np.abs(a_std).max(axis=1, initial=0.0), np.abs(b_std)))
+    row_scale = np.maximum(1.0, np.maximum(np.abs(a_std).max(axis=1), np.abs(b_std)))
     a_std = a_std / row_scale[:, None]
     b_std = b_std / row_scale
 
@@ -340,8 +284,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     mult = np.where(b_std < 0, -1.0, 1.0)
     basis = [-1] * m
     nonzero = a_std != 0.0
-    cols = np.flatnonzero(nonzero.sum(axis=0) == 1)
-    rows = np.arange(m) @ nonzero[:, cols]  # the one row each such column touches
+    cols = (nonzero.sum(axis=0) == 1).nonzero()[0]
+    rows = nonzero[:, cols].T.nonzero()[1]  # the one row each such column touches
     vals = a_std[rows, cols]
     usable = (np.abs(vals) > pivot_tol) & ((vals * mult[rows] > 0) | (b_std[rows] == 0.0))
     for i, j, v in zip(rows[usable].tolist(), cols[usable].tolist(), vals[usable].tolist()):
@@ -350,14 +294,14 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
             mult[i] = 1.0 / v
     a_std = a_std * mult[:, None]
     b_std = b_std * mult
-    art_rows = [i for i in range(m) if basis[i] < 0]
+    basis = np.array(basis, dtype=np.intp)
+    art_rows = (basis < 0).nonzero()[0]
+    basis[art_rows] = n_std + np.arange(len(art_rows))
 
     tableau = np.zeros((m + 1, n_std + len(art_rows) + 1))
     tableau[:m, :n_std] = a_std
     tableau[:m, -1] = b_std
-    for k, i in enumerate(art_rows):
-        tableau[i, n_std + k] = 1.0
-        basis[i] = n_std + k
+    tableau[art_rows, basis[art_rows]] = 1.0
     # phase-1 reduced costs: artificial rows subtracted from their unit costs
     tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
     tableau[-1, -1] = -b_std[art_rows].sum()
@@ -368,7 +312,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     if phase1_value > tol:
         # infeasibility certificate: phase-1 optimum is positive and its
         # reduced costs are nonnegative, so no feasible point exists
-        if np.any(tableau[-1, :-1] < -10 * pivot_tol):
+        if np.count_nonzero(tableau[-1, :-1] < -10 * pivot_tol):
             raise NumericalBreakdown("phase-1 terminated without optimality certificate")
         return LpOutcome(status=INFEASIBLE, pivots=pivots)
 
@@ -376,21 +320,18 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     # Their values are below the feasibility tolerance, so clamp to zero
     # first: pivoting a nonzero residual through a small entry would amplify
     # it onto a structural variable.
-    keep_rows = []
-    for i in range(m):
-        if basis[i] >= n_std:
-            entries = np.abs(tableau[i, :n_std])
-            best = int(np.argmax(entries))
-            if entries[best] > pivot_tol:
-                tableau[i, -1] = 0.0
-                _pivot(tableau, i, best)
-                basis[i] = best
-                keep_rows.append(i)
-            # else: redundant constraint, row dropped below
-        else:
-            keep_rows.append(i)
-    tableau = tableau[keep_rows + [m]][:, list(range(n_std)) + [-1]]
-    basis = [basis[i] for i in keep_rows]
+    for i in (basis >= n_std).nonzero()[0].tolist():
+        entries = np.abs(tableau[i, :n_std])
+        best = entries.argmax()
+        if entries[best] > pivot_tol:
+            tableau[i, -1] = 0.0
+            _pivot(tableau, i, best)
+            basis[i] = best
+        # else: redundant constraint, row dropped below
+    keep = (basis < n_std).nonzero()[0]
+    tableau[:, n_std] = tableau[:, -1]   # right-hand side over the first artificial
+    tableau = tableau[np.append(keep, m), :n_std + 1]
+    basis = basis[keep]
 
     # phase 2: rebuild reduced costs for the true objective
     cb = c_std[basis]
@@ -404,31 +345,28 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         entering = status[1]
         d_std = np.zeros(n_std)
         d_std[entering] = 1.0
-        for i, bv in enumerate(basis):
-            d_std[bv] = -tableau[i, entering]
-        ray = enc.ray_to_original(d_std, problem)
+        d_std[basis] = -tableau[:-1, entering]
+        ray = enc.ray_to_original(d_std)
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
         return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots)
 
     x_std = np.zeros(n_std)
-    for i, bv in enumerate(basis):
-        x_std[bv] = tableau[i, -1]
-    x = enc.to_original(x_std, problem)
+    x_std[basis] = tableau[:-1, -1]
+    x = enc.to_original(x_std)
     if not _certify_optimal(problem, x, 10 * tol):
         raise NumericalBreakdown("optimal point failed feasibility certificate")
     value = float(c_std @ x_std + obj_const)
 
     dual = None
     if problem.n_rows:
-        # y = c_B B^{-T} restricted to kept rows of the standard matrix
-        basis_matrix = a_std[np.ix_(keep_rows, basis)]
+        # y = c_B B^{-T} on the kept rows of the standard matrix; the
+        # original rows precede the bound rows in ``keep``
+        orig = keep[keep < problem.n_rows]
         try:
-            y_kept = np.linalg.solve(basis_matrix.T, c_std[basis])
+            y_kept = np.linalg.solve(a_std[keep[:, None], basis].T, c_std[basis])
             dual = np.zeros(problem.n_rows)
-            for pos, i in enumerate(keep_rows):
-                if i < problem.n_rows:
-                    dual[i] = y_kept[pos] * mult[i] / row_scale[i]
+            dual[orig] = y_kept[:len(orig)] * mult[orig] / row_scale[orig]
         except np.linalg.LinAlgError:
             dual = None
 

@@ -159,6 +159,59 @@ class TestErrorContract:
         assert json.loads(err) == {"error": f"{exc.__name__}: refused"}
 
 
+class TestUsageErrors:
+    """Out-of-range options and bad point files: exit 2, one JSON error, no traceback."""
+
+    @staticmethod
+    def assert_usage_error(code, out, err):
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert set(json.loads(err)) == {"error"}
+
+    @pytest.mark.parametrize("argv", [
+        ["requirement", "@market", "@poscone", "--position=-3,0", "--tol", "0"],
+        ["requirement", "@market", "@poscone", "--position=-3,0", "--tol", "-1"],
+        ["requirement", "@market", "@poscone", "--position=-3,0", "--tol", "nan"],
+        ["requirement", "@market", "@poscone", "--position=-3,0", "--bracket-max", "0"],
+        ["requirement", "@market", "@poscone", "--position=-3,0", "--bracket-max", "inf"],
+        ["levelset", "@market", "@poscone", "--grid", "-1"],
+        ["levelset", "@market", "@poscone", "--lo", "nan"],
+        ["levelset", "@market", "@poscone", "--hi", "inf"],
+        ["levelset", "@market", "@poscone", "--level", "nan"],
+        ["properties", "@market", "@poscone", "--trials", "-3"],
+        ["properties", "@market", "@poscone", "--trials", "3", "--seed", "-1"],
+    ], ids=["tol-zero", "tol-negative", "tol-nan", "bracket-max-zero", "bracket-max-inf",
+            "grid-negative", "lo-nan", "hi-inf", "level-nan", "trials-negative",
+            "seed-negative"])
+    def test_bad_option_value(self, files, capsys, argv):
+        argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+        self.assert_usage_error(*run(capsys, argv))
+
+    @pytest.mark.parametrize("text", [
+        "[[1, 2], [3",
+        "[[1, 2], [3, 4, 5]]",
+        "[[1, \"x\"]]",
+        "[[1, NaN]]",
+        "[[1, 1" + "0" * 400 + "]]",
+        "{\"points\": []}",
+    ], ids=["not-json", "wrong-length", "not-a-number", "not-finite", "beyond-float-range",
+            "not-a-list"])
+    def test_bad_points_file(self, files, capsys, tmp_path, text):
+        path = tmp_path / "points.json"
+        path.write_text(text)
+        self.assert_usage_error(*run(capsys, ["levelset", files["market"], files["poscone"],
+                                              "--points", str(path)]))
+
+    def test_points_file(self, files, capsys, tmp_path):
+        path = tmp_path / "points.json"
+        path.write_text("[[-3, 0], [1, 1]]")
+        code, out, _ = run(capsys, ["levelset", files["market"], files["poscone"],
+                                    "--points", str(path)])
+        assert code == 0
+        assert [p["tag"] for p in json.loads(out)["points"]] == ["above", "below"]
+
+
 class TestPortfolio:
     def test_weights_replicate(self, files, capsys):
         code, out, _ = run(capsys, ["portfolio", files["market"], files["poscone"],

@@ -72,6 +72,28 @@ def test_malformed_dimensions():
         make_problem([1.0], [[1.0]], [0.0], ["=="])
 
 
+_VALID = dict(objective=[1.0, 2.0], lhs=[[1.0, 1.0]], rhs=[1.0], senses=(GE,),
+              lower=[0.0, -np.inf], upper=[np.inf, 3.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rhs", [np.inf]),
+    ("objective", [1.0, -np.inf]),
+    ("lower", [np.nan, -np.inf]),
+    ("upper", [np.inf, np.nan]),
+    ("senses", (None,)),
+    ("senses", (["<="],)),
+    ("lower", [0.0, 0.0, 0.0]),
+    ("upper", [1.0]),
+], ids=["rhs-inf", "objective-inf", "lower-nan", "upper-nan", "sense-none", "sense-list",
+        "lower-too-long", "upper-too-short"])
+def test_malformed_entries_raise_malformed_problem(field, value):
+    # never a KeyError, TypeError or IndexError from the validation itself
+    LpProblem(**_VALID)
+    with pytest.raises(MalformedProblem):
+        LpProblem(**{**_VALID, field: value})
+
+
 def _random_canonical(rng):
     """min c @ x, A x >= b, x >= 0 with c >= 0: feasible and bounded."""
     m, n = int(rng.integers(2, 6)), int(rng.integers(2, 6))
@@ -118,8 +140,24 @@ def test_determinism_bitwise():
         out1 = solve_lp(problem)
         out2 = solve_lp(problem)
         assert out1.status == out2.status
+        assert out1.pivots == out2.pivots
         assert out1.x.tobytes() == out2.x.tobytes()
+        assert out1.dual.tobytes() == out2.dual.tobytes()
         assert out1.objective_value == out2.objective_value
+
+
+def test_bland_rule_does_not_cycle_on_beale_example():
+    # Beale (1955): the largest-coefficient rule cycles here at the
+    # degenerate start; Bland's lowest-index rule reaches the optimum
+    out = solve_lp(make_problem([-0.75, 150.0, -0.02, 6.0],
+                                [[0.25, -60.0, -0.04, 9.0],
+                                 [0.5, -90.0, -0.02, 3.0],
+                                 [0.0, 0.0, 1.0, 0.0]],
+                                [0.0, 0.0, 1.0], [LE] * 3, lower=np.zeros(4)))
+    assert out.status == OPTIMAL
+    assert out.objective_value == pytest.approx(-0.05, abs=1e-12)
+    assert out.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+    assert out.pivots == 6
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
