@@ -17,23 +17,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import CapreqError, UsageError
 from .market import ScenarioSpace
 
 MEMBER_TOL = 1e-9
 PROB_EPS = 1e-12
+ENUM_CAP = 16   # most states whose loss sets are enumerated
 
 TriState = Optional[bool]
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(CapreqError, ValueError):
     """Acceptance sets over different state counts cannot be combined."""
 
 
-class BadNormal(ValueError):
-    """Halfspace normal with a negative component would break monotonicity."""
+class BadNormal(CapreqError, ValueError):
+    """Halfspace normal that is non-finite, or negative somewhere (breaks monotonicity)."""
 
 
-class AcceptanceParseError(ValueError):
+class AcceptanceParseError(UsageError):
     """Acceptance-set descriptor is malformed."""
 
 
@@ -119,9 +121,11 @@ def positive_cone(n: int) -> AcceptanceSet:
 
 
 def halfspace_acceptance(normal) -> AcceptanceSet:
-    """{X : w @ X >= 0} for a nonnegative, nonzero normal w."""
+    """{X : w @ X >= 0} for a finite, nonnegative, nonzero normal w."""
     w = np.asarray(normal, dtype=float)
-    if w.ndim != 1 or np.any(w < 0) or not np.any(w > 0):
+    if w.ndim != 1 or not np.all(np.isfinite(w)):
+        raise BadNormal("normal must be a vector of finite numbers")
+    if np.any(w < 0) or not np.any(w > 0):
         raise BadNormal("normal must be nonnegative with a positive component")
     tol = MEMBER_TOL
 
@@ -201,7 +205,7 @@ def compute_avar(space: ScenarioSpace, position, alpha: float) -> float:
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {alpha}")
+        raise UsageError(f"confidence level must lie in (0, 1), got {alpha}")
 
 
 def loss_probability(space: ScenarioSpace, position, tol: float = MEMBER_TOL) -> float:
@@ -210,20 +214,20 @@ def loss_probability(space: ScenarioSpace, position, tol: float = MEMBER_TOL) ->
     return float(space.probs[x < -tol].sum())
 
 
-def feasible_loss_sets(space: ScenarioSpace, alpha: float, maximal_only: bool = False):
-    """State subsets whose probability fits under alpha, in lexicographic order.
+def feasible_loss_sets(space: ScenarioSpace, alpha: float):
+    """Maximal state subsets whose probability fits under alpha, in lexicographic order.
 
     Depth-first search over increasing state indices that extends a subset
     only while its mass fits, so inadmissible subsets are never built.
     Visiting each subset before its extensions yields lexicographic order.
-    With ``maximal_only``, a subset is kept only if no outside state fits.
+    A subset is kept only if no outside state fits.
     """
     p = [float(v) for v in space.probs]
     cap = alpha + PROB_EPS
     subsets = []
 
     def visit(combo: tuple, mass: float) -> None:
-        if not maximal_only or all(mass + p[w] > cap for w in range(len(p)) if w not in combo):
+        if all(mass + p[w] > cap for w in range(len(p)) if w not in combo):
             subsets.append(combo)
         for j in range(combo[-1] + 1 if combo else 0, len(p)):
             if mass + p[j] <= cap:
@@ -238,7 +242,7 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
 
     Always a cone; convex exactly when a single maximal loss set dominates
     (then the set is an intersection of halfspaces), which covers the
-    small-alpha case where it collapses to the positive cone. Above 16
+    small-alpha case where it collapses to the positive cone. Above ENUM_CAP
     states the loss sets are not enumerated and the flag stays unknown.
     """
     _check_alpha(alpha)
@@ -248,8 +252,8 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
         return loss_probability(space, x, tol) <= alpha + PROB_EPS
 
     convex: TriState = None
-    if space.n <= 16:
-        convex = len(feasible_loss_sets(space, alpha, maximal_only=True)) == 1
+    if space.n <= ENUM_CAP:
+        convex = len(feasible_loss_sets(space, alpha)) == 1
     return AcceptanceSet(
         dim=space.n, member=member, non_member=-np.ones(space.n),
         kind="var", is_convex=convex, is_cone=True,
@@ -293,7 +297,7 @@ def avar_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
 def intersect(sets: list[AcceptanceSet]) -> AcceptanceSet:
     """Conjunction of regulatory tests; polyhedral rows stack when available."""
     if not sets:
-        raise ValueError("need at least one acceptance set")
+        raise UsageError("need at least one acceptance set")
     dim = sets[0].dim
     for a in sets:
         if a.dim != dim:
@@ -473,7 +477,7 @@ def _build_acceptance(doc, space: ScenarioSpace) -> AcceptanceSet:
             raise AcceptanceParseError("halfspace needs a 'normal' of state length")
         try:
             return halfspace_acceptance([float(v) for v in normal])
-        except BadNormal as exc:
+        except (TypeError, ValueError) as exc:   # a non-number entry, or BadNormal
             raise AcceptanceParseError(str(exc)) from exc
     if kind == "intersection":
         parts = doc.get("parts")

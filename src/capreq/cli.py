@@ -3,11 +3,11 @@
 Commands: validate, price, arbitrage, requirement, portfolio, levelset,
 properties. Output is JSON first (``--format table`` renders a cosmetic
 text view); infinities are serialized as the strings "-inf"/"+inf" to stay
-inside JSON. Exit codes: 0 success, 1 domain failure (validation failed,
-arbitrage found, property violations, or a solver refusal: too many states
-to enumerate, a degenerate induced set, a set the check cannot handle, a
-numerical breakdown), 2 usage or parse errors. Errors go to stderr as one
-JSON object, never as a traceback.
+inside JSON. Exit codes: 0 success, 1 failed validation, arbitrage or
+property violations, else the ``exit_code`` of the raised ``CapreqError``:
+1 for a refusal (payoff off the span, too many states to enumerate, ...),
+2 for a ``UsageError`` (bad arguments, argparse's included, or input
+files). Errors go to stderr as one JSON object, never as a traceback.
 
 Given identical input files, flags and seed, the emitted JSON is
 byte-identical across runs.
@@ -24,25 +24,22 @@ import sys
 
 import numpy as np
 
-from . import verify
-from .acceptance import AcceptanceParseError, AcceptanceSet, load_acceptance
-from .linprog import NumericalBreakdown
-from .market import (MarketError, MarketParseError, ValidatedMarket,
-                     check_monotone_pricing, check_no_arbitrage, load_market,
-                     validate_market)
-from .riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance, EnumerationTooLarge,
-                          NotPolyhedral, SolveOptions, extreal_str, is_finite,
+from . import CapreqError, UsageError, verify
+from .acceptance import load_acceptance
+from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
+                     load_market, validate_market)
+from .riskmeasure import (DEFAULT_OPTIONS, SolveOptions, extreal_str, is_finite,
                           solve_rho)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
-EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -70,44 +67,31 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_validated_market(path: str, tol: float) -> ValidatedMarket:
-    try:
-        raw, numeraire = load_market(_read_file(path))
-    except MarketParseError as exc:
-        raise CliError(f"market parse error: {exc}", EXIT_USAGE) from exc
-    try:
-        return validate_market(raw, tol=tol, numeraire=numeraire)
-    except MarketError as exc:
-        raise CliError(f"{type(exc).__name__}: {exc}", EXIT_DOMAIN) from exc
-
-
-def _load_acceptance_set(path: str, vm: ValidatedMarket) -> AcceptanceSet:
-    try:
-        return load_acceptance(_read_file(path), vm.space)
-    except AcceptanceParseError as exc:
-        raise CliError(f"acceptance parse error: {exc}", EXIT_USAGE) from exc
+    raw, numeraire = load_market(_read_file(path))
+    return validate_market(raw, tol=tol, numeraire=numeraire)
 
 
 def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     try:
         values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise CliError(f"{what} must be a list of numbers", EXIT_USAGE) from exc
+        raise UsageError(f"{what} must be a list of numbers") from exc
     return _checked_vector(values, n, what)
 
 
 def _checked_vector(values: list, n: int, what: str) -> np.ndarray:
     if len(values) != n:
-        raise CliError(f"{what} needs {n} entries, got {len(values)}", EXIT_USAGE)
+        raise UsageError(f"{what} needs {n} entries, got {len(values)}")
     try:
         arr = np.asarray(values, dtype=float)
     except OverflowError as exc:   # a JSON integer beyond float range
-        raise CliError(f"{what} must be finite", EXIT_USAGE) from exc
+        raise UsageError(f"{what} must be finite") from exc
     if not np.all(np.isfinite(arr)):
-        raise CliError(f"{what} must be finite", EXIT_USAGE)
+        raise UsageError(f"{what} must be finite")
     return arr
 
 
@@ -116,14 +100,14 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"points file is not valid JSON: {exc}", EXIT_USAGE) from exc
+        raise UsageError(f"points file is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
-        raise CliError("points file must hold a JSON list of points", EXIT_USAGE)
+        raise UsageError("points file must hold a JSON list of points")
     points = []
     for k, p in enumerate(doc):
         if not (isinstance(p, list) and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)):
-            raise CliError(f"point {k} must be a list of numbers", EXIT_USAGE)
+            raise UsageError(f"point {k} must be a list of numbers")
         points.append(_checked_vector(p, n, f"point {k}"))
     return points
 
@@ -133,18 +117,18 @@ def _check_options(args) -> None:
     for name in ("tol", "bracket_max"):
         value = getattr(args, name)
         if not (math.isfinite(value) and value > 0):
-            raise CliError(f"--{name.replace('_', '-')} must be positive and finite, "
-                           f"got {value}", EXIT_USAGE)
+            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite, "
+                             f"got {value}")
     for name in ("lo", "hi", "level"):
         value = getattr(args, name, 0.0)
         if not math.isfinite(value):
-            raise CliError(f"--{name} must be finite, got {value}", EXIT_USAGE)
+            raise UsageError(f"--{name} must be finite, got {value}")
     for name in ("grid", "trials"):
         value = getattr(args, name, 1)
         if value < 1:
-            raise CliError(f"--{name} must be at least 1, got {value}", EXIT_USAGE)
+            raise UsageError(f"--{name} must be at least 1, got {value}")
     if args.seed < 0:
-        raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_USAGE)
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def _options_from_args(args) -> SolveOptions:
@@ -177,10 +161,7 @@ def cmd_validate(args) -> int:
 def cmd_price(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
     payoff = _parse_vector(args.payoff, vm.n_states, "payoff")
-    if not vm.in_m(payoff, args.tol):
-        _emit({"error": "NotInSpan", "payoff": payoff.tolist()}, args.format)
-        return EXIT_DOMAIN
-    doc = {"payoff": payoff.tolist(), "price": vm.price(payoff)}
+    doc = {"payoff": payoff.tolist(), "price": vm.price(payoff, args.tol)}
     _emit(doc, args.format)
     return EXIT_OK
 
@@ -202,22 +183,18 @@ def cmd_arbitrage(args) -> int:
 
 
 def _solve_requirement(args):
+    """The market, the result and the output keys both solving commands share."""
     vm = _load_validated_market(args.market, args.tol)
-    a = _load_acceptance_set(args.acceptance, vm)
+    a = load_acceptance(_read_file(args.acceptance), vm.space)
     x = _parse_vector(args.position, vm.n_states, "position")
-    opts = _options_from_args(args)
-    result = solve_rho(a, vm, x, opts)
-    return vm, a, x, result
+    result = solve_rho(a, vm, x, _options_from_args(args))
+    doc = {"position": x.tolist(), "value": extreal_str(result.value),
+           "attained": result.attained, "strategy": result.strategy}
+    return vm, result, doc
 
 
 def cmd_requirement(args) -> int:
-    vm, a, x, result = _solve_requirement(args)
-    doc = {
-        "position": x.tolist(),
-        "value": extreal_str(result.value),
-        "attained": result.attained,
-        "strategy": result.strategy,
-    }
+    _, result, doc = _solve_requirement(args)
     if result.optimal_payoff is not None:
         doc["payoff"] = result.optimal_payoff.tolist()
     _emit(doc, args.format)
@@ -225,13 +202,7 @@ def cmd_requirement(args) -> int:
 
 
 def cmd_portfolio(args) -> int:
-    vm, a, x, result = _solve_requirement(args)
-    doc = {
-        "position": x.tolist(),
-        "value": extreal_str(result.value),
-        "attained": result.attained,
-        "strategy": result.strategy,
-    }
+    vm, result, doc = _solve_requirement(args)
     if result.attained and result.optimal_payoff is not None:
         weights = vm.portfolio_for(result.optimal_payoff)
         doc["payoff"] = result.optimal_payoff.tolist()
@@ -245,7 +216,7 @@ def cmd_portfolio(args) -> int:
 
 def cmd_levelset(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
-    a = _load_acceptance_set(args.acceptance, vm)
+    a = load_acceptance(_read_file(args.acceptance), vm.space)
     opts = _options_from_args(args)
     n = vm.n_states
 
@@ -253,10 +224,10 @@ def cmd_levelset(args) -> int:
         points = _parse_points(_read_file(args.points), n)
     else:
         if n > 3:
-            raise CliError("grid output needs 2 or 3 states; use --points", EXIT_USAGE)
+            raise UsageError("grid output needs 2 or 3 states; use --points")
         axis = np.linspace(args.lo, args.hi, args.grid)
         if args.grid ** n > 1_000_000:
-            raise CliError("GridTooLarge: more than 1e6 grid points", EXIT_USAGE)
+            raise UsageError("grid has more than 1e6 points")
         points = [np.asarray(p) for p in itertools.product(*([axis] * n))]
 
     band = 10 * opts.bisect_tol
@@ -286,10 +257,8 @@ _SUITES = ("axioms", "levelsets", "domain", "degeneracy", "all")
 
 def cmd_properties(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
-    a = _load_acceptance_set(args.acceptance, vm)
+    a = load_acceptance(_read_file(args.acceptance), vm.space)
     opts = _options_from_args(args)
-    if args.suite not in _SUITES:
-        raise CliError(f"unknown suite {args.suite!r}", EXIT_USAGE)
 
     reports = []
     if args.suite in ("axioms", "all"):
@@ -314,7 +283,7 @@ def cmd_properties(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capreq",
         description="Scenario-based capital requirements over one-period markets.")
     common = argparse.ArgumentParser(add_help=False)
@@ -379,22 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; ``-h`` prints help and raises ``SystemExit(0)`` as usual."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         _check_options(args)
-        return args.func(args)
-    except CliError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return exc.code
-    except (MarketError, AcceptanceParseError, NotPolyhedral, EnumerationTooLarge,
-            DegenerateAcceptance, NumericalBreakdown) as exc:
+        # an overflow leaves an inf that the finiteness checks refuse with a
+        # CapreqError; numpy's warning would add lines to the one-line stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except CapreqError as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}, sort_keys=True),
               file=sys.stderr)
-        return EXIT_DOMAIN
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import UsageError
 from .acceptance import AcceptanceSet
 from .linprog import GE, OPTIMAL, make_problem, solve_lp
 
@@ -36,9 +37,9 @@ class DirectionalProbe:
         ladder = tuple(float(t) for t in self.epsilon_ladder)
         object.__setattr__(self, "epsilon_ladder", ladder)
         if not ladder or any(t <= 0 for t in ladder):
-            raise ValueError("ladder must be positive")
+            raise UsageError("ladder must be positive")
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise ValueError("ladder must be strictly decreasing")
+            raise UsageError("ladder must be strictly decreasing")
 
     @property
     def final_scale(self) -> float:
@@ -123,19 +124,12 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
             if ok:
                 return RecessionCheck(True, exact=True)
             row = int(np.argmin(rep.rows @ v))
-            base = np.zeros(a.dim) if a(np.zeros(a.dim)) else a.non_member * 0.0
-            slope = float(rep.rows[row] @ v)
-            slack = float(rep.rows[row] @ base - rep.rhs[row])
-            lam = (slack + 1.0) / (-slope)
-            return RecessionCheck(False, witness=(base, lam), exact=True)
+            # from the zero base, lam * v violates the row by one unit
+            lam = (1.0 - float(rep.rhs[row])) / -float(rep.rows[row] @ v)
+            return RecessionCheck(False, witness=(np.zeros(a.dim), lam), exact=True)
         # recession cone of a projected polyhedron is the projection of the
         # homogenized block
-        lhs = np.hstack([rep.aux])
-        rhs = -(rep.rows @ v)
-        if lhs.shape[1] == 0:
-            ok = bool(np.all(rep.rows @ v >= -tol))
-            return RecessionCheck(ok, exact=True)
-        problem = make_problem(np.zeros(lhs.shape[1]), lhs, rhs, (GE,) * lhs.shape[0])
+        problem = make_problem(np.zeros(rep.n_aux), rep.aux, -(rep.rows @ v), GE)
         ok = solve_lp(problem).status == OPTIMAL
         return RecessionCheck(ok, exact=True)
 
@@ -144,7 +138,7 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
     for base in base_points:
         base = np.asarray(base, dtype=float)
         if not a(base):
-            raise ValueError("recession base points must belong to the set")
+            raise UsageError("recession base points must belong to the set")
         for lam in lambdas:
             if not a(base + lam * v):
                 return RecessionCheck(False, witness=(base, float(lam)))

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CapreqError
+
 LE = "<="
 EQ = "="
 GE = ">="
@@ -44,11 +46,11 @@ DEFAULT_PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 50_000
 
 
-class MalformedProblem(ValueError):
+class MalformedProblem(CapreqError, ValueError):
     """Problem dimensions or entries are inconsistent."""
 
 
-class NumericalBreakdown(RuntimeError):
+class NumericalBreakdown(CapreqError, RuntimeError):
     """Pivoting stalled below the pivot tolerance, or a status failed its certificate."""
 
 

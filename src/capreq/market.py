@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CapreqError, UsageError
 from .linprog import GE, LE, EQ, OPTIMAL, make_problem, solve_lp
 
 PROB_SUM_TOL = 1e-12
@@ -24,7 +25,7 @@ RANK_REL_TOL = 1e-9
 STRICT_PSI_TOL = 1e-8
 
 
-class MarketError(ValueError):
+class MarketError(CapreqError, ValueError):
     """Base class for market validation failures."""
 
 
@@ -44,7 +45,7 @@ class NotInSpan(MarketError):
     """Payoff is not an eligible payoff (not in the span of asset payoffs)."""
 
 
-class MarketParseError(ValueError):
+class MarketParseError(UsageError):
     """Market file is malformed."""
 
 
@@ -397,7 +398,10 @@ def load_market(source) -> tuple[Market, np.ndarray | None]:
 
     numeraire = None
     if doc.get("numeraire") is not None:
-        numeraire = np.asarray([float(v) for v in doc["numeraire"]], dtype=float)
+        try:
+            numeraire = np.asarray([float(v) for v in doc["numeraire"]], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise MarketParseError("numeraire must list one finite value per state") from exc
         if numeraire.shape[0] != len(labels) or not np.all(np.isfinite(numeraire)):
             raise MarketParseError("numeraire must list one finite value per state")
 

@@ -31,23 +31,25 @@ from typing import Callable
 
 import numpy as np
 
-from .acceptance import AcceptanceSet, feasible_loss_sets
+from . import CapreqError, UsageError
+from .acceptance import ENUM_CAP, AcceptanceSet, DimensionMismatch, feasible_loss_sets
 from .linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
-from .market import ValidatedMarket
+from .market import ScenarioSpace, ValidatedMarket
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+M_BRACKET_INIT = 1.0   # first cash level the bracketed search probes
 
 
-class NotPolyhedral(ValueError):
+class NotPolyhedral(CapreqError, ValueError):
     """Operation needs polyhedral rows or, for property checks, an exact membership strategy."""
 
 
-class EnumerationTooLarge(ValueError):
+class EnumerationTooLarge(CapreqError, ValueError):
     """Loss-set enumeration refused: too many states."""
 
 
-class DegenerateAcceptance(ValueError):
+class DegenerateAcceptance(CapreqError, ValueError):
     """Induced acceptance set would be the whole space (requirement is -inf everywhere)."""
 
 
@@ -68,23 +70,20 @@ def extreal_str(value: float) -> str | float:
 class SolveOptions:
     """Knobs for the bracketed search and the membership strategies."""
 
-    m_bracket_init: float = 1.0
     m_bracket_max: float = float(2 ** 40)
     bisect_tol: float = 1e-7
     kernel_box: float = 1e3
     kernel_grid: int = 33
-    n_enum: int = 16
+    n_enum: int = ENUM_CAP
     lp_tol: float = 1e-8
-    member_tol: float = 1e-9
     allow_inexact: bool = False
 
     def __post_init__(self):
-        positives = (self.m_bracket_init, self.m_bracket_max, self.bisect_tol,
-                     self.kernel_box, self.lp_tol, self.member_tol)
+        positives = (self.m_bracket_max, self.bisect_tol, self.kernel_box, self.lp_tol)
         if any(v <= 0 for v in positives) or self.kernel_grid <= 0 or self.n_enum <= 0:
-            raise ValueError("solve options must be positive")
+            raise UsageError("solve options must be positive")
         if self.bisect_tol >= 1:
-            raise ValueError("bisect_tol must be below 1")
+            raise UsageError("bisect_tol must be below 1")
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -107,6 +106,25 @@ class RiskResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _strategy(a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions) -> str:
+    """The set's exact structure on this market: "polyhedral", "var_enum" or else "grid".
+
+    VaR loss sets live on the set's own space; a VaR set above the
+    enumeration cap is "grid" only with ``allow_inexact``.
+    """
+    if a.dim != vm.n_states:
+        raise DimensionMismatch("acceptance set and market disagree on state count")
+    if a.polyhedral is not None:
+        return "polyhedral"
+    if a.kind == "var" and a.var_alpha is not None and a.space is not None:
+        if a.space.n <= opts.n_enum:
+            return "var_enum"
+        if not opts.allow_inexact:
+            raise EnumerationTooLarge(
+                f"{a.space.n} states exceed the enumeration cap {opts.n_enum}")
+    return "grid"
+
+
 class MembershipOracle:
     """Decides whether a position can be made acceptable at zero cost.
 
@@ -120,26 +138,15 @@ class MembershipOracle:
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
-        if a.dim != vm.n_states:
-            raise ValueError("acceptance set and market disagree on state count")
+        self.strategy = _strategy(a, vm, opts)
         self.a = a
         self.vm = vm
         self.opts = opts
         self.kernel = vm.kernel_basis  # (k, n)
-        if a.polyhedral is not None:
-            self.strategy = "polyhedral"
+        if self.strategy == "polyhedral":
             self._systems = (None,)
-        elif a.kind == "var" and a.var_alpha is not None and a.space is not None:
-            if vm.n_states > opts.n_enum:
-                if not opts.allow_inexact:
-                    raise EnumerationTooLarge(
-                        f"{vm.n_states} states exceed the enumeration cap {opts.n_enum}")
-                self.strategy = "grid"
-            else:
-                self.strategy = "var_enum"
-                self._systems = feasible_loss_sets(a.space, a.var_alpha, maximal_only=True)
-        else:
-            self.strategy = "grid"
+        elif self.strategy == "var_enum":
+            self._systems = feasible_loss_sets(a.space, a.var_alpha)
         self.exact = self.strategy != "grid"
 
     # -- exact systems -----------------------------------------------------
@@ -282,14 +289,14 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
     def feas(m: float) -> bool:
         return contains(x + m * u)
 
-    hi = opts.m_bracket_init
+    hi = M_BRACKET_INIT
     while not feas(hi):
         diag["bracket_steps"] += 1
         if hi >= opts.m_bracket_max:
             return RiskResult(POS_INF, strategy=strategy, diagnostics=diag)
         hi = min(2.0 * hi, opts.m_bracket_max)
 
-    lo = -opts.m_bracket_init
+    lo = -M_BRACKET_INIT
     while feas(lo):
         diag["bracket_steps"] += 1
         if lo <= -opts.m_bracket_max:
@@ -376,8 +383,11 @@ def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
 
 
 def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
-                  opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
+                  opts: SolveOptions = DEFAULT_OPTIONS,
+                  space: ScenarioSpace | None = None) -> RiskResult:
     """Requirement for value-at-risk acceptance by loss-set enumeration.
+
+    Loss probabilities come from ``space`` (the acceptance set's), by default the market's.
 
     Minimizes over the maximal admissible loss sets J (probability at most
     alpha, and no outside state fits) the cost of lifting the position to
@@ -394,7 +404,7 @@ def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
     n_assets = s1.shape[0]
-    loss_sets = feasible_loss_sets(vm.space, alpha, maximal_only=True)
+    loss_sets = feasible_loss_sets(vm.space if space is None else space, alpha)
 
     best = None  # (value, loss_set, weights)
     scanned = 0
@@ -428,11 +438,12 @@ def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
 
 def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
               opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Best exact strategy for the given set, falling back down the ladder."""
-    if a.polyhedral is not None:
+    """Requirement by the strategy ``_strategy`` selects (reduction for "grid")."""
+    strategy = _strategy(a, vm, opts)
+    if strategy == "polyhedral":
         return rho_direct_lp(a, vm, position, opts)
-    if a.kind == "var" and a.var_alpha is not None and vm.n_states <= opts.n_enum:
-        return rho_var_exact(vm, position, a.var_alpha, opts)
+    if strategy == "var_enum":
+        return rho_var_exact(vm, position, a.var_alpha, opts, space=a.space)
     return rho_reduction(a, vm, position, opts)
 
 

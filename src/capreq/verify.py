@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import CapreqError
 from .acceptance import AcceptanceSet, PolyhedralRep
 from .directional import (DEFAULT_PROBE, DirectionalProbe, dir_bd_member,
                           dir_cl_member, dir_int_member, rec_member)
@@ -33,7 +34,7 @@ from .riskmeasure import (DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
                           solve_rho)
 
 
-class EliminationTooLarge(RuntimeError):
+class EliminationTooLarge(CapreqError, RuntimeError):
     """Kernel elimination exceeded the row budget."""
 
 

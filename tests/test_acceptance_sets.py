@@ -198,6 +198,10 @@ class TestHalfspace:
             halfspace_acceptance([1.0, -0.5])
         with pytest.raises(BadNormal):
             halfspace_acceptance([0.0, 0.0])
+        with pytest.raises(BadNormal):
+            halfspace_acceptance([np.inf, 0.0])
+        with pytest.raises(BadNormal):
+            halfspace_acceptance([1.0, np.nan])
 
     def test_polyhedral_oracle_agreement(self):
         a = halfspace_acceptance([0.4, 0.0, 1.2])
@@ -247,8 +251,8 @@ class TestVarAcceptance:
         assert a(x) and a(y) and not a(0.5 * (x + y))
 
 
-def loss_sets_brute_force(space, alpha, maximal_only=False):
-    """Every state subset, filtered by mass (and maximality), sorted."""
+def loss_sets_brute_force(space, alpha):
+    """Every state subset, filtered by mass and maximality, sorted."""
     n, p = space.n, space.probs
     subsets = []
     for r in range(n + 1):
@@ -256,8 +260,7 @@ def loss_sets_brute_force(space, alpha, maximal_only=False):
             mass = float(p[list(combo)].sum())
             if mass > alpha + PROB_EPS:
                 continue
-            if maximal_only and any(mass + p[w] <= alpha + PROB_EPS
-                                    for w in range(n) if w not in combo):
+            if any(mass + p[w] <= alpha + PROB_EPS for w in range(n) if w not in combo):
                 continue
             subsets.append(combo)
     return sorted(subsets)
@@ -274,9 +277,7 @@ class TestFeasibleLossSets:
                 probs = rng.uniform(0.05, 1.0, size=n)
                 sp = ScenarioSpace(tuple(f"s{i}" for i in range(n)), probs / probs.sum())
                 alpha = float(rng.uniform(0.01, 0.7))
-            for maximal_only in (False, True):
-                assert (feasible_loss_sets(sp, alpha, maximal_only)
-                        == loss_sets_brute_force(sp, alpha, maximal_only))
+            assert feasible_loss_sets(sp, alpha) == loss_sets_brute_force(sp, alpha)
 
     def test_var_acceptance_does_not_enumerate_above_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -387,7 +388,10 @@ class TestAcceptanceJson:
         for doc in ('{"type": "unknown"}', '{"alpha": 1}',
                     '{"type": "var", "alpha": 1.5}',
                     '{"type": "halfspace", "normal": [1, -1]}',
-                    '{"type": "intersection", "parts": []}', "{bad json"):
+                    '{"type": "intersection", "parts": []}', "{bad json",
+                    '{"type": "halfspace", "normal": [1e400, 0]}',
+                    '{"type": "halfspace", "normal": ["a", 1]}',
+                    '{"type": "halfspace", "normal": [null, 1]}'):
             with pytest.raises(AcceptanceParseError):
                 load_acceptance(doc, sp)
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
+import importlib
+import inspect
 import json
 
 import numpy as np
@@ -7,8 +9,11 @@ import pytest
 
 import capreq.cli as cli
 import capreq.riskmeasure as rm
+from capreq import CapreqError
 from capreq.cli import main
 from capreq.linprog import NumericalBreakdown
+
+MODULES = ("acceptance", "cli", "directional", "linprog", "market", "riskmeasure", "verify")
 
 MARKET = {
     "states": [{"label": "u", "prob": 0.5}, {"label": "d", "prob": 0.5}],
@@ -69,9 +74,12 @@ def files(tmp_path):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
-    bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    paths["broken"] = str(bad)
+    for name, text in (("broken", "{not json"),
+                       ("inf_normal", '{"type": "halfspace", "normal": [1e400, 0]}'),
+                       ("huge_normal", '{"type": "halfspace", "normal": [1e308, 0]}')):
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        paths[name] = str(p)
     return paths
 
 
@@ -79,6 +87,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_json_error(result, exit_code):
+    """Exit code as given, empty stdout, one JSON error object on stderr; returns its text."""
+    code, out, err = result
+    assert code == exit_code
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert set(doc) == {"error"}
+    return doc["error"]
 
 
 class TestValidate:
@@ -158,16 +177,39 @@ class TestErrorContract:
         assert code == 1
         assert json.loads(err) == {"error": f"{exc.__name__}: refused"}
 
+    def test_every_exception_is_a_capreq_error(self):
+        classes = [cls for name in MODULES
+                   for _, cls in inspect.getmembers(importlib.import_module(f"capreq.{name}"),
+                                                    inspect.isclass)
+                   if issubclass(cls, Exception) and cls.__module__ == f"capreq.{name}"]
+        assert len(classes) >= 15
+        assert [c for c in classes if not issubclass(c, CapreqError)] == []
+
+    def test_price_off_span_exits_one(self, files, capsys):
+        error = assert_json_error(run(capsys, ["price", files["three_state"],
+                                               "--payoff", "1,0,0"]), 1)
+        assert error.startswith("NotInSpan")
+
+    def test_infinite_halfspace_normal_exits_two(self, files, capsys):
+        error = assert_json_error(run(capsys, ["requirement", files["market"],
+                                               files["inf_normal"], "--position=-3,0"]), 2)
+        assert error.startswith("AcceptanceParseError")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_halfspace_normal_exits_one(self, files, capsys):
+        assert_json_error(run(capsys, ["requirement", files["market"], files["huge_normal"],
+                                       "--position=-3,0"]), 1)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["requirement", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: capreq")
+
 
 class TestUsageErrors:
-    """Out-of-range options and bad point files: exit 2, one JSON error, no traceback."""
-
-    @staticmethod
-    def assert_usage_error(code, out, err):
-        assert code == 2
-        assert out == ""
-        assert "Traceback" not in err
-        assert set(json.loads(err)) == {"error"}
+    """Bad arguments, argparse's too, and bad point files: exit 2, one JSON error."""
 
     @pytest.mark.parametrize("argv", [
         ["requirement", "@market", "@poscone", "--position=-3,0", "--tol", "0"],
@@ -181,12 +223,15 @@ class TestUsageErrors:
         ["levelset", "@market", "@poscone", "--level", "nan"],
         ["properties", "@market", "@poscone", "--trials", "-3"],
         ["properties", "@market", "@poscone", "--trials", "3", "--seed", "-1"],
+        ["levelset", "@market", "@poscone", "--grid", "abc"],
+        ["requirement", "@market", "@poscone"],
+        ["frobnicate", "@market"],
     ], ids=["tol-zero", "tol-negative", "tol-nan", "bracket-max-zero", "bracket-max-inf",
             "grid-negative", "lo-nan", "hi-inf", "level-nan", "trials-negative",
-            "seed-negative"])
+            "seed-negative", "grid-not-an-integer", "position-missing", "unknown-command"])
     def test_bad_option_value(self, files, capsys, argv):
         argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
-        self.assert_usage_error(*run(capsys, argv))
+        assert_json_error(run(capsys, argv), 2)
 
     @pytest.mark.parametrize("text", [
         "[[1, 2], [3",
@@ -200,8 +245,8 @@ class TestUsageErrors:
     def test_bad_points_file(self, files, capsys, tmp_path, text):
         path = tmp_path / "points.json"
         path.write_text(text)
-        self.assert_usage_error(*run(capsys, ["levelset", files["market"], files["poscone"],
-                                              "--points", str(path)]))
+        assert_json_error(run(capsys, ["levelset", files["market"], files["poscone"],
+                                       "--points", str(path)]), 2)
 
     def test_points_file(self, files, capsys, tmp_path):
         path = tmp_path / "points.json"

@@ -289,6 +289,12 @@ class TestMarketJson:
         with pytest.raises(MarketParseError):
             load_market("{not json")
 
+    def test_rejects_non_numeric_numeraire(self):
+        for numeraire in ("abc", 5, [1.0, "x"], [1.0, None]):
+            doc = dict(GOOD_DOC, numeraire=numeraire)
+            with pytest.raises(MarketParseError):
+                load_market(json.dumps(doc))
+
     def test_rejects_wrong_payoff_length(self):
         doc = json.loads(json.dumps(GOOD_DOC))
         doc["assets"][1]["payoff"] = [1.0]

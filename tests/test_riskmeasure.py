@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import (PROB_EPS, avar_acceptance, compute_avar, feasible_loss_sets,
-                               halfspace_acceptance, oracle_acceptance,
+from capreq.acceptance import (PROB_EPS, DimensionMismatch, avar_acceptance, compute_avar,
+                               feasible_loss_sets, halfspace_acceptance, oracle_acceptance,
                                positive_cone, var_acceptance)
 from capreq.linprog import GE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
-from capreq.market import Market, uniform_space, validate_market
+from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
                                 NotPolyhedral, POS_INF, SolveOptions,
@@ -119,7 +119,7 @@ class TestExactReductionLp:
             vm = random_market(rng, n_states=int(rng.integers(2, 7)), n_risky=1)
             alpha = float(rng.uniform(1.0 / vm.n_states, 2.0 / vm.n_states))
             a = var_acceptance(vm.space, alpha)
-            maximal = len(feasible_loss_sets(vm.space, alpha, maximal_only=True))
+            maximal = len(feasible_loss_sets(vm.space, alpha))
             x = rng.uniform(-5, 5, size=vm.n_states)
             for run in (lambda: rho_reduction(a, vm, x), lambda: rho_var_exact(vm, x, alpha)):
                 lp_calls.clear()
@@ -326,6 +326,28 @@ class TestSolverAgreement:
             else:
                 assert v.value == r.value
 
+    def test_var_on_its_own_space(self):
+        # the VaR set's probabilities differ from the market's: loss sets
+        # come from the set's space on every route
+        rng = np.random.default_rng(17)
+        finite = 0
+        for _ in range(150):
+            vm = random_market(rng, n_states=4, n_risky=1, uniform_probs=True)
+            probs = rng.uniform(0.05, 1.0, size=4)
+            a = var_acceptance(ScenarioSpace(vm.space.labels, probs / probs.sum()), 0.3)
+            x = rng.uniform(-5, 5, size=4)
+            v = solve_rho(a, vm, x)
+            r = rho_reduction(a, vm, x)
+            assert v.strategy == "var_enum"
+            if is_finite(v.value) or is_finite(r.value):
+                assert v.value == pytest.approx(r.value, abs=1e-9)
+            else:
+                assert v.value == r.value
+            for res in (v, r):
+                assert not res.attained or a.member(x + res.optimal_payoff)
+            finite += is_finite(v.value)
+        assert finite >= 50
+
 
 class TestRiskMeasureProperties:
     def test_translation_invariance(self, two_state_market):
@@ -402,6 +424,13 @@ class TestPlumbing:
             SolveOptions(bisect_tol=2.0)
         with pytest.raises(ValueError):
             SolveOptions(kernel_grid=0)
+
+    def test_state_count_mismatch(self, two_state_market):
+        for a in (positive_cone(3), var_acceptance(uniform_space(3), 0.3)):
+            with pytest.raises(DimensionMismatch):
+                solve_rho(a, two_state_market, np.zeros(2))
+            with pytest.raises(DimensionMismatch):
+                MembershipOracle(a, two_state_market)
 
     def test_extreal_rendering(self):
         assert extreal_str(POS_INF) == "+inf"
