@@ -4,14 +4,16 @@ An acceptance set contains the zero position, is a proper subset of the
 position space, and is monotone (adding a nonnegative payoff never breaks
 acceptability). This module provides the standard constructions - the
 positive cone, value-at-risk and average-value-at-risk sublevel sets,
-monotone halfspaces and intersections - together with structural metadata
-(polyhedral rows, convexity/cone flags) that the solvers exploit, and a
-sampling validator that can falsify asserted structure.
+monotone halfspaces and intersections - each as a finite union of
+polyhedral systems that the solvers exploit, and a sampling validator that
+can falsify asserted structure.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +25,7 @@ from .market import ScenarioSpace
 MEMBER_TOL = 1e-9
 PROB_EPS = 1e-12
 ENUM_CAP = 16   # most states whose loss sets are enumerated
+MAX_SYSTEMS = math.comb(16, 8)   # most systems an enumerable VaR set has (12,870)
 
 TriState = Optional[bool]
 
@@ -77,22 +80,22 @@ def _pure_rep(rows, rhs) -> PolyhedralRep:
 class AcceptanceSet:
     """Membership oracle over positions plus structural metadata.
 
-    ``member`` must be pure. ``non_member`` witnesses properness. The three
-    flags are tri-state: True/False as asserted by the constructor, None for
-    unknown; the validator can falsify asserted-True flags by sampling but
-    never certify them.
+    ``member`` must be pure. ``non_member`` witnesses properness. The set is
+    the union of ``systems``: None if known only through membership, a
+    string (the reason the solvers refuse it) if too many to enumerate. The
+    three flags are tri-state: True/False as asserted by the constructor,
+    None for unknown; the validator can falsify asserted-True flags by
+    sampling but never certify them.
     """
 
     dim: int
     member: Callable[[np.ndarray], bool]
     non_member: np.ndarray
     kind: str = "oracle"
-    polyhedral: PolyhedralRep | None = None
+    systems: tuple[PolyhedralRep, ...] | str | None = None
     is_convex: TriState = None
     is_cone: TriState = None
     closed_under_addition: TriState = None
-    var_alpha: float | None = None
-    space: ScenarioSpace | None = None
     member_tol: float = MEMBER_TOL
 
     def __post_init__(self):
@@ -102,6 +105,12 @@ class AcceptanceSet:
 
     def __call__(self, position) -> bool:
         return bool(self.member(np.asarray(position, dtype=float)))
+
+    @property
+    def only_system(self) -> PolyhedralRep | None:
+        """The set's system when it has exactly one, else None."""
+        one = isinstance(self.systems, tuple) and len(self.systems) == 1
+        return self.systems[0] if one else None
 
 
 def positive_cone(n: int) -> AcceptanceSet:
@@ -115,7 +124,7 @@ def positive_cone(n: int) -> AcceptanceSet:
     witness[0] = -1.0
     return AcceptanceSet(
         dim=n, member=member, non_member=witness, kind="positive_cone",
-        polyhedral=_pure_rep(np.eye(n), np.zeros(n)),
+        systems=(_pure_rep(np.eye(n), np.zeros(n)),),
         is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
@@ -128,13 +137,16 @@ def halfspace_acceptance(normal) -> AcceptanceSet:
     if np.any(w < 0) or not np.any(w > 0):
         raise BadNormal("normal must be nonnegative with a positive component")
     tol = MEMBER_TOL
+    # scaling w leaves the set alone, so the tolerance and the witness use
+    # the normal scaled to max 1, which neither overflows nor underflows
+    unit = w / np.abs(w).max()
 
     def member(x: np.ndarray) -> bool:
-        return bool(w @ x >= -tol)
+        return bool(unit @ x >= -tol)
 
     return AcceptanceSet(
-        dim=w.shape[0], member=member, non_member=-w / float(np.linalg.norm(w)),
-        kind="halfspace", polyhedral=_pure_rep(w.reshape(1, -1), np.zeros(1)),
+        dim=w.shape[0], member=member, non_member=-unit / float(np.linalg.norm(unit)),
+        kind="halfspace", systems=(_pure_rep(w.reshape(1, -1), np.zeros(1)),),
         is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
@@ -240,25 +252,29 @@ def feasible_loss_sets(space: ScenarioSpace, alpha: float):
 def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     """Sublevel set of value at risk: loss probability at most alpha.
 
-    Always a cone; convex exactly when a single maximal loss set dominates
-    (then the set is an intersection of halfspaces), which covers the
-    small-alpha case where it collapses to the positive cone. Above ENUM_CAP
-    states the loss sets are not enumerated and the flag stays unknown.
+    The union over the maximal loss sets J of the cones {X_w >= 0, w not in
+    J}. Always a cone; convex exactly when a single maximal loss set
+    dominates (then the set is an intersection of halfspaces), which covers
+    the small-alpha case where it collapses to the positive cone. Above
+    ENUM_CAP states the loss sets are not enumerated: the set is refused by
+    the solvers and the flag stays unknown.
     """
     _check_alpha(alpha)
     tol = MEMBER_TOL
+    n = space.n
 
     def member(x: np.ndarray) -> bool:
         return loss_probability(space, x, tol) <= alpha + PROB_EPS
 
-    convex: TriState = None
-    if space.n <= ENUM_CAP:
-        convex = len(feasible_loss_sets(space, alpha)) == 1
+    systems, convex = f"{n} states exceed the enumeration cap {ENUM_CAP}", None
+    if n <= ENUM_CAP:
+        systems = tuple(_pure_rep(np.delete(np.eye(n), j, axis=0), np.zeros(n - len(j)))
+                        for j in feasible_loss_sets(space, alpha))
+        convex = len(systems) == 1
     return AcceptanceSet(
-        dim=space.n, member=member, non_member=-np.ones(space.n),
-        kind="var", is_convex=convex, is_cone=True,
+        dim=n, member=member, non_member=-np.ones(n),
+        kind="var", systems=systems, is_convex=convex, is_cone=True,
         closed_under_addition=convex,
-        var_alpha=alpha, space=space,
     )
 
 
@@ -288,14 +304,13 @@ def avar_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     rhs = np.zeros(2 * n + 1)
     return AcceptanceSet(
         dim=n, member=member, non_member=-np.ones(n),
-        kind="avar", polyhedral=PolyhedralRep(rows, aux, rhs),
+        kind="avar", systems=(PolyhedralRep(rows, aux, rhs),),
         is_convex=True, is_cone=True, closed_under_addition=True,
-        var_alpha=alpha, space=space,
     )
 
 
 def intersect(sets: list[AcceptanceSet]) -> AcceptanceSet:
-    """Conjunction of regulatory tests; polyhedral rows stack when available."""
+    """Conjunction of regulatory tests; the systems of the parts multiply out."""
     if not sets:
         raise UsageError("need at least one acceptance set")
     dim = sets[0].dim
@@ -309,30 +324,51 @@ def intersect(sets: list[AcceptanceSet]) -> AcceptanceSet:
     def member(x: np.ndarray) -> bool:
         return all(a.member(x) for a in parts)
 
-    poly = None
-    if all(a.polyhedral is not None for a in parts):
-        rows = np.vstack([a.polyhedral.rows for a in parts])
-        n_aux = sum(a.polyhedral.n_aux for a in parts)
-        aux = np.zeros((rows.shape[0], n_aux))
-        r0, c0 = 0, 0
-        for a in parts:
-            blk = a.polyhedral
-            aux[r0:r0 + blk.rows.shape[0], c0:c0 + blk.n_aux] = blk.aux
-            r0 += blk.rows.shape[0]
-            c0 += blk.n_aux
-        rhs = np.concatenate([a.polyhedral.rhs for a in parts])
-        poly = PolyhedralRep(rows, aux, rhs)
-
     def combine(flags) -> TriState:
         return True if all(f is True for f in flags) else None
 
     return AcceptanceSet(
         dim=dim, member=member, non_member=parts[0].non_member.copy(),
-        kind="intersection", polyhedral=poly,
+        kind="intersection", systems=_product([a.systems for a in parts]),
         is_convex=combine([a.is_convex for a in parts]),
         is_cone=combine([a.is_cone for a in parts]),
         closed_under_addition=combine([a.closed_under_addition for a in parts]),
     )
+
+
+def _product(per_part: list) -> tuple[PolyhedralRep, ...] | str | None:
+    """One system per choice of a system from each part, dropping repeated polyhedra.
+
+    A part known only through membership makes the intersection so; a
+    refused part, or more than MAX_SYSTEMS choices, makes it refused.
+    """
+    if any(s is None for s in per_part):
+        return None
+    refused = next((s for s in per_part if isinstance(s, str)), None)
+    if refused is not None:
+        return refused
+    count = math.prod(len(s) for s in per_part)
+    if count > MAX_SYSTEMS:
+        return f"the intersection has {count} systems, more than {MAX_SYSTEMS}"
+    systems, seen = [], set()
+    for choice in itertools.product(*per_part):
+        rep = _stack(choice)
+        key = (rep.n_aux, frozenset(map(bytes, np.hstack([rep.rows, rep.aux, rep.rhs[:, None]]))))
+        if key not in seen:
+            seen.add(key)
+            systems.append(rep)
+    return tuple(systems)
+
+
+def _stack(reps) -> PolyhedralRep:
+    """One system whose rows are those of every block, each with its own auxiliaries."""
+    rows = np.vstack([rep.rows for rep in reps])
+    aux = np.zeros((rows.shape[0], sum(rep.n_aux for rep in reps)))
+    r0, c0 = 0, 0
+    for rep in reps:
+        aux[r0:r0 + rep.rows.shape[0], c0:c0 + rep.n_aux] = rep.aux
+        r0, c0 = r0 + rep.rows.shape[0], c0 + rep.n_aux
+    return PolyhedralRep(rows, aux, np.concatenate([rep.rhs for rep in reps]))
 
 
 def oracle_acceptance(dim: int, member: Callable[[np.ndarray], bool], non_member,

@@ -233,12 +233,9 @@ def cmd_levelset(args) -> int:
     band = 10 * opts.bisect_tol
     classified = []
     for p in points:
-        result = solve_rho(a, vm, p, opts)
-        value = result.value
-        # attained LP solves resolve the level exactly; bisection only to a band
-        exact_strategy = result.strategy in ("direct_lp", "var_enum")
-        boundary_tol = 1e-9 if exact_strategy else band
-        if is_finite(value) and abs(value - args.level) <= boundary_tol:
+        # every set a file describes is exact (or refused), so LPs resolve the level
+        value = solve_rho(a, vm, p, opts).value
+        if is_finite(value) and abs(value - args.level) <= 1e-9:
             tag = "boundary"
         elif is_finite(value) and abs(value - args.level) <= band:
             tag = "inconclusive"

@@ -97,7 +97,7 @@ def dir_bd_member(member: Oracle, u, x, probe: DirectionalProbe = DEFAULT_PROBE)
 class RecessionCheck:
     """Tri-state verdict: True/False when certified or falsified, None when unknown.
 
-    ``exact`` distinguishes algebraically certified answers (polyhedral sets)
+    ``exact`` distinguishes algebraically certified answers (one polyhedral system)
     from sampled ones; a False verdict always carries a witness pair.
     """
 
@@ -110,15 +110,15 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
                tol: float = 1e-9) -> RecessionCheck:
     """Does the direction belong to the recession cone of the set?
 
-    Polyhedral sets get a certified answer: a plain system recedes along v
-    iff every row has nonnegative slope, and a block with auxiliaries iff
-    the homogenized system is feasible. Otherwise membership of
-    base_point + lambda * v is sampled; sampling can falsify (with witness)
-    but never certify, so the positive answer stays None (unknown-true).
+    A set of one system gets a certified answer: a plain system recedes
+    along v iff every row has nonnegative slope, and a block with
+    auxiliaries iff the homogenized system is feasible. Otherwise membership
+    of base_point + lambda * v is sampled; sampling can falsify (with
+    witness) but never certify, so the positive answer stays None.
     """
     v = np.asarray(direction, dtype=float)
-    if a.polyhedral is not None:
-        rep = a.polyhedral
+    rep = a.only_system
+    if rep is not None:
         if rep.pure:
             ok = bool(np.all(rep.rows @ v >= -tol))
             if ok:

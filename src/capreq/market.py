@@ -135,33 +135,38 @@ class ValidatedMarket:
     def dim_m(self) -> int:
         return self.m_basis.shape[0]
 
-    def project(self, payoff) -> np.ndarray:
+    def _payoff(self, payoff) -> np.ndarray:
         z = np.asarray(payoff, dtype=float)
+        if z.shape != (self.n_states,):
+            raise MarketError(f"payoff needs shape ({self.n_states},), got {z.shape}")
+        return z
+
+    def project(self, payoff) -> np.ndarray:
+        z = self._payoff(payoff)
         return self.m_basis.T @ (self.m_basis @ z)
 
     def in_m(self, payoff, tol: float = 1e-9) -> bool:
         """True iff the payoff lies in the eligible span (sup-norm residual test)."""
-        z = np.asarray(payoff, dtype=float)
+        z = self._payoff(payoff)
         return float(np.abs(z - self.project(z)).max()) <= tol
 
     def price(self, payoff, tol: float = 1e-9) -> float:
         """Price of an eligible payoff via the unique replicating portfolio."""
-        z = np.asarray(payoff, dtype=float)
+        z = self._payoff(payoff)
         if not self.in_m(z, tol):
             raise NotInSpan("payoff is not in the span of eligible payoffs")
         return float(self.price_covector @ (self.m_basis @ z))
 
     def price_by_portfolio(self, payoff, tol: float = 1e-9) -> float:
         """Independent pricing path: least-squares replication against asset payoffs."""
-        z = np.asarray(payoff, dtype=float)
-        x, *_ = np.linalg.lstsq(self.market.payoffs.T, z, rcond=None)
+        z = self._payoff(payoff)
+        x = self.portfolio_for(z)
         if float(np.abs(self.market.payoffs.T @ x - z).max()) > max(tol, 1e-9):
             raise NotInSpan("payoff is not replicable")
         return float(self.market.prices @ x)
 
     def portfolio_for(self, payoff) -> np.ndarray:
-        z = np.asarray(payoff, dtype=float)
-        x, *_ = np.linalg.lstsq(self.market.payoffs.T, z, rcond=None)
+        x, *_ = np.linalg.lstsq(self.market.payoffs.T, self._payoff(payoff), rcond=None)
         return x
 
 

@@ -1,25 +1,25 @@
 """Minimal-cost acceptability: the capital requirement and its solvers.
 
 The quantity of interest is the infimum of the price of an eligible payoff
-whose addition makes a position acceptable. Three solution strategies are
+whose addition makes a position acceptable. Two formulations are
 implemented and cross-check each other:
 
-* a direct LP over portfolio weights for polyhedral acceptance sets,
-* exact enumeration of admissible loss sets for value-at-risk acceptance,
+* for exact sets, a finite union of polyhedral systems, the minimum over
+  the systems of a direct LP over portfolio weights (``rho_direct_lp`` for
+  one system, ``rho_var_exact`` for several);
 * a reduction to cash along the numeraire against the zero-cost-reachable
   set (acceptance set plus pricing kernel), valid for any acceptance set
   with a membership oracle.
 
-The third route exists because adding multiples of the numeraire, modulo
+The second route exists because adding multiples of the numeraire, modulo
 price-zero movements, sweeps out every eligible movement: the search over
 the whole span collapses to one dimension whose feasible set is an upward
-ray. For exact sets (polyhedral rows, enumerable value-at-risk) that search
-is one cash-minimising LP per loss set over (cash, kernel coordinates,
-auxiliaries), never over asset weights, so it stays an independent check
-of the direct LP. Only oracle and induced sets bisect, to ``bisect_tol``
-(1e-7 by default). Values live in [-inf, +inf]; the infinite tags carry
-meaning (positions that cannot be made acceptable at any cost, and
-positions acceptable at arbitrarily negative cost).
+ray. For exact sets that search is one cash-minimising LP per system over
+(cash, kernel coordinates, auxiliaries), never over asset weights, so it
+stays an independent check of the direct LP. Only oracle and induced sets
+bisect, to ``bisect_tol`` (1e-7 by default). Values live in [-inf, +inf];
+the infinite tags carry meaning (positions that cannot be made acceptable
+at any cost, and positions acceptable at arbitrarily negative cost).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Callable
 import numpy as np
 
 from . import CapreqError, UsageError
-from .acceptance import ENUM_CAP, AcceptanceSet, DimensionMismatch, feasible_loss_sets
-from .linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
-from .market import ScenarioSpace, ValidatedMarket
+from .acceptance import AcceptanceSet, DimensionMismatch
+from .linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, make_problem, solve_lp
+from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -42,11 +42,11 @@ M_BRACKET_INIT = 1.0   # first cash level the bracketed search probes
 
 
 class NotPolyhedral(CapreqError, ValueError):
-    """Operation needs polyhedral rows or, for property checks, an exact membership strategy."""
+    """Operation needs polyhedral systems (for the direct LP, exactly one)."""
 
 
 class EnumerationTooLarge(CapreqError, ValueError):
-    """Loss-set enumeration refused: too many states."""
+    """The set's systems are too many to enumerate, so it is not solved."""
 
 
 class DegenerateAcceptance(CapreqError, ValueError):
@@ -68,19 +68,17 @@ def extreal_str(value: float) -> str | float:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the bracketed search and the membership strategies."""
+    """Knobs for the bracketed search, the grid oracle and the LPs."""
 
     m_bracket_max: float = float(2 ** 40)
     bisect_tol: float = 1e-7
     kernel_box: float = 1e3
     kernel_grid: int = 33
-    n_enum: int = ENUM_CAP
     lp_tol: float = 1e-8
-    allow_inexact: bool = False
 
     def __post_init__(self):
         positives = (self.m_bracket_max, self.bisect_tol, self.kernel_box, self.lp_tol)
-        if any(v <= 0 for v in positives) or self.kernel_grid <= 0 or self.n_enum <= 0:
+        if any(v <= 0 for v in positives) or self.kernel_grid <= 0:
             raise UsageError("solve options must be positive")
         if self.bisect_tol >= 1:
             raise UsageError("bisect_tol must be below 1")
@@ -106,48 +104,37 @@ class RiskResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _strategy(a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions) -> str:
-    """The set's exact structure on this market: "polyhedral", "var_enum" or else "grid".
+def _strategy(a: AcceptanceSet, vm: ValidatedMarket) -> str:
+    """"exact" for a set given by its systems, "grid" for one known only through membership.
 
-    VaR loss sets live on the set's own space; a VaR set above the
-    enumeration cap is "grid" only with ``allow_inexact``.
+    A set whose systems are too many to enumerate is refused.
     """
     if a.dim != vm.n_states:
         raise DimensionMismatch("acceptance set and market disagree on state count")
-    if a.polyhedral is not None:
-        return "polyhedral"
-    if a.kind == "var" and a.var_alpha is not None and a.space is not None:
-        if a.space.n <= opts.n_enum:
-            return "var_enum"
-        if not opts.allow_inexact:
-            raise EnumerationTooLarge(
-                f"{a.space.n} states exceed the enumeration cap {opts.n_enum}")
-    return "grid"
+    if isinstance(a.systems, str):
+        raise EnumerationTooLarge(a.systems)
+    return "grid" if a.systems is None else "exact"
 
 
 class MembershipOracle:
     """Decides whether a position can be made acceptable at zero cost.
 
     Concretely: does some price-zero eligible movement take the position
-    into the acceptance set? Exact sets are a union of linear systems - one
-    for polyhedral rows, one per maximal loss set for value-at-risk - and
-    every exact question (zero-cost witness, cheapest cash level) is one LP
-    per system over the same constraint block. The generic grid fallback is
-    one-sided (a True answer is certified by a witness, a False answer may
-    be wrong) and is flagged as inexact.
+    into the acceptance set? An exact set is a union of linear systems
+    (``AcceptanceSet.systems``), and every exact question (zero-cost
+    witness, cheapest cash level) is one LP per system over the same
+    constraint block. The generic grid fallback is one-sided (a True answer
+    is certified by a witness, a False answer may be wrong) and is flagged
+    as inexact.
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
-        self.strategy = _strategy(a, vm, opts)
+        self.strategy = _strategy(a, vm)
         self.a = a
         self.vm = vm
         self.opts = opts
         self.kernel = vm.kernel_basis  # (k, n)
-        if self.strategy == "polyhedral":
-            self._systems = (None,)
-        elif self.strategy == "var_enum":
-            self._systems = feasible_loss_sets(a.space, a.var_alpha)
-        self.exact = self.strategy != "grid"
+        self.exact = self.strategy == "exact"
 
     # -- exact systems -----------------------------------------------------
 
@@ -155,30 +142,17 @@ class MembershipOracle:
         """One LP per system of y + m U - K^T c in A over (m, kernel coords c, aux).
 
         With ``cash`` the LP minimises m; otherwise the cash column is left
-        out (m = 0) and the LP only asks for feasibility. Yields (status, m,
-        c) per system; m and c are meaningful only when the status is optimal.
+        out (m = 0) and the LP only asks for feasibility. Yields the outcomes
+        lazily, so a caller that stops early solves no further system.
         """
-        n, kdim = y.shape[0], self.kernel.shape[0]
-        for loss_set in self._systems:
-            if loss_set is None:
-                rep = self.a.polyhedral
-                rows, aux, rhs = rep.rows, rep.aux, rep.rhs
-            else:
-                rows = np.eye(n)[[w for w in range(n) if w not in loss_set]]
-                aux, rhs = np.zeros((rows.shape[0], 0)), np.zeros(rows.shape[0])
-            blocks = [-(rows @ self.kernel.T), aux]
+        for rep in self.a.systems:
+            blocks = [-(rep.rows @ self.kernel.T), rep.aux]
             if cash:
-                blocks.insert(0, (rows @ self.vm.numeraire).reshape(-1, 1))
-            lhs, rhs = np.hstack(blocks), rhs - rows @ y
+                blocks.insert(0, (rep.rows @ self.vm.numeraire).reshape(-1, 1))
+            lhs, rhs = np.hstack(blocks), rep.rhs - rep.rows @ y
             objective = np.zeros(lhs.shape[1])
             objective[0] = float(cash)
-            out = solve_lp(make_problem(objective, lhs, rhs, GE), tol=self.opts.lp_tol)
-            if out.status != OPTIMAL:
-                yield out.status, None, None
-            elif cash:
-                yield OPTIMAL, float(out.x[0]), out.x[1:1 + kdim]
-            else:
-                yield OPTIMAL, 0.0, out.x[:kdim]
+            yield solve_lp(make_problem(objective, lhs, rhs, GE), tol=self.opts.lp_tol)
 
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
@@ -186,19 +160,18 @@ class MembershipOracle:
         Returns (status, m, payoff): optimal with the minimal m and the
         payoff m U - K^T c that attains it, unbounded with m = -inf, or
         infeasible with m = +inf (payoff None for both). Returns None for the
-        grid oracle, which has no exact formulation. Ties between loss sets
+        grid oracle, which has no exact formulation. Ties between systems
         keep the earliest, so the reported payoff is deterministic.
         """
         if not self.exact:
             return None
-        y = np.asarray(position, dtype=float)
-        best = (INFEASIBLE, POS_INF, None)
-        for status, m, c in self._solve_systems(y, cash=True):
-            if status == UNBOUNDED:
-                return UNBOUNDED, NEG_INF, None
-            if status == OPTIMAL and m < best[1]:
-                best = (OPTIMAL, m, m * self.vm.numeraire - self.kernel.T @ c)
-        return best
+        out, _, _ = _cheapest(self._solve_systems(np.asarray(position, dtype=float), cash=True))
+        if out is None:
+            return INFEASIBLE, POS_INF, None
+        if out.status == UNBOUNDED:
+            return UNBOUNDED, NEG_INF, None
+        m, c = float(out.x[0]), out.x[1:1 + self.kernel.shape[0]]
+        return OPTIMAL, m, m * self.vm.numeraire - self.kernel.T @ c
 
     def reachable_along_u(self, position) -> bool | None:
         """Exact test for: some cash level makes the position reachable (value < +inf).
@@ -225,8 +198,8 @@ class MembershipOracle:
         y = np.asarray(position, dtype=float)
         if not self.exact:
             return self._witness_grid(y)
-        return next((self.kernel.T @ c for status, _, c in self._solve_systems(y, cash=False)
-                     if status == OPTIMAL), None)
+        return next((self.kernel.T @ out.x[:self.kernel.shape[0]]
+                     for out in self._solve_systems(y, cash=False) if out.status == OPTIMAL), None)
 
     def _witness_grid(self, y: np.ndarray) -> np.ndarray | None:
         kdim = self.kernel.shape[0]
@@ -357,94 +330,79 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     return result
 
 
+def _cheapest(outcomes) -> tuple[LpOutcome | None, int, int]:
+    """Minimum over a union's per-system LP outcomes: (outcome, index, LPs solved).
+
+    The first unbounded outcome ends the scan (-inf). Otherwise the optimum
+    of least value, the earliest on ties so the payoff is deterministic, or
+    None when every system is infeasible (+inf).
+    """
+    best, best_index, scanned = None, -1, 0
+    for scanned, out in enumerate(outcomes, start=1):
+        if out.status == UNBOUNDED:
+            return out, scanned - 1, scanned
+        if out.status == OPTIMAL and (best is None or out.objective_value < best.objective_value):
+            best, best_index = out, scanned - 1
+    return best, best_index, scanned
+
+
+def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOptions,
+                 strategy: str) -> RiskResult:
+    """Minimum over ``a.systems`` of the LP over portfolio weights and auxiliaries.
+
+    ``diagnostics``: ``loss_sets_scanned`` LPs; the deciding system's index,
+    as ``system`` with its LP's ``pivots`` or as ``unbounded_loss_set``.
+    """
+    if _strategy(a, vm) != "exact":
+        raise NotPolyhedral("the direct LP needs polyhedral systems")
+    x = np.asarray(position, dtype=float)
+    s0, s1 = vm.market.prices, vm.market.payoffs
+    problems = (make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
+                             np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE)
+                for rep in a.systems)
+    out, index, scanned = _cheapest(solve_lp(p, tol=opts.lp_tol) for p in problems)
+    diagnostics = {"loss_sets_scanned": scanned}
+    if out is None:
+        return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
+    if out.status == UNBOUNDED:
+        diagnostics["unbounded_loss_set"] = index
+        return RiskResult(NEG_INF, strategy=strategy, diagnostics=diagnostics)
+    diagnostics.update(system=index, pivots=out.pivots)
+    return RiskResult(float(out.objective_value), attained=True, strategy=strategy,
+                      optimal_payoff=s1.T @ out.x[:s1.shape[0]], diagnostics=diagnostics)
+
+
 def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
                   opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement as a single LP over portfolio weights (polyhedral sets only)."""
-    if a.polyhedral is None:
-        raise NotPolyhedral("direct LP needs polyhedral rows")
-    x = np.asarray(position, dtype=float)
-    rep = a.polyhedral
-    s0, s1 = vm.market.prices, vm.market.payoffs
-    n_assets = s1.shape[0]
-    # variables: portfolio weights w, block auxiliaries u
-    lhs = np.hstack([rep.rows @ s1.T, rep.aux])
-    rhs = rep.rhs - rep.rows @ x
-    c = np.concatenate([s0, np.zeros(rep.n_aux)])
-    problem = make_problem(c, lhs, rhs, (GE,) * lhs.shape[0])
-    out = solve_lp(problem, tol=opts.lp_tol)
-    if out.status == INFEASIBLE:
-        return RiskResult(POS_INF, strategy="direct_lp")
-    if out.status == UNBOUNDED:
-        return RiskResult(NEG_INF, strategy="direct_lp")
-    movement = s1.T @ out.x[:n_assets]
-    return RiskResult(float(out.objective_value), optimal_payoff=movement,
-                      attained=True, strategy="direct_lp",
-                      diagnostics={"pivots": out.pivots})
+    """Requirement as a single LP over portfolio weights (sets of exactly one system)."""
+    if a.only_system is None:
+        raise NotPolyhedral("the direct LP needs exactly one polyhedral system")
+    return _rho_systems(a, vm, position, opts, "direct_lp")
 
 
-def rho_var_exact(vm: ValidatedMarket, position, alpha: float,
-                  opts: SolveOptions = DEFAULT_OPTIONS,
-                  space: ScenarioSpace | None = None) -> RiskResult:
-    """Requirement for value-at-risk acceptance by loss-set enumeration.
+def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
+                  opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
+    """Requirement for a union of systems: the cheapest of one direct LP per system.
 
-    Loss probabilities come from ``space`` (the acceptance set's), by default the market's.
-
-    Minimizes over the maximal admissible loss sets J (probability at most
-    alpha, and no outside state fits) the cost of lifting the position to
-    nonnegative outside J. Every admissible loss set lies inside a maximal
-    one, whose LP drops constraints, so the minimum and both infinite tags
-    are those of the scan over all admissible sets. Loss sets scan in
-    lexicographic order and ties keep the earliest optimum, so the reported
-    movement is deterministic. Any unbounded subproblem makes the whole
-    requirement -inf; +inf means no subproblem was feasible.
+    For value at risk the systems are the maximal admissible loss sets J
+    (probability at most alpha, and no outside state fits), each asking for
+    the position to be lifted to nonnegative outside J. Every admissible
+    loss set lies inside a maximal one, whose LP drops constraints, so the
+    minimum and both infinite tags are those of the scan over all
+    admissible sets. Any unbounded system makes the requirement -inf; +inf
+    means no system was feasible.
     """
-    n = vm.n_states
-    if n > opts.n_enum:
-        raise EnumerationTooLarge(f"{n} states exceed the enumeration cap {opts.n_enum}")
-    x = np.asarray(position, dtype=float)
-    s0, s1 = vm.market.prices, vm.market.payoffs
-    n_assets = s1.shape[0]
-    loss_sets = feasible_loss_sets(vm.space if space is None else space, alpha)
-
-    best = None  # (value, loss_set, weights)
-    scanned = 0
-    for loss_set in loss_sets:
-        keep = [w for w in range(n) if w not in loss_set]
-        scanned += 1
-        if not keep:
-            return RiskResult(NEG_INF, strategy="var_enum",
-                              diagnostics={"loss_sets_scanned": scanned})
-        lhs = s1.T[keep]
-        rhs = -x[keep]
-        problem = make_problem(s0, lhs, rhs, (GE,) * len(keep))
-        out = solve_lp(problem, tol=opts.lp_tol)
-        if out.status == UNBOUNDED:
-            return RiskResult(NEG_INF, strategy="var_enum",
-                              diagnostics={"loss_sets_scanned": scanned,
-                                           "unbounded_loss_set": list(loss_set)})
-        if out.status != OPTIMAL:
-            continue
-        if best is None or out.objective_value < best[0]:
-            best = (out.objective_value, loss_set, out.x)
-    if best is None:
-        return RiskResult(POS_INF, strategy="var_enum",
-                          diagnostics={"loss_sets_scanned": scanned})
-    movement = s1.T @ best[2]
-    return RiskResult(float(best[0]), optimal_payoff=movement, attained=True,
-                      strategy="var_enum",
-                      diagnostics={"loss_sets_scanned": scanned,
-                                   "loss_set": list(best[1])})
+    return _rho_systems(a, vm, position, opts, "var_enum")
 
 
 def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
               opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement by the strategy ``_strategy`` selects (reduction for "grid")."""
-    strategy = _strategy(a, vm, opts)
-    if strategy == "polyhedral":
+    """Requirement by the direct LP per system of an exact set, else by reduction."""
+    if _strategy(a, vm) == "grid":
+        return rho_reduction(a, vm, position, opts)
+    if a.only_system is not None:
         return rho_direct_lp(a, vm, position, opts)
-    if strategy == "var_enum":
-        return rho_var_exact(vm, position, a.var_alpha, opts, space=a.space)
-    return rho_reduction(a, vm, position, opts)
+    return rho_var_exact(a, vm, position, opts)
 
 
 def domain_classify(a: AcceptanceSet, vm: ValidatedMarket, position,
@@ -516,5 +474,5 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
         dim=a.dim, member=member, non_member=witness, kind="induced",
         is_convex=a.is_convex, is_cone=a.is_cone,
         closed_under_addition=a.closed_under_addition,
-        member_tol=tol, space=a.space,
+        member_tol=tol,
     )

@@ -323,8 +323,8 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     If the zero-cost-reachable set is certified to be the whole space, every
     probe must come back -inf. If the negated numeraire is certified to
     recede the acceptance set, no probe may be finite. Certification is
-    exact (polyhedral only); for oracle sets the hypotheses are reported as
-    not certifiable and nothing is asserted.
+    exact for sets of one polyhedral system; otherwise the hypotheses are
+    reported as not certifiable and nothing is asserted.
     """
     rng = np.random.default_rng(seed)
     report = PropertyReport("degeneracy_lemmas", seed=seed)
@@ -333,9 +333,9 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     probes.append(np.zeros(n))
 
     whole_space = None
-    if a.polyhedral is not None and a.polyhedral.pure:
+    if (rep := a.only_system) is not None and rep.pure:
         try:
-            whole_space = certify_whole_space(a.polyhedral, vm.kernel_basis)
+            whole_space = certify_whole_space(rep, vm.kernel_basis)
         except EliminationTooLarge:
             report.notes.append("kernel elimination too large; coverage not certified")
     else:
@@ -544,10 +544,10 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
     sampled points; otherwise the hypothesis failure is reported and the
     comparison is skipped.
     """
-    if a.polyhedral is None or not a.polyhedral.pure:
-        raise NotPolyhedral("directional-vs-topological check needs plain rows")
+    if (rep := a.only_system) is None or not rep.pure:
+        raise NotPolyhedral("directional-vs-topological check needs one plain system")
     report = PropertyReport("directional_vs_topological", seed=seed)
-    rows, rhs = eliminate_kernel(a.polyhedral, vm.kernel_basis)
+    rows, rhs = eliminate_kernel(rep, vm.kernel_basis)
     u = vm.numeraire
 
     if rows.shape[0] == 0:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from capreq.acceptance import AcceptanceSet, PolyhedralRep
+from capreq.acceptance import AcceptanceSet, PolyhedralRep, load_acceptance
 from capreq.market import Market, ScenarioSpace, ValidatedMarket, uniform_space, validate_market
 
 
@@ -34,6 +36,24 @@ def random_market(rng: np.random.Generator, n_states: int | None = None,
     space = ScenarioSpace(tuple(f"s{i}" for i in range(n)), probs)
     vm = validate_market(Market(space, prices, payoffs))
     return vm
+
+
+DESCRIPTORS = {
+    "positive_cone": lambda n, rng: {"type": "positive_cone"},
+    "var": lambda n, rng: {"type": "var", "alpha": float(rng.uniform(0.1, 0.6))},
+    "avar": lambda n, rng: {"type": "avar", "alpha": float(rng.uniform(0.1, 0.9))},
+    "halfspace": lambda n, rng: {"type": "halfspace",
+                                 "normal": (rng.uniform(0, 1, n) + np.eye(n)[0]).tolist()},
+}
+
+
+def loadable_sets(rng, space):
+    """Every descriptor type and every two-part intersection of types, on one space."""
+    n = space.n
+    docs = [make(n, rng) for make in DESCRIPTORS.values()]
+    docs += [{"type": "intersection", "parts": [DESCRIPTORS[p](n, rng), DESCRIPTORS[q](n, rng)]}
+             for p, q in itertools.combinations_with_replacement(DESCRIPTORS, 2)]
+    return [load_acceptance(doc, space) for doc in docs]
 
 
 def planted_free_lunch_market(rng: np.random.Generator) -> tuple[ValidatedMarket, float]:
@@ -80,7 +100,7 @@ def corner_acceptance_r3() -> AcceptanceSet:
 
     return AcceptanceSet(
         dim=3, member=member, non_member=np.array([-1.0, -1.0, -1.0]),
-        kind="corner", polyhedral=PolyhedralRep(rows, np.zeros((2, 0)), np.zeros(2)),
+        kind="corner", systems=(PolyhedralRep(rows, np.zeros((2, 0)), np.zeros(2)),),
         is_convex=True, is_cone=True, closed_under_addition=True)
 
 

@@ -63,8 +63,8 @@ def test_criterion_1_strategy_equivalence():
         vm = random_market(rng, n_states=n, n_risky=1)
         alpha = float(rng.uniform(1.0 / n, 2.0 / n))
         x = rng.uniform(-5, 5, size=n)
-        v = rho_var_exact(vm, x, alpha)
-        r = rho_reduction(var_acceptance(vm.space, alpha), vm, x)
+        a = var_acceptance(vm.space, alpha)
+        v, r = rho_var_exact(a, vm, x), rho_reduction(a, vm, x)
         assert _values_agree(v.value, r.value, TOL_EQUIV), (v.value, r.value)
         var_checked += 1
 
@@ -260,7 +260,7 @@ def test_criterion_8_negative_controls():
     rng = np.random.default_rng(1010)
     points = [rng.uniform(-4, 4, size=2) for _ in range(20)]
     rep_c = check_solver_agreement(vm, points,
-                                   lambda x: rho_var_exact(vm, x, alpha),
+                                   lambda x: rho_var_exact(var_acceptance(vm.space, alpha), vm, x),
                                    broken, label="var_tie_rule")
     assert len(rep_c.violations) >= 1
     _report(8, "all three broken fixtures flagged "

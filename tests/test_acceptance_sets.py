@@ -181,7 +181,7 @@ class TestPositiveCone:
         a = positive_cone(4)
         rng = np.random.default_rng(41)
         pts = rng.uniform(-5, 5, size=(10_000, 4))
-        rows, rhs = a.polyhedral.rows, a.polyhedral.rhs
+        rows, rhs = a.only_system.rows, a.only_system.rhs
         for p in pts:
             assert a(p) == bool(np.all(rows @ p >= rhs - a.member_tol))
 
@@ -203,11 +203,18 @@ class TestHalfspace:
         with pytest.raises(BadNormal):
             halfspace_acceptance([1.0, np.nan])
 
+    @pytest.mark.parametrize("normal", [[1e308, 0.0], [1e-320, 0.0], [3.0, 4.0]])
+    def test_witness_outside_for_extreme_normals(self, normal):
+        a = halfspace_acceptance(normal)
+        assert np.all(np.isfinite(a.non_member))
+        assert not a(a.non_member)
+        assert a(np.zeros(2)) and a(-0.5 * a.non_member)
+
     def test_polyhedral_oracle_agreement(self):
         a = halfspace_acceptance([0.4, 0.0, 1.2])
         rng = np.random.default_rng(43)
         pts = rng.uniform(-5, 5, size=(10_000, 3))
-        rows, rhs = a.polyhedral.rows, a.polyhedral.rhs
+        rows, rhs = a.only_system.rows, a.only_system.rhs
         for p in pts:
             assert a(p) == bool(np.all(rows @ p >= rhs - a.member_tol))
 
@@ -302,7 +309,7 @@ class TestAvarAcceptance:
         # membership iff the auxiliary block is feasible for fixed position
         sp = uniform_space(3)
         a = avar_acceptance(sp, 0.4)
-        rep = a.polyhedral
+        rep = a.only_system
         rng = np.random.default_rng(59)
         for _ in range(400):
             x = rng.uniform(-3, 3, size=3)
@@ -337,9 +344,9 @@ class TestIntersect:
     def test_polyhedral_stacking(self):
         sp = uniform_space(2)
         both = intersect([positive_cone(2), avar_acceptance(sp, 0.5)])
-        assert both.polyhedral is not None
-        assert both.polyhedral.rows.shape[0] == 2 + 5
-        assert both.polyhedral.n_aux == 3
+        assert both.only_system is not None
+        assert both.only_system.rows.shape[0] == 2 + 5
+        assert both.only_system.n_aux == 3
 
 
 class TestValidateAcceptance:

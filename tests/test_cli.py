@@ -150,6 +150,23 @@ class TestRequirement:
         assert code == 0
         assert json.loads(out)["value"] <= 0
 
+    def test_var_intersection_is_exact(self, capsys, tmp_path):
+        # minimum over the maximal loss sets J of the LP with rows e_w (w not
+        # in J) stacked on the halfspace row: J = {3} gives 1/12
+        market = {"states": [{"label": f"s{i}", "prob": 0.25} for i in range(4)],
+                  "assets": [{"name": "secure", "price": 1.0, "payoff": [1, 1, 1, 1]},
+                             {"name": "stock", "price": 1.0, "payoff": [2, 1.5, 0.8, 0.5]}]}
+        desc = {"type": "intersection", "parts": [{"type": "var", "alpha": 0.3},
+                                                  {"type": "halfspace", "normal": [1, 1, 1, 1]}]}
+        (tmp_path / "m.json").write_text(json.dumps(market))
+        (tmp_path / "a.json").write_text(json.dumps(desc))
+        code, out, _ = run(capsys, ["requirement", str(tmp_path / "m.json"),
+                                    str(tmp_path / "a.json"), "--position=-3,1,0.5,-1"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] == pytest.approx(1 / 12, abs=1e-9)
+        assert doc["strategy"] == "var_enum" and doc["attained"] is True
+
     def test_wrong_length_position(self, files, capsys):
         code, _, _ = run(capsys, ["requirement", files["market"], files["poscone"],
                                   "--position=1,2,3"])

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from capreq import CapreqError
 from capreq.market import (BadNumeraire, BadSecureAsset, Market, MarketError,
                            MarketParseError, RankDeficient, NotInSpan,
                            ScenarioSpace, check_monotone_pricing,
@@ -95,6 +96,15 @@ class TestPricing:
         vm = numeraire_line_market
         # first axis is orthogonal to the span {0} x R x R
         assert not vm.in_m([1.0, 0.0, 0.0])
+
+
+    @pytest.mark.parametrize("method", ["project", "in_m", "price", "price_by_portfolio",
+                                        "portfolio_for"])
+    def test_wrong_length_payoff(self, two_state_market, method):
+        with pytest.raises(CapreqError):
+            getattr(two_state_market, method)([1, 2, 3])
+        with pytest.raises(MarketError):
+            getattr(two_state_market, method)([[1.0, 2.0]])
 
 
 class TestKernel:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import (PROB_EPS, DimensionMismatch, avar_acceptance, compute_avar,
-                               feasible_loss_sets, halfspace_acceptance, oracle_acceptance,
-                               positive_cone, var_acceptance)
+from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, avar_acceptance,
+                               compute_avar, feasible_loss_sets, halfspace_acceptance,
+                               intersect, oracle_acceptance, positive_cone, var_acceptance)
 from capreq.linprog import GE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
@@ -18,7 +18,7 @@ from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 induced_rho_acceptance, is_finite,
                                 member_a_plus_kernel, rho_direct_lp,
                                 rho_reduction, rho_var_exact, solve_rho)
-from conftest import corner_acceptance_r3, random_market
+from conftest import corner_acceptance_r3, loadable_sets, random_market
 
 BAND = 10 * DEFAULT_OPTIONS.bisect_tol
 
@@ -38,12 +38,11 @@ class TestMembership:
         assert member_a_plus_kernel(a, half_price_market, [-1.0, 3.0])
         assert not member_a_plus_kernel(a, half_price_market, [-3.0, 1.0])
 
-    def test_var_enumeration_limit(self, two_state_market):
-        sp = uniform_space(2)
-        a = var_acceptance(sp, 0.5)
-        opts = SolveOptions(n_enum=1)
+    def test_var_enumeration_limit(self):
+        vm = random_market(np.random.default_rng(37), n_states=17, n_risky=1)
+        a = var_acceptance(vm.space, 0.5)
         with pytest.raises(EnumerationTooLarge):
-            MembershipOracle(a, two_state_market, opts)
+            MembershipOracle(a, vm)
 
     def test_grid_oracle_finds_witness(self, half_price_market):
         a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
@@ -121,7 +120,7 @@ class TestExactReductionLp:
             a = var_acceptance(vm.space, alpha)
             maximal = len(feasible_loss_sets(vm.space, alpha))
             x = rng.uniform(-5, 5, size=vm.n_states)
-            for run in (lambda: rho_reduction(a, vm, x), lambda: rho_var_exact(vm, x, alpha)):
+            for run in (lambda: rho_reduction(a, vm, x), lambda: rho_var_exact(a, vm, x)):
                 lp_calls.clear()
                 run()
                 assert 1 <= len(lp_calls) <= maximal
@@ -192,20 +191,23 @@ class TestDirectLp:
 class TestVarExact:
     def test_small_alpha_equals_positive_cone(self, two_state_market):
         x = np.array([-3.0, 0.0])
-        v = rho_var_exact(two_state_market, x, 0.2)
+        v = rho_var_exact(var_acceptance(two_state_market.space, 0.2), two_state_market, x)
         d = rho_direct_lp(positive_cone(2), two_state_market, x)
         assert v.value == pytest.approx(d.value, abs=1e-9)
 
     def test_complete_market_dump_state_unbounded(self, two_state_market):
         # leaving either state unconstrained lets the kernel push costs to -inf
-        assert rho_var_exact(two_state_market, [-3.0, -3.0], 0.5).value == NEG_INF
+        a = var_acceptance(two_state_market.space, 0.5)
+        assert rho_var_exact(a, two_state_market, [-3.0, -3.0]).value == NEG_INF
 
     def test_nonnegative_position(self, two_state_market):
-        assert rho_var_exact(two_state_market, [1.0, 2.0], 0.2).value <= 0
+        a = var_acceptance(two_state_market.space, 0.2)
+        assert rho_var_exact(a, two_state_market, [1.0, 2.0]).value <= 0
 
-    def test_enumeration_cap(self, two_state_market):
+    def test_enumeration_cap(self):
+        vm = random_market(np.random.default_rng(71), n_states=17, n_risky=1)
         with pytest.raises(EnumerationTooLarge):
-            rho_var_exact(two_state_market, [0.0, 0.0], 0.5, SolveOptions(n_enum=1))
+            rho_var_exact(var_acceptance(vm.space, 0.5), vm, np.zeros(17))
 
     def test_matches_minimum_over_all_admissible_loss_sets(self):
         def brute_force(vm, x, alpha):
@@ -232,15 +234,125 @@ class TestVarExact:
             alpha = float(rng.uniform(0.05, 0.5))
             x = rng.uniform(-5, 5, size=vm.n_states)
             want = brute_force(vm, x, alpha)
-            assert rho_var_exact(vm, x, alpha).value == pytest.approx(want, rel=1e-9, abs=1e-9)
+            a = var_acceptance(vm.space, alpha)
+            assert rho_var_exact(a, vm, x).value == pytest.approx(want, rel=1e-9, abs=1e-9)
             values.append(want)
         assert sum(map(is_finite, values)) >= 40 and NEG_INF in values
 
     def test_deterministic_loss_set_reporting(self, two_state_market):
-        r1 = rho_var_exact(two_state_market, [-1.0, -1.0], 0.2)
-        r2 = rho_var_exact(two_state_market, [-1.0, -1.0], 0.2)
+        a = var_acceptance(two_state_market.space, 0.2)
+        r1 = rho_var_exact(a, two_state_market, [-1.0, -1.0])
+        r2 = rho_var_exact(a, two_state_market, [-1.0, -1.0])
         assert r1.diagnostics == r2.diagnostics
         assert r1.value == r2.value
+
+
+def _admissible_loss_sets(space, alpha):
+    return [loss_set for r in range(space.n + 1)
+            for loss_set in itertools.combinations(range(space.n), r)
+            if space.probs[list(loss_set)].sum() <= alpha + PROB_EPS]
+
+
+def _loss_set_block(n, loss_set):
+    keep = [w for w in range(n) if w not in loss_set]
+    return np.eye(n)[keep], np.zeros((len(keep), 0)), np.zeros(len(keep))
+
+
+def _cheapest_over_choices(vm, x, choices):
+    """Minimum over block choices of the direct LP with the chosen blocks' rows stacked."""
+    s0, s1 = vm.market.prices, vm.market.payoffs
+    best = POS_INF
+    for choice in choices:
+        rows = np.vstack([b[0] for b in choice])
+        aux = np.zeros((rows.shape[0], sum(b[1].shape[1] for b in choice)))
+        r0 = c0 = 0
+        for b in choice:
+            aux[r0:r0 + b[1].shape[0], c0:c0 + b[1].shape[1]] = b[1]
+            r0, c0 = r0 + b[1].shape[0], c0 + b[1].shape[1]
+        rhs = np.concatenate([b[2] for b in choice]) - rows @ x
+        c = np.concatenate([s0, np.zeros(aux.shape[1])])
+        out = solve_lp(make_problem(c, np.hstack([rows @ s1.T, aux]), rhs, GE))
+        if out.status == UNBOUNDED:
+            return NEG_INF
+        if out.status == OPTIMAL:
+            best = min(best, out.objective_value)
+    return best
+
+
+class TestExactUnions:
+    """Every set a descriptor can express is a union of systems, solved exactly."""
+
+    def test_every_loadable_set_is_exact(self):
+        rng = np.random.default_rng(73)
+        for n in (3, 4, 5, 6):
+            vm = random_market(rng, n_states=n)
+            for a in loadable_sets(rng, vm.space):
+                for _ in range(3):
+                    r = solve_rho(a, vm, rng.uniform(-5, 5, size=n))
+                    assert r.strategy == ("direct_lp" if len(a.systems) == 1 else "var_enum")
+                    assert r.diagnostics.get("approximate") is None
+
+    def test_large_var_part_refused(self):
+        vm = random_market(np.random.default_rng(79), n_states=17, n_risky=1)
+        for other in (positive_cone(17), halfspace_acceptance(np.ones(17)),
+                      avar_acceptance(vm.space, 0.5)):
+            a = intersect([var_acceptance(vm.space, 0.2), other])
+            assert a(np.ones(17)) and not a(-np.ones(17))
+            with pytest.raises(EnumerationTooLarge):
+                solve_rho(a, vm, np.zeros(17))
+
+    def test_product_above_cap_refused(self):
+        space = uniform_space(16)
+        var = var_acceptance(space, 2.0 / 16)        # 120 maximal loss sets
+        a = intersect([var, var_acceptance(space, 2.5 / 16)])
+        assert len(var.systems) ** 2 > MAX_SYSTEMS
+        vm = validate_market(Market(space, [1.0, 1.0], [np.ones(16), np.linspace(0.5, 2, 16)]))
+        with pytest.raises(EnumerationTooLarge):
+            solve_rho(a, vm, np.zeros(16))
+        assert a(np.ones(16))
+
+    def test_duplicate_systems_kept_once(self):
+        space = uniform_space(4)
+        var = var_acceptance(space, 0.3)
+        assert len(var.systems) == 4
+        assert len(intersect([var, positive_cone(4)]).systems) == 1
+        # J1 & J2 over the pairs gives the empty set and the four singletons
+        assert len(intersect([var, var_acceptance(space, 0.6)]).systems) == 5
+
+    def test_matches_brute_force_over_loss_set_pairs(self):
+        rng = np.random.default_rng(83)
+        tags = {"finite": 0, "neg_inf": 0, "pos_inf": 0}
+        for trial in range(300):
+            n = int(rng.integers(3, 7))
+            vm = random_market(rng, n_states=n)
+            alpha = float(rng.uniform(0.1, 0.45))
+            var = var_acceptance(vm.space, alpha)
+            var_choices = [_loss_set_block(n, j) for j in _admissible_loss_sets(vm.space, alpha)]
+            kind = trial % 4
+            if kind == 3:
+                alpha2 = float(rng.uniform(0.1, 0.45))
+                other = var_acceptance(vm.space, alpha2)
+                other_choices = [_loss_set_block(n, j)
+                                 for j in _admissible_loss_sets(vm.space, alpha2)]
+            else:
+                other = (positive_cone(n), halfspace_acceptance(rng.uniform(0.1, 1.0, n)),
+                         avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8))))[kind]
+                rep = other.only_system
+                other_choices = [(rep.rows, rep.aux, rep.rhs)]
+            a = intersect([var, other])
+            x = rng.uniform(-5, 5, size=n)
+            want = _cheapest_over_choices(vm, x, itertools.product(var_choices, other_choices))
+            got, red = solve_rho(a, vm, x), rho_reduction(a, vm, x)
+            if is_finite(want):
+                assert got.value == pytest.approx(want, rel=1e-9, abs=1e-9)
+                assert red.value == pytest.approx(want, abs=1e-5)
+                tags["finite"] += 1
+            else:
+                assert got.value == want and red.value == want
+                tags["neg_inf" if want == NEG_INF else "pos_inf"] += 1
+            for r in (got, red):
+                assert not r.attained or a.member(x + r.optimal_payoff)
+        assert tags["finite"] >= 150 and tags["neg_inf"] >= 50, tags
 
 
 class TestDomainClassify:
@@ -319,7 +431,7 @@ class TestSolverAgreement:
             alpha = float(rng.uniform(1.0 / n, 2.0 / n))
             a = var_acceptance(vm.space, alpha)
             x = rng.uniform(-5, 5, size=n)
-            v = rho_var_exact(vm, x, alpha)
+            v = rho_var_exact(a, vm, x)
             r = rho_reduction(a, vm, x)
             if is_finite(v.value) or is_finite(r.value):
                 assert v.value == pytest.approx(r.value, abs=BAND)
@@ -338,7 +450,7 @@ class TestSolverAgreement:
             x = rng.uniform(-5, 5, size=4)
             v = solve_rho(a, vm, x)
             r = rho_reduction(a, vm, x)
-            assert v.strategy == "var_enum"
+            assert v.strategy == ("direct_lp" if len(a.systems) == 1 else "var_enum")
             if is_finite(v.value) or is_finite(r.value):
                 assert v.value == pytest.approx(r.value, abs=1e-9)
             else:

@@ -177,10 +177,10 @@ class TestDirectionalVsTopological:
 class TestElimination:
     def test_halfplane_plus_kernel_is_everything(self, half_price_market):
         a = halfspace_acceptance([1.0, 0.0])
-        assert certify_whole_space(a.polyhedral, half_price_market.kernel_basis)
+        assert certify_whole_space(a.only_system, half_price_market.kernel_basis)
 
     def test_corner_set_keeps_first_axis(self, numeraire_line_market):
-        rows, rhs = eliminate_kernel(corner_acceptance_r3().polyhedral,
+        rows, rhs = eliminate_kernel(corner_acceptance_r3().only_system,
                                      numeraire_line_market.kernel_basis)
         assert rows.shape == (1, 3)
         direction = rows[0] / np.abs(rows[0]).max()
@@ -189,7 +189,7 @@ class TestElimination:
 
     def test_positive_cone_not_whole_space(self, two_state_market):
         a = positive_cone(2)
-        assert not certify_whole_space(a.polyhedral, two_state_market.kernel_basis)
+        assert not certify_whole_space(a.only_system, two_state_market.kernel_basis)
 
 
 class TestNegativeControls:
@@ -217,7 +217,7 @@ class TestNegativeControls:
         space = uniform_space(2)
         vm = validate_market(Market(space, [1.0, 1.0], [[1.0, 1.0], [2.0, 0.5]]))
         alpha = 0.5
-        correct = lambda x: rho_var_exact(vm, x, alpha)
+        correct = lambda x: rho_var_exact(var_acceptance(space, alpha), vm, x)
 
         kernel = vm.kernel_basis
         cone = positive_cone(2)
