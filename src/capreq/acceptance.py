@@ -71,6 +71,27 @@ class PolyhedralRep:
         return self.aux.shape[1]
 
 
+@dataclass(frozen=True)
+class RowIncidence:
+    """Which of a union's distinct ``[rows | aux | rhs]`` rows each system has.
+
+    ``ids[i][k]`` numbers row k of system i among the distinct rows, and
+    ``matrix[i, r]`` says whether system i has distinct row r. A row shared
+    by two systems is the same LP row in both for any position, so an LP
+    dual supported on shared rows is feasible for every system that has them.
+    """
+
+    ids: tuple[np.ndarray, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = [len(k) for k in self.ids]
+        flat = np.concatenate(self.ids).astype(np.intp)
+        matrix = np.zeros((len(self.ids), int(flat.max(initial=-1)) + 1), dtype=bool)
+        matrix[np.repeat(np.arange(len(self.ids)), counts), flat] = True
+        object.__setattr__(self, "matrix", matrix)
+
+
 def _pure_rep(rows, rhs) -> PolyhedralRep:
     rows = np.asarray(rows, dtype=float)
     return PolyhedralRep(rows, np.zeros((rows.shape[0], 0)), np.asarray(rhs, dtype=float))
@@ -82,10 +103,13 @@ class AcceptanceSet:
 
     ``member`` must be pure. ``non_member`` witnesses properness. The set is
     the union of ``systems``: None if known only through membership, a
-    string (the reason the solvers refuse it) if too many to enumerate. The
-    three flags are tri-state: True/False as asserted by the constructor,
-    None for unknown; the validator can falsify asserted-True flags by
-    sampling but never certify them.
+    string (the reason the solvers refuse it) if too many to enumerate. A
+    union of several systems built here carries their ``incidence`` on
+    its distinct rows, which lets the solvers skip systems a solved one
+    already bounds; a set of one system needs none. The three flags are
+    tri-state: True/False as asserted by the constructor, None for
+    unknown; the validator can falsify asserted-True flags by sampling but
+    never certify them.
     """
 
     dim: int
@@ -93,6 +117,7 @@ class AcceptanceSet:
     non_member: np.ndarray
     kind: str = "oracle"
     systems: tuple[PolyhedralRep, ...] | str | None = None
+    incidence: RowIncidence | None = None
     is_convex: TriState = None
     is_cone: TriState = None
     closed_under_addition: TriState = None
@@ -137,8 +162,8 @@ def halfspace_acceptance(normal) -> AcceptanceSet:
     if np.any(w < 0) or not np.any(w > 0):
         raise BadNormal("normal must be nonnegative with a positive component")
     tol = MEMBER_TOL
-    # scaling w leaves the set alone, so the tolerance and the witness use
-    # the normal scaled to max 1, which neither overflows nor underflows
+    # scaling w leaves the set alone, so membership, the witness and the LP
+    # row use the normal scaled to max 1, which neither overflows nor underflows
     unit = w / np.abs(w).max()
 
     def member(x: np.ndarray) -> bool:
@@ -146,7 +171,7 @@ def halfspace_acceptance(normal) -> AcceptanceSet:
 
     return AcceptanceSet(
         dim=w.shape[0], member=member, non_member=-unit / float(np.linalg.norm(unit)),
-        kind="halfspace", systems=(_pure_rep(w.reshape(1, -1), np.zeros(1)),),
+        kind="halfspace", systems=(_pure_rep(unit.reshape(1, -1), np.zeros(1)),),
         is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
@@ -266,14 +291,17 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     def member(x: np.ndarray) -> bool:
         return loss_probability(space, x, tol) <= alpha + PROB_EPS
 
-    systems, convex = f"{n} states exceed the enumeration cap {ENUM_CAP}", None
+    systems, incidence, convex = f"{n} states exceed the enumeration cap {ENUM_CAP}", None, None
     if n <= ENUM_CAP:
-        systems = tuple(_pure_rep(np.delete(np.eye(n), j, axis=0), np.zeros(n - len(j)))
-                        for j in feasible_loss_sets(space, alpha))
+        # system J keeps the rows e_w, w not in J, so its distinct rows are its kept states
+        eye, states = np.eye(n), np.arange(n)
+        kept = tuple(np.delete(states, j) for j in feasible_loss_sets(space, alpha))
+        systems = tuple(_pure_rep(eye[k], np.zeros(len(k))) for k in kept)
         convex = len(systems) == 1
+        incidence = None if convex else RowIncidence(kept)
     return AcceptanceSet(
         dim=n, member=member, non_member=-np.ones(n),
-        kind="var", systems=systems, is_convex=convex, is_cone=True,
+        kind="var", systems=systems, incidence=incidence, is_convex=convex, is_cone=True,
         closed_under_addition=convex,
     )
 
@@ -327,37 +355,43 @@ def intersect(sets: list[AcceptanceSet]) -> AcceptanceSet:
     def combine(flags) -> TriState:
         return True if all(f is True for f in flags) else None
 
+    systems, incidence = _product([a.systems for a in parts])
     return AcceptanceSet(
         dim=dim, member=member, non_member=parts[0].non_member.copy(),
-        kind="intersection", systems=_product([a.systems for a in parts]),
+        kind="intersection", systems=systems, incidence=incidence,
         is_convex=combine([a.is_convex for a in parts]),
         is_cone=combine([a.is_cone for a in parts]),
         closed_under_addition=combine([a.closed_under_addition for a in parts]),
     )
 
 
-def _product(per_part: list) -> tuple[PolyhedralRep, ...] | str | None:
+def _product(per_part: list) -> tuple[tuple[PolyhedralRep, ...] | str | None,
+                                       RowIncidence | None]:
     """One system per choice of a system from each part, dropping repeated polyhedra.
 
-    A part known only through membership makes the intersection so; a
+    Returns the systems and, for more than one, their row incidence. A
+    part known only through membership makes the intersection so; a
     refused part, or more than MAX_SYSTEMS choices, makes it refused.
     """
     if any(s is None for s in per_part):
-        return None
+        return None, None
     refused = next((s for s in per_part if isinstance(s, str)), None)
     if refused is not None:
-        return refused
+        return refused, None
     count = math.prod(len(s) for s in per_part)
     if count > MAX_SYSTEMS:
-        return f"the intersection has {count} systems, more than {MAX_SYSTEMS}"
-    systems, seen = [], set()
+        return f"the intersection has {count} systems, more than {MAX_SYSTEMS}", None
+    systems, ids, seen, pool = [], [], set(), {}
     for choice in itertools.product(*per_part):
         rep = _stack(choice)
-        key = (rep.n_aux, frozenset(map(bytes, np.hstack([rep.rows, rep.aux, rep.rhs[:, None]]))))
+        full = np.hstack([rep.rows, rep.aux, rep.rhs[:, None]])
+        row_ids = [pool.setdefault(row, len(pool)) for row in map(bytes, full)]
+        key = (rep.n_aux, frozenset(row_ids))
         if key not in seen:
             seen.add(key)
             systems.append(rep)
-    return tuple(systems)
+            ids.append(np.array(row_ids, dtype=np.intp))
+    return tuple(systems), (RowIncidence(tuple(ids)) if len(systems) > 1 else None)
 
 
 def _stack(reps) -> PolyhedralRep:

@@ -122,7 +122,13 @@ def make_problem(objective, lhs, rhs, senses, lower=None, upper=None) -> LpProbl
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded."""
+    """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded.
+
+    ``dual`` holds one multiplier per row of the original problem (zero on
+    rows dropped as redundant), or None when the final basis could not be
+    solved for it. The union scan in ``riskmeasure`` checks it against the
+    problem's data and uses it as a lower bound on the other systems.
+    """
 
     status: str
     x: np.ndarray | None = None

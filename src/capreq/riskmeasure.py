@@ -32,13 +32,15 @@ from typing import Callable
 import numpy as np
 
 from . import CapreqError, UsageError
-from .acceptance import AcceptanceSet, DimensionMismatch
-from .linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, make_problem, solve_lp
+from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
+from .linprog import (GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, make_problem,
+                      solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 M_BRACKET_INIT = 1.0   # first cash level the bracketed search probes
+BOUND_MARGIN = 1e-9    # relative amount a dual bound must exceed the incumbent by to skip
 
 
 class NotPolyhedral(CapreqError, ValueError):
@@ -138,21 +140,19 @@ class MembershipOracle:
 
     # -- exact systems -----------------------------------------------------
 
-    def _solve_systems(self, y: np.ndarray, cash: bool):
-        """One LP per system of y + m U - K^T c in A over (m, kernel coords c, aux).
+    def _problem(self, rep: PolyhedralRep, y: np.ndarray, cash: bool) -> LpProblem:
+        """The LP of one system for y + m U - K^T c in A over (m, kernel coords c, aux).
 
         With ``cash`` the LP minimises m; otherwise the cash column is left
-        out (m = 0) and the LP only asks for feasibility. Yields the outcomes
-        lazily, so a caller that stops early solves no further system.
+        out (m = 0) and the LP only asks for feasibility.
         """
-        for rep in self.a.systems:
-            blocks = [-(rep.rows @ self.kernel.T), rep.aux]
-            if cash:
-                blocks.insert(0, (rep.rows @ self.vm.numeraire).reshape(-1, 1))
-            lhs, rhs = np.hstack(blocks), rep.rhs - rep.rows @ y
-            objective = np.zeros(lhs.shape[1])
-            objective[0] = float(cash)
-            yield solve_lp(make_problem(objective, lhs, rhs, GE), tol=self.opts.lp_tol)
+        blocks = [-(rep.rows @ self.kernel.T), rep.aux]
+        if cash:
+            blocks.insert(0, (rep.rows @ self.vm.numeraire).reshape(-1, 1))
+        lhs, rhs = np.hstack(blocks), rep.rhs - rep.rows @ y
+        objective = np.zeros(lhs.shape[1])
+        objective[0] = float(cash)
+        return make_problem(objective, lhs, rhs, GE)
 
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
@@ -160,12 +160,16 @@ class MembershipOracle:
         Returns (status, m, payoff): optimal with the minimal m and the
         payoff m U - K^T c that attains it, unbounded with m = -inf, or
         infeasible with m = +inf (payoff None for both). Returns None for the
-        grid oracle, which has no exact formulation. Ties between systems
-        keep the earliest, so the reported payoff is deterministic.
+        grid oracle, which has no exact formulation. The systems go through
+        ``_cheapest``, so a system that a solved one's dual already bounds
+        is skipped without an LP, and ties keep the earliest system: the
+        reported payoff is deterministic and equals an unpruned scan's.
         """
         if not self.exact:
             return None
-        out, _, _ = _cheapest(self._solve_systems(np.asarray(position, dtype=float), cash=True))
+        y = np.asarray(position, dtype=float)
+        out, _, _, _ = _cheapest(self.a, lambda rep: self._problem(rep, y, cash=True),
+                                 self.opts.lp_tol)
         if out is None:
             return INFEASIBLE, POS_INF, None
         if out.status == UNBOUNDED:
@@ -198,8 +202,11 @@ class MembershipOracle:
         y = np.asarray(position, dtype=float)
         if not self.exact:
             return self._witness_grid(y)
-        return next((self.kernel.T @ out.x[:self.kernel.shape[0]]
-                     for out in self._solve_systems(y, cash=False) if out.status == OPTIMAL), None)
+        for rep in self.a.systems:
+            out = solve_lp(self._problem(rep, y, cash=False), tol=self.opts.lp_tol)
+            if out.status == OPTIMAL:
+                return self.kernel.T @ out.x[:self.kernel.shape[0]]
+        return None
 
     def _witness_grid(self, y: np.ndarray) -> np.ndarray | None:
         kdim = self.kernel.shape[0]
@@ -330,38 +337,97 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     return result
 
 
-def _cheapest(outcomes) -> tuple[LpOutcome | None, int, int]:
-    """Minimum over a union's per-system LP outcomes: (outcome, index, LPs solved).
+def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
+              tol: float) -> tuple[LpOutcome | None, int, int, int]:
+    """Minimum over ``a.systems`` of the LP ``problem(rep)``: (outcome, index, LPs solved, pruned).
 
-    The first unbounded outcome ends the scan (-inf). Otherwise the optimum
-    of least value, the earliest on ties so the payoff is deterministic, or
-    None when every system is infeasible (+inf).
+    The systems are scanned in order. The first unbounded outcome ends the
+    scan (-inf). Otherwise the optimum of least value, the earliest on ties
+    so the payoff is deterministic, or None when every system is infeasible
+    (+inf).
+
+    A system is skipped without an LP once a solved system's dual bounds
+    it. A checked optimal dual y is supported on rows S (``_dual_bound``);
+    every system that has all of S has the same LP rows there, so y_S is a
+    feasible dual of its LP too. Its LP is then bounded, and by weak duality
+    no cheaper than b_S @ y_S. Once the incumbent is below that bound by
+    ``BOUND_MARGIN`` (relative), the system can be neither unbounded nor
+    cheaper, not even by rounding: systems that tie the incumbent exactly
+    are still solved, so the pruned scan reports the system a full scan
+    does. A certificate waits until the incumbent falls that far. A set
+    without ``incidence`` (one system) skips nothing and checks no dual.
     """
-    best, best_index, scanned = None, -1, 0
-    for scanned, out in enumerate(outcomes, start=1):
+    systems, incidence = a.systems, a.incidence
+    live = np.ones(len(systems), dtype=bool)
+    pending = []   # (level the incumbent must reach, systems covered) per checked dual
+    best, best_index, scanned, pruned = None, -1, 0, 0
+    for index, rep in enumerate(systems):
+        if not live[index]:
+            pruned += 1
+            continue
+        lp = problem(rep)
+        out = solve_lp(lp, tol=tol)
+        scanned += 1
         if out.status == UNBOUNDED:
-            return out, scanned - 1, scanned
-        if out.status == OPTIMAL and (best is None or out.objective_value < best.objective_value):
-            best, best_index = out, scanned - 1
-    return best, best_index, scanned
+            return out, index, scanned, pruned
+        if out.status != OPTIMAL:
+            continue
+        if best is None or out.objective_value < best.objective_value:
+            best, best_index = out, index
+        if incidence is None:
+            continue
+        certificate = _dual_bound(lp, out.dual, tol)
+        if certificate is not None:
+            bound, support = certificate
+            level = bound - BOUND_MARGIN * max(1.0, abs(bound))
+            pending.append((level, incidence.matrix[:, incidence.ids[index][support]].all(axis=1)))
+        waiting = []
+        for level, covered in pending:
+            if best.objective_value <= level:
+                live &= ~covered
+            else:
+                waiting.append((level, covered))
+        pending = waiting
+    return best, best_index, scanned, pruned
+
+
+def _dual_bound(lp: LpProblem, dual: np.ndarray | None, tol: float):
+    """(b_S @ y_S, S) for an optimal dual y of ``lp`` (min c x, A x >= b, x free), or None.
+
+    S is where y exceeds ``tol``. The dual is checked on the LP's own
+    unscaled data: y >= -tol and |A_S^T y_S - c| <= tol * max(1, |c|)
+    entrywise. A dual that fails the check bounds nothing.
+    """
+    if dual is None or dual.min(initial=0.0) < -tol:
+        return None
+    support = (dual > tol).nonzero()[0]
+    y = dual[support]
+    c = lp.objective
+    residual = lp.lhs[support].T @ y - c
+    if np.abs(residual).max() > tol * max(1.0, float(np.abs(c).max())):
+        return None
+    return float(lp.rhs[support] @ y), support
 
 
 def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOptions,
                  strategy: str) -> RiskResult:
     """Minimum over ``a.systems`` of the LP over portfolio weights and auxiliaries.
 
-    ``diagnostics``: ``loss_sets_scanned`` LPs; the deciding system's index,
-    as ``system`` with its LP's ``pivots`` or as ``unbounded_loss_set``.
+    ``diagnostics``: ``loss_sets_scanned`` LPs solved and ``systems_pruned``
+    systems skipped on a dual bound; the deciding system's index, as
+    ``system`` with its LP's ``pivots`` or as ``unbounded_loss_set``.
     """
     if _strategy(a, vm) != "exact":
         raise NotPolyhedral("the direct LP needs polyhedral systems")
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
-    problems = (make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                             np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE)
-                for rep in a.systems)
-    out, index, scanned = _cheapest(solve_lp(p, tol=opts.lp_tol) for p in problems)
-    diagnostics = {"loss_sets_scanned": scanned}
+
+    def problem(rep: PolyhedralRep) -> LpProblem:
+        return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
+                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE)
+
+    out, index, scanned, pruned = _cheapest(a, problem, opts.lp_tol)
+    diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}
     if out is None:
         return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
     if out.status == UNBOUNDED:
@@ -390,7 +456,11 @@ def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
     loss set lies inside a maximal one, whose LP drops constraints, so the
     minimum and both infinite tags are those of the scan over all
     admissible sets. Any unbounded system makes the requirement -inf; +inf
-    means no system was feasible.
+    means no system was feasible. The scan skips every system that a solved
+    system's optimal dual already bounds above the incumbent (see
+    ``_cheapest``), so it solves a handful of the LPs and reports the value,
+    payoff and system a full scan does; ``loss_sets_scanned`` counts the LPs
+    solved and ``systems_pruned`` the systems skipped.
     """
     return _rho_systems(a, vm, position, opts, "var_enum")
 

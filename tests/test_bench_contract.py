@@ -3,7 +3,9 @@
 ``perfbench/workloads.py`` checks each answer with ``PRICE_TOL[strategy]``
 and ``perfbench/tracer.py`` patches the functions its span tables name, so
 a renamed strategy or function must fail here rather than in a benchmark
-run. The benchmark files are read, never modified.
+run. The tracer's self-check also equates a ``var_enum`` solve's
+``solve_lp`` calls with its ``loss_sets_scanned``. The benchmark files are
+read, never modified.
 """
 
 import importlib
@@ -14,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capreq.acceptance import oracle_acceptance
-from capreq.riskmeasure import MembershipOracle, SolveOptions, solve_rho
+import capreq.riskmeasure as rm
+from capreq.acceptance import oracle_acceptance, var_acceptance
+from capreq.riskmeasure import MembershipOracle, SolveOptions, rho_var_exact, solve_rho
 from conftest import loadable_sets, random_market
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,3 +55,25 @@ def test_span_names_resolve_to_public_functions(bench):
         assert inspect.isfunction(fn) and not attr.startswith("_"), name
     for attr in tracer.ORACLE_METHODS:
         assert inspect.isfunction(vars(MembershipOracle).get(attr)), attr
+
+
+def test_loss_sets_scanned_counts_the_lps_solved(monkeypatch):
+    calls = []
+    solve = rm.solve_lp
+    monkeypatch.setattr(rm, "solve_lp", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    rng = np.random.default_rng(61)
+    seen = {"pruned": 0, "unbounded": 0, "bounded": 0}
+    for n, n_risky, alpha in ((10, 1, 0.2), (12, 1, 2 / 12), (14, 1, 2 / 14), (8, 3, 0.3)):
+        vm = random_market(rng, n_states=n, n_risky=n_risky, uniform_probs=True)
+        a = var_acceptance(vm.space, alpha)
+        for _ in range(6):
+            calls.clear()
+            diag = rho_var_exact(a, vm, rng.uniform(-5, 5, size=n)).diagnostics
+            assert diag["loss_sets_scanned"] == len(calls)
+            if "unbounded_loss_set" in diag:
+                seen["unbounded"] += 1
+            else:
+                assert diag["loss_sets_scanned"] + diag["systems_pruned"] == len(a.systems)
+                seen["bounded"] += 1
+            seen["pruned"] += diag["systems_pruned"]
+    assert seen["bounded"] and seen["unbounded"] and seen["pruned"], seen

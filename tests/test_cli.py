@@ -213,9 +213,14 @@ class TestErrorContract:
         assert error.startswith("AcceptanceParseError")
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_halfspace_normal_exits_one(self, files, capsys):
-        assert_json_error(run(capsys, ["requirement", files["market"], files["huge_normal"],
-                                       "--position=-3,0"]), 1)
+    def test_overflowing_halfspace_normal_solves_like_unit_normal(self, files, capsys):
+        # [1e308, 0] is the set of [1, 0]: the same answer, byte for byte
+        huge = run(capsys, ["requirement", files["market"], files["huge_normal"],
+                            "--position=-3,0"])
+        unit = run(capsys, ["requirement", files["market"], files["halfplane"],
+                            "--position=-3,0"])
+        assert huge == unit
+        assert huge[0] == 0 and json.loads(huge[1])["value"] == "-inf"
 
     @pytest.mark.parametrize("argv", [["-h"], ["requirement", "-h"]])
     def test_help_exits_zero(self, capsys, argv):

@@ -1,4 +1,4 @@
-"""LP kernel: statuses, certificates, determinism, weak duality."""
+"""LP kernel: statuses, certificates, determinism, duality."""
 
 import numpy as np
 import pytest
@@ -131,6 +131,40 @@ def test_weak_duality_against_internal_certificate():
         assert float(problem.rhs @ y) <= out.objective_value + 1e-7
         checked += 1
     assert checked >= 50
+
+
+def _random_free_ge(rng):
+    """min c x s.t. A x >= b over free x, feasible and bounded by construction.
+
+    Shaped like a union scan's LPs: some rows are tight at the planted
+    point, some repeated and one implied by two others.
+    """
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(n + 1, 3 * n + 4))
+    a = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    b = a @ x0 - rng.uniform(0.0, 1.0, size=m) * (rng.random(m) < 0.6)
+    i, j = rng.integers(0, m, size=2)
+    repeat = rng.integers(0, m, size=2)
+    a = np.vstack([a, a[repeat], a[i] + a[j]])
+    b = np.concatenate([b, b[repeat], [b[i] + b[j] - 0.5]])
+    # c in the cone of the rows keeps the LP bounded
+    y0 = rng.uniform(0.0, 1.0, size=a.shape[0]) * (rng.random(a.shape[0]) < 0.5)
+    y0[int(rng.integers(0, a.shape[0]))] += 1.0
+    return make_problem(a.T @ y0, a, b, GE)
+
+
+def test_dual_of_free_ge_lp_certifies_the_optimum():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        problem = _random_free_ge(rng)
+        out = solve_lp(problem)
+        assert out.status == OPTIMAL
+        y = out.dual
+        assert y is not None
+        assert np.all(y >= -1e-9)
+        assert np.abs(problem.lhs.T @ y - problem.objective).max() <= 1e-9
+        assert abs(float(problem.rhs @ y) - out.objective_value) <= 1e-9
 
 
 def test_determinism_bitwise():

@@ -355,6 +355,140 @@ class TestExactUnions:
         assert tags["finite"] >= 150 and tags["neg_inf"] >= 50, tags
 
 
+def _unpruned_scan(a, problem):
+    """Every system's LP in order: (tag, deciding index, value, the optimal values seen)."""
+    values, best, index = [], POS_INF, -1
+    for i, rep in enumerate(a.systems):
+        out = solve_lp(problem(rep))
+        if out.status == UNBOUNDED:
+            return "neg_inf", i, NEG_INF, values
+        if out.status == OPTIMAL:
+            values.append(out.objective_value)
+            if out.objective_value < best:
+                best, index = out.objective_value, i
+    return ("finite" if index >= 0 else "pos_inf"), index, best, values
+
+
+def _direct_problem(vm, x):
+    """The direct LP over portfolio weights and auxiliaries of one system."""
+    s0, s1 = vm.market.prices, vm.market.payoffs
+    return lambda rep: make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
+                                    np.hstack([rep.rows @ s1.T, rep.aux]),
+                                    rep.rhs - rep.rows @ x, GE)
+
+
+def _cash_problem(vm, x):
+    """The cash-minimising LP over (cash, kernel coordinates, auxiliaries) of one system."""
+    def problem(rep):
+        lhs = np.hstack([(rep.rows @ vm.numeraire)[:, None], -(rep.rows @ vm.kernel_basis.T),
+                         rep.aux])
+        return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x, GE)
+    return problem
+
+
+def _tag(value):
+    return "finite" if is_finite(value) else ("neg_inf" if value == NEG_INF else "pos_inf")
+
+
+def _twin_state_market(rng, n):
+    """Equiprobable market whose states 0 and 1 have the same payoffs.
+
+    At a position equal in both states, the VaR systems that differ only by
+    which twin may lose have identical LPs: planted exact ties.
+    """
+    while True:
+        n_risky = int(rng.integers(1, n - 1))
+        payoffs = np.vstack([np.ones(n), rng.uniform(-2.0, 5.0, size=(n_risky, n))])
+        payoffs[:, 1] = payoffs[:, 0]
+        svals = np.linalg.svd(payoffs, compute_uv=False)
+        if svals[-1] > 1e-6 * svals[0]:
+            break
+    psi = rng.uniform(0.1, 1.0, size=n)
+    return validate_market(Market(uniform_space(n), payoffs @ (psi / psi.sum()), payoffs))
+
+
+def _union_instances(rng, count):
+    """Seeded (a, vm, x) on 3-8 states: VaR alone and VaR with a cone, halfspace, AVaR or VaR."""
+    for trial in range(count):
+        n = int(rng.integers(3, 9))
+        twins = trial % 3 == 2
+        vm = _twin_state_market(rng, n) if twins else random_market(rng, n_states=n)
+        kind = trial % 5
+        var = var_acceptance(vm.space, float(rng.uniform(0.15, 0.35 if kind == 4 else 0.6)))
+        other = (None, positive_cone(n), halfspace_acceptance(rng.uniform(0.1, 1.0, n)),
+                 avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8))),
+                 var_acceptance(vm.space, float(rng.uniform(0.15, 0.35))))[kind]
+        a = var if other is None else intersect([var, other])
+        x = rng.uniform(-5, 5, size=n)
+        if twins:
+            x[1] = x[0]
+        if len(a.systems) > 1:
+            yield a, vm, x
+
+
+class TestDualPruning:
+    """The scan skips systems a solved system's dual bounds, and answers as a full scan does."""
+
+    def test_matches_unpruned_scan(self):
+        rng = np.random.default_rng(97)
+        counts = {"finite": 0, "neg_inf": 0, "pos_inf": 0, "ties": 0, "pruned": 0}
+        for a, vm, x in _union_instances(rng, 300):
+            tag, index, value, values = _unpruned_scan(a, _direct_problem(vm, x))
+            r = rho_var_exact(a, vm, x)
+            diag = r.diagnostics
+            assert _tag(r.value) == tag
+            if tag == "neg_inf":
+                assert diag["unbounded_loss_set"] == index
+            else:
+                assert diag["loss_sets_scanned"] + diag["systems_pruned"] == len(a.systems)
+            if tag == "finite":
+                assert diag["system"] == index
+                assert abs(r.value - value) <= 1e-9
+                assert r.attained and a.member(x + r.optimal_payoff)
+                counts["ties"] += values.count(value) > 1
+            counts[tag] += 1
+            counts["pruned"] += diag["systems_pruned"]
+
+            status, m, payoff = MembershipOracle(a, vm).cash_lp(x)
+            cash_tag, _, cash_value, _ = _unpruned_scan(a, _cash_problem(vm, x))
+            assert _tag(m) == cash_tag
+            if cash_tag == "finite":
+                assert abs(m - cash_value) <= 1e-9
+                assert a.member(x + payoff)
+        assert counts["finite"] >= 80 and counts["neg_inf"] >= 30, counts
+        assert counts["ties"] >= 15 and counts["pruned"] >= 300, counts
+
+    def test_lp_count_of_a_fixed_instance(self):
+        # 14 equiprobable states at alpha 2/14: 91 maximal loss sets (pairs)
+        rng = np.random.default_rng(5)
+        vm = random_market(rng, n_states=14, n_risky=1, uniform_probs=True)
+        a = var_acceptance(vm.space, 2 / 14)
+        r = rho_var_exact(a, vm, rng.uniform(-5, 5, size=14))
+        assert len(a.systems) == 91
+        assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (6, 85)
+
+    def test_incidence_numbers_rows_by_their_content(self):
+        # the skip relies on it: one id, one [rows | aux | rhs] row, in every system
+        rng = np.random.default_rng(41)
+        for a, _, _ in _union_instances(rng, 60):
+            by_id, inc = {}, a.incidence
+            assert inc.matrix.shape[0] == len(a.systems) == len(inc.ids)
+            for i, rep in enumerate(a.systems):
+                full = np.hstack([rep.rows, rep.aux, rep.rhs[:, None]])
+                assert len(inc.ids[i]) == full.shape[0]
+                assert set(inc.ids[i].tolist()) == set(np.flatnonzero(inc.matrix[i]).tolist())
+                for row_id, row in zip(inc.ids[i].tolist(), full):
+                    assert by_id.setdefault(row_id, row.tobytes()) == row.tobytes()
+            assert len(set(by_id.values())) == len(by_id)
+
+    def test_one_system_does_no_certificate_work(self, two_state_market):
+        for a in (positive_cone(2), var_acceptance(two_state_market.space, 0.1),
+                  intersect([positive_cone(2), avar_acceptance(two_state_market.space, 0.5)])):
+            assert len(a.systems) == 1 and a.incidence is None
+            r = rho_direct_lp(a, two_state_market, [-1.0, 2.0])
+            assert r.diagnostics["systems_pruned"] == 0
+
+
 class TestDomainClassify:
     def test_corner_set(self, numeraire_line_market):
         a = corner_acceptance_r3()
