@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import CapreqError, UsageError
+from .linprog import GE, LpProblem, make_problem
 from .market import ScenarioSpace
 
 MEMBER_TOL = 1e-9
@@ -69,6 +70,27 @@ class PolyhedralRep:
     @property
     def n_aux(self) -> int:
         return self.aux.shape[1]
+
+    def lp(self, y, kernel, moves=(), homogeneous: bool = False,
+           nonnegative: bool = False) -> LpProblem:
+        """The LP over (m, c, aux) for y + moves^T m - kernel^T c in this system.
+
+        Each row of ``moves`` is a direction with its own coefficient m, free
+        or, with ``nonnegative``, at least zero; the LP minimises the sum of
+        the coefficients, and without moves it only asks for feasibility.
+        ``homogeneous`` zeroes the right-hand side, so the LP asks about the
+        recession cone of the set instead of the set.
+        """
+        lhs = np.column_stack([self.rows @ d for d in moves]
+                              + [-(self.rows @ kernel.T), self.aux])
+        rhs = -(self.rows @ y) if homogeneous else self.rhs - self.rows @ y
+        objective = np.zeros(lhs.shape[1])
+        objective[:len(moves)] = 1.0
+        lower = None
+        if nonnegative:
+            lower = np.full(lhs.shape[1], -np.inf)
+            lower[:len(moves)] = 0.0
+        return make_problem(objective, lhs, rhs, GE, lower=lower)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import UsageError
 from .acceptance import AcceptanceSet
-from .linprog import GE, OPTIMAL, make_problem, solve_lp
+from .linprog import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
             return RecessionCheck(False, witness=(np.zeros(a.dim), lam), exact=True)
         # recession cone of a projected polyhedron is the projection of the
         # homogenized block
-        problem = make_problem(np.zeros(rep.n_aux), rep.aux, -(rep.rows @ v), GE)
+        problem = rep.lp(v, np.zeros((0, a.dim)), homogeneous=True)
         ok = solve_lp(problem).status == OPTIMAL
         return RecessionCheck(ok, exact=True)
 

@@ -374,7 +374,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         try:
             y_kept = np.linalg.solve(a_std[keep[:, None], basis].T, c_std[basis])
             dual = np.zeros(problem.n_rows)
-            dual[orig] = y_kept[:len(orig)] * mult[orig] / row_scale[orig]
+            dual[orig] = y_kept[:len(orig)] * mult[orig] / row_scale[orig] + 0.0
         except np.linalg.LinAlgError:
             dual = None
 

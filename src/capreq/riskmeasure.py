@@ -125,9 +125,9 @@ class MembershipOracle:
     into the acceptance set? An exact set is a union of linear systems
     (``AcceptanceSet.systems``), and every exact question (zero-cost
     witness, cheapest cash level) is one LP per system over the same
-    constraint block. The generic grid fallback is one-sided (a True answer
-    is certified by a witness, a False answer may be wrong) and is flagged
-    as inexact.
+    constraint block (``PolyhedralRep.lp``). The generic grid fallback is
+    one-sided (a True answer is certified by a witness, a False answer may
+    be wrong) and is flagged as inexact.
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
@@ -139,20 +139,6 @@ class MembershipOracle:
         self.exact = self.strategy == "exact"
 
     # -- exact systems -----------------------------------------------------
-
-    def _problem(self, rep: PolyhedralRep, y: np.ndarray, cash: bool) -> LpProblem:
-        """The LP of one system for y + m U - K^T c in A over (m, kernel coords c, aux).
-
-        With ``cash`` the LP minimises m; otherwise the cash column is left
-        out (m = 0) and the LP only asks for feasibility.
-        """
-        blocks = [-(rep.rows @ self.kernel.T), rep.aux]
-        if cash:
-            blocks.insert(0, (rep.rows @ self.vm.numeraire).reshape(-1, 1))
-        lhs, rhs = np.hstack(blocks), rep.rhs - rep.rows @ y
-        objective = np.zeros(lhs.shape[1])
-        objective[0] = float(cash)
-        return make_problem(objective, lhs, rhs, GE)
 
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
@@ -167,9 +153,8 @@ class MembershipOracle:
         """
         if not self.exact:
             return None
-        y = np.asarray(position, dtype=float)
-        out, _, _, _ = _cheapest(self.a, lambda rep: self._problem(rep, y, cash=True),
-                                 self.opts.lp_tol)
+        y, u = np.asarray(position, dtype=float), self.vm.numeraire
+        out, _, _, _ = _cheapest(self.a, lambda rep: rep.lp(y, self.kernel, [u]), self.opts.lp_tol)
         if out is None:
             return INFEASIBLE, POS_INF, None
         if out.status == UNBOUNDED:
@@ -203,7 +188,7 @@ class MembershipOracle:
         if not self.exact:
             return self._witness_grid(y)
         for rep in self.a.systems:
-            out = solve_lp(self._problem(rep, y, cash=False), tol=self.opts.lp_tol)
+            out = solve_lp(rep.lp(y, self.kernel), tol=self.opts.lp_tol)
             if out.status == OPTIMAL:
                 return self.kernel.T @ out.x[:self.kernel.shape[0]]
         return None

@@ -22,20 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import CapreqError
 from .acceptance import AcceptanceSet, PolyhedralRep
 from .directional import (DEFAULT_PROBE, DirectionalProbe, dir_bd_member,
                           dir_cl_member, dir_int_member, rec_member)
-from .linprog import INFEASIBLE, UNBOUNDED
+from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from .market import ValidatedMarket
 from .riskmeasure import (DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
                           NotPolyhedral, RiskResult, SolveOptions,
                           induced_rho_acceptance, is_finite, rho_from_membership,
                           solve_rho)
-
-
-class EliminationTooLarge(CapreqError, RuntimeError):
-    """Kernel elimination exceeded the row budget."""
 
 
 @dataclass
@@ -246,73 +241,50 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     return report
 
 
-def eliminate_kernel(rep: PolyhedralRep, kernel: np.ndarray,
-                     max_rows: int = 4000) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the zero-cost-reachable set by Fourier-Motzkin elimination.
+def _spanning_set(n: int) -> np.ndarray:
+    """Rows e_1, ..., e_n and -(e_1 + ... + e_n): a positive spanning set of R^n."""
+    return np.vstack([np.eye(n), -np.ones(n)])
 
-    Input rows describe {x : rows @ x >= rhs}; the output describes
-    {x : exists kernel movement k with rows @ (x - k) >= rhs}, i.e. the set
-    fattened by the pricing kernel. Only plain blocks are supported. Trivial
-    rows are dropped; an empty output means the whole space.
+
+def _optimum(problem: LpProblem, tol: float) -> float:
+    """Optimal value of a minimising LP: -inf when unbounded, +inf when infeasible."""
+    out = solve_lp(problem, tol=tol)
+    if out.status == OPTIMAL:
+        return out.objective_value
+    return NEG_INF if out.status == UNBOUNDED else POS_INF
+
+
+def _whole_space(rep: PolyhedralRep, kernel: np.ndarray, tol: float) -> bool:
+    """Is B = A + span K everything, for A the system ``rep``?
+
+    The recession cone of B is rec(A) + span K, the cone of the homogenised
+    block, and a convex cone is R^n iff it holds a positive spanning set:
+    one feasibility LP per direction. A nonempty B with that recession cone
+    is R^n, so given the cone, B is R^n iff it holds 0 (an empty system
+    has a homogenised block too).
     """
-    if not rep.pure:
-        raise NotPolyhedral("kernel elimination needs plain rows")
-    k = kernel.shape[0]
-    # system over (x, c): rows @ x - (rows @ K^T) c >= rhs
-    work = np.hstack([rep.rows, -(rep.rows @ kernel.T), rep.rhs.reshape(-1, 1)])
     n = rep.rows.shape[1]
-    for col in range(n + k - 1, n - 1, -1):
-        coeff = work[:, col]
-        zero = np.abs(coeff) <= 1e-12
-        pos = coeff > 1e-12
-        neg = coeff < -1e-12
-        kept = work[zero]
-        combos = []
-        for i in np.flatnonzero(pos):
-            for j in np.flatnonzero(neg):
-                row = work[i] / coeff[i] + work[j] / (-coeff[j])
-                combos.append(row)
-        work = np.vstack([kept] + [np.asarray(combos)]) if combos else kept
-        if work.shape[0] == 0:
-            break
-        work = work[:, [c for c in range(work.shape[1]) if c != col]]
-        work = _prune_rows(work)
-        if work.shape[0] > max_rows:
-            raise EliminationTooLarge(f"{work.shape[0]} rows during elimination")
-    if work.shape[0] == 0:
-        return np.zeros((0, n)), np.zeros(0)
-    return work[:, :n], work[:, n]
+    return (all(_optimum(rep.lp(s, kernel, homogeneous=True), tol) < POS_INF
+                for s in _spanning_set(n))
+            and _optimum(rep.lp(np.zeros(n), kernel), tol) < POS_INF)
 
 
-def _prune_rows(work: np.ndarray) -> np.ndarray:
-    """Drop trivial rows (0 >= nonpositive) and exact duplicates after scaling."""
-    if work.shape[0] == 0:
-        return work
-    coeffs = work[:, :-1]
-    norms = np.abs(coeffs).max(axis=1, initial=0.0)
-    keep = []
-    seen = set()
-    for i in range(work.shape[0]):
-        if norms[i] <= 1e-12:
-            if work[i, -1] > 1e-9:
-                # 0 >= positive: infeasible row, keep to signal emptiness
-                keep.append(i)
-            continue
-        row = work[i] / norms[i]
-        key = tuple(np.round(row, 12))
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return work[keep] if keep else work[:0]
+def _signed_margin(rep: PolyhedralRep, kernel: np.ndarray, x: np.ndarray,
+                   tol: float) -> float:
+    """Positive inside B = A + span K, negative outside, zero on its boundary.
 
-
-def certify_whole_space(rep: PolyhedralRep, kernel: np.ndarray) -> bool:
-    """True iff the kernel-fattened polyhedron is certified to be everything."""
-    rows, rhs = eliminate_kernel(rep, kernel)
-    if rows.shape[0] == 0:
-        return True
-    slopes = np.abs(rows).max(axis=1, initial=0.0)
-    return bool(np.all((slopes <= 1e-12) & (rhs <= 1e-9)))
+    Inside, the largest t with x + t s in B for every s of the positive
+    spanning set S: the least over s of one LP each (x - m s in B, minimise
+    m, t = -m). That least t is positive only at interior points, since x
+    is a positive combination of the points x + t_s s. Outside, minus the
+    least sum of mu >= 0 with x + sum_j mu_j s_j in B. The numeraire plays
+    no part, so the margin is independent of the directional probes.
+    """
+    spanning = _spanning_set(len(x))
+    inside = min(-_optimum(rep.lp(x, kernel, [-s]), tol) for s in spanning)
+    if inside > 0:
+        return inside
+    return -_optimum(rep.lp(x, kernel, spanning, nonnegative=True), tol)
 
 
 def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 25,
@@ -320,11 +292,15 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
                             opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
     """The two degeneracy conditions and their consequences.
 
-    If the zero-cost-reachable set is certified to be the whole space, every
-    probe must come back -inf. If the negated numeraire is certified to
-    recede the acceptance set, no probe may be finite. Certification is
-    exact for sets of one polyhedral system; otherwise the hypotheses are
-    reported as not certifiable and nothing is asserted.
+    If the zero-cost-reachable set B = A + span K is certified to be the
+    whole space, every probe must come back -inf. If the negated numeraire
+    is certified to recede the acceptance set, no probe may be finite.
+    Both certificates are exact for sets of one polyhedral system,
+    auxiliaries (AVaR) included: B is the whole space iff it holds 0 and
+    its recession cone holds e_1, ..., e_n and -(e_1 + ... + e_n), each one
+    feasibility LP on the membership oracle's block (with a zero
+    right-hand side for the cone). Sets of several systems or none are
+    reported as not certifiable and nothing is asserted on coverage.
     """
     rng = np.random.default_rng(seed)
     report = PropertyReport("degeneracy_lemmas", seed=seed)
@@ -333,13 +309,10 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     probes.append(np.zeros(n))
 
     whole_space = None
-    if (rep := a.only_system) is not None and rep.pure:
-        try:
-            whole_space = certify_whole_space(rep, vm.kernel_basis)
-        except EliminationTooLarge:
-            report.notes.append("kernel elimination too large; coverage not certified")
+    if (rep := a.only_system) is not None:
+        whole_space = _whole_space(rep, vm.kernel_basis, opts.lp_tol)
     else:
-        report.notes.append("no plain polyhedral rows; coverage not certified")
+        report.notes.append("not one polyhedral system; coverage not certified")
     report.notes.append(f"whole_space_certified={whole_space}")
 
     minus_u_recedes = rec_member(a, -vm.numeraire)
@@ -501,10 +474,6 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
     n = vm.n_states
     u = vm.numeraire
 
-    def induced_contains(y: np.ndarray) -> bool:
-        # induced sets absorb the kernel, so membership needs no kernel search
-        return induced(y)
-
     for trial in range(trials):
         x = _sample_position(rng, n)
         m = float(rng.uniform(-4.0, 4.0))
@@ -519,7 +488,8 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
                                  value=value if is_finite(value) else _tag(value),
                                  induced_member=in_induced)
         if trial < trials // 4:
-            re_solved = rho_from_membership(induced_contains, vm, x, opts,
+            # induced sets absorb the kernel: membership needs no kernel search
+            re_solved = rho_from_membership(induced, vm, x, opts,
                                             strategy="induced_rho", exact=oracle.exact).value
             if _tag(value) != _tag(re_solved):
                 report.violation(trial=trial, check="idempotence", x=_listify(x),
@@ -536,35 +506,39 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
                                      probe: DirectionalProbe = DEFAULT_PROBE) -> PropertyReport:
     """Directional operators equal the norm ones when the numeraire enters strictly.
 
-    Derives plain rows for the zero-cost-reachable set by kernel
-    elimination. The two sufficient inclusions reduce on rows to: every row
-    slope against the numeraire nonnegative (always true here) and strictly
-    positive (the interior condition). Where they hold, directional
-    closure/interior/boundary must match the norm-ball classification at
-    sampled points; otherwise the hypothesis failure is reported and the
-    comparison is skipped.
+    Works on the zero-cost-reachable set B = A + span K of a set of one
+    polyhedral system, auxiliaries (AVaR) included, through LPs on the
+    membership oracle's block. The two sufficient inclusions are U in
+    rec(B) (the closure condition, one homogenised feasibility LP) and U in
+    int rec(B) (the interior condition): for every s of the positive
+    spanning set e_1, ..., e_n, -(e_1 + ... + e_n), some s + m U lies in
+    rec(B), one homogenised cash LP each. Where they hold, directional
+    closure/interior/boundary must match the norm classification at
+    sampled points, read off a signed margin that does not use U (see
+    ``_signed_margin``); points within 4 * ``probe.final_scale`` of the
+    boundary are inconclusive. Otherwise the hypothesis failure is
+    reported and the comparison is skipped.
     """
-    if (rep := a.only_system) is None or not rep.pure:
-        raise NotPolyhedral("directional-vs-topological check needs one plain system")
+    if (rep := a.only_system) is None:
+        raise NotPolyhedral("directional-vs-topological check needs one polyhedral system")
     report = PropertyReport("directional_vs_topological", seed=seed)
-    rows, rhs = eliminate_kernel(rep, vm.kernel_basis)
-    u = vm.numeraire
+    kernel, u, tol = vm.kernel_basis, vm.numeraire, opts.lp_tol
 
-    if rows.shape[0] == 0:
+    if _whole_space(rep, kernel, tol):
         report.notes.append("reachable set is the whole space; operators trivially agree")
         return report
 
-    slopes = rows @ u
-    cond_closure = bool(np.all(slopes >= -1e-12))   # cl(B) + R_> u inside B
-    cond_interior = bool(np.all(slopes > 1e-12))    # B + R_> u inside int(B)
+    cond_closure = _optimum(rep.lp(u, kernel, homogeneous=True), tol) < POS_INF
+    cond_interior = cond_closure and all(
+        _optimum(rep.lp(s, kernel, [u], homogeneous=True), tol) < POS_INF
+        for s in _spanning_set(vm.n_states))
     report.notes.append(f"closure_condition={cond_closure}")
     report.notes.append(f"interior_condition={cond_interior}")
-    if not (cond_closure and cond_interior):
+    if not cond_interior:
         report.notes.append("hypothesis failed; operator comparison skipped")
         report.inconclusive = grid
         return report
 
-    norms = np.linalg.norm(rows, axis=1)
     rng = np.random.default_rng(seed)
     oracle = MembershipOracle(a, vm, opts)
     eps = probe.final_scale
@@ -572,7 +546,7 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
     for trial in range(grid):
         report.trials += 1
         x = _sample_position(rng, vm.n_states)
-        margin = float(np.min((rows @ x - rhs) / norms))
+        margin = _signed_margin(rep, kernel, x, tol)
         if abs(margin) <= 4 * eps:
             report.inconclusive += 1
             continue

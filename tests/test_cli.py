@@ -199,7 +199,7 @@ class TestErrorContract:
                    for _, cls in inspect.getmembers(importlib.import_module(f"capreq.{name}"),
                                                     inspect.isclass)
                    if issubclass(cls, Exception) and cls.__module__ == f"capreq.{name}"]
-        assert len(classes) >= 15
+        assert len(classes) >= 14
         assert [c for c in classes if not issubclass(c, CapreqError)] == []
 
     def test_price_off_span_exits_one(self, files, capsys):
@@ -361,6 +361,15 @@ class TestProperties:
                                     files["halfplane"], "--suite", "levelsets",
                                     "--trials", "7"])
         assert code == 0
+
+    def test_avar_degeneracy_certified(self, files, capsys):
+        argv = ["properties", files["market"], files["avar"], "--suite", "degeneracy"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        notes = json.loads(out)["reports"][0]["notes"]
+        assert "whole_space_certified=False" in notes
+        assert not any("not certified" in n for n in notes)
+        assert run(capsys, argv)[1] == out
 
     def test_broken_oracle_exits_one(self, files, capsys, monkeypatch):
         from capreq.acceptance import oracle_acceptance

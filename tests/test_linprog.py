@@ -167,6 +167,20 @@ def test_dual_of_free_ge_lp_certifies_the_optimum():
         assert abs(float(problem.rhs @ y) - out.objective_value) <= 1e-9
 
 
+def test_dual_has_no_negative_zero():
+    # ">=" rows slack at the optimum have a zero multiplier, and their
+    # starting multiplier is negative: the zero must still come out as +0.0
+    rng = np.random.default_rng(31)
+    zeros = 0
+    for _ in range(100):
+        out = solve_lp(_random_free_ge(rng))
+        assert out.status == OPTIMAL
+        at_zero = out.dual == 0.0
+        zeros += int(at_zero.sum())
+        assert not np.signbit(out.dual[at_zero]).any()
+    assert zeros > 0
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(17)
     for _ in range(10):
