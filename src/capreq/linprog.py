@@ -10,17 +10,25 @@ per-row senses ("<=", "=", ">=") and per-variable bounds in which
 ``-inf``/``+inf`` mean unbounded.
 
 Phase 1 starts from a slack basis: a row that has a column of its own
-(a slack, or any column nonzero in that row only) whose value there is
-nonnegative starts with that column basic. Only the remaining rows get
-artificial columns, so phase 1 prices and pivots only those rows.
+(a slack, or any column nonzero in that row only) starts with that column
+basic. When at least three rows have such a column only with the sign
+opposite to their right-hand side, those columns start basic below zero
+and the rows share one auxiliary column x0, with entry -1 in each
+equilibrated row, which enters at the most violated row (Chvatal 1983,
+ch. 3); every other row lacking a usable column gets an artificial
+column of its own. Phase 1 minimises x0 plus the artificials.
+
+The starting columns stay in the tableau through phase 2, unpriced: each
+is a unit column of the scaled rows, so the optimal dual is read off the
+final reduced-cost row (Chvatal 1983, ch. 5) with no second solve.
 
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the per-call work is whole-array: validation, the standard
 form, the read-out of the point, ray and dual, and both certificates make
 a fixed number of numpy calls whatever the row and column counts, and a
 pivot is a fixed handful of array operations. Python loops remain only
-over the columns that can start basic and over the artificials still
-basic after phase 1.
+over the columns that can start basic and over the auxiliary columns
+still basic after phase 1.
 """
 
 from __future__ import annotations
@@ -124,10 +132,12 @@ def make_problem(objective, lhs, rhs, senses, lower=None, upper=None) -> LpProbl
 class LpOutcome:
     """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded.
 
-    ``dual`` holds one multiplier per row of the original problem (zero on
-    rows dropped as redundant), or None when the final basis could not be
-    solved for it. The union scan in ``riskmeasure`` checks it against the
-    problem's data and uses it as a lower bound on the other systems.
+    ``dual`` holds one multiplier per row of the original problem, c_B B^-1
+    of the final basis: nonnegative on ">=" rows, nonpositive on "<=" rows,
+    and a row dropped as redundant carries whatever that product gives,
+    which is still a valid multiplier. The union scan in ``riskmeasure``
+    checks it against the problem's data and uses it as a lower bound on
+    the other systems.
     """
 
     status: str
@@ -206,10 +216,13 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= factors[:, None] * piv_row
 
 
-def _run_simplex(tableau, basis, pivot_tol):
-    """Bland's rule loop. Returns ("optimal", pivots) or ("unbounded", entering, pivots)."""
+def _run_simplex(tableau, basis, pivot_tol, n_priced):
+    """Bland's rule loop entering only among the first ``n_priced`` columns.
+
+    Returns ("optimal", pivots) or ("unbounded", entering, pivots).
+    """
     m = len(basis)
-    cost, values = tableau[-1, :-1], tableau[:m, -1]   # views, updated by each pivot
+    cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
     pivots = 0
     while True:
         improving = cost < -pivot_tol
@@ -217,19 +230,32 @@ def _run_simplex(tableau, basis, pivot_tol):
         if not improving[entering]:
             return ("optimal", pivots)
         col = tableau[:m, entering]
-        rows = (col > pivot_tol).nonzero()[0]
+        # entries up to pivot_tol, scaled by the column's largest magnitude
+        # when that exceeds 1, are rounding residue and treated as zero: a
+        # pivot on one blows the tableau up. The unbounded conclusion is
+        # certified (or rejected) on the returned ray
+        rows = (col > pivot_tol * np.abs(col).max(initial=1.0)).nonzero()[0]
         if not rows.size:
-            # entries in (0, pivot_tol] are treated as zero; the unbounded
-            # conclusion is certified (or rejected) on the returned ray
             return ("unbounded", entering, pivots)
         ratios = values[rows] / col[rows]
         tied = rows[ratios <= ratios.min() + 1e-15]
-        leaving = tied[basis[tied].argmin()]  # Bland tie-break
+        leaving = tied[basis[tied].argmin()] if tied.size > 1 else tied[0]  # Bland tie-break
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise NumericalBreakdown("pivot budget exhausted")
+
+
+def _claim_rows(basis, mult, rows, cols, vals, take) -> None:
+    """Start column ``cols[k]`` basic in row ``rows[k]`` for each taken k whose row is free.
+
+    Candidates come in increasing column order, so the lowest column wins.
+    """
+    for i, j, v in zip(rows[take].tolist(), cols[take].tolist(), vals[take].tolist()):
+        if basis[i] < 0:
+            basis[i] = j
+            mult[i] = 1.0 / v
 
 
 def _rows_violated(problem, row_values, limit) -> bool:
@@ -285,46 +311,75 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     a_std = a_std / row_scale[:, None]
     b_std = b_std / row_scale
 
-    # slack starting basis: a column whose only nonzero lies in row i, with
-    # the sign of b_i (any sign when b_i = 0), starts basic in row i once the
-    # row is divided by that entry. Every other row is flipped to b_i >= 0
-    # and gets an artificial column on the right.
+    # slack starting basis: a column whose only nonzero lies in row i starts
+    # basic in row i once the row is divided by that entry, the lowest such
+    # column with the sign of b_i (any sign when b_i = 0) first. When at
+    # least three rows have such columns only with the other sign, they
+    # start basic anyway, below zero, and the rows share one auxiliary
+    # column x0 (with two rows its opening pivot saves no pivot). Every
+    # other row is flipped to b_i >= 0 and gets an artificial column.
     mult = np.where(b_std < 0, -1.0, 1.0)
     basis = [-1] * m
     nonzero = a_std != 0.0
     cols = (nonzero.sum(axis=0) == 1).nonzero()[0]
     rows = nonzero[:, cols].T.nonzero()[1]  # the one row each such column touches
     vals = a_std[rows, cols]
-    usable = (np.abs(vals) > pivot_tol) & ((vals * mult[rows] > 0) | (b_std[rows] == 0.0))
-    for i, j, v in zip(rows[usable].tolist(), cols[usable].tolist(), vals[usable].tolist()):
-        if basis[i] < 0:  # lowest column index wins
-            basis[i] = j
-            mult[i] = 1.0 / v
+    usable = np.abs(vals) > pivot_tol
+    right = (vals * mult[rows] > 0) | (b_std[rows] == 0.0)
+    _claim_rows(basis, mult, rows, cols, vals, usable & right)
+    wrong = usable & ~right
+    shared = np.zeros(m, dtype=bool)
+    shared[rows[wrong]] = True
+    sharing = (shared & (np.array(basis) < 0)).nonzero()[0]
+    if len(sharing) >= 3:
+        _claim_rows(basis, mult, rows, cols, vals, wrong)
+    else:
+        sharing = sharing[:0]
     a_std = a_std * mult[:, None]
     b_std = b_std * mult
     basis = np.array(basis, dtype=np.intp)
     art_rows = (basis < 0).nonzero()[0]
     basis[art_rows] = n_std + np.arange(len(art_rows))
+    start = basis.copy()   # column e_i of each scaled row, kept for the dual
 
-    tableau = np.zeros((m + 1, n_std + len(art_rows) + 1))
+    # columns: standard | artificials | x0 when shared | right-hand side
+    x0 = n_std + len(art_rows)
+    tableau = np.zeros((m + 1, x0 + (len(sharing) > 0) + 1))
     tableau[:m, :n_std] = a_std
     tableau[:m, -1] = b_std
     tableau[art_rows, basis[art_rows]] = 1.0
-    # phase-1 reduced costs: artificial rows subtracted from their unit costs
+    # phase-1 reduced costs of x0 + sum of artificials: artificial rows
+    # subtracted from their unit costs
     tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
     tableau[-1, -1] = -b_std[art_rows].sum()
+    pivots = 0
+    if len(sharing):
+        # x0 has entry -1 in each sharing row as equilibrated above, so
+        # -|mult_i| once the row is divided by its singleton. It enters where
+        # the equilibrated b_i is most negative (lowest row on ties): every
+        # basic value is then nonnegative, and the pivot's rounding stays at
+        # each row's own scale
+        weight = np.abs(mult[sharing])
+        tableau[sharing, x0] = -weight
+        tableau[-1, x0] = 1.0
+        entry = sharing[(b_std[sharing] / weight).argmin()]
+        _pivot(tableau, entry, x0)
+        basis[entry] = x0
+        pivots = 1
 
-    status = _run_simplex(tableau, basis, pivot_tol)
-    pivots = status[1]
+    # only the first n_std columns are priced in either phase, so x0 and the
+    # artificials never re-enter once they leave
+    status = _run_simplex(tableau, basis, pivot_tol, n_std)
+    pivots += status[-1]
     phase1_value = -tableau[-1, -1]
     if phase1_value > tol:
         # infeasibility certificate: phase-1 optimum is positive and its
         # reduced costs are nonnegative, so no feasible point exists
-        if np.count_nonzero(tableau[-1, :-1] < -10 * pivot_tol):
+        if np.count_nonzero(tableau[-1, :n_std] < -10 * pivot_tol):
             raise NumericalBreakdown("phase-1 terminated without optimality certificate")
         return LpOutcome(status=INFEASIBLE, pivots=pivots)
 
-    # drive leftover artificials out of the basis; drop redundant rows.
+    # drive leftover auxiliaries out of the basis; drop redundant rows.
     # Their values are below the feasibility tolerance, so clamp to zero
     # first: pivoting a nonzero residual through a small entry would amplify
     # it onto a structural variable.
@@ -337,16 +392,18 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
             basis[i] = best
         # else: redundant constraint, row dropped below
     keep = (basis < n_std).nonzero()[0]
-    tableau[:, n_std] = tableau[:, -1]   # right-hand side over the first artificial
-    tableau = tableau[np.append(keep, m), :n_std + 1]
+    tableau = tableau[np.append(keep, m)]
     basis = basis[keep]
 
-    # phase 2: rebuild reduced costs for the true objective
+    # phase 2: rebuild reduced costs for the true objective, which costs
+    # the auxiliary columns nothing
+    cost = np.zeros(tableau.shape[1] - 1)
+    cost[:n_std] = c_std
     cb = c_std[basis]
-    tableau[-1, :-1] = c_std - cb @ tableau[:-1, :-1]
+    tableau[-1, :-1] = cost - cb @ tableau[:-1, :-1]
     tableau[-1, -1] = -(cb @ tableau[:-1, -1])
 
-    status = _run_simplex(tableau, basis, pivot_tol)
+    status = _run_simplex(tableau, basis, pivot_tol, n_std)
     pivots += status[-1]
 
     if status[0] == "unbounded":
@@ -366,18 +423,12 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         raise NumericalBreakdown("optimal point failed feasibility certificate")
     value = float(c_std @ x_std + obj_const)
 
-    dual = None
-    if problem.n_rows:
-        # y = c_B B^{-T} on the kept rows of the standard matrix; the
-        # original rows precede the bound rows in ``keep``
-        orig = keep[keep < problem.n_rows]
-        try:
-            y_kept = np.linalg.solve(a_std[keep[:, None], basis].T, c_std[basis])
-            dual = np.zeros(problem.n_rows)
-            dual[orig] = y_kept[:len(orig)] * mult[orig] / row_scale[orig] + 0.0
-        except np.linalg.LinAlgError:
-            dual = None
-
+    # y = c_B B^-1 of the scaled rows: column start_i is e_i there, so its
+    # reduced cost is cost[start_i] - y_i. The original rows precede the
+    # bound rows.
+    n = problem.n_rows
+    orig = start[:n]
+    dual = (cost[orig] - tableau[-1, orig]) * mult[:n] / row_scale[:n] + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots)
 
 

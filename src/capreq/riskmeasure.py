@@ -376,14 +376,14 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
     return best, best_index, scanned, pruned
 
 
-def _dual_bound(lp: LpProblem, dual: np.ndarray | None, tol: float):
+def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     """(b_S @ y_S, S) for an optimal dual y of ``lp`` (min c x, A x >= b, x free), or None.
 
     S is where y exceeds ``tol``. The dual is checked on the LP's own
     unscaled data: y >= -tol and |A_S^T y_S - c| <= tol * max(1, |c|)
     entrywise. A dual that fails the check bounds nothing.
     """
-    if dual is None or dual.min(initial=0.0) < -tol:
+    if dual.min(initial=0.0) < -tol:
         return None
     support = (dual > tol).nonzero()[0]
     y = dual[support]

@@ -183,8 +183,11 @@ def test_dual_has_no_negative_zero():
 
 def test_determinism_bitwise():
     rng = np.random.default_rng(17)
-    for _ in range(10):
-        problem = _random_canonical(rng)
+    # over free variables three ">=" rows start violated, so they share the
+    # auxiliary column; rows 0 and 1 tie at the most negative scaled b_i
+    tied = make_problem([1.0, 1.0, 1.0], [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                        [2.0, 2.0, 0.5], GE)
+    for problem in [_random_canonical(rng) for _ in range(10)] + [tied]:
         out1 = solve_lp(problem)
         out2 = solve_lp(problem)
         assert out1.status == out2.status
@@ -236,6 +239,33 @@ def test_unbounded_ray_certified():
     assert float(np.array([1.0, -1.0]) @ ray) <= 1e-9
 
 
+def _cone_lp(rng, n_states, n_assets):
+    """The positive-cone requirement LP: min s0 @ w over free w with R w >= -x.
+
+    R is a secure asset and risky payoffs over the states, s0 = R^T psi
+    with planted state prices psi > 0, so the LP is bounded; every state
+    where the position x loses is a ">=" row violated at w = 0.
+    """
+    payoffs = np.vstack([np.ones(n_states), rng.uniform(-2.0, 5.0, size=(n_assets - 1, n_states))])
+    psi = rng.uniform(0.1, 1.0, size=n_states)
+    x = rng.uniform(-5.0, 5.0, size=n_states)
+    return make_problem(payoffs @ (psi / psi.sum()), payoffs.T, -x, GE)
+
+
+def test_violated_rows_share_one_auxiliary_column():
+    # 16 states, 3 assets: with one shared auxiliary column these take
+    # about 6 pivots on average, with one artificial per losing state 14
+    rng = np.random.default_rng(5)
+    pivots = []
+    for _ in range(40):
+        problem = _cone_lp(rng, 16, 3)
+        assert np.count_nonzero(problem.rhs > 0) >= 3
+        out = solve_lp(problem)
+        assert out.status == OPTIMAL
+        pivots.append(out.pivots)
+    assert np.mean(pivots) <= 8
+
+
 def test_slack_rows_need_no_pivot():
     # every GE row with rhs <= 0 holds at x = 0 on its own slack, so with a
     # zero objective the starting basis is already optimal
@@ -250,7 +280,7 @@ def test_slack_rows_need_no_pivot():
         assert out.pivots == 0
 
 
-def _planted_lp(rng, status):
+def _planted_lp(rng, status, violated=False):
     """Random LP whose status is known by construction.
 
     Mixed senses, bounded and free variables, a zero row and a redundant
@@ -258,7 +288,9 @@ def _planted_lp(rng, status):
     "optimal" a box around x0 is added (as rows for variables without both
     bounds); for "unbounded" rows and bounds are bent so that a planted ray
     d keeps them satisfied while the objective falls along it; for
-    "infeasible" a contradictory row pair is added. Rows are then scaled.
+    "infeasible" a contradictory row pair is added. With ``violated``,
+    three to five inequality rows that hold at x0 but not at the solver's
+    starting point (``_solver_start``) are added too. Rows are then scaled.
     """
     n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
     x0 = rng.uniform(-3.0, 3.0, size=n)
@@ -292,6 +324,16 @@ def _planted_lp(rng, status):
     rhs.append(2.0 * rhs[dup])
     senses.append(senses[dup])
 
+    if violated:
+        start = _solver_start(lower, upper)
+        for _ in range(int(rng.integers(3, 6))):
+            g = rng.normal(size=n)
+            if status == UNBOUNDED:
+                g -= (g @ d) / (d @ d) * d   # either sense keeps the ray
+            margin = g @ (x0 - start)
+            rows.append(g)
+            rhs.append(g @ x0 - rng.uniform(0.1, 0.9) * margin)
+            senses.append(GE if margin > 0 else LE)
     if status == OPTIMAL:
         for j in range(n):
             if not np.isfinite(lower[j]):
@@ -332,6 +374,18 @@ def _highs(problem):
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message), res.fun
 
 
+def _solver_start(lower, upper):
+    """The point phase 1 starts from: each variable at its lower bound, else its upper, else 0."""
+    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
+
+
+def _violated_at_start(problem):
+    """Inequality rows that the solver's starting point violates."""
+    gap = problem.lhs @ _solver_start(problem.lower, problem.upper) - problem.rhs
+    senses = np.array(problem.senses)
+    return int(np.count_nonzero(((senses == GE) & (gap < 0)) | ((senses == LE) & (gap > 0))))
+
+
 @pytest.mark.parametrize("status, seed", [(OPTIMAL, 23), (INFEASIBLE, 29), (UNBOUNDED, 31)])
 def test_matches_highs_on_planted_statuses(status, seed):
     # the planted status is the reference: on scaled instances HiGHS was
@@ -346,3 +400,69 @@ def test_matches_highs_on_planted_statuses(status, seed):
         assert highs_status == status
         if status == OPTIMAL:
             assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))
+
+
+@pytest.mark.parametrize("status, seed", [(OPTIMAL, 37), (INFEASIBLE, 41), (UNBOUNDED, 43)])
+def test_matches_highs_when_rows_start_violated(status, seed):
+    # at least three rows start violated, so phase 1 opens with the shared
+    # auxiliary column. The planted status is the reference; HiGHS's status
+    # is not asserted on planted-unbounded problems, some of which it calls
+    # infeasible here too
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        problem = _planted_lp(rng, status, violated=True)
+        assert _violated_at_start(problem) >= 3
+        out = solve_lp(problem)
+        highs_status, highs_value = _highs(problem)
+        assert out.status == status
+        if status != UNBOUNDED:
+            assert highs_status == status
+        if status == OPTIMAL:
+            assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))
+
+
+def _check_dual(problem, out):
+    """Check an optimal dual y on the original data.
+
+    y is nonnegative on ">=" rows and nonpositive on "<=" rows. With
+    r = c - A^T y, each variable's r must be payable by a finite bound
+    (r > 0 at a lower bound, r < 0 at an upper one), and b @ y plus r at
+    those bounds is the dual value, equal to the optimum.
+    """
+    y = out.dual
+    assert y.shape == (problem.n_rows,)
+    size = max(1.0, float(np.abs(y).max(initial=0.0)) * float(np.abs(problem.lhs).max(initial=0.0)),
+               float(np.abs(problem.objective).max()))
+    senses = np.array(problem.senses)
+    assert np.all(y[senses == GE] >= -1e-9 * size)
+    assert np.all(y[senses == LE] <= 1e-9 * size)
+    r = problem.objective - problem.lhs.T @ y
+    at_lower = r > 0
+    unpaid = np.where(at_lower, ~np.isfinite(problem.lower), ~np.isfinite(problem.upper))
+    assert np.all(np.abs(r[unpaid]) <= 1e-9 * size)
+    bound = np.where(at_lower, problem.lower, problem.upper)
+    dual_value = float(problem.rhs @ y + r[~unpaid] @ bound[~unpaid])
+    scale = max(1.0, abs(out.objective_value), float(np.abs(problem.rhs @ y)))
+    assert abs(dual_value - out.objective_value) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("violated", [False, True], ids=["slack-start", "rows-start-violated"])
+def test_dual_certifies_planted_optimum(violated):
+    # mixed senses, bounded and free variables, a zero row and a redundant
+    # duplicate row: the redundant row carries whatever c_B B^-1 gives, and
+    # the certificate must hold all the same
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        problem = _planted_lp(rng, OPTIMAL, violated)
+        out = solve_lp(problem)
+        assert out.status == OPTIMAL
+        _check_dual(problem, out)
+
+
+def test_dual_present_without_rows():
+    problem = make_problem([1.0, -1.0], np.zeros((0, 2)), [], [],
+                           lower=[1.0, -np.inf], upper=[np.inf, 2.0])
+    out = solve_lp(problem)
+    assert out.status == OPTIMAL
+    _check_dual(problem, out)
