@@ -45,23 +45,35 @@ class AcceptanceParseError(UsageError):
 
 @dataclass(frozen=True)
 class PolyhedralRep:
-    """Rows of {X : exists u with rows @ X + aux @ u >= rhs}.
+    """Rows of {X : exists u with rows @ X + aux @ u >= rhs, u_j >= 0 where aux_nonneg_j}.
 
     ``aux`` has zero columns for plain polyhedra; auxiliary variables appear
-    only in epigraph-style blocks (average value at risk).
+    only in epigraph-style blocks (average value at risk). ``aux_nonneg``
+    holds one flag per auxiliary column, all False (free) by default; a
+    flagged column is a variable with lower bound 0 in every LP built from
+    the block, not a row.
     """
 
     rows: np.ndarray
     aux: np.ndarray
     rhs: np.ndarray
+    aux_nonneg: np.ndarray | None = None
+    # lower bound of each auxiliary: 0 if flagged nonnegative, else -inf
+    aux_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
         object.__setattr__(self, "aux", np.asarray(self.aux, dtype=float))
         object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        nonneg = np.zeros(self.aux.shape[1], dtype=bool) if self.aux_nonneg is None \
+            else np.asarray(self.aux_nonneg, dtype=bool)
+        object.__setattr__(self, "aux_nonneg", nonneg)
         m = self.rows.shape[0]
         if self.aux.shape[0] != m or self.rhs.shape[0] != m:
             raise DimensionMismatch("polyhedral block rows disagree")
+        if nonneg.shape != (self.aux.shape[1],):
+            raise DimensionMismatch("aux_nonneg needs one flag per auxiliary column")
+        object.__setattr__(self, "aux_lower", np.where(nonneg, 0.0, -np.inf))
 
     @property
     def pure(self) -> bool:
@@ -79,28 +91,31 @@ class PolyhedralRep:
         or, with ``nonnegative``, at least zero; the LP minimises the sum of
         the coefficients, and without moves it only asks for feasibility.
         ``homogeneous`` zeroes the right-hand side, so the LP asks about the
-        recession cone of the set instead of the set.
+        recession cone of the set instead of the set; the auxiliaries keep
+        their signs, which a cone keeps too.
         """
         lhs = np.column_stack([self.rows @ d for d in moves]
                               + [-(self.rows @ kernel.T), self.aux])
         rhs = -(self.rows @ y) if homogeneous else self.rhs - self.rows @ y
         objective = np.zeros(lhs.shape[1])
         objective[:len(moves)] = 1.0
-        lower = None
+        lower = np.full(lhs.shape[1], -np.inf)
         if nonnegative:
-            lower = np.full(lhs.shape[1], -np.inf)
             lower[:len(moves)] = 0.0
+        lower[lhs.shape[1] - self.n_aux:] = self.aux_lower
         return make_problem(objective, lhs, rhs, GE, lower=lower)
 
 
 @dataclass(frozen=True)
 class RowIncidence:
-    """Which of a union's distinct ``[rows | aux | rhs]`` rows each system has.
+    """Which of a union's distinct rows each system has.
 
-    ``ids[i][k]`` numbers row k of system i among the distinct rows, and
-    ``matrix[i, r]`` says whether system i has distinct row r. A row shared
-    by two systems is the same LP row in both for any position, so an LP
-    dual supported on shared rows is feasible for every system that has them.
+    A row is its ``[rows | aux | rhs]`` entries together with the signs of
+    the auxiliary columns it touches. ``ids[i][k]`` numbers row k of system
+    i among the distinct rows, and ``matrix[i, r]`` says whether system i
+    has distinct row r. A row shared by two systems is the same LP row,
+    over columns of the same signs, in both for any position, so an LP dual
+    supported on shared rows is feasible for every system that has them.
     """
 
     ids: tuple[np.ndarray, ...]
@@ -332,8 +347,10 @@ def avar_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     """Sublevel set of average value at risk: a closed convex cone.
 
     Membership is decided by the exact staircase value. The polyhedral block
-    is the epigraph linearization with auxiliaries (t, u): u >= -X - t,
-    u >= 0 and t + E[u]/alpha <= 0, whose projection onto X is the set.
+    is the epigraph linearization with auxiliaries (t, u) of Rockafellar and
+    Uryasev: n + 1 rows u >= -X - t and t + E[u]/alpha <= 0, with u >= 0
+    carried as the sign of u_1..u_n (``aux_nonneg``) and t free; its
+    projection onto X is the set.
     """
     _check_alpha(alpha)
     n = space.n
@@ -344,17 +361,16 @@ def avar_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
         return compute_avar(space, x, alpha) <= tol
 
     # aux variables ordered (t, u_1..u_n)
-    rows = np.vstack([np.eye(n), np.zeros((n, n)), np.zeros((1, n))])
-    aux = np.zeros((2 * n + 1, n + 1))
+    rows = np.vstack([np.eye(n), np.zeros((1, n))])
+    aux = np.zeros((n + 1, n + 1))
     aux[:n, 0] = 1.0
     aux[:n, 1:] = np.eye(n)
-    aux[n:2 * n, 1:] = np.eye(n)
-    aux[2 * n, 0] = -1.0
-    aux[2 * n, 1:] = -p / alpha
-    rhs = np.zeros(2 * n + 1)
+    aux[n, 0] = -1.0
+    aux[n, 1:] = -p / alpha
+    nonneg = np.arange(n + 1) > 0   # u >= 0, t free
     return AcceptanceSet(
         dim=n, member=member, non_member=-np.ones(n),
-        kind="avar", systems=(PolyhedralRep(rows, aux, rhs),),
+        kind="avar", systems=(PolyhedralRep(rows, aux, np.zeros(n + 1), nonneg),),
         is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
@@ -391,6 +407,8 @@ def _product(per_part: list) -> tuple[tuple[PolyhedralRep, ...] | str | None,
                                        RowIncidence | None]:
     """One system per choice of a system from each part, dropping repeated polyhedra.
 
+    Two systems are the same polyhedron when their auxiliaries have the same
+    signs and they have the same distinct rows (see ``RowIncidence``).
     Returns the systems and, for more than one, their row incidence. A
     part known only through membership makes the intersection so; a
     refused part, or more than MAX_SYSTEMS choices, makes it refused.
@@ -406,9 +424,11 @@ def _product(per_part: list) -> tuple[tuple[PolyhedralRep, ...] | str | None,
     systems, ids, seen, pool = [], [], set(), {}
     for choice in itertools.product(*per_part):
         rep = _stack(choice)
-        full = np.hstack([rep.rows, rep.aux, rep.rhs[:, None]])
+        # a row also names the signs of the auxiliaries it touches (its bytes say which)
+        signs = (rep.aux != 0) & rep.aux_nonneg
+        full = np.hstack([rep.rows, rep.aux, rep.rhs[:, None], signs])
         row_ids = [pool.setdefault(row, len(pool)) for row in map(bytes, full)]
-        key = (rep.n_aux, frozenset(row_ids))
+        key = (rep.n_aux, rep.aux_nonneg.tobytes(), frozenset(row_ids))
         if key not in seen:
             seen.add(key)
             systems.append(rep)
@@ -424,7 +444,8 @@ def _stack(reps) -> PolyhedralRep:
     for rep in reps:
         aux[r0:r0 + rep.rows.shape[0], c0:c0 + rep.n_aux] = rep.aux
         r0, c0 = r0 + rep.rows.shape[0], c0 + rep.n_aux
-    return PolyhedralRep(rows, aux, np.concatenate([rep.rhs for rep in reps]))
+    return PolyhedralRep(rows, aux, np.concatenate([rep.rhs for rep in reps]),
+                         np.concatenate([rep.aux_nonneg for rep in reps]))
 
 
 def oracle_acceptance(dim: int, member: Callable[[np.ndarray], bool], non_member,

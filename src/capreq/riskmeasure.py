@@ -333,14 +333,15 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
 
     A system is skipped without an LP once a solved system's dual bounds
     it. A checked optimal dual y is supported on rows S (``_dual_bound``);
-    every system that has all of S has the same LP rows there, so y_S is a
-    feasible dual of its LP too. Its LP is then bounded, and by weak duality
-    no cheaper than b_S @ y_S. Once the incumbent is below that bound by
-    ``BOUND_MARGIN`` (relative), the system can be neither unbounded nor
-    cheaper, not even by rounding: systems that tie the incumbent exactly
-    are still solved, so the pruned scan reports the system a full scan
-    does. A certificate waits until the incumbent falls that far. A set
-    without ``incidence`` (one system) skips nothing and checks no dual.
+    every system that has all of S has the same LP rows there, over
+    auxiliaries of the same signs, so y_S is a feasible dual of its LP too.
+    Its LP is then bounded, and by weak duality no cheaper than b_S @ y_S.
+    Once the incumbent is below that bound by ``BOUND_MARGIN`` (relative),
+    the system can be neither unbounded nor cheaper, not even by rounding:
+    systems that tie the incumbent exactly are still solved, so the pruned
+    scan reports the system a full scan does. A certificate waits until the
+    incumbent falls that far. A set without ``incidence`` (one system)
+    skips nothing and checks no dual.
     """
     systems, incidence = a.systems, a.incidence
     live = np.ones(len(systems), dtype=bool)
@@ -377,11 +378,15 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
 
 
 def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
-    """(b_S @ y_S, S) for an optimal dual y of ``lp`` (min c x, A x >= b, x free), or None.
+    """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
 
-    S is where y exceeds ``tol``. The dual is checked on the LP's own
-    unscaled data: y >= -tol and |A_S^T y_S - c| <= tol * max(1, |c|)
-    entrywise. A dual that fails the check bounds nothing.
+    ``lp`` is min c x, A x >= b, each x_j free or, where its bounds are
+    [0, inf), nonnegative. S is where y exceeds ``tol``. The dual is checked
+    on the LP's own unscaled data, with r = A_S^T y_S - c and the limit
+    tol * max(1, |c|): y >= -tol, |r_j| within the limit on the other
+    columns and r_j at most the limit on nonnegative ones, where r_j < 0
+    prices a bound at 0, so the bound stays b_S @ y_S. A dual that fails
+    the check bounds nothing.
     """
     if dual.min(initial=0.0) < -tol:
         return None
@@ -389,7 +394,8 @@ def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     y = dual[support]
     c = lp.objective
     residual = lp.lhs[support].T @ y - c
-    if np.abs(residual).max() > tol * max(1.0, float(np.abs(c).max())):
+    nonneg = (lp.lower == 0.0) & (lp.upper == np.inf)
+    if np.where(nonneg, residual, np.abs(residual)).max() > tol * max(1.0, float(np.abs(c).max())):
         return None
     return float(lp.rhs[support] @ y), support
 
@@ -406,10 +412,12 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
         raise NotPolyhedral("the direct LP needs polyhedral systems")
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
+    free = np.full(s0.shape[0], -np.inf)   # portfolio weights
 
     def problem(rep: PolyhedralRep) -> LpProblem:
         return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE)
+                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE,
+                            lower=np.concatenate([free, rep.aux_lower]))
 
     out, index, scanned, pruned = _cheapest(a, problem, opts.lp_tol)
     diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}

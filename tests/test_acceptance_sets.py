@@ -315,7 +315,8 @@ class TestAvarAcceptance:
             x = rng.uniform(-3, 3, size=3)
             lhs = rep.aux
             rhs = rep.rhs - rep.rows @ x
-            problem = make_problem(np.zeros(rep.n_aux), lhs, rhs, (GE,) * lhs.shape[0])
+            problem = make_problem(np.zeros(rep.n_aux), lhs, rhs, (GE,) * lhs.shape[0],
+                                   lower=rep.aux_lower)
             block_feasible = solve_lp(problem).status == OPTIMAL
             value = compute_avar(sp, x, 0.4)
             if abs(value) > 1e-7:
@@ -345,8 +346,25 @@ class TestIntersect:
         sp = uniform_space(2)
         both = intersect([positive_cone(2), avar_acceptance(sp, 0.5)])
         assert both.only_system is not None
-        assert both.only_system.rows.shape[0] == 2 + 5
+        assert both.only_system.rows.shape[0] == 2 + 3
         assert both.only_system.n_aux == 3
+        assert both.only_system.aux_nonneg.tolist() == [False, True, True]
+
+    def test_aux_sign_keeps_systems_apart(self):
+        # blocks that differ only in an auxiliary's sign are different systems
+        signed = avar_acceptance(uniform_space(2), 0.5).only_system
+        free = ac.PolyhedralRep(signed.rows, signed.aux, signed.rhs)
+        cone = positive_cone(2).only_system
+        systems, incidence = ac._product([(signed, free), (cone,)])
+        assert [rep.aux_nonneg.tolist() for rep in systems] == [[False, True, True], [False] * 3]
+        # every AVaR row touches a u column, so none shares an id; the cone rows do
+        k = signed.rows.shape[0]
+        assert set(incidence.ids[0][:k].tolist()).isdisjoint(incidence.ids[1][:k].tolist())
+        assert incidence.ids[0][k:].tolist() == incidence.ids[1][k:].tolist()
+        # on a column no row touches, only the flags themselves keep the systems apart
+        untouched = [ac.PolyhedralRep(np.eye(2), np.zeros((2, 1)), np.zeros(2), [sign])
+                     for sign in (False, True)]
+        assert len(ac._product([tuple(untouched)])[0]) == 2
 
 
 class TestValidateAcceptance:

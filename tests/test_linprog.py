@@ -117,20 +117,15 @@ def test_round_trip_residuals():
 
 def test_weak_duality_against_internal_certificate():
     rng = np.random.default_rng(13)
-    checked = 0
     for _ in range(60):
         problem = _random_canonical(rng)
         out = solve_lp(problem)
         assert out.status == OPTIMAL
-        if out.dual is None:
-            continue
         y = out.dual
         # dual feasibility for min c x, Ax >= b, x >= 0: y >= 0, A^T y <= c
         assert np.all(y >= -1e-7)
         assert np.all(problem.lhs.T @ y <= problem.objective + 1e-7)
         assert float(problem.rhs @ y) <= out.objective_value + 1e-7
-        checked += 1
-    assert checked >= 50
 
 
 def _random_free_ge(rng):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, avar_acceptance,
-                               compute_avar, feasible_loss_sets, halfspace_acceptance,
-                               intersect, oracle_acceptance, positive_cone, var_acceptance)
+from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, PolyhedralRep,
+                               avar_acceptance, compute_avar, feasible_loss_sets,
+                               halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
+                               var_acceptance)
 from capreq.linprog import GE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
@@ -255,28 +256,42 @@ def _admissible_loss_sets(space, alpha):
 
 def _loss_set_block(n, loss_set):
     keep = [w for w in range(n) if w not in loss_set]
-    return np.eye(n)[keep], np.zeros((len(keep), 0)), np.zeros(len(keep))
+    return np.eye(n)[keep], np.zeros((len(keep), 0)), np.zeros(len(keep)), np.zeros(0, bool)
+
+
+def _lower(n_free, aux_nonneg):
+    """Bounds of n_free free columns followed by auxiliaries of the given signs."""
+    return np.concatenate([np.full(n_free, -np.inf), np.where(aux_nonneg, 0.0, -np.inf)])
+
+
+def _stack_blocks(choice):
+    """Blocks (rows, aux, rhs, aux_nonneg) stacked into one system, each with its own auxiliaries."""
+    rows = np.vstack([b[0] for b in choice])
+    aux = np.zeros((rows.shape[0], sum(b[1].shape[1] for b in choice)))
+    r0 = c0 = 0
+    for b in choice:
+        aux[r0:r0 + b[1].shape[0], c0:c0 + b[1].shape[1]] = b[1]
+        r0, c0 = r0 + b[1].shape[0], c0 + b[1].shape[1]
+    return PolyhedralRep(rows, aux, np.concatenate([b[2] for b in choice]),
+                         np.concatenate([b[3] for b in choice]))
 
 
 def _cheapest_over_choices(vm, x, choices):
     """Minimum over block choices of the direct LP with the chosen blocks' rows stacked."""
-    s0, s1 = vm.market.prices, vm.market.payoffs
-    best = POS_INF
-    for choice in choices:
-        rows = np.vstack([b[0] for b in choice])
-        aux = np.zeros((rows.shape[0], sum(b[1].shape[1] for b in choice)))
-        r0 = c0 = 0
-        for b in choice:
-            aux[r0:r0 + b[1].shape[0], c0:c0 + b[1].shape[1]] = b[1]
-            r0, c0 = r0 + b[1].shape[0], c0 + b[1].shape[1]
-        rhs = np.concatenate([b[2] for b in choice]) - rows @ x
-        c = np.concatenate([s0, np.zeros(aux.shape[1])])
-        out = solve_lp(make_problem(c, np.hstack([rows @ s1.T, aux]), rhs, GE))
-        if out.status == UNBOUNDED:
-            return NEG_INF
-        if out.status == OPTIMAL:
-            best = min(best, out.objective_value)
-    return best
+    return _unpruned_scan([_stack_blocks(c) for c in choices], _direct_problem(vm, x))[2]
+
+
+def _avar_row_form(space, alpha):
+    """The AVaR block with u >= 0 as n rows and every auxiliary free: 2n + 1 rows."""
+    n = space.n
+    rows = np.vstack([np.eye(n), np.zeros((n + 1, n))])
+    aux = np.zeros((2 * n + 1, n + 1))
+    aux[:n, 0] = 1.0
+    aux[:n, 1:] = np.eye(n)
+    aux[n:2 * n, 1:] = np.eye(n)
+    aux[2 * n, 0] = -1.0
+    aux[2 * n, 1:] = -space.probs / alpha
+    return rows, aux, np.zeros(2 * n + 1), np.zeros(n + 1, bool)
 
 
 class TestExactUnions:
@@ -338,7 +353,7 @@ class TestExactUnions:
                 other = (positive_cone(n), halfspace_acceptance(rng.uniform(0.1, 1.0, n)),
                          avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8))))[kind]
                 rep = other.only_system
-                other_choices = [(rep.rows, rep.aux, rep.rhs)]
+                other_choices = [(rep.rows, rep.aux, rep.rhs, rep.aux_nonneg)]
             a = intersect([var, other])
             x = rng.uniform(-5, 5, size=n)
             want = _cheapest_over_choices(vm, x, itertools.product(var_choices, other_choices))
@@ -355,10 +370,10 @@ class TestExactUnions:
         assert tags["finite"] >= 150 and tags["neg_inf"] >= 50, tags
 
 
-def _unpruned_scan(a, problem):
+def _unpruned_scan(systems, problem):
     """Every system's LP in order: (tag, deciding index, value, the optimal values seen)."""
     values, best, index = [], POS_INF, -1
-    for i, rep in enumerate(a.systems):
+    for i, rep in enumerate(systems):
         out = solve_lp(problem(rep))
         if out.status == UNBOUNDED:
             return "neg_inf", i, NEG_INF, values
@@ -374,7 +389,8 @@ def _direct_problem(vm, x):
     s0, s1 = vm.market.prices, vm.market.payoffs
     return lambda rep: make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
                                     np.hstack([rep.rows @ s1.T, rep.aux]),
-                                    rep.rhs - rep.rows @ x, GE)
+                                    rep.rhs - rep.rows @ x, GE,
+                                    lower=_lower(len(s0), rep.aux_nonneg))
 
 
 def _cash_problem(vm, x):
@@ -382,7 +398,8 @@ def _cash_problem(vm, x):
     def problem(rep):
         lhs = np.hstack([(rep.rows @ vm.numeraire)[:, None], -(rep.rows @ vm.kernel_basis.T),
                          rep.aux])
-        return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x, GE)
+        return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x, GE,
+                            lower=_lower(lhs.shape[1] - rep.n_aux, rep.aux_nonneg))
     return problem
 
 
@@ -433,7 +450,7 @@ class TestDualPruning:
         rng = np.random.default_rng(97)
         counts = {"finite": 0, "neg_inf": 0, "pos_inf": 0, "ties": 0, "pruned": 0}
         for a, vm, x in _union_instances(rng, 300):
-            tag, index, value, values = _unpruned_scan(a, _direct_problem(vm, x))
+            tag, index, value, values = _unpruned_scan(a.systems, _direct_problem(vm, x))
             r = rho_var_exact(a, vm, x)
             diag = r.diagnostics
             assert _tag(r.value) == tag
@@ -450,7 +467,7 @@ class TestDualPruning:
             counts["pruned"] += diag["systems_pruned"]
 
             status, m, payoff = MembershipOracle(a, vm).cash_lp(x)
-            cash_tag, _, cash_value, _ = _unpruned_scan(a, _cash_problem(vm, x))
+            cash_tag, _, cash_value, _ = _unpruned_scan(a.systems, _cash_problem(vm, x))
             assert _tag(m) == cash_tag
             if cash_tag == "finite":
                 assert abs(m - cash_value) <= 1e-9
@@ -468,7 +485,8 @@ class TestDualPruning:
         assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (6, 85)
 
     def test_incidence_numbers_rows_by_their_content(self):
-        # the skip relies on it: one id, one [rows | aux | rhs] row, in every system
+        # the skip relies on it: one id, one [rows | aux | rhs] row over auxiliaries of
+        # the same signs, in every system
         rng = np.random.default_rng(41)
         for a, _, _ in _union_instances(rng, 60):
             by_id, inc = {}, a.incidence
@@ -477,9 +495,26 @@ class TestDualPruning:
                 full = np.hstack([rep.rows, rep.aux, rep.rhs[:, None]])
                 assert len(inc.ids[i]) == full.shape[0]
                 assert set(inc.ids[i].tolist()) == set(np.flatnonzero(inc.matrix[i]).tolist())
-                for row_id, row in zip(inc.ids[i].tolist(), full):
-                    assert by_id.setdefault(row_id, row.tobytes()) == row.tobytes()
+                for row_id, row, aux in zip(inc.ids[i].tolist(), full, rep.aux):
+                    content = (row.tobytes(), tuple(rep.aux_nonneg[aux != 0].tolist()))
+                    assert by_id.setdefault(row_id, content) == content
             assert len(set(by_id.values())) == len(by_id)
+
+    def test_dual_bound_checks_one_side_on_nonnegative_columns(self):
+        # columns (w free, u >= 0); r = A_S^T y_S - c must vanish on w and be <= 0 on u
+        def lp(rows, rhs, lower_u):
+            return make_problem([1.0, 0.0], rows, rhs, GE, lower=[-np.inf, lower_u])
+
+        # min w s.t. w + u >= 5, w >= 2: optimum 2 at (2, 3)
+        signed = lp([[1.0, 1.0], [1.0, 0.0]], [5.0, 2.0], 0.0)
+        assert rm._dual_bound(signed, np.array([1.0, 0.0]), 1e-8) is None   # r_u = 1 > 0
+        bound, support = rm._dual_bound(signed, np.array([0.0, 1.0]), 1e-8)
+        assert bound == 2.0 and support.tolist() == [1]
+        # min w s.t. w - u >= 0, w >= 2: y = (1/2, 1/2) has r_u = -1/2, a bound only if u >= 0
+        rows = [[1.0, -1.0], [1.0, 0.0]]
+        half = np.array([0.5, 0.5])
+        assert rm._dual_bound(lp(rows, [0.0, 2.0], 0.0), half, 1e-8)[0] == 1.0
+        assert rm._dual_bound(lp(rows, [0.0, 2.0], -np.inf), half, 1e-8) is None
 
     def test_one_system_does_no_certificate_work(self, two_state_market):
         for a in (positive_cone(2), var_acceptance(two_state_market.space, 0.1),
@@ -487,6 +522,43 @@ class TestDualPruning:
             assert len(a.systems) == 1 and a.incidence is None
             r = rho_direct_lp(a, two_state_market, [-1.0, 2.0])
             assert r.diagnostics["systems_pruned"] == 0
+
+
+class TestAvarSignAsBound:
+    """AVaR with u >= 0 as the sign of u answers as the row form, u >= 0 as n rows and u free."""
+
+    def test_matches_row_form(self):
+        rng = np.random.default_rng(101)
+        tags = {"finite": 0, "neg_inf": 0, "pos_inf": 0}
+        for n in range(2, 17):
+            for kind in ("avar", "cone", "var"):
+                vm = random_market(rng, n_states=n)
+                alpha = float(rng.uniform(0.1, 0.9))
+                avar, row_form = avar_acceptance(vm.space, alpha), _avar_row_form(vm.space, alpha)
+                if kind == "avar":
+                    a, choices = avar, [(row_form,)]
+                elif kind == "cone":
+                    a = intersect([positive_cone(n), avar])
+                    choices = [(_loss_set_block(n, ()), row_form)]
+                else:
+                    var_alpha = float(rng.uniform(0.05, 0.25))
+                    a = intersect([var_acceptance(vm.space, var_alpha), avar])
+                    choices = [(_loss_set_block(n, j), row_form)
+                               for j in feasible_loss_sets(vm.space, var_alpha)]
+                reps = [_stack_blocks(c) for c in choices]
+                # the same systems, each n rows u >= 0 shorter
+                assert [rep.rows.shape[0] + n for rep in a.systems] == [r.rows.shape[0] for r in reps]
+                x = rng.uniform(-5, 5, size=n)
+                direct = _unpruned_scan(reps, _direct_problem(vm, x))
+                cash = _unpruned_scan(reps, _cash_problem(vm, x))
+                for r, (tag, _, want, _) in ((solve_rho(a, vm, x), direct),
+                                             (rho_reduction(a, vm, x), cash)):
+                    assert _tag(r.value) == tag
+                    if tag == "finite":
+                        assert abs(r.value - want) <= 1e-9 * max(1.0, abs(want))
+                        assert not r.attained or a.member(x + r.optimal_payoff)
+                tags[direct[0]] += 1
+        assert tags["finite"] >= 20 and tags["neg_inf"] >= 5, tags
 
 
 class TestDomainClassify:
