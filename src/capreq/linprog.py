@@ -430,10 +430,3 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     orig = start[:n]
     dual = (cost[orig] - tableau[-1, orig]) * mult[:n] / row_scale[:n] + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots)
-
-
-def feasible(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> bool:
-    """True iff the constraint system admits a point (zero-objective solve)."""
-    zero_obj = LpProblem(np.zeros(problem.n_cols), problem.lhs, problem.rhs,
-                         problem.senses, problem.lower, problem.upper)
-    return solve_lp(zero_obj, tol=tol).status == OPTIMAL

@@ -170,11 +170,6 @@ class ValidatedMarket:
         return x
 
 
-def kernel_basis(vm: ValidatedMarket) -> list[np.ndarray]:
-    """Independent eligible payoffs of price zero (dim(M) - 1 of them)."""
-    return [vm.kernel_basis[i].copy() for i in range(vm.kernel_basis.shape[0])]
-
-
 def validate_market(raw: Market, tol: float = 1e-9, numeraire=None,
                     require_secure: bool = True) -> ValidatedMarket:
     """Check structural invariants and derive the pricing machinery.

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreq.linprog import (GE, LE, EQ, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                            LpProblem, MalformedProblem, feasible,
-                            make_problem, solve_lp)
+                            LpProblem, MalformedProblem, make_problem, solve_lp)
 
 
 def test_single_active_bound():
@@ -34,8 +33,8 @@ def test_contradictory_rows_infeasible():
 
 
 def test_feasible_true_false():
-    assert feasible(make_problem([0.0], np.zeros((0, 1)), [], [], lower=[0.0]))
-    assert not feasible(make_problem([0.0], [[1.0], [1.0]], [1.0, 0.0], [GE, LE]))
+    assert solve_lp(make_problem([0.0], np.zeros((0, 1)), [], [], lower=[0.0])).status == OPTIMAL
+    assert solve_lp(make_problem([0.0], [[1.0], [1.0]], [1.0, 0.0], [GE, LE])).status == INFEASIBLE
 
 
 def test_feasible_random_system_with_interior_point():
@@ -44,7 +43,7 @@ def test_feasible_random_system_with_interior_point():
         a = rng.normal(size=(3, 3))
         x0 = rng.uniform(-2, 2, size=3)
         b = a @ x0 - 1.0  # x0 satisfies every row with slack 1
-        assert feasible(make_problem(np.zeros(3), a, b, [GE] * 3))
+        assert solve_lp(make_problem(np.zeros(3), a, b, [GE] * 3)).status == OPTIMAL
 
 
 def test_equality_rows():

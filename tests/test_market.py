@@ -9,7 +9,7 @@ from capreq import CapreqError
 from capreq.market import (BadNumeraire, BadSecureAsset, Market, MarketError,
                            MarketParseError, RankDeficient, NotInSpan,
                            ScenarioSpace, check_monotone_pricing,
-                           check_no_arbitrage, kernel_basis, load_market,
+                           check_no_arbitrage, load_market,
                            uniform_space, validate_market)
 from conftest import random_market
 
@@ -110,17 +110,17 @@ class TestPricing:
 class TestKernel:
     def test_half_price_kernel_direction(self, half_price_market):
         # price = (z1 + z2) / 2, so the kernel is spanned by (1, -1)
-        (k,) = kernel_basis(half_price_market)
+        (k,) = half_price_market.kernel_basis
         assert abs(k[0] + k[1]) < 1e-9
         assert abs(k[0]) > 0.1
 
     def test_numeraire_line_kernel(self, numeraire_line_market):
-        (k,) = kernel_basis(numeraire_line_market)
+        (k,) = numeraire_line_market.kernel_basis
         assert abs(abs(k[1]) - 1.0) < 1e-9
         assert abs(k[0]) < 1e-12 and abs(k[2]) < 1e-9
 
     def test_kernel_prices_to_zero(self, two_state_market):
-        for k in kernel_basis(two_state_market):
+        for k in two_state_market.kernel_basis:
             assert two_state_market.price(k) == pytest.approx(0.0, abs=1e-9)
 
     def test_kernel_dimension(self):

@@ -17,8 +17,7 @@ from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 NotPolyhedral, POS_INF, SolveOptions,
                                 domain_classify, extreal_str,
                                 induced_rho_acceptance, is_finite,
-                                member_a_plus_kernel, rho_direct_lp,
-                                rho_reduction, rho_var_exact, solve_rho)
+                                rho_direct_lp, rho_reduction, rho_var_exact, solve_rho)
 from conftest import corner_acceptance_r3, loadable_sets, random_market
 
 BAND = 10 * DEFAULT_OPTIONS.bisect_tol
@@ -28,16 +27,17 @@ class TestMembership:
     def test_halfplane_whole_space(self, half_price_market):
         # the halfplane fattened by the pricing kernel covers everything
         a = halfspace_acceptance([1.0, 0.0])
-        assert member_a_plus_kernel(a, half_price_market, [-9.0, 0.0])
+        assert MembershipOracle(a, half_price_market).contains([-9.0, 0.0])
 
     def test_already_acceptable(self, two_state_market):
-        assert member_a_plus_kernel(positive_cone(2), two_state_market, [1.0, 1.0])
+        assert MembershipOracle(positive_cone(2), two_state_market).contains([1.0, 1.0])
 
     def test_interval_arithmetic_case(self, half_price_market):
         # k = t (1, -1): need -1 - t >= 0 and 3 + t >= 0, so t in [-3, -1]
         a = positive_cone(2)
-        assert member_a_plus_kernel(a, half_price_market, [-1.0, 3.0])
-        assert not member_a_plus_kernel(a, half_price_market, [-3.0, 1.0])
+        oracle = MembershipOracle(a, half_price_market)
+        assert oracle.contains([-1.0, 3.0])
+        assert not oracle.contains([-3.0, 1.0])
 
     def test_var_enumeration_limit(self):
         vm = random_market(np.random.default_rng(37), n_states=17, n_risky=1)
@@ -384,6 +384,59 @@ def _unpruned_scan(systems, problem):
     return ("finite" if index >= 0 else "pos_inf"), index, best, values
 
 
+def _index_order_scan(a, problem):
+    """LPs solved by a scan in index order with the same skip rule as ``_cheapest``.
+
+    Each system in turn, skipped once the incumbent has fallen to the level
+    of a checked dual that covers it; the first unbounded system ends it.
+    """
+    inc, tol = a.incidence, DEFAULT_OPTIONS.lp_tol
+    live, certified, best, scanned = np.ones(len(a.systems), dtype=bool), [], POS_INF, 0
+    for i, rep in enumerate(a.systems):
+        if not live[i]:
+            continue
+        lp = problem(rep)
+        out = solve_lp(lp, tol=tol)
+        scanned += 1
+        if out.status == UNBOUNDED:
+            break
+        if out.status != OPTIMAL:
+            continue
+        best = min(best, out.objective_value)
+        certificate = rm._dual_bound(lp, out.dual, tol)
+        if certificate is not None:
+            bound, support = certificate
+            certified.append((bound - rm.BOUND_MARGIN * max(1.0, abs(bound)),
+                              inc.matrix[:, inc.ids[i][support]].all(axis=1)))
+        for level, covered in certified:
+            if best <= level:
+                live &= ~covered
+    return scanned
+
+
+def _record_solve_order(monkeypatch):
+    """A list that records, in solve order, the index of each system whose LP ``rm`` solves."""
+    order, system_of = [], {}
+    cheapest, solve = rm._cheapest, rm.solve_lp
+
+    def tagged(a, problem, tol):
+        index = {id(rep): i for i, rep in enumerate(a.systems)}
+
+        def build(rep):
+            lp = problem(rep)
+            system_of[id(lp)] = index[id(rep)]
+            return lp
+        return cheapest(a, build, tol)
+
+    def recorded(lp, *args, **kwargs):
+        order.append(system_of[id(lp)])
+        return solve(lp, *args, **kwargs)
+
+    monkeypatch.setattr(rm, "_cheapest", tagged)
+    monkeypatch.setattr(rm, "solve_lp", recorded)
+    return order
+
+
 def _direct_problem(vm, x):
     """The direct LP over portfolio weights and auxiliaries of one system."""
     s0, s1 = vm.market.prices, vm.market.payoffs
@@ -482,7 +535,49 @@ class TestDualPruning:
         a = var_acceptance(vm.space, 2 / 14)
         r = rho_var_exact(a, vm, rng.uniform(-5, 5, size=14))
         assert len(a.systems) == 91
-        assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (6, 85)
+        assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (5, 86)
+
+    def test_never_more_lps_than_the_index_order_scan(self):
+        fewer = total = index_order_total = 0
+        for a, vm, x in _union_instances(np.random.default_rng(97), 300):
+            want = _index_order_scan(a, _direct_problem(vm, x))
+            got = rho_var_exact(a, vm, x).diagnostics["loss_sets_scanned"]
+            assert got <= want
+            fewer += got < want
+            total, index_order_total = total + got, index_order_total + want
+        assert fewer >= 50, (fewer, total, index_order_total)
+
+    def test_ties_met_out_of_order_keep_the_earliest_system(self, monkeypatch):
+        # exactly tied optima are met out of order only where rounding leaves a covering
+        # system's optimum a few ulps above theirs, within the margin; seed 102 has one
+        order, out_of_order = _record_solve_order(monkeypatch), 0
+        for a, vm, x in _union_instances(np.random.default_rng(102), 300):
+            problem = _direct_problem(vm, x)
+            tag, index, value, _ = _unpruned_scan(a.systems, problem)
+            order.clear()
+            r = rho_var_exact(a, vm, x)
+            if tag != "finite":
+                continue
+            assert r.diagnostics["system"] == index
+            # a later system with the same optimum, bit for bit, solved before the reported one
+            before = order[:order.index(index)]
+            out_of_order += any(k > index and solve_lp(problem(a.systems[k])).objective_value
+                                == value for k in before)
+        assert out_of_order >= 1
+
+    def test_first_unbounded_system_met_after_covered_ones_is_a_full_scans(self, monkeypatch):
+        order, out_of_order = _record_solve_order(monkeypatch), 0
+        for a, vm, x in _union_instances(np.random.default_rng(97), 300):
+            tag, index, _, _ = _unpruned_scan(a.systems, _direct_problem(vm, x))
+            order.clear()
+            r = rho_var_exact(a, vm, x)
+            if tag != "neg_inf":
+                continue
+            assert r.diagnostics["unbounded_loss_set"] == index == order[-1]
+            # more earlier systems left unsolved than pruned: some were covered, not yet solved
+            earlier_unsolved = index - sum(i < index for i in order)
+            out_of_order += earlier_unsolved > r.diagnostics["systems_pruned"]
+        assert out_of_order >= 1
 
     def test_incidence_numbers_rows_by_their_content(self):
         # the skip relies on it: one id, one [rows | aux | rhs] row over auxiliaries of
@@ -516,12 +611,25 @@ class TestDualPruning:
         assert rm._dual_bound(lp(rows, [0.0, 2.0], 0.0), half, 1e-8)[0] == 1.0
         assert rm._dual_bound(lp(rows, [0.0, 2.0], -np.inf), half, 1e-8) is None
 
-    def test_one_system_does_no_certificate_work(self, two_state_market):
+    def test_one_system_does_no_certificate_work(self, two_state_market, monkeypatch):
+        solves, real = [], rm.solve_lp
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        def no_certificate(*args):
+            raise AssertionError("a one-system set checks no dual")
+
+        monkeypatch.setattr(rm, "solve_lp", counting)
+        monkeypatch.setattr(rm, "_dual_bound", no_certificate)
         for a in (positive_cone(2), var_acceptance(two_state_market.space, 0.1),
                   intersect([positive_cone(2), avar_acceptance(two_state_market.space, 0.5)])):
             assert len(a.systems) == 1 and a.incidence is None
+            solves.clear()
             r = rho_direct_lp(a, two_state_market, [-1.0, 2.0])
-            assert r.diagnostics["systems_pruned"] == 0
+            assert len(solves) == 1
+            assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (1, 0)
 
 
 class TestAvarSignAsBound:
