@@ -83,6 +83,15 @@ class PolyhedralRep:
     def n_aux(self) -> int:
         return self.aux.shape[1]
 
+    def rhs_at(self, y) -> np.ndarray:
+        """rhs - rows @ y: the right-hand side of every LP of this block at position y.
+
+        ``lp`` builds its right-hand side with it, so an LP kept from an
+        earlier position and re-solved with ``LpProblem.with_rhs(rhs_at(y))``
+        is the one ``lp`` builds at y, bit for bit.
+        """
+        return self.rhs - self.rows @ y
+
     def lp(self, y, kernel, moves=(), homogeneous: bool = False,
            nonnegative: bool = False) -> LpProblem:
         """The LP over (m, c, aux) for y + moves^T m - kernel^T c in this system.
@@ -96,7 +105,7 @@ class PolyhedralRep:
         """
         lhs = np.column_stack([self.rows @ d for d in moves]
                               + [-(self.rows @ kernel.T), self.aux])
-        rhs = -(self.rows @ y) if homogeneous else self.rhs - self.rows @ y
+        rhs = -(self.rows @ y) if homogeneous else self.rhs_at(y)
         objective = np.zeros(lhs.shape[1])
         objective[:len(moves)] = 1.0
         lower = np.full(lhs.shape[1], -np.inf)

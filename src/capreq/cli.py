@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import CapreqError, UsageError, verify
+from . import CapreqError, UsageError
 from .acceptance import load_acceptance
 from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
                      load_market, validate_market)
@@ -253,6 +253,8 @@ _SUITES = ("axioms", "levelsets", "domain", "degeneracy", "all")
 
 
 def cmd_properties(args) -> int:
+    from . import verify   # only this command needs the harness; other commands skip its import
+
     vm = _load_validated_market(args.market, args.tol)
     a = load_acceptance(_read_file(args.acceptance), vm.space)
     opts = _options_from_args(args)

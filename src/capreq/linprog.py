@@ -23,12 +23,18 @@ is a unit column of the scaled rows, so the optimal dual is read off the
 final reduced-cost row (Chvatal 1983, ch. 5) with no second solve.
 
 At these sizes a call costs Python and numpy call overhead, not
-arithmetic, so the per-call work is whole-array: validation, the standard
-form, the read-out of the point, ray and dual, and both certificates make
-a fixed number of numpy calls whatever the row and column counts, and a
-pivot is a fixed handful of array operations. Python loops remain only
-over the columns that can start basic and over the auxiliary columns
-still basic after phase 1.
+arithmetic, so the work is split by what it depends on. Once per matrix,
+when an ``LpProblem`` is built: validation, the encoding of the bounds,
+the unscaled standard block and objective, the objective constant,
+lhs @ shift, each row's largest entry and the singleton columns with
+their rows (``_Standard``). ``LpProblem.with_rhs`` shares all of it, so a
+matrix re-solved for many right-hand sides pays for it once. On every
+call: the right-hand side, the row scales and the scaled block, the start
+basis (chosen on Python scalars: the candidates are few), both phases,
+the certificates and the dual. Phase 1 is skipped when no row starts on
+an auxiliary column, and the tableau is copied only when a redundant row
+is dropped. The array work is whole-array, and a pivot is a fixed handful
+of array operations.
 """
 
 from __future__ import annotations
@@ -71,7 +77,14 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  lower <= x <= upper."""
+    """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  lower <= x <= upper.
+
+    Construction validates the data and derives, once, the part of the
+    standard form that ignores ``rhs`` (``_Standard``), so the arrays must
+    not change afterwards. ``with_rhs`` gives the same problem with another
+    right-hand side, sharing that part: re-solving one matrix for many
+    right-hand sides validates and standardises it once.
+    """
 
     objective: np.ndarray
     lhs: np.ndarray
@@ -81,6 +94,7 @@ class LpProblem:
     upper: np.ndarray
     # per-row slack coefficient, int8: +1 for "<=", 0 for "=", -1 for ">="
     _sign: np.ndarray = field(init=False, repr=False, compare=False)
+    _std: _Standard = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1), ("lower", 1), ("upper", 1)):
@@ -104,6 +118,18 @@ class LpProblem:
             raise MalformedProblem("objective, lhs and rhs must be finite")
         if np.count_nonzero(np.isnan(self.lower)) or np.count_nonzero(np.isnan(self.upper)):
             raise MalformedProblem("bounds must not be NaN")
+        object.__setattr__(self, "_std", _Standard(self))
+
+    def with_rhs(self, rhs) -> LpProblem:
+        """This problem with right-hand side ``rhs``; only ``rhs`` is validated."""
+        b = _as_float_array(rhs, "rhs", 1)
+        if b.shape != self.rhs.shape:
+            raise MalformedProblem("rhs/senses length does not match row count")
+        if np.count_nonzero(np.isfinite(b)) < b.size:
+            raise MalformedProblem("objective, lhs and rhs must be finite")
+        twin = object.__new__(LpProblem)
+        twin.__dict__.update(self.__dict__, rhs=b)
+        return twin
 
     @property
     def n_rows(self) -> int:
@@ -148,63 +174,93 @@ class LpOutcome:
     pivots: int = 0
 
 
-class _Encoding:
-    """Affine map from nonnegative standard variables u back to the original ones.
+class _Standard:
+    """What ``solve_lp`` derives from a problem's data other than its right-hand side.
 
-    Column j is x_j = shift_j + sign_j * u[first_j]: shift = lower and
-    sign = +1 when the lower bound is finite (a finite upper bound then
-    adds the row u[first_j] <= upper - lower; those columns are
-    ``capped``), shift = upper and sign = -1 when only the upper bound is.
-    A ``free`` column is x_j = u[first_j] - u[second], second = first_j + 1.
+    The problem becomes min c @ u s.t. a @ u = b, u >= 0, where b is rhs -
+    lhs @ shift followed by the right-hand sides of the bound rows. Column j
+    is x_j = shift_j + sign_j * u[first_j]: shift = lower and sign = +1 when
+    the lower bound is finite (a finite upper bound then adds the bound row
+    u[first_j] <= upper - lower; those columns are ``capped``), shift =
+    upper and sign = -1 when only the upper bound is. A ``free`` column is
+    x_j = u[first_j] - u[second], second = first_j + 1. One slack per
+    inequality row and per bound row follows. Without upper bounds and
+    shifts, ``sign`` and ``lhs_shift`` are None and the objective constant
+    is 0.
+
+    ``row_max`` holds each row's largest |a|, which row equilibration
+    needs, and ``singletons`` the candidates for the start basis: the
+    columns nonzero in one row only, in order, with those rows and entries
+    (three lists). Dividing a row by its scale can underflow an entry below
+    1e-15 to zero, which makes more columns singletons; a block with such
+    an entry is ``fragile`` and its singletons are found again per call.
     """
 
+    __slots__ = ("infeasible_bounds", "free", "first", "second", "shift", "sign", "a", "c",
+                 "cap_rhs", "lhs_shift", "obj_const", "row_max", "singletons", "fragile")
+
     def __init__(self, problem: LpProblem):
-        lower, upper = problem.lower, problem.upper
+        lhs, lower, upper = problem.lhs, problem.lower, problem.upper
         has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
         self.infeasible_bounds = np.count_nonzero(lower > upper) > 0
         self.free = ~(has_lo | has_hi)
         hi_only = has_hi > has_lo
-        self.width = self.free + 1   # standard columns per original column
-        self.first = self.width.cumsum() - self.width
+        width = self.free + 1   # standard columns per original column
+        self.first = width.cumsum() - width
         self.second = self.first[self.free] + 1
-        self.sign = np.where(hi_only, -1.0, 1.0)
-        self.std_sign = self.sign.repeat(self.width)   # sign of each standard column
-        self.std_sign[self.second] = -1.0
         self.shift = np.where(has_lo, lower, np.where(hi_only, upper, 0.0))
-        self.capped = (has_lo & has_hi).nonzero()[0]
+        plain = np.count_nonzero(has_hi) + np.count_nonzero(self.shift) == 0
+        sign = np.where(hi_only, -1.0, 1.0)
+        self.sign = None if plain else sign
+        std_sign = sign.repeat(width)   # sign of each standard column
+        std_sign[self.second] = -1.0
+        capped = (has_lo & has_hi).nonzero()[0]
+        m, n_std = problem.n_rows, len(std_sign)
+        ineq = problem._sign.nonzero()[0]
+        n_ineq, n_cap = len(ineq), len(capped)
+        a = np.zeros((m + n_cap, n_std + n_ineq + n_cap))
+        self.c = np.zeros(n_std + n_ineq + n_cap)
+        # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
+        a[:m, :n_std] = lhs.repeat(width, axis=1) * std_sign + 0.0
+        self.c[:n_std] = problem.objective.repeat(width) * std_sign + 0.0
+        a[ineq, np.arange(n_std, n_std + n_ineq)] = problem._sign[ineq]
+        self.cap_rhs = None
+        if n_cap:
+            cap_rows = np.arange(m, m + n_cap)
+            a[cap_rows, self.first[capped]] = 1.0
+            a[cap_rows, np.arange(n_std + n_ineq, n_std + n_ineq + n_cap)] = 1.0
+            self.cap_rhs = upper[capped] - lower[capped]
+        self.a = a
+        # lhs @ 0 is +0.0 and rhs - 0.0 is rhs, so a zero shift is skipped
+        self.lhs_shift = None if plain else lhs @ self.shift
+        # sequential sum in column order from +0.0, the value a scalar loop gives
+        self.obj_const = 0.0 if plain \
+            else 0.0 + float(np.cumsum(problem.objective * self.shift)[-1])
+        size = np.abs(a)
+        self.row_max = size.max(axis=1)
+        nonzero = a != 0.0
+        self.singletons = _singletons(nonzero, a)
+        self.fragile = np.count_nonzero(size < 1e-15) + np.count_nonzero(nonzero) > a.size
 
     def to_original(self, x_std: np.ndarray) -> np.ndarray:
-        x = self.shift + self.sign * x_std[self.first]
-        x[self.free] = x_std[self.second - 1] - x_std[self.second]
+        u = x_std[self.first]
+        x = self.shift + (u if self.sign is None else self.sign * u)
+        if len(self.second):
+            x[self.free] = x_std[self.second - 1] - x_std[self.second]
         return x
 
     def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
-        d = self.sign * d_std[self.first]
-        d[self.free] = d_std[self.second - 1] - d_std[self.second]
+        d = d_std[self.first] if self.sign is None else self.sign * d_std[self.first]
+        if len(self.second):
+            d[self.free] = d_std[self.second - 1] - d_std[self.second]
         return d
 
 
-def _standardize(problem: LpProblem):
-    """Rewrite as min c_std @ u s.t. A_std @ u = b_std, u >= 0 (b possibly negative)."""
-    enc = _Encoding(problem)
-    m, n_std = problem.n_rows, len(enc.std_sign)
-    ineq, capped = problem._sign.nonzero()[0], enc.capped
-    n_ineq, n_cap = len(ineq), len(capped)
-    a_std = np.zeros((m + n_cap, n_std + n_ineq + n_cap))
-    c_std = np.zeros(n_std + n_ineq + n_cap)
-    # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
-    a_std[:m, :n_std] = problem.lhs.repeat(enc.width, axis=1) * enc.std_sign + 0.0
-    c_std[:n_std] = problem.objective.repeat(enc.width) * enc.std_sign + 0.0
-    a_std[ineq, np.arange(n_std, n_std + n_ineq)] = problem._sign[ineq]
-    b_std = problem.rhs - problem.lhs @ enc.shift
-    if n_cap:
-        cap_rows = np.arange(m, m + n_cap)
-        a_std[cap_rows, enc.first[capped]] = 1.0
-        a_std[cap_rows, np.arange(n_std + n_ineq, n_std + n_ineq + n_cap)] = 1.0
-        b_std = np.concatenate((b_std, problem.upper[capped] - problem.lower[capped]))
-    # sequential sum in column order from +0.0, the value a scalar loop gives
-    obj_const = 0.0 + float(np.cumsum(problem.objective * enc.shift)[-1])
-    return enc, a_std, b_std, c_std, obj_const
+def _singletons(nonzero: np.ndarray, a: np.ndarray) -> tuple[list, list, list]:
+    """Columns with one ``nonzero`` entry, in order, with that entry's row and value in ``a``."""
+    cols = (nonzero.sum(axis=0) == 1).nonzero()[0]
+    rows = nonzero[:, cols].T.nonzero()[1]  # the one row each such column touches
+    return cols.tolist(), rows.tolist(), a[rows, cols].tolist()
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -245,17 +301,6 @@ def _run_simplex(tableau, basis, pivot_tol, n_priced):
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise NumericalBreakdown("pivot budget exhausted")
-
-
-def _claim_rows(basis, mult, rows, cols, vals, take) -> None:
-    """Start column ``cols[k]`` basic in row ``rows[k]`` for each taken k whose row is free.
-
-    Candidates come in increasing column order, so the lowest column wins.
-    """
-    for i, j, v in zip(rows[take].tolist(), cols[take].tolist(), vals[take].tolist()):
-        if basis[i] < 0:
-            basis[i] = j
-            mult[i] = 1.0 / v
 
 
 def _rows_violated(problem, row_values, limit) -> bool:
@@ -300,15 +345,18 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     if tol <= 0 or pivot_tol <= 0:
         raise MalformedProblem("tolerances must be positive")
 
-    enc, a_std, b_std, c_std, obj_const = _standardize(problem)
-    if enc.infeasible_bounds:
+    std = problem._std
+    if std.infeasible_bounds:
         return LpOutcome(status=INFEASIBLE)
 
-    m, n_std = a_std.shape
+    b_std = problem.rhs if std.lhs_shift is None else problem.rhs - std.lhs_shift
+    if std.cap_rhs is not None:
+        b_std = np.concatenate((b_std, std.cap_rhs))
+    m, n_std = std.a.shape
     # per-row equilibration keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^40) entries)
-    row_scale = np.maximum(1.0, np.maximum(np.abs(a_std).max(axis=1), np.abs(b_std)))
-    a_std = a_std / row_scale[:, None]
+    row_scale = np.maximum(1.0, np.maximum(std.row_max, np.abs(b_std)))
+    a_std = std.a / row_scale[:, None]
     b_std = b_std / row_scale
 
     # slack starting basis: a column whose only nonzero lies in row i starts
@@ -318,88 +366,97 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     # start basic anyway, below zero, and the rows share one auxiliary
     # column x0 (with two rows its opening pivot saves no pivot). Every
     # other row is flipped to b_i >= 0 and gets an artificial column.
-    mult = np.where(b_std < 0, -1.0, 1.0)
+    # Python scalars: the candidates are few, and each value is the scaled
+    # entry, divided as numpy divides it
+    scale, b = row_scale.tolist(), b_std.tolist()
+    mult = [-1.0 if v < 0 else 1.0 for v in b]
     basis = [-1] * m
-    nonzero = a_std != 0.0
-    cols = (nonzero.sum(axis=0) == 1).nonzero()[0]
-    rows = nonzero[:, cols].T.nonzero()[1]  # the one row each such column touches
-    vals = a_std[rows, cols]
-    usable = np.abs(vals) > pivot_tol
-    right = (vals * mult[rows] > 0) | (b_std[rows] == 0.0)
-    _claim_rows(basis, mult, rows, cols, vals, usable & right)
-    wrong = usable & ~right
-    shared = np.zeros(m, dtype=bool)
-    shared[rows[wrong]] = True
-    sharing = (shared & (np.array(basis) < 0)).nonzero()[0]
+    wrong = []
+    for j, i, v in zip(*(_singletons(a_std != 0.0, std.a) if std.fragile else std.singletons)):
+        v /= scale[i]
+        if abs(v) <= pivot_tol:
+            continue
+        if b[i] == 0.0 or (v > 0) == (b[i] > 0):
+            if basis[i] < 0:
+                basis[i], mult[i] = j, 1.0 / v
+        else:
+            wrong.append((j, i, v))
+    sharing = sorted({i for _, i, _ in wrong if basis[i] < 0})
     if len(sharing) >= 3:
-        _claim_rows(basis, mult, rows, cols, vals, wrong)
+        for j, i, v in wrong:
+            if basis[i] < 0:
+                basis[i], mult[i] = j, 1.0 / v
     else:
-        sharing = sharing[:0]
+        sharing = []
+    mult = np.array(mult)
     a_std = a_std * mult[:, None]
     b_std = b_std * mult
+    art_rows = [i for i in range(m) if basis[i] < 0]
+    for k, i in enumerate(art_rows):
+        basis[i] = n_std + k
     basis = np.array(basis, dtype=np.intp)
-    art_rows = (basis < 0).nonzero()[0]
-    basis[art_rows] = n_std + np.arange(len(art_rows))
-    start = basis.copy()   # column e_i of each scaled row, kept for the dual
+    start = basis[:problem.n_rows].copy()   # column e_i of each scaled row, kept for the dual
 
     # columns: standard | artificials | x0 when shared | right-hand side
     x0 = n_std + len(art_rows)
-    tableau = np.zeros((m + 1, x0 + (len(sharing) > 0) + 1))
+    tableau = np.zeros((m + 1, x0 + bool(sharing) + 1))
     tableau[:m, :n_std] = a_std
     tableau[:m, -1] = b_std
-    tableau[art_rows, basis[art_rows]] = 1.0
-    # phase-1 reduced costs of x0 + sum of artificials: artificial rows
-    # subtracted from their unit costs
-    tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
-    tableau[-1, -1] = -b_std[art_rows].sum()
     pivots = 0
-    if len(sharing):
-        # x0 has entry -1 in each sharing row as equilibrated above, so
-        # -|mult_i| once the row is divided by its singleton. It enters where
-        # the equilibrated b_i is most negative (lowest row on ties): every
-        # basic value is then nonnegative, and the pivot's rounding stays at
-        # each row's own scale
-        weight = np.abs(mult[sharing])
-        tableau[sharing, x0] = -weight
-        tableau[-1, x0] = 1.0
-        entry = sharing[(b_std[sharing] / weight).argmin()]
-        _pivot(tableau, entry, x0)
-        basis[entry] = x0
-        pivots = 1
+    if art_rows or sharing:
+        if art_rows:
+            tableau[art_rows, range(n_std, x0)] = 1.0
+            # phase-1 reduced costs of x0 + sum of artificials: artificial
+            # rows subtracted from their unit costs
+            tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
+            tableau[-1, -1] = -b_std[art_rows].sum()
+        if sharing:
+            # x0 has entry -1 in each sharing row as equilibrated above, so
+            # -|mult_i| once the row is divided by its singleton. It enters
+            # where the equilibrated b_i is most negative (lowest row on
+            # ties): every basic value is then nonnegative, and the pivot's
+            # rounding stays at each row's own scale
+            sharing = np.array(sharing)
+            weight = np.abs(mult[sharing])
+            tableau[sharing, x0] = -weight
+            tableau[-1, x0] = 1.0
+            entry = sharing[(b_std[sharing] / weight).argmin()]
+            _pivot(tableau, entry, x0)
+            basis[entry] = x0
+            pivots = 1
 
-    # only the first n_std columns are priced in either phase, so x0 and the
-    # artificials never re-enter once they leave
-    status = _run_simplex(tableau, basis, pivot_tol, n_std)
-    pivots += status[-1]
-    phase1_value = -tableau[-1, -1]
-    if phase1_value > tol:
-        # infeasibility certificate: phase-1 optimum is positive and its
-        # reduced costs are nonnegative, so no feasible point exists
-        if np.count_nonzero(tableau[-1, :n_std] < -10 * pivot_tol):
-            raise NumericalBreakdown("phase-1 terminated without optimality certificate")
-        return LpOutcome(status=INFEASIBLE, pivots=pivots)
+        # only the first n_std columns are priced in either phase, so x0 and
+        # the artificials never re-enter once they leave
+        pivots += _run_simplex(tableau, basis, pivot_tol, n_std)[-1]
+        if -tableau[-1, -1] > tol:
+            # infeasibility certificate: phase-1 optimum is positive and its
+            # reduced costs are nonnegative, so no feasible point exists
+            if np.count_nonzero(tableau[-1, :n_std] < -10 * pivot_tol):
+                raise NumericalBreakdown("phase-1 terminated without optimality certificate")
+            return LpOutcome(status=INFEASIBLE, pivots=pivots)
 
-    # drive leftover auxiliaries out of the basis; drop redundant rows.
-    # Their values are below the feasibility tolerance, so clamp to zero
-    # first: pivoting a nonzero residual through a small entry would amplify
-    # it onto a structural variable.
-    for i in (basis >= n_std).nonzero()[0].tolist():
-        entries = np.abs(tableau[i, :n_std])
-        best = entries.argmax()
-        if entries[best] > pivot_tol:
-            tableau[i, -1] = 0.0
-            _pivot(tableau, i, best)
-            basis[i] = best
-        # else: redundant constraint, row dropped below
-    keep = (basis < n_std).nonzero()[0]
-    tableau = tableau[np.append(keep, m)]
-    basis = basis[keep]
+        # drive leftover auxiliaries out of the basis; drop redundant rows.
+        # Their values are below the feasibility tolerance, so clamp to zero
+        # first: pivoting a nonzero residual through a small entry would
+        # amplify it onto a structural variable.
+        for i in (basis >= n_std).nonzero()[0].tolist():
+            entries = np.abs(tableau[i, :n_std])
+            best = entries.argmax()
+            if entries[best] > pivot_tol:
+                tableau[i, -1] = 0.0
+                _pivot(tableau, i, best)
+                basis[i] = best
+            # else: redundant constraint, row dropped below
+        keep = (basis < n_std).nonzero()[0]
+        if len(keep) < m:
+            tableau = tableau[np.append(keep, m)]
+            basis = basis[keep]
 
     # phase 2: rebuild reduced costs for the true objective, which costs
     # the auxiliary columns nothing
     cost = np.zeros(tableau.shape[1] - 1)
-    cost[:n_std] = c_std
-    cb = c_std[basis]
+    cost[:n_std] = std.c
+    cb = std.c[basis]
     tableau[-1, :-1] = cost - cb @ tableau[:-1, :-1]
     tableau[-1, -1] = -(cb @ tableau[:-1, -1])
 
@@ -411,22 +468,21 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         d_std = np.zeros(n_std)
         d_std[entering] = 1.0
         d_std[basis] = -tableau[:-1, entering]
-        ray = enc.ray_to_original(d_std)
+        ray = std.ray_to_original(d_std)
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
         return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
-    x = enc.to_original(x_std)
+    x = std.to_original(x_std)
     if not _certify_optimal(problem, x, 10 * tol):
         raise NumericalBreakdown("optimal point failed feasibility certificate")
-    value = float(c_std @ x_std + obj_const)
+    value = float(std.c @ x_std + std.obj_const)
 
     # y = c_B B^-1 of the scaled rows: column start_i is e_i there, so its
     # reduced cost is cost[start_i] - y_i. The original rows precede the
     # bound rows.
     n = problem.n_rows
-    orig = start[:n]
-    dual = (cost[orig] - tableau[-1, orig]) * mult[:n] / row_scale[:n] + 0.0
+    dual = (cost[start] - tableau[-1, start]) * mult[:n] / row_scale[:n] + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import CapreqError, UsageError
-from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
+from .acceptance import AcceptanceSet, DimensionMismatch
 from .linprog import (GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, make_problem,
                       solve_lp)
 from .market import ValidatedMarket
@@ -125,9 +125,13 @@ class MembershipOracle:
     into the acceptance set? An exact set is a union of linear systems
     (``AcceptanceSet.systems``), and every exact question (zero-cost
     witness, cheapest cash level) is one LP per system over the same
-    constraint block (``PolyhedralRep.lp``). The generic grid fallback is
-    one-sided (a True answer is certified by a witness, a False answer may
-    be wrong) and is flagged as inexact.
+    constraint block (``PolyhedralRep.lp``). Each system's witness LP and
+    cash LP is built at its first use; a later position re-solves the kept
+    LP with that position's right-hand side (``LpProblem.with_rhs`` of
+    ``PolyhedralRep.rhs_at``), the same LP ``PolyhedralRep.lp`` builds,
+    without building or standardising its matrix again. The generic grid
+    fallback is one-sided (a True answer is certified by a witness, a False
+    answer may be wrong) and is flagged as inexact.
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
@@ -137,6 +141,17 @@ class MembershipOracle:
         self.opts = opts
         self.kernel = vm.kernel_basis  # (k, n)
         self.exact = self.strategy == "exact"
+        if self.exact:
+            self._witness_lps = [None] * len(a.systems)
+            self._cash_lps = [None] * len(a.systems)
+
+    def _system_lp(self, kept: list, index: int, y: np.ndarray, moves) -> LpProblem:
+        """System ``index``'s LP at y over ``moves``: ``kept[index]`` with y's right-hand side."""
+        rep = self.a.systems[index]
+        if kept[index] is None:
+            kept[index] = rep.lp(y, self.kernel, moves)
+            return kept[index]
+        return kept[index].with_rhs(rep.rhs_at(y))
 
     # -- exact systems -----------------------------------------------------
 
@@ -155,7 +170,8 @@ class MembershipOracle:
         if not self.exact:
             return None
         y, u = np.asarray(position, dtype=float), self.vm.numeraire
-        out, _, _, _ = _cheapest(self.a, lambda rep: rep.lp(y, self.kernel, [u]), self.opts.lp_tol)
+        out, _, _, _ = _cheapest(self.a, lambda i: self._system_lp(self._cash_lps, i, y, [u]),
+                                 self.opts.lp_tol)
         if out is None:
             return INFEASIBLE, POS_INF, None
         if out.status == UNBOUNDED:
@@ -188,8 +204,8 @@ class MembershipOracle:
         y = np.asarray(position, dtype=float)
         if not self.exact:
             return self._witness_grid(y)
-        for rep in self.a.systems:
-            out = solve_lp(rep.lp(y, self.kernel), tol=self.opts.lp_tol)
+        for i in range(len(self.a.systems)):
+            out = solve_lp(self._system_lp(self._witness_lps, i, y, ()), tol=self.opts.lp_tol)
             if out.status == OPTIMAL:
                 return self.kernel.T @ out.x[:self.kernel.shape[0]]
         return None
@@ -317,9 +333,9 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     return result
 
 
-def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
+def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
               tol: float) -> tuple[LpOutcome | None, int, int, int]:
-    """Minimum over ``a.systems`` of the LP ``problem(rep)``: (outcome, index, LPs solved, pruned).
+    """Minimum over ``a.systems`` of the LP ``problem(i)``: (outcome, index, LPs solved, pruned).
 
     The first unbounded outcome ends the scan (-inf). Otherwise the optimum
     of least (value, index), so the earliest system on ties and a
@@ -344,7 +360,7 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
     """
     systems, incidence = a.systems, a.incidence
     if incidence is None:
-        out = solve_lp(problem(systems[0]), tol=tol)
+        out = solve_lp(problem(0), tol=tol)
         return (None if out.status == INFEASIBLE else out), 0, 1, 0
     level = np.full(len(systems), NEG_INF)
     unsolved = np.ones(len(systems), dtype=bool)
@@ -357,7 +373,7 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[PolyhedralRep], LpProblem],
             return best, best_index, scanned, len(systems) - scanned
         index = int(pick.argmax())
         unsolved[index] = False
-        lp = problem(systems[index])
+        lp = problem(index)
         out = solve_lp(lp, tol=tol)
         scanned += 1
         if out.status == UNBOUNDED:
@@ -414,9 +430,10 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
     s0, s1 = vm.market.prices, vm.market.payoffs
     free = np.full(s0.shape[0], -np.inf)   # portfolio weights
 
-    def problem(rep: PolyhedralRep) -> LpProblem:
+    def problem(index: int) -> LpProblem:
+        rep = a.systems[index]
         return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs - rep.rows @ x, GE,
+                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x), GE,
                             lower=np.concatenate([free, rep.aux_lower]))
 
     out, index, scanned, pruned = _cheapest(a, problem, opts.lp_tol)
@@ -468,42 +485,6 @@ def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
     if a.only_system is not None:
         return rho_direct_lp(a, vm, position, opts)
     return rho_var_exact(a, vm, position, opts)
-
-
-def domain_classify(a: AcceptanceSet, vm: ValidatedMarket, position,
-                    opts: SolveOptions = DEFAULT_OPTIONS):
-    """Tag the position finite/+inf/-inf along the numeraire.
-
-    The feasible cash set is an upward ray: exact strategies decide both
-    ends structurally from the status of one cash-minimising LP per system
-    (infeasible, unbounded or optimal), while the grid oracle falls back to
-    membership probes at the configured bracket bound.
-    Returns (tag, evidence).
-    """
-    oracle = MembershipOracle(a, vm, opts)
-    x = np.asarray(position, dtype=float)
-    u = vm.numeraire
-    solved = oracle.cash_lp(x)
-    if solved is not None:
-        status = solved[0]
-        evidence = {"method": "structural", "reachable": status != INFEASIBLE,
-                    "approximate": False}
-        if status == INFEASIBLE:
-            return "pos_inf", evidence
-        evidence["line_contained"] = status == UNBOUNDED
-        return ("neg_inf" if status == UNBOUNDED else "finite"), evidence
-
-    at_top = oracle.contains(x + opts.m_bracket_max * u)
-    evidence = {"method": "probe", "feasible_at_top": at_top,
-                "bracket_bound": opts.m_bracket_max, "approximate": True}
-    if not at_top:
-        evidence["feasible_at_bottom"] = False
-        return "pos_inf", evidence
-    at_bottom = oracle.contains(x - opts.m_bracket_max * u)
-    evidence["feasible_at_bottom"] = at_bottom
-    if at_bottom:
-        return "neg_inf", evidence
-    return "finite", evidence
 
 
 def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,

@@ -3,6 +3,9 @@
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -400,3 +403,13 @@ class TestOutputMechanics:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(capsys, ["frobnicate"])[0] == 2
+
+    def test_import_leaves_the_harness_out(self):
+        # only ``properties`` uses verify (and directional), so a fresh process
+        # that imports the CLI does not load them
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        probe = "import sys, capreq.cli; print('capreq.verify' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"

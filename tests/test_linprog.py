@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreq.linprog import (GE, LE, EQ, INFEASIBLE, OPTIMAL, UNBOUNDED,
-                            LpProblem, MalformedProblem, make_problem, solve_lp)
+                            LpProblem, MalformedProblem, NumericalBreakdown, make_problem,
+                            solve_lp)
 
 
 def test_single_active_bound():
@@ -58,6 +59,14 @@ def test_upper_bounds_respected():
                                 lower=[0.0, 0.0], upper=[3.0, 4.0]))
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(-7.0)
+
+
+def test_upper_bound_of_zero_alone_flips_the_column():
+    # x <= 0 with no lower bound is x = 0 - u, u >= 0: no shift, but a sign
+    out = solve_lp(make_problem([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-5.0, -2.0], [GE, GE],
+                                lower=[-np.inf, 0.0], upper=[0.0, 3.0]))
+    assert out.status == OPTIMAL
+    assert out.x.tolist() == [-5.0, 0.0]
 
 
 def test_malformed_dimensions():
@@ -460,3 +469,64 @@ def test_dual_present_without_rows():
     out = solve_lp(problem)
     assert out.status == OPTIMAL
     _check_dual(problem, out)
+
+
+def _outcome_bytes(problem):
+    """Status, pivots and the bytes of x, value, dual and ray, or the error a solve raised."""
+    try:
+        out = solve_lp(problem)
+    except NumericalBreakdown:   # a breakdown must repeat too
+        return "breakdown"
+    return (out.status, out.pivots) + tuple(
+        None if v is None else np.asarray(v, dtype=float).tobytes()
+        for v in (out.x, out.objective_value, out.dual, out.ray))
+
+
+def test_with_rhs_solves_bitwise_as_a_fresh_problem():
+    # the kept standard form of one matrix answers every right-hand side
+    # exactly as a problem built from scratch with it does
+    rng = np.random.default_rng(59)
+    seen, capped = set(), 0
+    for status in (OPTIMAL, INFEASIBLE, UNBOUNDED):
+        for violated in (False, True):
+            for _ in range(30):
+                problem = _planted_lp(rng, status, violated)
+                capped += np.count_nonzero(np.isfinite(problem.lower) & np.isfinite(problem.upper))
+                for rhs in (problem.rhs, problem.rhs + rng.normal(size=problem.n_rows),
+                            rng.permutation(problem.rhs)):
+                    fresh = LpProblem(problem.objective, problem.lhs, rhs, problem.senses,
+                                      problem.lower, problem.upper)
+                    want = _outcome_bytes(fresh)
+                    assert _outcome_bytes(problem.with_rhs(rhs)) == want
+                    seen.add(want if isinstance(want, str) else want[0])
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen and capped > 0
+    empty = make_problem([1.0, -1.0], np.zeros((0, 2)), [], [],
+                         lower=[1.0, -np.inf], upper=[np.inf, 2.0])
+    assert _outcome_bytes(empty.with_rhs(np.zeros(0))) == _outcome_bytes(empty)
+
+
+@pytest.mark.parametrize("rhs", [[1.0, 2.0], [[1.0]], [np.nan], [np.inf]],
+                         ids=["too-long", "two-dimensional", "nan", "inf"])
+def test_with_rhs_validates_the_new_rhs(rhs):
+    problem = LpProblem(**_VALID)
+    with pytest.raises(MalformedProblem):
+        problem.with_rhs(rhs)
+    assert _outcome_bytes(problem.with_rhs([2.0])) == _outcome_bytes(
+        LpProblem(**{**_VALID, "rhs": [2.0]}))
+
+
+def test_entries_that_scaling_underflows_count_as_zero():
+    # an entry of 1e-310 in a row scaled by 1e20 is 0 in the scaled block the
+    # solver works on, so the start basis and every pivot are those of the
+    # problem with that entry 0 (which makes more columns singletons)
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        a, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        big = rng.uniform(size=m) < 0.5
+        b[big] *= 1e20
+        tiny = big[:, None] & (rng.uniform(size=(m, n)) < 0.5)
+        senses = [(GE, LE, EQ)[k] for k in rng.integers(0, 3, size=m)]
+        c, lower = rng.normal(size=n), np.where(rng.uniform(size=n) < 0.5, 0.0, -np.inf)
+        assert _outcome_bytes(make_problem(c, np.where(tiny, 1e-310, a), b, senses, lower)) \
+            == _outcome_bytes(make_problem(c, np.where(tiny, 0.0, a), b, senses, lower))

@@ -10,12 +10,12 @@ from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, Polyhed
                                avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
                                var_acceptance)
-from capreq.linprog import GE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
+from capreq.linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
                                 NotPolyhedral, POS_INF, SolveOptions,
-                                domain_classify, extreal_str,
+                                extreal_str,
                                 induced_rho_acceptance, is_finite,
                                 rho_direct_lp, rho_reduction, rho_var_exact, solve_rho)
 from conftest import corner_acceptance_r3, loadable_sets, random_market
@@ -44,6 +44,37 @@ class TestMembership:
         a = var_acceptance(vm.space, 0.5)
         with pytest.raises(EnumerationTooLarge):
             MembershipOracle(a, vm)
+
+    def test_kept_lps_answer_like_fresh_oracles(self, monkeypatch):
+        # each system's witness LP and cash LP is built once, then re-solved by
+        # right-hand side; the answers are a fresh oracle's, bit for bit
+        builds, build = [], PolyhedralRep.lp
+
+        def counted(rep, *args, **kwargs):
+            builds.append(id(rep))
+            return build(rep, *args, **kwargs)
+
+        answers = set()
+        for seed in (53, 51):   # VaR and a halfspace: 14 systems, then 9
+            rng = np.random.default_rng(seed)
+            vm = random_market(rng, n_states=6, n_risky=1)
+            a = intersect([var_acceptance(vm.space, 0.4),
+                           halfspace_acceptance(rng.uniform(0.1, 1.0, 6))])
+            oracle, queries = MembershipOracle(a, vm), rng.uniform(-5.0, 5.0, size=(30, 6))
+            builds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PolyhedralRep, "lp", counted)
+                kept = [(oracle.contains(x), oracle.cash_lp(x)) for x in queries]
+            assert max(builds.count(id(rep)) for rep in a.systems) <= 2
+            for x, (inside, (status, m, payoff)) in zip(queries, kept):
+                fresh = MembershipOracle(a, vm)
+                assert inside == fresh.contains(x)
+                want = fresh.cash_lp(x)
+                assert (status, m) == want[:2]
+                assert (payoff is None) == (want[2] is None)
+                assert payoff is None or payoff.tobytes() == want[2].tobytes()
+                answers.add((inside, status))
+        assert answers == {(True, OPTIMAL), (False, OPTIMAL), (True, UNBOUNDED)}
 
     def test_grid_oracle_finds_witness(self, half_price_market):
         a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
@@ -108,7 +139,7 @@ class TestExactReductionLp:
             x = rng.uniform(-5, 5, size=vm.n_states)
             for a in (positive_cone(vm.n_states), avar_acceptance(vm.space, 0.5)):
                 for run in (lambda: rho_reduction(a, vm, x),
-                            lambda: domain_classify(a, vm, x)):
+                            lambda: MembershipOracle(a, vm).cash_lp(x)[0]):
                     lp_calls.clear()
                     run()
                     assert len(lp_calls) == 1
@@ -420,11 +451,9 @@ def _record_solve_order(monkeypatch):
     cheapest, solve = rm._cheapest, rm.solve_lp
 
     def tagged(a, problem, tol):
-        index = {id(rep): i for i, rep in enumerate(a.systems)}
-
-        def build(rep):
-            lp = problem(rep)
-            system_of[id(lp)] = index[id(rep)]
+        def build(index):
+            lp = problem(index)
+            system_of[id(lp)] = index
             return lp
         return cheapest(a, build, tol)
 
@@ -670,23 +699,24 @@ class TestAvarSignAsBound:
 
 
 class TestDomainClassify:
+    """The cash LP's status tags the position: infeasible +inf, unbounded -inf, optimal finite."""
+
     def test_corner_set(self, numeraire_line_market):
-        a = corner_acceptance_r3()
-        assert domain_classify(a, numeraire_line_market, [-1.0, 0.0, 0.0])[0] == "pos_inf"
-        assert domain_classify(a, numeraire_line_market, [1.0, 0.0, 0.0])[0] == "neg_inf"
+        oracle = MembershipOracle(corner_acceptance_r3(), numeraire_line_market)
+        assert oracle.cash_lp([-1.0, 0.0, 0.0])[0] == INFEASIBLE
+        assert oracle.cash_lp([1.0, 0.0, 0.0])[0] == UNBOUNDED
 
     def test_degenerate_halfplane(self, half_price_market):
-        a = halfspace_acceptance([1.0, 0.0])
-        tag, evidence = domain_classify(a, half_price_market, [2.0, -1.0])
-        assert tag == "neg_inf"
-        assert evidence["method"] == "structural"
+        oracle = MembershipOracle(halfspace_acceptance([1.0, 0.0]), half_price_market)
+        solved = oracle.cash_lp([2.0, -1.0])
+        assert solved is not None   # decided by the structural LP, not a probe
+        assert solved[0] == UNBOUNDED
 
     def test_positive_cone_finite(self, two_state_market):
         rng = np.random.default_rng(3)
+        oracle = MembershipOracle(positive_cone(2), two_state_market)
         for _ in range(10):
-            tag, _ = domain_classify(positive_cone(2), two_state_market,
-                                     rng.uniform(-5, 5, size=2))
-            assert tag == "finite"
+            assert oracle.cash_lp(rng.uniform(-5, 5, size=2))[0] == OPTIMAL
 
 
 class TestInduced:
