@@ -16,10 +16,10 @@ price-zero movements, sweeps out every eligible movement: the search over
 the whole span collapses to one dimension whose feasible set is an upward
 ray. For exact sets that search is one cash-minimising LP per system over
 (cash, kernel coordinates, auxiliaries), never over asset weights, so it
-stays an independent check of the direct LP. Only oracle and induced sets
-bisect, to ``bisect_tol`` (1e-7 by default). Values live in [-inf, +inf];
-the infinite tags carry meaning (positions that cannot be made acceptable
-at any cost, and positions acceptable at arbitrarily negative cost).
+stays an independent check of the direct LP. Only oracle sets bisect, to
+``bisect_tol`` (1e-7 by default); induced sets are exact. Values live in
+[-inf, +inf]; the infinite tags carry meaning (positions that cannot be made
+acceptable at any cost, and positions acceptable at arbitrarily negative cost).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import CapreqError, UsageError
-from .acceptance import AcceptanceSet, DimensionMismatch
+from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
 from .linprog import (GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, make_problem,
                       solve_lp)
 from .market import ValidatedMarket
@@ -80,7 +80,10 @@ class SolveOptions:
 
     def __post_init__(self):
         positives = (self.m_bracket_max, self.bisect_tol, self.kernel_box, self.lp_tol)
-        if any(v <= 0 for v in positives) or self.kernel_grid <= 0:
+        grid = self.kernel_grid
+        if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid <= 0:
+            raise UsageError("kernel_grid must be a positive integer")
+        if any(v <= 0 for v in positives):
             raise UsageError("solve options must be positive")
         if self.bisect_tol >= 1:
             raise UsageError("bisect_tol must be below 1")
@@ -235,11 +238,11 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
                         member: Callable[[np.ndarray], bool] | None = None,
                         reachable: Callable[[np.ndarray], bool | None] | None = None,
                         line: Callable[[np.ndarray], bool | None] | None = None,
-                        strategy: str = "reduction", exact: bool = True) -> RiskResult:
+                        strategy: str = "reduction") -> RiskResult:
     """Bracketed line search along the numeraire against a membership functional.
 
-    This is the route for sets known only through membership (grid oracle,
-    induced sets); exact sets solve ``MembershipOracle.cash_lp`` instead.
+    This is the route for sets known only through membership (grid oracle),
+    flagged ``approximate``; exact sets solve ``MembershipOracle.cash_lp``.
     The feasible cash amounts form an upward-closed ray, so a doubling
     bracket either finds an (infeasible, feasible) pair or certifies an
     infinite tag at the configured bracket bound. When the caller provides
@@ -251,7 +254,7 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
     """
     x = np.asarray(position, dtype=float)
     u = vm.numeraire
-    diag = {"bracket_steps": 0, "bisect_steps": 0, "approximate": not exact}
+    diag = {"bracket_steps": 0, "bisect_steps": 0, "approximate": True}
 
     if reachable is not None:
         subset_reachable = reachable(x)
@@ -324,7 +327,7 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     solved = oracle.cash_lp(x)
     if solved is None:
         return rho_from_membership(oracle.contains, vm, x, opts, witness=oracle.witness,
-                                   member=a.member, strategy=strategy, exact=False)
+                                   member=a.member, strategy=strategy)
     status, m, payoff = solved
     result = RiskResult(m, strategy=strategy,
                         diagnostics={"tag_test": "structural", "approximate": False})
@@ -488,37 +491,38 @@ def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
 
 
 def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
-                           opts: SolveOptions = DEFAULT_OPTIONS,
-                           tol: float | None = None) -> AcceptanceSet:
+                           opts: SolveOptions = DEFAULT_OPTIONS) -> AcceptanceSet:
     """Acceptance set induced by the requirement: positions of requirement <= 0.
 
-    Inherits the structural flags (convexity, cone, additive closure) of the
-    source set. Raises if the requirement is degenerate (-inf at zero),
-    since the induced set would then be the whole space and not proper.
+    A finite requirement is attained, so that set is the union over the
+    systems A_i of A_i + {m U + K^T c : m >= 0, c free}: system i keeps its
+    rows R and right-hand side over the auxiliaries [-R U | -R K^T | old],
+    the old ones keeping their signs. A shared row gains the same entries in
+    every system, so the source's ``incidence`` carries over. ``member`` is
+    one cash LP scan (requirement <= ``bisect_tol``). Inherits the structural
+    flags of the source set. Raises ``NotPolyhedral`` for a set known only
+    through membership, and ``DegenerateAcceptance`` if the requirement is
+    -inf at zero (the induced set would be the whole space, not proper).
     """
-    if tol is None:
-        tol = opts.bisect_tol
     oracle = MembershipOracle(a, vm, opts)
-
-    def rho_value(x: np.ndarray) -> float:
-        solved = oracle.cash_lp(x)
-        if solved is not None:
-            return solved[1]
-        return rho_from_membership(oracle.contains, vm, x, opts,
-                                   strategy="induced", exact=False).value
-
-    at_zero = rho_value(np.zeros(a.dim))
+    if not oracle.exact:
+        raise NotPolyhedral("the induced set needs polyhedral systems")
+    at_zero = oracle.cash_lp(np.zeros(a.dim))[1]
     if at_zero == NEG_INF:
         raise DegenerateAcceptance("requirement is -inf at the zero position")
-    margin = max(at_zero, 0.0) + 1.0
-    witness = -margin * vm.numeraire
+    moves = np.vstack([vm.numeraire, vm.kernel_basis])   # m U + K^T c, m >= 0 first
+    signs = np.arange(moves.shape[0]) == 0
+    systems = tuple(PolyhedralRep(rep.rows, np.hstack([-(rep.rows @ moves.T), rep.aux]), rep.rhs,
+                                  np.concatenate([signs, rep.aux_nonneg]))
+                    for rep in a.systems)
 
     def member(x: np.ndarray) -> bool:
-        return rho_value(x) <= tol
+        return oracle.cash_lp(x)[1] <= opts.bisect_tol
 
     return AcceptanceSet(
-        dim=a.dim, member=member, non_member=witness, kind="induced",
+        dim=a.dim, member=member, non_member=-(max(at_zero, 0.0) + 1.0) * vm.numeraire,
+        kind="induced", systems=systems, incidence=a.incidence,
         is_convex=a.is_convex, is_cone=a.is_cone,
         closed_under_addition=a.closed_under_addition,
-        member_tol=tol,
+        member_tol=opts.bisect_tol,
     )

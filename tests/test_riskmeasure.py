@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
+from capreq import UsageError
 from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, PolyhedralRep,
                                avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
@@ -731,13 +732,10 @@ class TestInduced:
         a = positive_cone(2)
         induced = induced_rho_acceptance(a, two_state_market)
         rng = np.random.default_rng(5)
-        oracle = MembershipOracle(a, two_state_market)
         for _ in range(30):
             x = rng.uniform(-4, 4, size=2)
             base = rho_direct_lp(a, two_state_market, x).value
-            # induced sets absorb the kernel, so membership is direct
-            from capreq.riskmeasure import rho_from_membership
-            again = rho_from_membership(lambda y: induced(y), two_state_market, x).value
+            again = solve_rho(induced, two_state_market, x).value
             assert again == pytest.approx(base, abs=3 * BAND)
 
     def test_degenerate_raises(self, half_price_market):
@@ -749,6 +747,61 @@ class TestInduced:
         induced = induced_rho_acceptance(positive_cone(2), two_state_market)
         assert induced.is_convex is True
         assert induced.is_cone is True
+
+    def test_grid_set_refused(self, two_state_market):
+        a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
+        with pytest.raises(NotPolyhedral):
+            induced_rho_acceptance(a, two_state_market)
+
+    def test_exact_union_matches_source(self, numeraire_line_market):
+        # every descriptor type and VaR intersections on 2-8 states, plus the
+        # numeraire-line market, whose corner set gives +inf tags
+        rng = np.random.default_rng(67)
+        cases = [(numeraire_line_market, corner_acceptance_r3())]
+        cases += [(numeraire_line_market, a) for a in loadable_sets(rng, numeraire_line_market.space)]
+        for n in (*range(2, 9), *range(2, 9)):
+            vm = random_market(rng, n_states=n)
+            cases += [(vm, a) for a in loadable_sets(rng, vm.space)]
+        tags, pruned, unions, points = set(), 0, 0, 0
+        for vm, a in cases:
+            try:
+                induced = induced_rho_acceptance(a, vm)
+            except DegenerateAcceptance:
+                continue
+            n, zero = vm.n_states, np.zeros((0, vm.n_states))
+            # built here from the source: A_i + {m U + K^T c : m >= 0, c free}
+            assert induced.incidence is a.incidence
+            assert len(induced.systems) == len(a.systems)
+            for got, rep in zip(induced.systems, a.systems):
+                moves = -(rep.rows @ np.vstack([vm.numeraire, vm.kernel_basis]).T)
+                signs = np.arange(moves.shape[1]) == 0
+                assert np.array_equal(got.rows, rep.rows) and np.array_equal(got.rhs, rep.rhs)
+                assert np.array_equal(got.aux, np.hstack([moves, rep.aux]))
+                assert np.array_equal(got.aux_nonneg, np.concatenate([signs, rep.aux_nonneg]))
+            unions += a.incidence is not None
+            for x in rng.uniform(-5, 5, size=(2, n)):
+                base = solve_rho(a, vm, x).value
+                tags.add(base if not is_finite(base) else 0.0)
+                for r in (solve_rho(induced, vm, x), rho_reduction(induced, vm, x)):
+                    if is_finite(base) or is_finite(r.value):
+                        assert r.value == pytest.approx(base, rel=1e-9, abs=1e-9)
+                    else:
+                        assert r.value == base
+                    assert not r.attained or induced.member(x + r.optimal_payoff)
+                    pruned += r.diagnostics.get("systems_pruned", 0) > 0
+                # the union read as a set: some system holds y iff y is a member,
+                # at points off the boundary rho = 0
+                shifts = [0.0] if not is_finite(base) else [-base - 0.5, -base + 0.5]
+                for y in (x + t * vm.numeraire for t in shifts + [rng.uniform(-3, 3)]):
+                    level = solve_rho(a, vm, y).value
+                    if is_finite(level) and abs(level) < 1e-6:
+                        continue
+                    points += 1
+                    inside = any(solve_lp(rep.lp(y, zero)).status == OPTIMAL
+                                 for rep in induced.systems)
+                    assert inside == induced.member(y) == (level <= 0)
+        assert {0.0, POS_INF} <= tags
+        assert unions >= 10 and pruned > 0 and points >= 500
 
 
 class TestSolverAgreement:
@@ -878,8 +931,9 @@ class TestPlumbing:
             SolveOptions(bisect_tol=-1.0)
         with pytest.raises(ValueError):
             SolveOptions(bisect_tol=2.0)
-        with pytest.raises(ValueError):
-            SolveOptions(kernel_grid=0)
+        for grid in (0, 2.5, True):
+            with pytest.raises(UsageError):
+                SolveOptions(kernel_grid=grid)
 
     def test_state_count_mismatch(self, two_state_market):
         for a in (positive_cone(3), var_acceptance(uniform_space(3), 0.3)):

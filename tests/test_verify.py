@@ -9,8 +9,9 @@ import pytest
 from capreq.acceptance import (PolyhedralRep, avar_acceptance, halfspace_acceptance, intersect,
                                oracle_acceptance, positive_cone, var_acceptance)
 from capreq.market import Market, uniform_space, validate_market
-from capreq.riskmeasure import (NEG_INF, SolveOptions, rho_from_membership, rho_reduction,
-                                rho_var_exact, solve_rho, MembershipOracle)
+from capreq.riskmeasure import (NEG_INF, SolveOptions, induced_rho_acceptance,
+                                rho_from_membership, rho_reduction, rho_var_exact, solve_rho,
+                                MembershipOracle)
 from capreq.verify import (NotPolyhedral, PropertyReport, _whole_space,
                            check_degeneracy_lemmas,
                            check_directional_vs_topological,
@@ -166,6 +167,17 @@ class TestInducedSet:
         report = check_induced_set_theorem(a, two_state_market, trials=24, seed=20)
         assert report.passed
 
+    def test_domain_and_levelset_on_induced_sets(self, two_state_market):
+        # an induced set is a union of polyhedra, so the exact-strategy checks take it
+        vm = random_market(np.random.default_rng(77), n_states=4, n_risky=1)
+        for a, market in ((positive_cone(2), two_state_market),
+                          (avar_acceptance(uniform_space(2), 0.5), two_state_market),
+                          (var_acceptance(vm.space, 0.3), vm)):
+            induced = induced_rho_acceptance(a, market)
+            assert len(induced.systems) == len(a.systems)
+            assert check_domain_theorem(induced, market, trials=12, seed=28).passed
+            assert check_levelset_theorem(induced, market, grid=4, seed=29).passed
+
 
 class TestDirectionalVsTopological:
     def test_positive_cone_coincide(self, two_state_market):
@@ -300,8 +312,7 @@ class TestNegativeControls:
             return oracle.contains(y)
 
         def broken(x):
-            return rho_from_membership(broken_contains, vm, x,
-                                       strategy="broken_tie", exact=True)
+            return rho_from_membership(broken_contains, vm, x, strategy="broken_tie")
 
         rng = np.random.default_rng(25)
         points = [rng.uniform(-4, 4, size=2) for _ in range(20)]
