@@ -16,7 +16,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -28,8 +27,7 @@ from . import CapreqError, UsageError
 from .acceptance import load_acceptance
 from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
                      load_market, validate_market)
-from .riskmeasure import (DEFAULT_OPTIONS, SolveOptions, extreal_str, is_finite,
-                          solve_rho)
+from .riskmeasure import BISECT_TOL, SolveOptions, extreal_str, is_finite, solve_rho
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -114,11 +112,8 @@ def _parse_points(text: str, n: int) -> list[np.ndarray]:
 
 def _check_options(args) -> None:
     """Reject option values no solver can use, before any file is read."""
-    for name in ("tol", "bracket_max"):
-        value = getattr(args, name)
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"--{name.replace('_', '-')} must be positive and finite, "
-                             f"got {value}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     for name in ("lo", "hi", "level"):
         value = getattr(args, name, 0.0)
         if not math.isfinite(value):
@@ -132,8 +127,7 @@ def _check_options(args) -> None:
 
 
 def _options_from_args(args) -> SolveOptions:
-    return dataclasses.replace(DEFAULT_OPTIONS, m_bracket_max=args.bracket_max,
-                               lp_tol=args.tol)
+    return SolveOptions(lp_tol=args.tol)
 
 
 def cmd_validate(args) -> int:
@@ -230,7 +224,7 @@ def cmd_levelset(args) -> int:
             raise UsageError("grid has more than 1e6 points")
         points = [np.asarray(p) for p in itertools.product(*([axis] * n))]
 
-    band = 10 * opts.bisect_tol
+    band = 10 * BISECT_TOL
     classified = []
     for p in points:
         # every set a file describes is exact (or refused), so LPs resolve the level
@@ -289,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-8,
                         help="feasibility tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common.add_argument("--bracket-max", type=float, default=DEFAULT_OPTIONS.m_bracket_max,
-                        help="search bound certifying infinite values")
     common.add_argument("--format", choices=("json", "table"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,10 +9,9 @@ line probes:
 * interior membership:  x - t u belongs for some t > 0,
 * boundary:             closure minus interior.
 
-Up-closedness makes each of these decidable from a single small-t probe;
-larger ladder rungs are sampled only as a monotonicity diagnostic. The final
-rung (2^-24 by default) sits far above membership tolerances (~1e-9) so that
-probe answers are not tolerance artifacts.
+Up-closedness makes each of these decidable from a single probe at
+t = ``PROBE_SCALE`` (2^-24), which sits far above membership tolerances
+(~1e-9) so that probe answers are not tolerance artifacts.
 """
 
 from __future__ import annotations
@@ -27,70 +26,37 @@ from .acceptance import AcceptanceSet
 from .linprog import OPTIMAL, solve_lp
 
 
-@dataclass(frozen=True)
-class DirectionalProbe:
-    """Decreasing ladder of probe scales; the last rung decides membership."""
-
-    epsilon_ladder: tuple[float, ...] = tuple(2.0 ** -k for k in range(25))
-
-    def __post_init__(self):
-        ladder = tuple(float(t) for t in self.epsilon_ladder)
-        object.__setattr__(self, "epsilon_ladder", ladder)
-        if not ladder or any(t <= 0 for t in ladder):
-            raise UsageError("ladder must be positive")
-        if any(b >= a for a, b in zip(ladder, ladder[1:])):
-            raise UsageError("ladder must be strictly decreasing")
-
-    @property
-    def final_scale(self) -> float:
-        return self.epsilon_ladder[-1]
-
-
-DEFAULT_PROBE = DirectionalProbe()
+PROBE_SCALE = 2.0 ** -24   # lift or drop along u that decides every probe
 
 Oracle = Callable[[np.ndarray], bool]
 
 
-def dir_cl_member(member: Oracle, u, x, probe: DirectionalProbe = DEFAULT_PROBE,
-                  diagnostics: dict | None = None) -> bool:
+def dir_cl_member(member: Oracle, u, x) -> bool:
     """Is x in the directional closure (membership at arbitrarily small lift)?
 
     Caller asserts the set is up-closed along u; then x + t u membership at
-    the final rung decides closure membership. Two larger rungs are sampled
-    and an inversion (member at a small lift but not at a larger one) is
-    reported through ``diagnostics['monotonicity_violation']``.
+    t = ``PROBE_SCALE`` decides closure membership.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    t = probe.final_scale
-    result = bool(member(x + t * u))
-    if diagnostics is not None and len(probe.epsilon_ladder) >= 3:
-        t_mid = probe.epsilon_ladder[len(probe.epsilon_ladder) // 2]
-        t_big = probe.epsilon_ladder[0]
-        answers = [(t, result), (t_mid, bool(member(x + t_mid * u))),
-                   (t_big, bool(member(x + t_big * u)))]
-        for (t1, r1) in answers:
-            for (t2, r2) in answers:
-                if t1 < t2 and r1 and not r2:
-                    diagnostics["monotonicity_violation"] = {"t_small": t1, "t_big": t2}
-    return result
+    return bool(member(x + PROBE_SCALE * u))
 
 
-def dir_int_member(member: Oracle, u, x, probe: DirectionalProbe = DEFAULT_PROBE) -> bool:
+def dir_int_member(member: Oracle, u, x) -> bool:
     """Is x in the directional interior (membership survives a small drop)?
 
-    Up-closedness collapses the existential over drop sizes to the final
-    rung: x - T u membership for any larger T implies it at the final rung,
-    so the one probe decides in both directions.
+    Up-closedness collapses the existential over drop sizes to one probe:
+    x - T u membership for any T >= ``PROBE_SCALE`` implies it at
+    ``PROBE_SCALE``, so the one probe decides in both directions.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    return bool(member(x - probe.final_scale * u))
+    return bool(member(x - PROBE_SCALE * u))
 
 
-def dir_bd_member(member: Oracle, u, x, probe: DirectionalProbe = DEFAULT_PROBE) -> bool:
+def dir_bd_member(member: Oracle, u, x) -> bool:
     """Directional boundary: in the closure but not the interior."""
-    return dir_cl_member(member, u, x, probe) and not dir_int_member(member, u, x, probe)
+    return dir_cl_member(member, u, x) and not dir_int_member(member, u, x)
 
 
 @dataclass(frozen=True)
@@ -106,8 +72,7 @@ class RecessionCheck:
     exact: bool = False
 
 
-def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0, 2.0, 8.0),
-               tol: float = 1e-9) -> RecessionCheck:
+def rec_member(a: AcceptanceSet, direction, base_points=None) -> RecessionCheck:
     """Does the direction belong to the recession cone of the set?
 
     A set of one system gets a certified answer: a plain system recedes
@@ -115,12 +80,13 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
     auxiliaries iff the homogenized system is feasible. Otherwise membership
     of base_point + lambda * v is sampled; sampling can falsify (with
     witness) but never certify, so the positive answer stays None.
+    ``base_points`` default to the origin and must belong to the set.
     """
     v = np.asarray(direction, dtype=float)
     rep = a.only_system
     if rep is not None:
         if rep.pure:
-            ok = bool(np.all(rep.rows @ v >= -tol))
+            ok = bool(np.all(rep.rows @ v >= -1e-9))
             if ok:
                 return RecessionCheck(True, exact=True)
             row = int(np.argmin(rep.rows @ v))
@@ -139,7 +105,7 @@ def rec_member(a: AcceptanceSet, direction, base_points=None, lambdas=(0.5, 1.0,
         base = np.asarray(base, dtype=float)
         if not a(base):
             raise UsageError("recession base points must belong to the set")
-        for lam in lambdas:
+        for lam in (0.5, 1.0, 2.0, 8.0):
             if not a(base + lam * v):
                 return RecessionCheck(False, witness=(base, float(lam)))
     return RecessionCheck(None)

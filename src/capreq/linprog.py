@@ -342,8 +342,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     Deterministic: Bland's anti-cycling rule with lowest-index tie breaking,
     so identical inputs give identical pivot sequences and outputs.
     """
-    if tol <= 0 or pivot_tol <= 0:
-        raise MalformedProblem("tolerances must be positive")
+    if not (0 < tol < math.inf and 0 < pivot_tol < math.inf):
+        raise MalformedProblem("tolerances must be positive and finite")
 
     std = problem._std
     if std.infeasible_bounds:

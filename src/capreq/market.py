@@ -85,7 +85,6 @@ class Market:
     space: ScenarioSpace
     prices: np.ndarray
     payoffs: np.ndarray
-    secure_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))

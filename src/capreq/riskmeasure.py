@@ -16,10 +16,11 @@ price-zero movements, sweeps out every eligible movement: the search over
 the whole span collapses to one dimension whose feasible set is an upward
 ray. For exact sets that search is one cash-minimising LP per system over
 (cash, kernel coordinates, auxiliaries), never over asset weights, so it
-stays an independent check of the direct LP. Only oracle sets bisect, to
-``bisect_tol`` (1e-7 by default); induced sets are exact. Values live in
-[-inf, +inf]; the infinite tags carry meaning (positions that cannot be made
-acceptable at any cost, and positions acceptable at arbitrarily negative cost).
+stays an independent check of the direct LP. Only sets known through
+membership alone (grid sets) bisect, to ``BISECT_TOL``; induced sets are
+exact. Values live in [-inf, +inf]; the infinite tags carry meaning
+(positions that cannot be made acceptable at any cost, and positions
+acceptable at arbitrarily negative cost).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .market import ValidatedMarket
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 M_BRACKET_INIT = 1.0   # first cash level the bracketed search probes
+M_BRACKET_MAX = 2.0 ** 40   # cash level past which the bracketed search tags +-inf
+BISECT_TOL = 1e-7      # width the bisection narrows to; membership slack of induced sets
 BOUND_MARGIN = 1e-9    # relative amount a dual bound must exceed the incumbent by to skip
 
 
@@ -70,23 +73,18 @@ def extreal_str(value: float) -> str | float:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the bracketed search, the grid oracle and the LPs."""
+    """The grid search's box and points per axis, and the LPs' feasibility tolerance."""
 
-    m_bracket_max: float = float(2 ** 40)
-    bisect_tol: float = 1e-7
     kernel_box: float = 1e3
     kernel_grid: int = 33
     lp_tol: float = 1e-8
 
     def __post_init__(self):
-        positives = (self.m_bracket_max, self.bisect_tol, self.kernel_box, self.lp_tol)
         grid = self.kernel_grid
         if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid <= 0:
             raise UsageError("kernel_grid must be a positive integer")
-        if any(v <= 0 for v in positives):
-            raise UsageError("solve options must be positive")
-        if self.bisect_tol >= 1:
-            raise UsageError("bisect_tol must be below 1")
+        if not all(0 < v < POS_INF for v in (self.kernel_box, self.lp_tol)):
+            raise UsageError("kernel_box and lp_tol must be positive and finite")
 
 
 DEFAULT_OPTIONS = SolveOptions()
@@ -125,28 +123,27 @@ class MembershipOracle:
     """Decides whether a position can be made acceptable at zero cost.
 
     Concretely: does some price-zero eligible movement take the position
-    into the acceptance set? An exact set is a union of linear systems
-    (``AcceptanceSet.systems``), and every exact question (zero-cost
-    witness, cheapest cash level) is one LP per system over the same
-    constraint block (``PolyhedralRep.lp``). Each system's witness LP and
-    cash LP is built at its first use; a later position re-solves the kept
-    LP with that position's right-hand side (``LpProblem.with_rhs`` of
+    into the acceptance set? The set is a union of linear systems
+    (``AcceptanceSet.systems``), and every question (zero-cost witness,
+    cheapest cash level) is one LP per system over the same constraint
+    block (``PolyhedralRep.lp``). Each system's witness LP and cash LP is
+    built at its first use; a later position re-solves the kept LP with
+    that position's right-hand side (``LpProblem.with_rhs`` of
     ``PolyhedralRep.rhs_at``), the same LP ``PolyhedralRep.lp`` builds,
-    without building or standardising its matrix again. The generic grid
-    fallback is one-sided (a True answer is certified by a witness, a False
-    answer may be wrong) and is flagged as inexact.
+    without building or standardising its matrix again. A set known only
+    through membership is refused (``NotPolyhedral``); ``rho_reduction``
+    searches a grid for those.
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
-        self.strategy = _strategy(a, vm)
+        if _strategy(a, vm) != "exact":
+            raise NotPolyhedral("the membership oracle needs polyhedral systems")
         self.a = a
         self.vm = vm
         self.opts = opts
         self.kernel = vm.kernel_basis  # (k, n)
-        self.exact = self.strategy == "exact"
-        if self.exact:
-            self._witness_lps = [None] * len(a.systems)
-            self._cash_lps = [None] * len(a.systems)
+        self._witness_lps = [None] * len(a.systems)
+        self._cash_lps = [None] * len(a.systems)
 
     def _system_lp(self, kept: list, index: int, y: np.ndarray, moves) -> LpProblem:
         """System ``index``'s LP at y over ``moves``: ``kept[index]`` with y's right-hand side."""
@@ -156,22 +153,17 @@ class MembershipOracle:
             return kept[index]
         return kept[index].with_rhs(rep.rhs_at(y))
 
-    # -- exact systems -----------------------------------------------------
-
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
 
         Returns (status, m, payoff): optimal with the minimal m and the
         payoff m U - K^T c that attains it, unbounded with m = -inf, or
-        infeasible with m = +inf (payoff None for both). Returns None for the
-        grid oracle, which has no exact formulation. The systems go through
-        ``_cheapest``: those no solved system's dual covers first, in index
-        order, then a covered one only while its bound is under the
+        infeasible with m = +inf (payoff None for both). The systems go
+        through ``_cheapest``: those no solved system's dual covers first,
+        in index order, then a covered one only while its bound is under the
         incumbent. Ties keep the earliest system, so the reported payoff is
         deterministic and equals a full scan's.
         """
-        if not self.exact:
-            return None
         y, u = np.asarray(position, dtype=float), self.vm.numeraire
         out, _, _, _ = _cheapest(self.a, lambda i: self._system_lp(self._cash_lps, i, y, [u]),
                                  self.opts.lp_tol)
@@ -182,22 +174,13 @@ class MembershipOracle:
         m, c = float(out.x[0]), out.x[1:1 + self.kernel.shape[0]]
         return OPTIMAL, m, m * self.vm.numeraire - self.kernel.T @ c
 
-    def reachable_along_u(self, position) -> bool | None:
-        """Exact test for: some cash level makes the position reachable (value < +inf).
+    def reachable_along_u(self, position) -> bool:
+        """Some cash level makes the position reachable (value < +inf)."""
+        return self.cash_lp(position)[0] != INFEASIBLE
 
-        Returns None when the strategy has no exact test (grid oracle).
-        """
-        return None if not self.exact else self.cash_lp(position)[0] != INFEASIBLE
-
-    def line_along_u(self, position) -> bool | None:
-        """Exact test for: every cash level keeps the position reachable (value -inf).
-
-        The feasible cash set is an upward-closed ray, so containing a full
-        line is equivalent to the cash-minimizing LP being unbounded.
-        """
-        return None if not self.exact else self.cash_lp(position)[0] == UNBOUNDED
-
-    # -- membership --------------------------------------------------------
+    def line_along_u(self, position) -> bool:
+        """Every cash level keeps the position reachable (value -inf)."""
+        return self.cash_lp(position)[0] == UNBOUNDED
 
     def contains(self, position) -> bool:
         return self.witness(position) is not None
@@ -205,65 +188,54 @@ class MembershipOracle:
     def witness(self, position) -> np.ndarray | None:
         """Price-zero movement k with position - k acceptable, or None."""
         y = np.asarray(position, dtype=float)
-        if not self.exact:
-            return self._witness_grid(y)
         for i in range(len(self.a.systems)):
             out = solve_lp(self._system_lp(self._witness_lps, i, y, ()), tol=self.opts.lp_tol)
             if out.status == OPTIMAL:
                 return self.kernel.T @ out.x[:self.kernel.shape[0]]
         return None
 
-    def _witness_grid(self, y: np.ndarray) -> np.ndarray | None:
-        kdim = self.kernel.shape[0]
-        if kdim == 0:
-            return np.zeros_like(y) if self.a.member(y) else None
-        per_axis = self.opts.kernel_grid
-        while per_axis > 3 and per_axis ** kdim > 200_000:
-            per_axis = (per_axis + 1) // 2
-        box = self.opts.kernel_box
-        # staged grids: full box, then two zoomed passes near small movements
-        for width in (box, box / 8.0, box / 64.0):
-            axes = [np.linspace(-width, width, per_axis)] * kdim
-            for coords in itertools.product(*axes):
-                c = np.asarray(coords)
-                k = self.kernel.T @ c
-                if self.a.member(y - k):
-                    return k
-        return None
+
+def _witness_grid(a: AcceptanceSet, kernel: np.ndarray, y: np.ndarray,
+                  opts: SolveOptions) -> np.ndarray | None:
+    """Price-zero movement k with y - k in ``a``, searched on a grid of kernel coordinates.
+
+    One-sided: a movement found is a witness, but a miss may be wrong.
+    """
+    kdim = kernel.shape[0]
+    if kdim == 0:
+        return np.zeros_like(y) if a.member(y) else None
+    per_axis = opts.kernel_grid
+    while per_axis > 3 and per_axis ** kdim > 200_000:
+        per_axis = (per_axis + 1) // 2
+    box = opts.kernel_box
+    # staged grids: full box, then two zoomed passes near small movements
+    for width in (box, box / 8.0, box / 64.0):
+        axes = [np.linspace(-width, width, per_axis)] * kdim
+        for coords in itertools.product(*axes):
+            k = kernel.T @ np.asarray(coords)
+            if a.member(y - k):
+                return k
+    return None
 
 
-def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMarket,
-                        position, opts: SolveOptions = DEFAULT_OPTIONS,
+def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMarket, position,
                         witness: Callable[[np.ndarray], np.ndarray | None] | None = None,
                         member: Callable[[np.ndarray], bool] | None = None,
-                        reachable: Callable[[np.ndarray], bool | None] | None = None,
-                        line: Callable[[np.ndarray], bool | None] | None = None,
                         strategy: str = "reduction") -> RiskResult:
     """Bracketed line search along the numeraire against a membership functional.
 
-    This is the route for sets known only through membership (grid oracle),
+    This is the route for sets known only through membership (grid sets),
     flagged ``approximate``; exact sets solve ``MembershipOracle.cash_lp``.
     The feasible cash amounts form an upward-closed ray, so a doubling
-    bracket either finds an (infeasible, feasible) pair or certifies an
-    infinite tag at the configured bracket bound. When the caller provides
-    structural ray tests (``reachable``/``line``), the infinite tags are
-    decided exactly up front instead of by extreme-scale probing. Bisection
-    then narrows the bracket to ``bisect_tol``; the reported value is the
-    final midpoint and ``attained`` stays False unless a witness movement
-    verifies at that level.
+    bracket either finds an (infeasible, feasible) pair or tags the value
+    infinite at ``M_BRACKET_MAX``. Bisection then narrows the bracket to
+    ``BISECT_TOL``; the reported value is the final midpoint and
+    ``attained`` stays False unless a witness movement verifies at that
+    level.
     """
     x = np.asarray(position, dtype=float)
     u = vm.numeraire
     diag = {"bracket_steps": 0, "bisect_steps": 0, "approximate": True}
-
-    if reachable is not None:
-        subset_reachable = reachable(x)
-        if subset_reachable is not None:
-            diag["tag_test"] = "structural"
-            if not subset_reachable:
-                return RiskResult(POS_INF, strategy=strategy, diagnostics=diag)
-            if line is not None and line(x):
-                return RiskResult(NEG_INF, strategy=strategy, diagnostics=diag)
 
     def feas(m: float) -> bool:
         return contains(x + m * u)
@@ -271,18 +243,18 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
     hi = M_BRACKET_INIT
     while not feas(hi):
         diag["bracket_steps"] += 1
-        if hi >= opts.m_bracket_max:
+        if hi >= M_BRACKET_MAX:
             return RiskResult(POS_INF, strategy=strategy, diagnostics=diag)
-        hi = min(2.0 * hi, opts.m_bracket_max)
+        hi = min(2.0 * hi, M_BRACKET_MAX)
 
     lo = -M_BRACKET_INIT
     while feas(lo):
         diag["bracket_steps"] += 1
-        if lo <= -opts.m_bracket_max:
+        if lo <= -M_BRACKET_MAX:
             return RiskResult(NEG_INF, strategy=strategy, diagnostics=diag)
-        lo = max(2.0 * lo, -opts.m_bracket_max)
+        lo = max(2.0 * lo, -M_BRACKET_MAX)
 
-    while hi - lo > opts.bisect_tol:
+    while hi - lo > BISECT_TOL:
         diag["bisect_steps"] += 1
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -297,16 +269,15 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
     if witness is not None and member is not None:
         for level in (value, hi):
             k = witness(x + level * u)
-            if k is not None and _certify(result, x, level * u - k, member, vm, opts):
+            if k is not None and _certify(result, x, level * u - k, member, vm):
                 break
     return result
 
 
 def _certify(result: RiskResult, x: np.ndarray, movement: np.ndarray,
-             member: Callable[[np.ndarray], bool], vm: ValidatedMarket,
-             opts: SolveOptions) -> bool:
+             member: Callable[[np.ndarray], bool], vm: ValidatedMarket) -> bool:
     """Record ``movement`` as the optimal payoff if it moves x into the set at the value's price."""
-    price_ok = abs(vm.price(movement) - result.value) <= max(10 * opts.bisect_tol, 1e-8)
+    price_ok = abs(vm.price(movement) - result.value) <= 10 * BISECT_TOL
     if member(x + movement) and price_ok:
         result.optimal_payoff = movement
         result.attained = True
@@ -315,24 +286,25 @@ def _certify(result: RiskResult, x: np.ndarray, movement: np.ndarray,
 
 def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
                   opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement along the numeraire modulo the pricing kernel (works for any oracle set).
+    """Requirement along the numeraire modulo the pricing kernel (works for any set).
 
     Exact sets solve the oracle's cash-minimising LP once per system:
     infeasible is +inf, unbounded is -inf, otherwise the optimum with its
-    payoff. Oracle sets fall back to the bracketed bisection.
+    payoff. Sets known only through membership bisect against a grid
+    search of the kernel (``_witness_grid``).
     """
-    oracle = MembershipOracle(a, vm, opts)
     x = np.asarray(position, dtype=float)
-    strategy = f"reduction[{oracle.strategy}]"
-    solved = oracle.cash_lp(x)
-    if solved is None:
-        return rho_from_membership(oracle.contains, vm, x, opts, witness=oracle.witness,
-                                   member=a.member, strategy=strategy)
-    status, m, payoff = solved
-    result = RiskResult(m, strategy=strategy,
+    if _strategy(a, vm) == "grid":
+        def witness(y: np.ndarray) -> np.ndarray | None:
+            return _witness_grid(a, vm.kernel_basis, y, opts)
+
+        return rho_from_membership(lambda y: witness(y) is not None, vm, x, witness=witness,
+                                   member=a.member, strategy="reduction[grid]")
+    status, m, payoff = MembershipOracle(a, vm, opts).cash_lp(x)
+    result = RiskResult(m, strategy="reduction[exact]",
                         diagnostics={"tag_test": "structural", "approximate": False})
     if status == OPTIMAL:
-        _certify(result, x, payoff, a.member, vm, opts)
+        _certify(result, x, payoff, a.member, vm)
     return result
 
 
@@ -499,14 +471,12 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     rows R and right-hand side over the auxiliaries [-R U | -R K^T | old],
     the old ones keeping their signs. A shared row gains the same entries in
     every system, so the source's ``incidence`` carries over. ``member`` is
-    one cash LP scan (requirement <= ``bisect_tol``). Inherits the structural
+    one cash LP scan (requirement <= ``BISECT_TOL``). Inherits the structural
     flags of the source set. Raises ``NotPolyhedral`` for a set known only
     through membership, and ``DegenerateAcceptance`` if the requirement is
     -inf at zero (the induced set would be the whole space, not proper).
     """
     oracle = MembershipOracle(a, vm, opts)
-    if not oracle.exact:
-        raise NotPolyhedral("the induced set needs polyhedral systems")
     at_zero = oracle.cash_lp(np.zeros(a.dim))[1]
     if at_zero == NEG_INF:
         raise DegenerateAcceptance("requirement is -inf at the zero position")
@@ -517,12 +487,12 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
                     for rep in a.systems)
 
     def member(x: np.ndarray) -> bool:
-        return oracle.cash_lp(x)[1] <= opts.bisect_tol
+        return oracle.cash_lp(x)[1] <= BISECT_TOL
 
     return AcceptanceSet(
         dim=a.dim, member=member, non_member=-(max(at_zero, 0.0) + 1.0) * vm.numeraire,
         kind="induced", systems=systems, incidence=a.incidence,
         is_convex=a.is_convex, is_cone=a.is_cone,
         closed_under_addition=a.closed_under_addition,
-        member_tol=opts.bisect_tol,
+        member_tol=BISECT_TOL,
     )

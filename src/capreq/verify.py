@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acceptance import AcceptanceSet, PolyhedralRep
-from .directional import (DEFAULT_PROBE, DirectionalProbe, dir_bd_member,
-                          dir_cl_member, dir_int_member, rec_member)
+from .directional import PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_member, rec_member
 from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from .market import ValidatedMarket
-from .riskmeasure import (DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
+from .riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
                           NotPolyhedral, RiskResult, SolveOptions,
                           induced_rho_acceptance, is_finite, solve_rho)
 
@@ -104,7 +103,7 @@ def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
     infinite tags preserved exactly under translation.
     """
     if band is None:
-        band = 10 * opts.bisect_tol
+        band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("risk_measure_axioms", trials=trials, seed=seed)
     n = vm.n_states
@@ -130,32 +129,28 @@ def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
     return report
 
 
-def _directional_class(oracle: MembershipOracle, u: np.ndarray, point: np.ndarray,
-                       probe: DirectionalProbe) -> str:
-    in_cl = dir_cl_member(oracle.contains, u, point, probe)
+def _directional_class(oracle: MembershipOracle, u: np.ndarray, point: np.ndarray) -> str:
+    in_cl = dir_cl_member(oracle.contains, u, point)
     if not in_cl:
         return "outside"
-    if dir_int_member(oracle.contains, u, point, probe):
+    if dir_int_member(oracle.contains, u, point):
         return "interior"
     return "boundary"
 
 
 def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
                            m_values=(-1.0, 0.0, 1.0), grid: int = 21, seed: int = 0,
-                           opts: SolveOptions = DEFAULT_OPTIONS,
-                           probe: DirectionalProbe = DEFAULT_PROBE) -> PropertyReport:
+                           opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
     """Level sets of the requirement against directional classification.
 
     For every grid position and level m: value < m must put the shifted
     point in the directional interior of the zero-cost-reachable set,
     value > m must keep it outside the directional closure, and points with
-    |value - m| inside the band are inconclusive. Requires an exact
-    membership strategy.
+    |value - m| inside the band are inconclusive. A set known only through
+    membership is refused (``NotPolyhedral``).
     """
     oracle = MembershipOracle(a, vm, opts)
-    if not oracle.exact:
-        raise NotPolyhedral("level-set check needs an exact membership strategy")
-    band = 10 * opts.bisect_tol
+    band = 10 * BISECT_TOL
     report = PropertyReport("levelset_theorem", seed=seed)
     n = vm.n_states
     rng = np.random.default_rng(seed)
@@ -172,7 +167,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
             if is_finite(value) and abs(value - m) <= band:
                 report.inconclusive += 1
                 continue
-            cls = _directional_class(oracle, u, x + m * u, probe)
+            cls = _directional_class(oracle, u, x + m * u)
             if value < m and cls != "interior":
                 report.violation(x=_listify(x), m=m, value=value, classified=cls,
                                  expected="interior")
@@ -183,8 +178,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
 
 
 def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 200,
-                         seed: int = 0, opts: SolveOptions = DEFAULT_OPTIONS,
-                         probe: DirectionalProbe = DEFAULT_PROBE) -> PropertyReport:
+                         seed: int = 0, opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
     """Finiteness characterization of the requirement.
 
     A finite value means the position is reachable at some cash level but
@@ -192,12 +186,11 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     classify on the directional boundary (within the band, else
     inconclusive). Infinite tags are cross-checked against the status of
     the oracle's cash-minimising LP (infeasible: not reachable; unbounded:
-    the whole numeraire line is reachable).
+    the whole numeraire line is reachable). A set known only through
+    membership is refused (``NotPolyhedral``).
     """
     oracle = MembershipOracle(a, vm, opts)
-    if not oracle.exact:
-        raise NotPolyhedral("domain check needs an exact membership strategy")
-    band = 10 * opts.bisect_tol
+    band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("domain_theorem", trials=trials, seed=seed)
     u = vm.numeraire
@@ -227,10 +220,10 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
             continue
         # finite: boundary classification at the solved level, band-tolerant
         shifted = x + value * u
-        if dir_bd_member(oracle.contains, u, shifted, probe):
+        if dir_bd_member(oracle.contains, u, shifted):
             continue
-        above_cl = dir_cl_member(oracle.contains, u, shifted + band * u, probe)
-        below_int = dir_int_member(oracle.contains, u, shifted - band * u, probe)
+        above_cl = dir_cl_member(oracle.contains, u, shifted + band * u)
+        below_int = dir_int_member(oracle.contains, u, shifted - band * u)
         if above_cl and not below_int:
             report.inconclusive += 1
         else:
@@ -365,12 +358,11 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     exact point-hit levels, and must agree with the original on random
     positions and at the added points themselves. Extras outside the closure
     break the sandwich hypothesis and must produce violations - that is the
-    negative control.
+    negative control. A set known only through membership is refused
+    (``NotPolyhedral``).
     """
-    oracle = MembershipOracle(a, vm, opts)
-    if not oracle.exact:
-        raise NotPolyhedral("variation check needs an exact membership strategy")
-    band = 10 * opts.bisect_tol
+    MembershipOracle(a, vm, opts)   # refuses a set without systems
+    band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("variation_lemma", trials=trials, seed=seed)
     n = vm.n_states
@@ -463,7 +455,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
     equals the original within the band (level comparisons inside the band
     are inconclusive). A set known only through membership is refused.
     """
-    band = 10 * opts.bisect_tol
+    band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("induced_set_theorem", trials=trials, seed=seed)
     induced = induced_rho_acceptance(a, vm, opts)
@@ -496,8 +488,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
 
 def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
                                      grid: int = 60, seed: int = 0,
-                                     opts: SolveOptions = DEFAULT_OPTIONS,
-                                     probe: DirectionalProbe = DEFAULT_PROBE) -> PropertyReport:
+                                     opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
     """Directional operators equal the norm ones when the numeraire enters strictly.
 
     Works on the zero-cost-reachable set B = A + span K of a set of one
@@ -509,7 +500,7 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
     rec(B), one homogenised cash LP each. Where they hold, directional
     closure/interior/boundary must match the norm classification at
     sampled points, read off a signed margin that does not use U (see
-    ``_signed_margin``); points within 4 * ``probe.final_scale`` of the
+    ``_signed_margin``); points within 4 * ``PROBE_SCALE`` of the
     boundary are inconclusive. Otherwise the hypothesis failure is
     reported and the comparison is skipped.
     """
@@ -535,19 +526,18 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
 
     rng = np.random.default_rng(seed)
     oracle = MembershipOracle(a, vm, opts)
-    eps = probe.final_scale
 
     for trial in range(grid):
         report.trials += 1
         x = _sample_position(rng, vm.n_states)
         margin = _signed_margin(rep, kernel, x, tol)
-        if abs(margin) <= 4 * eps:
+        if abs(margin) <= 4 * PROBE_SCALE:
             report.inconclusive += 1
             continue
         topo_int = margin > 0
         topo_cl = margin >= 0
-        d_cl = dir_cl_member(oracle.contains, u, x, probe)
-        d_int = dir_int_member(oracle.contains, u, x, probe)
+        d_cl = dir_cl_member(oracle.contains, u, x)
+        d_int = dir_int_member(oracle.contains, u, x)
         if d_cl != topo_cl or d_int != topo_int:
             report.violation(trial=trial, x=_listify(x), margin=margin,
                              dir_closure=d_cl, dir_interior=d_int)

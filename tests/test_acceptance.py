@@ -252,10 +252,7 @@ def test_criterion_8_negative_controls():
     cone_oracle = MembershipOracle(positive_cone(2), vm)
 
     def broken(x):
-        return rho_from_membership(cone_oracle.contains, vm, x,
-                                   reachable=cone_oracle.reachable_along_u,
-                                   line=cone_oracle.line_along_u,
-                                   strategy="strict_tie")
+        return rho_from_membership(cone_oracle.contains, vm, x, strategy="strict_tie")
 
     rng = np.random.default_rng(1010)
     points = [rng.uniform(-4, 4, size=2) for _ in range(20)]

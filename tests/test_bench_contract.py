@@ -48,7 +48,8 @@ def test_every_strategy_has_a_price_tolerance(bench):
 
 def test_span_names_resolve_to_public_functions(bench):
     _, tracer = bench
-    names = set(tracer.STRATEGY_SPANS) | set(tracer.INFO) | set(tracer.CONSTRUCTORS)
+    names = (set(tracer.STRATEGY_SPANS) | set(tracer.INFO) | set(tracer.CONSTRUCTORS)
+             | set(tracer.PROBES))
     for name in sorted(names):
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"capreq.{module}"), attr, None)

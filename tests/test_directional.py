@@ -5,8 +5,8 @@ import pytest
 
 from capreq.acceptance import (avar_acceptance, halfspace_acceptance,
                                oracle_acceptance, positive_cone)
-from capreq.directional import (DEFAULT_PROBE, DirectionalProbe, dir_bd_member,
-                                dir_cl_member, dir_int_member, rec_member)
+from capreq.directional import (PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_member,
+                                rec_member)
 from capreq.market import uniform_space
 from capreq.riskmeasure import MembershipOracle, solve_rho
 from conftest import corner_acceptance_r3
@@ -27,16 +27,6 @@ class TestClosure:
 
     def test_far_outside(self):
         assert not dir_cl_member(halfplane, U2, [-1.0, 0.0])
-
-    def test_monotonicity_diagnostic(self):
-        # not up-closed along u: member at small lift but not at large one
-        bad = lambda x: bool(x[0] < 0.5)
-        diag = {}
-        dir_cl_member(bad, U2, [0.0, 0.0], diagnostics=diag)
-        assert "monotonicity_violation" in diag
-        diag_ok = {}
-        dir_cl_member(halfplane, U2, [0.5, 0.0], diagnostics=diag_ok)
-        assert "monotonicity_violation" not in diag_ok
 
 
 class TestInterior:
@@ -63,16 +53,7 @@ class TestBoundary:
 
 class TestProbeLadder:
     def test_default_shape(self):
-        assert DEFAULT_PROBE.final_scale == pytest.approx(2.0 ** -24)
-        assert DEFAULT_PROBE.epsilon_ladder[0] == 1.0
-
-    def test_rejects_bad_ladders(self):
-        with pytest.raises(ValueError):
-            DirectionalProbe(epsilon_ladder=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            DirectionalProbe(epsilon_ladder=(1.0, -0.5))
-        with pytest.raises(ValueError):
-            DirectionalProbe(epsilon_ladder=())
+        assert PROBE_SCALE == 2.0 ** -24
 
 
 class TestRecession:
@@ -116,12 +97,13 @@ class TestStructuralProperties:
         # member implies closure membership; closure membership implies a
         # nearby lifted member
         rng = np.random.default_rng(3)
+        scales = [2.0 ** -k for k in range(25)]
         for _ in range(200):
             x = rng.uniform(-3, 3, size=2)
             if halfplane(x):
                 assert dir_cl_member(halfplane, U2, x)
             if dir_cl_member(halfplane, U2, x):
-                assert any(halfplane(x + t * U2) for t in DEFAULT_PROBE.epsilon_ladder)
+                assert any(halfplane(x + t * U2) for t in scales)
 
     def test_idempotence_proxy(self):
         cl_oracle = lambda y: dir_cl_member(halfplane, U2, y)
@@ -135,7 +117,7 @@ class TestStructuralProperties:
         for _ in range(200):
             x = rng.uniform(-3, 3, size=2)
             if dir_int_member(halfplane, U2, x):
-                assert halfplane(x + DEFAULT_PROBE.final_scale * U2)
+                assert halfplane(x + PROBE_SCALE * U2)
                 assert dir_cl_member(halfplane, U2, x)
 
     def test_consistency_with_requirement(self, two_state_market):

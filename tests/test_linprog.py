@@ -80,6 +80,18 @@ def test_malformed_dimensions():
         make_problem([1.0], [[1.0]], [0.0], ["=="])
 
 
+@pytest.mark.parametrize("name", ["tol", "pivot_tol"])
+def test_tolerances_must_be_positive_and_finite(name):
+    # x >= 1, y >= 1, x + y <= 1 is infeasible; a NaN or infinite tolerance
+    # would pass every certificate comparison and report it optimal
+    problem = make_problem([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0],
+                           [GE, GE, LE])
+    assert solve_lp(problem).status == INFEASIBLE
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(MalformedProblem):
+            solve_lp(problem, **{name: value})
+
+
 _VALID = dict(objective=[1.0, 2.0], lhs=[[1.0, 1.0]], rhs=[1.0], senses=(GE,),
               lower=[0.0, -np.inf], upper=[np.inf, 3.0])
 

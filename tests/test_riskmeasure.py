@@ -13,7 +13,7 @@ from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, Polyhed
                                var_acceptance)
 from capreq.linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
-from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
+from capreq.riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, DegenerateAcceptance,
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
                                 NotPolyhedral, POS_INF, SolveOptions,
                                 extreal_str,
@@ -21,7 +21,7 @@ from capreq.riskmeasure import (DEFAULT_OPTIONS, DegenerateAcceptance,
                                 rho_direct_lp, rho_reduction, rho_var_exact, solve_rho)
 from conftest import corner_acceptance_r3, loadable_sets, random_market
 
-BAND = 10 * DEFAULT_OPTIONS.bisect_tol
+BAND = 10 * BISECT_TOL
 
 
 class TestMembership:
@@ -79,10 +79,10 @@ class TestMembership:
 
     def test_grid_oracle_finds_witness(self, half_price_market):
         a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
-        oracle = MembershipOracle(a, half_price_market,
-                                  SolveOptions(kernel_box=8.0, kernel_grid=33))
-        assert not oracle.exact
-        k = oracle.witness(np.array([-1.0, 3.0]))
+        opts = SolveOptions(kernel_box=8.0, kernel_grid=33)
+        with pytest.raises(NotPolyhedral):
+            MembershipOracle(a, half_price_market, opts)
+        k = rm._witness_grid(a, half_price_market.kernel_basis, np.array([-1.0, 3.0]), opts)
         assert k is not None
         assert np.all(np.array([-1.0, 3.0]) - k >= -1e-6)
 
@@ -709,9 +709,7 @@ class TestDomainClassify:
 
     def test_degenerate_halfplane(self, half_price_market):
         oracle = MembershipOracle(halfspace_acceptance([1.0, 0.0]), half_price_market)
-        solved = oracle.cash_lp([2.0, -1.0])
-        assert solved is not None   # decided by the structural LP, not a probe
-        assert solved[0] == UNBOUNDED
+        assert oracle.cash_lp([2.0, -1.0])[0] == UNBOUNDED
 
     def test_positive_cone_finite(self, two_state_market):
         rng = np.random.default_rng(3)
@@ -927,10 +925,10 @@ class TestRiskMeasureProperties:
 
 class TestPlumbing:
     def test_solve_options_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(bisect_tol=-1.0)
-        with pytest.raises(ValueError):
-            SolveOptions(bisect_tol=2.0)
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            for name in ("lp_tol", "kernel_box"):
+                with pytest.raises(UsageError):
+                    SolveOptions(**{name: value})
         for grid in (0, 2.5, True):
             with pytest.raises(UsageError):
                 SolveOptions(kernel_grid=grid)

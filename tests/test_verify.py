@@ -63,8 +63,9 @@ class TestLevelSets:
 
     def test_oracle_strategy_rejected(self, two_state_market):
         bad = oracle_acceptance(2, lambda x: bool(min(x) >= 0), [-1.0, 0.0])
-        with pytest.raises(NotPolyhedral):
-            check_levelset_theorem(bad, two_state_market)
+        for check in (check_levelset_theorem, check_domain_theorem, check_variation_lemma):
+            with pytest.raises(NotPolyhedral):
+                check(bad, two_state_market)
 
 
 class TestDomain:
