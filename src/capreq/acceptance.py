@@ -50,16 +50,14 @@ class PolyhedralRep:
     ``aux`` has zero columns for plain polyhedra; auxiliary variables appear
     only in epigraph-style blocks (average value at risk). ``aux_nonneg``
     holds one flag per auxiliary column, all False (free) by default; a
-    flagged column is a variable with lower bound 0 in every LP built from
-    the block, not a row.
+    flagged column is a nonnegative column of every LP built from the
+    block (``LpProblem.nonneg``), not a row.
     """
 
     rows: np.ndarray
     aux: np.ndarray
     rhs: np.ndarray
     aux_nonneg: np.ndarray | None = None
-    # lower bound of each auxiliary: 0 if flagged nonnegative, else -inf
-    aux_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=float))
@@ -73,7 +71,6 @@ class PolyhedralRep:
             raise DimensionMismatch("polyhedral block rows disagree")
         if nonneg.shape != (self.aux.shape[1],):
             raise DimensionMismatch("aux_nonneg needs one flag per auxiliary column")
-        object.__setattr__(self, "aux_lower", np.where(nonneg, 0.0, -np.inf))
 
     @property
     def pure(self) -> bool:
@@ -108,11 +105,10 @@ class PolyhedralRep:
         rhs = -(self.rows @ y) if homogeneous else self.rhs_at(y)
         objective = np.zeros(lhs.shape[1])
         objective[:len(moves)] = 1.0
-        lower = np.full(lhs.shape[1], -np.inf)
-        if nonnegative:
-            lower[:len(moves)] = 0.0
-        lower[lhs.shape[1] - self.n_aux:] = self.aux_lower
-        return make_problem(objective, lhs, rhs, GE, lower=lower)
+        nonneg = np.zeros(lhs.shape[1], dtype=bool)
+        nonneg[:len(moves)] = nonnegative
+        nonneg[lhs.shape[1] - self.n_aux:] = self.aux_nonneg
+        return make_problem(objective, lhs, rhs, GE, nonneg)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from . import CapreqError, UsageError
 from .acceptance import load_acceptance
 from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
                      load_market, validate_market)
-from .riskmeasure import BISECT_TOL, SolveOptions, extreal_str, is_finite, solve_rho
+from .riskmeasure import BISECT_TOL, SolveOptions, extreal_str, solve_rho
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -219,9 +219,9 @@ def cmd_levelset(args) -> int:
     else:
         if n > 3:
             raise UsageError("grid output needs 2 or 3 states; use --points")
-        axis = np.linspace(args.lo, args.hi, args.grid)
         if args.grid ** n > 1_000_000:
             raise UsageError("grid has more than 1e6 points")
+        axis = np.linspace(args.lo, args.hi, args.grid)
         points = [np.asarray(p) for p in itertools.product(*([axis] * n))]
 
     band = 10 * BISECT_TOL
@@ -229,9 +229,9 @@ def cmd_levelset(args) -> int:
     for p in points:
         # every set a file describes is exact (or refused), so LPs resolve the level
         value = solve_rho(a, vm, p, opts).value
-        if is_finite(value) and abs(value - args.level) <= 1e-9:
+        if math.isfinite(value) and abs(value - args.level) <= 1e-9:
             tag = "boundary"
-        elif is_finite(value) and abs(value - args.level) <= band:
+        elif math.isfinite(value) and abs(value - args.level) <= band:
             tag = "inconclusive"
         elif value < args.level:
             tag = "below"

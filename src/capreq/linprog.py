@@ -6,8 +6,8 @@ right tool: no external solver dependency, fully deterministic pivoting,
 and statuses that are certified before they are returned.
 
 Conventions: minimize ``c @ x`` subject to row constraints ``A @ x`` with
-per-row senses ("<=", "=", ">=") and per-variable bounds in which
-``-inf``/``+inf`` mean unbounded.
+per-row senses ("<=", "=", ">="); each variable is free or, where the
+``nonneg`` mask flags it, nonnegative. Any other bound is a row.
 
 Phase 1 starts from a slack basis: a row that has a column of its own
 (a slack, or any column nonzero in that row only) starts with that column
@@ -24,9 +24,8 @@ final reduced-cost row (Chvatal 1983, ch. 5) with no second solve.
 
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the work is split by what it depends on. Once per matrix,
-when an ``LpProblem`` is built: validation, the encoding of the bounds,
-the unscaled standard block and objective, the objective constant,
-lhs @ shift, each row's largest entry and the singleton columns with
+when an ``LpProblem`` is built: validation, the unscaled standard block
+and objective, each row's largest entry and the singleton columns with
 their rows (``_Standard``). ``LpProblem.with_rhs`` shares all of it, so a
 matrix re-solved for many right-hand sides pays for it once. On every
 call: the right-hand side, the row scales and the scaled block, the start
@@ -77,8 +76,9 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  lower <= x <= upper.
+    """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  x_j >= 0 where nonneg_j.
 
+    ``nonneg`` holds one bool per column; an unflagged column is free.
     Construction validates the data and derives, once, the part of the
     standard form that ignores ``rhs`` (``_Standard``), so the arrays must
     not change afterwards. ``with_rhs`` gives the same problem with another
@@ -90,15 +90,15 @@ class LpProblem:
     lhs: np.ndarray
     rhs: np.ndarray
     senses: tuple[str, ...]
-    lower: np.ndarray
-    upper: np.ndarray
+    nonneg: np.ndarray
     # per-row slack coefficient, int8: +1 for "<=", 0 for "=", -1 for ">="
     _sign: np.ndarray = field(init=False, repr=False, compare=False)
     _std: _Standard = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1), ("lower", 1), ("upper", 1)):
+        for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1)):
             object.__setattr__(self, name, _as_float_array(getattr(self, name), name, ndim))
+        object.__setattr__(self, "nonneg", np.asarray(self.nonneg))
         object.__setattr__(self, "senses", tuple(self.senses))
         m, n = self.lhs.shape
         if n == 0:
@@ -107,8 +107,8 @@ class LpProblem:
             raise MalformedProblem("objective length does not match column count")
         if self.rhs.shape != (m,) or len(self.senses) != m:
             raise MalformedProblem("rhs/senses length does not match row count")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise MalformedProblem("bounds length does not match column count")
+        if self.nonneg.dtype != bool or self.nonneg.shape != (n,):
+            raise MalformedProblem("nonneg must hold one bool per column")
         sign = [_SLACK_SIGN.get(s) if isinstance(s, str) else None for s in self.senses]
         if None in sign:
             raise MalformedProblem(f"unknown sense {self.senses[sign.index(None)]!r}")
@@ -116,8 +116,6 @@ class LpProblem:
         if any(np.count_nonzero(np.isfinite(a)) < a.size
                for a in (self.objective, self.lhs, self.rhs)):
             raise MalformedProblem("objective, lhs and rhs must be finite")
-        if np.count_nonzero(np.isnan(self.lower)) or np.count_nonzero(np.isnan(self.upper)):
-            raise MalformedProblem("bounds must not be NaN")
         object.__setattr__(self, "_std", _Standard(self))
 
     def with_rhs(self, rhs) -> LpProblem:
@@ -140,18 +138,17 @@ class LpProblem:
         return self.lhs.shape[1]
 
 
-def make_problem(objective, lhs, rhs, senses, lower=None, upper=None) -> LpProblem:
-    """Convenience constructor; bounds default to fully free variables."""
+def make_problem(objective, lhs, rhs, senses, nonneg=None) -> LpProblem:
+    """Convenience constructor; ``nonneg`` defaults to all False, every variable free."""
     c = _as_float_array(objective, "objective", 1)
     n = c.shape[0]
-    lo = np.full(n, -np.inf) if lower is None else _as_float_array(lower, "lower", 1)
-    hi = np.full(n, np.inf) if upper is None else _as_float_array(upper, "upper", 1)
     a = np.asarray(lhs, dtype=float)
     if a.size == 0:
         a = a.reshape(0, n)
     if isinstance(senses, str):
         senses = (senses,) * a.shape[0]
-    return LpProblem(c, a, _as_float_array(rhs, "rhs", 1), tuple(senses), lo, hi)
+    return LpProblem(c, a, _as_float_array(rhs, "rhs", 1), tuple(senses),
+                     np.zeros(n, dtype=bool) if nonneg is None else nonneg)
 
 
 @dataclass(frozen=True)
@@ -177,16 +174,9 @@ class LpOutcome:
 class _Standard:
     """What ``solve_lp`` derives from a problem's data other than its right-hand side.
 
-    The problem becomes min c @ u s.t. a @ u = b, u >= 0, where b is rhs -
-    lhs @ shift followed by the right-hand sides of the bound rows. Column j
-    is x_j = shift_j + sign_j * u[first_j]: shift = lower and sign = +1 when
-    the lower bound is finite (a finite upper bound then adds the bound row
-    u[first_j] <= upper - lower; those columns are ``capped``), shift =
-    upper and sign = -1 when only the upper bound is. A ``free`` column is
-    x_j = u[first_j] - u[second], second = first_j + 1. One slack per
-    inequality row and per bound row follows. Without upper bounds and
-    shifts, ``sign`` and ``lhs_shift`` are None and the objective constant
-    is 0.
+    The problem becomes min c @ u s.t. a @ u = rhs, u >= 0. A nonnegative
+    column j is x_j = u[first_j]; a ``free`` one is x_j = u[first_j] -
+    u[second], second = first_j + 1. One slack per inequality row follows.
 
     ``row_max`` holds each row's largest |a|, which row equilibration
     needs, and ``singletons`` the candidates for the start basis: the
@@ -196,64 +186,37 @@ class _Standard:
     an entry is ``fragile`` and its singletons are found again per call.
     """
 
-    __slots__ = ("infeasible_bounds", "free", "first", "second", "shift", "sign", "a", "c",
-                 "cap_rhs", "lhs_shift", "obj_const", "row_max", "singletons", "fragile")
+    __slots__ = ("free", "first", "second", "a", "c", "row_max", "singletons", "fragile")
 
     def __init__(self, problem: LpProblem):
-        lhs, lower, upper = problem.lhs, problem.lower, problem.upper
-        has_lo, has_hi = np.isfinite(lower), np.isfinite(upper)
-        self.infeasible_bounds = np.count_nonzero(lower > upper) > 0
-        self.free = ~(has_lo | has_hi)
-        hi_only = has_hi > has_lo
+        self.free = ~problem.nonneg
         width = self.free + 1   # standard columns per original column
         self.first = width.cumsum() - width
         self.second = self.first[self.free] + 1
-        self.shift = np.where(has_lo, lower, np.where(hi_only, upper, 0.0))
-        plain = np.count_nonzero(has_hi) + np.count_nonzero(self.shift) == 0
-        sign = np.where(hi_only, -1.0, 1.0)
-        self.sign = None if plain else sign
-        std_sign = sign.repeat(width)   # sign of each standard column
+        std_sign = np.ones(width.sum())   # sign of each standard column
         std_sign[self.second] = -1.0
-        capped = (has_lo & has_hi).nonzero()[0]
-        m, n_std = problem.n_rows, len(std_sign)
+        n_std = len(std_sign)
         ineq = problem._sign.nonzero()[0]
-        n_ineq, n_cap = len(ineq), len(capped)
-        a = np.zeros((m + n_cap, n_std + n_ineq + n_cap))
-        self.c = np.zeros(n_std + n_ineq + n_cap)
+        n_ineq = len(ineq)
+        a = np.zeros((problem.n_rows, n_std + n_ineq))
+        self.c = np.zeros(n_std + n_ineq)
         # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
-        a[:m, :n_std] = lhs.repeat(width, axis=1) * std_sign + 0.0
+        a[:, :n_std] = problem.lhs.repeat(width, axis=1) * std_sign + 0.0
         self.c[:n_std] = problem.objective.repeat(width) * std_sign + 0.0
         a[ineq, np.arange(n_std, n_std + n_ineq)] = problem._sign[ineq]
-        self.cap_rhs = None
-        if n_cap:
-            cap_rows = np.arange(m, m + n_cap)
-            a[cap_rows, self.first[capped]] = 1.0
-            a[cap_rows, np.arange(n_std + n_ineq, n_std + n_ineq + n_cap)] = 1.0
-            self.cap_rhs = upper[capped] - lower[capped]
         self.a = a
-        # lhs @ 0 is +0.0 and rhs - 0.0 is rhs, so a zero shift is skipped
-        self.lhs_shift = None if plain else lhs @ self.shift
-        # sequential sum in column order from +0.0, the value a scalar loop gives
-        self.obj_const = 0.0 if plain \
-            else 0.0 + float(np.cumsum(problem.objective * self.shift)[-1])
         size = np.abs(a)
         self.row_max = size.max(axis=1)
         nonzero = a != 0.0
         self.singletons = _singletons(nonzero, a)
         self.fragile = np.count_nonzero(size < 1e-15) + np.count_nonzero(nonzero) > a.size
 
-    def to_original(self, x_std: np.ndarray) -> np.ndarray:
-        u = x_std[self.first]
-        x = self.shift + (u if self.sign is None else self.sign * u)
+    def to_original(self, v_std: np.ndarray) -> np.ndarray:
+        """The original columns of a standard point or ray, with +0.0 for -0.0 off the free ones."""
+        v = v_std[self.first] + 0.0
         if len(self.second):
-            x[self.free] = x_std[self.second - 1] - x_std[self.second]
-        return x
-
-    def ray_to_original(self, d_std: np.ndarray) -> np.ndarray:
-        d = d_std[self.first] if self.sign is None else self.sign * d_std[self.first]
-        if len(self.second):
-            d[self.free] = d_std[self.second - 1] - d_std[self.second]
-        return d
+            v[self.free] = v_std[self.second - 1] - v_std[self.second]
+        return v
 
 
 def _singletons(nonzero: np.ndarray, a: np.ndarray) -> tuple[list, list, list]:
@@ -319,7 +282,7 @@ def _certify_optimal(problem, x, tol):
     if _rows_violated(problem, resid, tol * scale):
         return False
     margin = tol * max(1.0, size)
-    return np.count_nonzero((x < problem.lower - margin) | (x > problem.upper + margin)) == 0
+    return np.count_nonzero(problem.nonneg & (x < -margin)) == 0
 
 
 def _certify_ray(problem, ray, tol):
@@ -329,8 +292,7 @@ def _certify_ray(problem, ray, tol):
     limit = tol * max(1.0, size)
     if _rows_violated(problem, problem.lhs @ ray, limit):
         return False
-    if np.count_nonzero((np.isfinite(problem.lower) & (ray < -limit))
-                        | (np.isfinite(problem.upper) & (ray > limit))):
+    if np.count_nonzero(problem.nonneg & (ray < -limit)):
         return False
     return float(problem.objective @ ray) < 0.0
 
@@ -346,18 +308,12 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         raise MalformedProblem("tolerances must be positive and finite")
 
     std = problem._std
-    if std.infeasible_bounds:
-        return LpOutcome(status=INFEASIBLE)
-
-    b_std = problem.rhs if std.lhs_shift is None else problem.rhs - std.lhs_shift
-    if std.cap_rhs is not None:
-        b_std = np.concatenate((b_std, std.cap_rhs))
     m, n_std = std.a.shape
     # per-row equilibration keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^40) entries)
-    row_scale = np.maximum(1.0, np.maximum(std.row_max, np.abs(b_std)))
+    row_scale = np.maximum(1.0, np.maximum(std.row_max, np.abs(problem.rhs)))
     a_std = std.a / row_scale[:, None]
-    b_std = b_std / row_scale
+    b_std = problem.rhs / row_scale
 
     # slack starting basis: a column whose only nonzero lies in row i starts
     # basic in row i once the row is divided by that entry, the lowest such
@@ -395,7 +351,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     for k, i in enumerate(art_rows):
         basis[i] = n_std + k
     basis = np.array(basis, dtype=np.intp)
-    start = basis[:problem.n_rows].copy()   # column e_i of each scaled row, kept for the dual
+    start = basis.copy()   # column e_i of each scaled row, kept for the dual
 
     # columns: standard | artificials | x0 when shared | right-hand side
     x0 = n_std + len(art_rows)
@@ -468,7 +424,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         d_std = np.zeros(n_std)
         d_std[entering] = 1.0
         d_std[basis] = -tableau[:-1, entering]
-        ray = std.ray_to_original(d_std)
+        ray = std.to_original(d_std)
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
         return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots)
@@ -478,11 +434,9 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     x = std.to_original(x_std)
     if not _certify_optimal(problem, x, 10 * tol):
         raise NumericalBreakdown("optimal point failed feasibility certificate")
-    value = float(std.c @ x_std + std.obj_const)
+    value = float(std.c @ x_std) + 0.0
 
     # y = c_B B^-1 of the scaled rows: column start_i is e_i there, so its
-    # reduced cost is cost[start_i] - y_i. The original rows precede the
-    # bound rows.
-    n = problem.n_rows
-    dual = (cost[start] - tableau[-1, start]) * mult[:n] / row_scale[:n] + 0.0
+    # reduced cost is cost[start_i] - y_i
+    dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots)

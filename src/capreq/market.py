@@ -250,52 +250,58 @@ class ArbitrageReport:
     min_state_price: float | None = None
 
 
+def _box_lp(objective: np.ndarray, rows: np.ndarray, senses: tuple):
+    """(min value, minimiser) of objective @ x s.t. rows @ x (senses) 0 over |x|_inf <= 1, or None.
+
+    The box is posed in nonnegative columns: x = u - 1 with 0 <= u <= 2,
+    so the rows read rows @ u (senses) rows @ 1, and the rows u <= 2
+    follow them.
+    """
+    k = rows.shape[1]
+    lhs = np.vstack([rows, np.eye(k)])
+    rhs = np.concatenate([rows @ np.ones(k), np.full(k, 2.0)])
+    out = solve_lp(make_problem(objective, lhs, rhs, senses + (LE,) * k, np.ones(k, dtype=bool)))
+    if out.status != OPTIMAL:
+        return None
+    return out.objective_value - objective.sum(), out.x - 1.0
+
+
 def check_no_arbitrage(vm: ValidatedMarket, tol: float = STRICT_PSI_TOL) -> ArbitrageReport:
     """Search for strictly positive state prices; otherwise produce witnesses.
 
     State prices psi solve payoffs @ psi = prices; the LP maximizes the
-    minimum component, and the market is arbitrage-free iff that optimum is
-    strictly positive. Otherwise two witness LPs run over the portfolio box
-    |x|_inf <= 1: cheapest nonnegative payoff (free lunch when cost < -tol)
-    and most-probable gain at nonpositive cost (free lottery when > tol).
+    minimum component t, capped at t <= 1 to stay bounded on degenerate
+    spans and posed as t = 1 - s with s >= 0, and the market is
+    arbitrage-free iff that optimum is strictly positive. Otherwise two
+    witness LPs run over the portfolio box |x|_inf <= 1 (``_box_lp``):
+    cheapest nonnegative payoff (free lunch when cost < -tol) and
+    most-probable gain at nonpositive cost (free lottery when > tol).
     """
     s0, s1 = vm.market.prices, vm.market.payoffs
     n_assets, n = s1.shape
 
-    # variables (psi_1..psi_n, t): max t  s.t. S1 psi = S0, psi_omega >= t
+    # variables (psi_1..psi_n free, s >= 0): min s  s.t. S1 psi = S0, psi_omega + s >= 1
     c = np.zeros(n + 1)
-    c[-1] = -1.0
+    c[-1] = 1.0
     lhs = np.zeros((n_assets + n, n + 1))
     lhs[:n_assets, :n] = s1
     lhs[n_assets:, :n] = np.eye(n)
-    lhs[n_assets:, n] = -1.0
-    rhs = np.concatenate([s0, np.zeros(n)])
+    lhs[n_assets:, n] = 1.0
+    rhs = np.concatenate([s0, np.ones(n)])
     senses = (EQ,) * n_assets + (GE,) * n
-    upper = np.full(n + 1, np.inf)
-    upper[-1] = 1.0  # cap keeps the LP bounded on degenerate spans
-    out = solve_lp(make_problem(c, lhs, rhs, senses, upper=upper))
-    if out.status == OPTIMAL and -out.objective_value > tol:
+    out = solve_lp(make_problem(c, lhs, rhs, senses, np.arange(n + 1) == n))
+    if out.status == OPTIMAL and 1.0 - out.objective_value > tol:
         psi = out.x[:n]
         return ArbitrageReport(kind="none", state_prices=psi,
                                min_state_price=float(psi.min()))
 
-    box_lo, box_hi = np.full(n_assets, -1.0), np.full(n_assets, 1.0)
-
-    lunch = solve_lp(make_problem(s0, s1.T, np.zeros(n), (GE,) * n,
-                                  lower=box_lo, upper=box_hi))
-    lunch_x = None
-    if lunch.status == OPTIMAL and lunch.objective_value < -tol:
-        lunch_x = lunch.x
+    lunch = _box_lp(s0, s1.T, (GE,) * n)
+    lunch_x = lunch[1] if lunch is not None and lunch[0] < -tol else None
 
     p = vm.space.probs
-    c2 = -(s1 @ p)  # max p . (S1^T x)
-    lhs2 = np.vstack([s1.T, s0.reshape(1, -1)])
-    rhs2 = np.zeros(n + 1)
-    senses2 = (GE,) * n + (LE,)
-    lottery = solve_lp(make_problem(c2, lhs2, rhs2, senses2, lower=box_lo, upper=box_hi))
-    lottery_x = None
-    if lottery.status == OPTIMAL and -lottery.objective_value > tol:
-        lottery_x = lottery.x
+    # max p . (S1^T x) at cost s0 . x <= 0
+    lottery = _box_lp(-(s1 @ p), np.vstack([s1.T, s0.reshape(1, -1)]), (GE,) * n + (LE,))
+    lottery_x = lottery[1] if lottery is not None and -lottery[0] > tol else None
 
     if lunch_x is None and lottery_x is None:
         # tolerance gap: no strict state prices, yet no witness above threshold

@@ -26,7 +26,6 @@ acceptable at arbitrarily negative cost).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,10 +55,6 @@ class EnumerationTooLarge(CapreqError, ValueError):
 
 class DegenerateAcceptance(CapreqError, ValueError):
     """Induced acceptance set would be the whole space (requirement is -inf everywhere)."""
-
-
-def is_finite(value: float) -> bool:
-    return math.isfinite(value)
 
 
 def extreal_str(value: float) -> str | float:
@@ -369,8 +364,8 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
 def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
 
-    ``lp`` is min c x, A x >= b, each x_j free or, where its bounds are
-    [0, inf), nonnegative. S is where y exceeds ``tol``. The dual is checked
+    ``lp`` is min c x, A x >= b, each x_j free or, where ``lp.nonneg``
+    flags it, nonnegative. S is where y exceeds ``tol``. The dual is checked
     on the LP's own unscaled data, with r = A_S^T y_S - c and the limit
     tol * max(1, |c|): y >= -tol, |r_j| within the limit on the other
     columns and r_j at most the limit on nonnegative ones, where r_j < 0
@@ -383,8 +378,8 @@ def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     y = dual[support]
     c = lp.objective
     residual = lp.lhs[support].T @ y - c
-    nonneg = (lp.lower == 0.0) & (lp.upper == np.inf)
-    if np.where(nonneg, residual, np.abs(residual)).max() > tol * max(1.0, float(np.abs(c).max())):
+    limit = tol * max(1.0, float(np.abs(c).max()))
+    if np.where(lp.nonneg, residual, np.abs(residual)).max() > limit:
         return None
     return float(lp.rhs[support] @ y), support
 
@@ -403,13 +398,13 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
         raise NotPolyhedral("the direct LP needs polyhedral systems")
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
-    free = np.full(s0.shape[0], -np.inf)   # portfolio weights
+    free = np.zeros(s0.shape[0], dtype=bool)   # portfolio weights
 
     def problem(index: int) -> LpProblem:
         rep = a.systems[index]
         return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
                             np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x), GE,
-                            lower=np.concatenate([free, rep.aux_lower]))
+                            np.concatenate([free, rep.aux_nonneg]))
 
     out, index, scanned, pruned = _cheapest(a, problem, opts.lp_tol)
     diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}

@@ -18,6 +18,7 @@ on polyhedral instances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from .market import ValidatedMarket
 from .riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
                           NotPolyhedral, RiskResult, SolveOptions,
-                          induced_rho_acceptance, is_finite, solve_rho)
+                          induced_rho_acceptance, solve_rho)
 
 
 @dataclass
@@ -82,13 +83,6 @@ def _sample_eligible(rng: np.random.Generator, vm: ValidatedMarket,
                      scale: float = 2.0) -> np.ndarray:
     coords = rng.uniform(-scale, scale, size=vm.dim_m)
     return vm.m_basis.T @ coords
-
-
-def _sample_kernel(rng: np.random.Generator, vm: ValidatedMarket,
-                   scale: float = 2.0) -> np.ndarray:
-    k = vm.kernel_basis.shape[0]
-    coords = rng.uniform(-scale, scale, size=k)
-    return vm.kernel_basis.T @ coords
 
 
 def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
@@ -164,7 +158,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
         value = solve_rho(a, vm, x, opts).value
         for m in m_values:
             report.trials += 1
-            if is_finite(value) and abs(value - m) <= band:
+            if math.isfinite(value) and abs(value - m) <= band:
                 report.inconclusive += 1
                 continue
             cls = _directional_class(oracle, u, x + m * u)
@@ -316,8 +310,8 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
         value = solve_rho(a, vm, x, opts).value
         if whole_space is True and value != NEG_INF:
             report.violation(check="whole_space_degeneracy", x=_listify(x),
-                             value=value if is_finite(value) else _tag(value))
-        if minus_u_recedes.verdict is True and minus_u_recedes.exact and is_finite(value):
+                             value=value if math.isfinite(value) else _tag(value))
+        if minus_u_recedes.verdict is True and minus_u_recedes.exact and math.isfinite(value):
             report.violation(check="recession_dichotomy", x=_listify(x), value=value)
     return report
 
@@ -373,7 +367,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
         attempts += 1
         x = _sample_position(rng, n)
         value = solve_rho(a, vm, x, opts).value
-        if is_finite(value):
+        if math.isfinite(value):
             added.append(x + value * vm.numeraire)
     if extra_points is not None:
         added.extend(np.asarray(p, dtype=float) for p in extra_points)
@@ -390,7 +384,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
         if _tag(base) != _tag(enlarged):
             report.violation(trial=trial, x=_listify(x), base=_tag(base),
                              enlarged=_tag(enlarged))
-        elif is_finite(base) and abs(base - enlarged) > band:
+        elif math.isfinite(base) and abs(base - enlarged) > band:
             report.violation(trial=trial, x=_listify(x), base=base, enlarged=enlarged)
     report.trials = len(probes)
     return report
@@ -466,21 +460,21 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
         x = _sample_position(rng, n)
         m = float(rng.uniform(-4.0, 4.0))
         value = solve_rho(a, vm, x, opts).value
-        if is_finite(value) and abs(value - m) <= band:
+        if math.isfinite(value) and abs(value - m) <= band:
             report.inconclusive += 1
         else:
             in_level = value <= m
             in_induced = induced(x + m * u)
             if in_level != in_induced:
                 report.violation(trial=trial, check="level_set", x=_listify(x), m=m,
-                                 value=value if is_finite(value) else _tag(value),
+                                 value=value if math.isfinite(value) else _tag(value),
                                  induced_member=in_induced)
         if trial < trials // 4:
             re_solved = solve_rho(induced, vm, x, opts).value
             if _tag(value) != _tag(re_solved):
                 report.violation(trial=trial, check="idempotence", x=_listify(x),
                                  base=_tag(value), induced=_tag(re_solved))
-            elif is_finite(value) and abs(value - re_solved) > band:
+            elif math.isfinite(value) and abs(value - re_solved) > band:
                 report.violation(trial=trial, check="idempotence", x=_listify(x),
                                  base=value, induced=re_solved)
     return report
@@ -554,7 +548,7 @@ def check_solver_agreement(vm: ValidatedMarket, positions, solve_a, solve_b,
         if _tag(ra.value) != _tag(rb.value):
             report.violation(trial=i, x=_listify(x), a=_tag(ra.value), b=_tag(rb.value),
                              strategy_a=ra.strategy, strategy_b=rb.strategy)
-        elif is_finite(ra.value) and abs(ra.value - rb.value) > band:
+        elif math.isfinite(ra.value) and abs(ra.value - rb.value) > band:
             report.violation(trial=i, x=_listify(x), a=ra.value, b=rb.value,
                              strategy_a=ra.strategy, strategy_b=rb.strategy)
     return report

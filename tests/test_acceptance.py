@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (run with -s to see them);
 pytest's own report gives the per-criterion pass/fail status either way.
 """
 
+import math
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from capreq.acceptance import (avar_acceptance, compute_avar, compute_var,
 from capreq.market import (Market, ScenarioSpace, check_monotone_pricing,
                            check_no_arbitrage, uniform_space, validate_market)
 from capreq.riskmeasure import (MembershipOracle, NEG_INF, POS_INF, SolveOptions,
-                                is_finite, rho_direct_lp, rho_from_membership,
+                                rho_direct_lp, rho_from_membership,
                                 rho_reduction, rho_var_exact, solve_rho)
 from capreq.verify import (check_domain_theorem, check_levelset_theorem,
                            check_risk_measure_axioms, check_solver_agreement)
@@ -31,7 +32,7 @@ def _report(criterion: int, text: str) -> None:
 
 
 def _values_agree(a: float, b: float, tol: float) -> bool:
-    if is_finite(a) and is_finite(b):
+    if math.isfinite(a) and math.isfinite(b):
         return abs(a - b) <= tol
     return a == b
 

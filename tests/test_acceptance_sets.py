@@ -316,7 +316,7 @@ class TestAvarAcceptance:
             lhs = rep.aux
             rhs = rep.rhs - rep.rows @ x
             problem = make_problem(np.zeros(rep.n_aux), lhs, rhs, (GE,) * lhs.shape[0],
-                                   lower=rep.aux_lower)
+                                   rep.aux_nonneg)
             block_feasible = solve_lp(problem).status == OPTIMAL
             value = compute_avar(sp, x, 0.4)
             if abs(value) > 1e-7:

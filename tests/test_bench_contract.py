@@ -18,6 +18,7 @@ import pytest
 
 import capreq.riskmeasure as rm
 from capreq.acceptance import oracle_acceptance, var_acceptance
+from capreq.linprog import GE, OPTIMAL, make_problem, solve_lp
 from capreq.riskmeasure import MembershipOracle, SolveOptions, rho_var_exact, solve_rho
 from conftest import loadable_sets, random_market
 
@@ -78,3 +79,15 @@ def test_loss_sets_scanned_counts_the_lps_solved(monkeypatch):
                 seen["bounded"] += 1
             seen["pruned"] += diag["systems_pruned"]
     assert seen["bounded"] and seen["unbounded"] and seen["pruned"], seen
+
+
+def test_lp_info_reads_a_solved_problem(bench):
+    # the tracer reads n_rows, n_cols, status and pivots of each solve_lp
+    # call, whose problem comes positionally or as ``problem=``
+    _, tracer = bench
+    problem = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 1.0], GE, [True, False])
+    out = solve_lp(problem=problem)
+    assert out.status == OPTIMAL and out.pivots > 0
+    want = (4, OPTIMAL, out.pivots)
+    assert tracer._lp_info((problem,), {}, out) == want
+    assert tracer._lp_info((), {"problem": problem}, out) == want

@@ -273,6 +273,16 @@ class TestUsageErrors:
         assert_json_error(run(capsys, ["levelset", files["market"], files["poscone"],
                                        "--points", str(path)]), 2)
 
+    def test_grid_size_checked_before_the_axis_is_built(self, files, capsys, monkeypatch):
+        # 1001 ** 2 points is over the cap: refused before any axis is allocated
+        def no_axis(*args, **kwargs):
+            raise AssertionError("grid axis built before its size was checked")
+
+        monkeypatch.setattr(cli.np, "linspace", no_axis)
+        error = assert_json_error(run(capsys, ["levelset", files["market"], files["poscone"],
+                                               "--grid", "1001"]), 2)
+        assert "1e6" in error
+
     def test_points_file(self, files, capsys, tmp_path):
         path = tmp_path / "points.json"
         path.write_text("[[-3, 0], [1, 1]]")

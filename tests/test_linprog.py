@@ -17,15 +17,9 @@ def test_single_active_bound():
 
 
 def test_open_ray_unbounded():
-    out = solve_lp(make_problem([-1.0], np.zeros((0, 1)), [], [], lower=[0.0]))
+    out = solve_lp(make_problem([-1.0], np.zeros((0, 1)), [], [], nonneg=[True]))
     assert out.status == UNBOUNDED
     assert out.ray is not None and out.ray[0] > 0
-
-
-def test_contradictory_bounds_infeasible():
-    out = solve_lp(make_problem([0.0], np.zeros((0, 1)), [], [],
-                                lower=[1.0], upper=[0.0]))
-    assert out.status == INFEASIBLE
 
 
 def test_contradictory_rows_infeasible():
@@ -34,7 +28,7 @@ def test_contradictory_rows_infeasible():
 
 
 def test_feasible_true_false():
-    assert solve_lp(make_problem([0.0], np.zeros((0, 1)), [], [], lower=[0.0])).status == OPTIMAL
+    assert solve_lp(make_problem([0.0], np.zeros((0, 1)), [], [], nonneg=[True])).status == OPTIMAL
     assert solve_lp(make_problem([0.0], [[1.0], [1.0]], [1.0, 0.0], [GE, LE])).status == INFEASIBLE
 
 
@@ -52,21 +46,6 @@ def test_equality_rows():
     out = solve_lp(make_problem([1.0, 2.0], [[1, 1], [1, -1]], [2.0, 0.0], [EQ, EQ]))
     assert out.status == OPTIMAL
     assert out.x == pytest.approx([1.0, 1.0])
-
-
-def test_upper_bounds_respected():
-    out = solve_lp(make_problem([-1.0, -1.0], [[1.0, 1.0]], [10.0], [LE],
-                                lower=[0.0, 0.0], upper=[3.0, 4.0]))
-    assert out.status == OPTIMAL
-    assert out.objective_value == pytest.approx(-7.0)
-
-
-def test_upper_bound_of_zero_alone_flips_the_column():
-    # x <= 0 with no lower bound is x = 0 - u, u >= 0: no shift, but a sign
-    out = solve_lp(make_problem([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [-5.0, -2.0], [GE, GE],
-                                lower=[-np.inf, 0.0], upper=[0.0, 3.0]))
-    assert out.status == OPTIMAL
-    assert out.x.tolist() == [-5.0, 0.0]
 
 
 def test_malformed_dimensions():
@@ -93,20 +72,20 @@ def test_tolerances_must_be_positive_and_finite(name):
 
 
 _VALID = dict(objective=[1.0, 2.0], lhs=[[1.0, 1.0]], rhs=[1.0], senses=(GE,),
-              lower=[0.0, -np.inf], upper=[np.inf, 3.0])
+              nonneg=[True, False])
 
 
 @pytest.mark.parametrize("field, value", [
     ("rhs", [np.inf]),
     ("objective", [1.0, -np.inf]),
-    ("lower", [np.nan, -np.inf]),
-    ("upper", [np.inf, np.nan]),
     ("senses", (None,)),
     ("senses", (["<="],)),
-    ("lower", [0.0, 0.0, 0.0]),
-    ("upper", [1.0]),
-], ids=["rhs-inf", "objective-inf", "lower-nan", "upper-nan", "sense-none", "sense-list",
-        "lower-too-long", "upper-too-short"])
+    ("nonneg", [True, False, False]),
+    ("nonneg", [True]),
+    ("nonneg", [[True, False]]),
+    ("nonneg", [0.0, -np.inf]),
+], ids=["rhs-inf", "objective-inf", "sense-none", "sense-list", "nonneg-too-long",
+        "nonneg-too-short", "nonneg-two-dimensional", "nonneg-not-bool"])
 def test_malformed_entries_raise_malformed_problem(field, value):
     # never a KeyError, TypeError or IndexError from the validation itself
     LpProblem(**_VALID)
@@ -121,7 +100,7 @@ def _random_canonical(rng):
     x0 = rng.uniform(0.0, 3.0, size=n)
     b = a @ x0 - rng.uniform(0.1, 1.0, size=m)
     c = rng.uniform(0.0, 2.0, size=n)
-    return make_problem(c, a, b, [GE] * m, lower=np.zeros(n))
+    return make_problem(c, a, b, [GE] * m, np.ones(n, dtype=bool))
 
 
 def test_round_trip_residuals():
@@ -219,7 +198,7 @@ def test_bland_rule_does_not_cycle_on_beale_example():
                                 [[0.25, -60.0, -0.04, 9.0],
                                  [0.5, -90.0, -0.02, 3.0],
                                  [0.0, 0.0, 1.0, 0.0]],
-                                [0.0, 0.0, 1.0], [LE] * 3, lower=np.zeros(4)))
+                                [0.0, 0.0, 1.0], [LE] * 3, np.ones(4, dtype=bool)))
     assert out.status == OPTIMAL
     assert out.objective_value == pytest.approx(-0.05, abs=1e-12)
     assert out.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
@@ -290,7 +269,7 @@ def test_slack_rows_need_no_pivot():
         rhs = -rng.uniform(0.0, 2.0, size=m)
         rhs[rng.uniform(size=m) < 0.3] = 0.0
         out = solve_lp(make_problem(np.zeros(n), rng.normal(size=(m, n)), rhs, [GE] * m,
-                                    lower=np.zeros(n)))
+                                    np.ones(n, dtype=bool)))
         assert out.status == OPTIMAL
         assert out.pivots == 0
 
@@ -298,24 +277,28 @@ def test_slack_rows_need_no_pivot():
 def _planted_lp(rng, status, violated=False):
     """Random LP whose status is known by construction.
 
-    Mixed senses, bounded and free variables, a zero row and a redundant
-    (scaled duplicate) row, all satisfied by a planted point x0. For
-    "optimal" a box around x0 is added (as rows for variables without both
-    bounds); for "unbounded" rows and bounds are bent so that a planted ray
-    d keeps them satisfied while the objective falls along it; for
-    "infeasible" a contradictory row pair is added. With ``violated``,
+    Mixed senses, nonnegative and free columns, bounds written as rows, a
+    zero row and a redundant (scaled duplicate) row, all satisfied by a
+    planted point x0. For "optimal" a box around x0 is added (as rows for
+    variables without both bounds); for "unbounded" rows are bent so that a
+    planted ray d keeps them satisfied while the objective falls along it;
+    for "infeasible" a contradictory row pair is added. With ``violated``,
     three to five inequality rows that hold at x0 but not at the solver's
-    starting point (``_solver_start``) are added too. Rows are then scaled.
+    starting point x = 0 are added too. Rows are then scaled.
     """
     n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
     x0 = rng.uniform(-3.0, 3.0, size=n)
-    bound_kind = rng.integers(0, 4, size=n)   # 0 lower, 1 upper, 2 both, 3 free
+    # 0 a nonnegative column, 1 an upper-bound row, 2 lower- and upper-bound rows, 3 free
+    bound_kind = rng.integers(0, 4, size=n)
     if status == UNBOUNDED:
         bound_kind[0] = 3   # leaves the ray a free direction
-    lower = np.where(np.isin(bound_kind, (0, 2)), x0 - rng.uniform(0.0, 2.0, size=n), -np.inf)
+    nonneg = bound_kind == 0
+    x0[nonneg] = np.abs(x0[nonneg])
+    lower = np.where(nonneg, 0.0, np.where(bound_kind == 2, x0 - rng.uniform(0.0, 2.0, size=n),
+                                           -np.inf))
     upper = np.where(np.isin(bound_kind, (1, 2)), x0 + rng.uniform(0.0, 2.0, size=n), np.inf)
     d = rng.normal(size=n)
-    d[bound_kind == 0] = np.abs(d[bound_kind == 0])
+    d[nonneg] = np.abs(d[nonneg])
     d[bound_kind == 1] = -np.abs(d[bound_kind == 1])
     d[bound_kind == 2] = 0.0
 
@@ -338,14 +321,21 @@ def _planted_lp(rng, status, violated=False):
     rows.append(2.0 * rows[dup])
     rhs.append(2.0 * rhs[dup])
     senses.append(senses[dup])
+    for j in (bound_kind == 2).nonzero()[0]:
+        rows.append(np.eye(n)[j])
+        rhs.append(lower[j])
+        senses.append(GE)
+    for j in np.isin(bound_kind, (1, 2)).nonzero()[0]:
+        rows.append(np.eye(n)[j])
+        rhs.append(upper[j])
+        senses.append(LE)
 
     if violated:
-        start = _solver_start(lower, upper)
         for _ in range(int(rng.integers(3, 6))):
             g = rng.normal(size=n)
             if status == UNBOUNDED:
                 g -= (g @ d) / (d @ d) * d   # either sense keeps the ray
-            margin = g @ (x0 - start)
+            margin = g @ x0
             rows.append(g)
             rhs.append(g @ x0 - rng.uniform(0.1, 0.9) * margin)
             senses.append(GE if margin > 0 else LE)
@@ -372,7 +362,7 @@ def _planted_lp(rng, status, violated=False):
     c = rng.normal(size=n)
     if status == UNBOUNDED:
         c -= (c @ d + d @ d) / (d @ d) * d   # c @ d = -|d|^2 < 0
-    return make_problem(c, np.array(rows), np.array(rhs), senses, lower, upper)
+    return make_problem(c, np.array(rows), np.array(rhs), senses, nonneg)
 
 
 def _highs(problem):
@@ -383,22 +373,16 @@ def _highs(problem):
     res = linprog(problem.objective,
                   A_ub=problem.lhs[ub] * flip[:, None], b_ub=problem.rhs[ub] * flip,
                   A_eq=problem.lhs[~ub], b_eq=problem.rhs[~ub],
-                  bounds=[(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
-                          for lo, hi in zip(problem.lower, problem.upper)],
+                  bounds=[(0.0 if nonneg else None, None) for nonneg in problem.nonneg],
                   method="highs")
     return {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status, res.message), res.fun
 
 
-def _solver_start(lower, upper):
-    """The point phase 1 starts from: each variable at its lower bound, else its upper, else 0."""
-    return np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
-
-
 def _violated_at_start(problem):
-    """Inequality rows that the solver's starting point violates."""
-    gap = problem.lhs @ _solver_start(problem.lower, problem.upper) - problem.rhs
+    """Inequality rows that the solver's starting point x = 0 violates."""
     senses = np.array(problem.senses)
-    return int(np.count_nonzero(((senses == GE) & (gap < 0)) | ((senses == LE) & (gap > 0))))
+    return int(np.count_nonzero(((senses == GE) & (problem.rhs > 0))
+                                | ((senses == LE) & (problem.rhs < 0))))
 
 
 @pytest.mark.parametrize("status, seed", [(OPTIMAL, 23), (INFEASIBLE, 29), (UNBOUNDED, 31)])
@@ -441,9 +425,8 @@ def _check_dual(problem, out):
     """Check an optimal dual y on the original data.
 
     y is nonnegative on ">=" rows and nonpositive on "<=" rows. With
-    r = c - A^T y, each variable's r must be payable by a finite bound
-    (r > 0 at a lower bound, r < 0 at an upper one), and b @ y plus r at
-    those bounds is the dual value, equal to the optimum.
+    r = c - A^T y, r is nonnegative on nonnegative columns and zero on free
+    ones, and b @ y, the dual value, equals the optimum.
     """
     y = out.dual
     assert y.shape == (problem.n_rows,)
@@ -453,18 +436,16 @@ def _check_dual(problem, out):
     assert np.all(y[senses == GE] >= -1e-9 * size)
     assert np.all(y[senses == LE] <= 1e-9 * size)
     r = problem.objective - problem.lhs.T @ y
-    at_lower = r > 0
-    unpaid = np.where(at_lower, ~np.isfinite(problem.lower), ~np.isfinite(problem.upper))
-    assert np.all(np.abs(r[unpaid]) <= 1e-9 * size)
-    bound = np.where(at_lower, problem.lower, problem.upper)
-    dual_value = float(problem.rhs @ y + r[~unpaid] @ bound[~unpaid])
-    scale = max(1.0, abs(out.objective_value), float(np.abs(problem.rhs @ y)))
+    assert np.all(r[problem.nonneg] >= -1e-9 * size)
+    assert np.all(np.abs(r[~problem.nonneg]) <= 1e-9 * size)
+    dual_value = float(problem.rhs @ y)
+    scale = max(1.0, abs(out.objective_value), abs(dual_value))
     assert abs(dual_value - out.objective_value) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("violated", [False, True], ids=["slack-start", "rows-start-violated"])
 def test_dual_certifies_planted_optimum(violated):
-    # mixed senses, bounded and free variables, a zero row and a redundant
+    # mixed senses, nonnegative and free columns, a zero row and a redundant
     # duplicate row: the redundant row carries whatever c_B B^-1 gives, and
     # the certificate must hold all the same
     rng = np.random.default_rng(47)
@@ -476,8 +457,7 @@ def test_dual_certifies_planted_optimum(violated):
 
 
 def test_dual_present_without_rows():
-    problem = make_problem([1.0, -1.0], np.zeros((0, 2)), [], [],
-                           lower=[1.0, -np.inf], upper=[np.inf, 2.0])
+    problem = make_problem([1.0, 0.0], np.zeros((0, 2)), [], [], nonneg=[True, False])
     out = solve_lp(problem)
     assert out.status == OPTIMAL
     _check_dual(problem, out)
@@ -498,22 +478,21 @@ def test_with_rhs_solves_bitwise_as_a_fresh_problem():
     # the kept standard form of one matrix answers every right-hand side
     # exactly as a problem built from scratch with it does
     rng = np.random.default_rng(59)
-    seen, capped = set(), 0
+    seen, nonneg = set(), 0
     for status in (OPTIMAL, INFEASIBLE, UNBOUNDED):
         for violated in (False, True):
             for _ in range(30):
                 problem = _planted_lp(rng, status, violated)
-                capped += np.count_nonzero(np.isfinite(problem.lower) & np.isfinite(problem.upper))
+                nonneg += np.count_nonzero(problem.nonneg)
                 for rhs in (problem.rhs, problem.rhs + rng.normal(size=problem.n_rows),
                             rng.permutation(problem.rhs)):
                     fresh = LpProblem(problem.objective, problem.lhs, rhs, problem.senses,
-                                      problem.lower, problem.upper)
+                                      problem.nonneg)
                     want = _outcome_bytes(fresh)
                     assert _outcome_bytes(problem.with_rhs(rhs)) == want
                     seen.add(want if isinstance(want, str) else want[0])
-    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen and capped > 0
-    empty = make_problem([1.0, -1.0], np.zeros((0, 2)), [], [],
-                         lower=[1.0, -np.inf], upper=[np.inf, 2.0])
+    assert {OPTIMAL, INFEASIBLE, UNBOUNDED} <= seen and nonneg > 0
+    empty = make_problem([1.0, 0.0], np.zeros((0, 2)), [], [], nonneg=[True, False])
     assert _outcome_bytes(empty.with_rhs(np.zeros(0))) == _outcome_bytes(empty)
 
 
@@ -539,6 +518,6 @@ def test_entries_that_scaling_underflows_count_as_zero():
         b[big] *= 1e20
         tiny = big[:, None] & (rng.uniform(size=(m, n)) < 0.5)
         senses = [(GE, LE, EQ)[k] for k in rng.integers(0, 3, size=m)]
-        c, lower = rng.normal(size=n), np.where(rng.uniform(size=n) < 0.5, 0.0, -np.inf)
-        assert _outcome_bytes(make_problem(c, np.where(tiny, 1e-310, a), b, senses, lower)) \
-            == _outcome_bytes(make_problem(c, np.where(tiny, 0.0, a), b, senses, lower))
+        c, nonneg = rng.normal(size=n), rng.uniform(size=n) < 0.5
+        assert _outcome_bytes(make_problem(c, np.where(tiny, 1e-310, a), b, senses, nonneg)) \
+            == _outcome_bytes(make_problem(c, np.where(tiny, 0.0, a), b, senses, nonneg))

@@ -11,7 +11,7 @@ from capreq.market import (BadNumeraire, BadSecureAsset, Market, MarketError,
                            ScenarioSpace, check_monotone_pricing,
                            check_no_arbitrage, load_market,
                            uniform_space, validate_market)
-from conftest import random_market
+from conftest import planted_free_lunch_market, random_market
 
 
 class TestScenarioSpace:
@@ -153,6 +153,30 @@ class TestArbitrage:
         x = rep.lunch_witness
         assert vm.market.prices @ x < -1e-8
         assert np.all(vm.market.payoffs.T @ x >= -1e-9)
+
+    def test_witnesses_stay_in_the_box(self):
+        # both witness LPs run over |x|_inf <= 1, posed as x = u - 1 with 0 <= u <= 2
+        rng = np.random.default_rng(71)
+        lunches = lotteries = on_face = 0
+        for i in range(60):
+            if i % 2:
+                vm, _ = planted_free_lunch_market(rng)
+            else:   # a complete market with one state priced at zero has a free lottery
+                n = int(rng.integers(2, 6))
+                payoffs = random_market(rng, n_states=n, complete=True).market.payoffs
+                psi = rng.uniform(0.1, 1.0, size=n)
+                psi[int(rng.integers(n))] = 0.0
+                vm = validate_market(Market(uniform_space(n), payoffs @ (psi / psi.sum()),
+                                            payoffs))
+            rep = check_no_arbitrage(vm)
+            for witness in (rep.lunch_witness, rep.lottery_witness):
+                if witness is not None:
+                    size = np.abs(witness).max()
+                    assert size <= 1.0 + 1e-9
+                    on_face += size >= 1.0 - 1e-9
+            lunches += rep.free_lunch
+            lotteries += rep.free_lottery
+        assert lunches >= 20 and lotteries >= 20 and on_face > 0
 
 
 class TestMonotonePricing:

@@ -1,6 +1,7 @@
 """Requirement solvers: strategy examples, agreement, axioms, degeneracy."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from capreq.riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, DegenerateAcceptanc
                                 EnumerationTooLarge, MembershipOracle, NEG_INF,
                                 NotPolyhedral, POS_INF, SolveOptions,
                                 extreal_str,
-                                induced_rho_acceptance, is_finite,
+                                induced_rho_acceptance,
                                 rho_direct_lp, rho_reduction, rho_var_exact, solve_rho)
 from conftest import corner_acceptance_r3, loadable_sets, random_market
 
@@ -176,7 +177,7 @@ class TestExactReductionLp:
                 d = rho_direct_lp(a, vm, x)
                 r = rho_reduction(a, vm, x)
                 assert r.diagnostics["approximate"] is False
-                if is_finite(d.value) or is_finite(r.value):
+                if math.isfinite(d.value) or math.isfinite(r.value):
                     assert r.value == pytest.approx(d.value, abs=1e-9)
                     assert r.attained
                     assert vm.price(r.optimal_payoff) == pytest.approx(r.value, abs=1e-8)
@@ -270,7 +271,7 @@ class TestVarExact:
             a = var_acceptance(vm.space, alpha)
             assert rho_var_exact(a, vm, x).value == pytest.approx(want, rel=1e-9, abs=1e-9)
             values.append(want)
-        assert sum(map(is_finite, values)) >= 40 and NEG_INF in values
+        assert sum(map(math.isfinite, values)) >= 40 and NEG_INF in values
 
     def test_deterministic_loss_set_reporting(self, two_state_market):
         a = var_acceptance(two_state_market.space, 0.2)
@@ -291,9 +292,9 @@ def _loss_set_block(n, loss_set):
     return np.eye(n)[keep], np.zeros((len(keep), 0)), np.zeros(len(keep)), np.zeros(0, bool)
 
 
-def _lower(n_free, aux_nonneg):
-    """Bounds of n_free free columns followed by auxiliaries of the given signs."""
-    return np.concatenate([np.full(n_free, -np.inf), np.where(aux_nonneg, 0.0, -np.inf)])
+def _nonneg(n_free, aux_nonneg):
+    """The mask of n_free free columns followed by auxiliaries of the given signs."""
+    return np.concatenate([np.zeros(n_free, dtype=bool), aux_nonneg])
 
 
 def _stack_blocks(choice):
@@ -390,7 +391,7 @@ class TestExactUnions:
             x = rng.uniform(-5, 5, size=n)
             want = _cheapest_over_choices(vm, x, itertools.product(var_choices, other_choices))
             got, red = solve_rho(a, vm, x), rho_reduction(a, vm, x)
-            if is_finite(want):
+            if math.isfinite(want):
                 assert got.value == pytest.approx(want, rel=1e-9, abs=1e-9)
                 assert red.value == pytest.approx(want, abs=1e-5)
                 tags["finite"] += 1
@@ -473,7 +474,7 @@ def _direct_problem(vm, x):
     return lambda rep: make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
                                     np.hstack([rep.rows @ s1.T, rep.aux]),
                                     rep.rhs - rep.rows @ x, GE,
-                                    lower=_lower(len(s0), rep.aux_nonneg))
+                                    _nonneg(len(s0), rep.aux_nonneg))
 
 
 def _cash_problem(vm, x):
@@ -482,12 +483,12 @@ def _cash_problem(vm, x):
         lhs = np.hstack([(rep.rows @ vm.numeraire)[:, None], -(rep.rows @ vm.kernel_basis.T),
                          rep.aux])
         return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x, GE,
-                            lower=_lower(lhs.shape[1] - rep.n_aux, rep.aux_nonneg))
+                            _nonneg(lhs.shape[1] - rep.n_aux, rep.aux_nonneg))
     return problem
 
 
 def _tag(value):
-    return "finite" if is_finite(value) else ("neg_inf" if value == NEG_INF else "pos_inf")
+    return "finite" if math.isfinite(value) else ("neg_inf" if value == NEG_INF else "pos_inf")
 
 
 def _twin_state_market(rng, n):
@@ -627,19 +628,19 @@ class TestDualPruning:
 
     def test_dual_bound_checks_one_side_on_nonnegative_columns(self):
         # columns (w free, u >= 0); r = A_S^T y_S - c must vanish on w and be <= 0 on u
-        def lp(rows, rhs, lower_u):
-            return make_problem([1.0, 0.0], rows, rhs, GE, lower=[-np.inf, lower_u])
+        def lp(rows, rhs, u_nonneg):
+            return make_problem([1.0, 0.0], rows, rhs, GE, [False, u_nonneg])
 
         # min w s.t. w + u >= 5, w >= 2: optimum 2 at (2, 3)
-        signed = lp([[1.0, 1.0], [1.0, 0.0]], [5.0, 2.0], 0.0)
+        signed = lp([[1.0, 1.0], [1.0, 0.0]], [5.0, 2.0], True)
         assert rm._dual_bound(signed, np.array([1.0, 0.0]), 1e-8) is None   # r_u = 1 > 0
         bound, support = rm._dual_bound(signed, np.array([0.0, 1.0]), 1e-8)
         assert bound == 2.0 and support.tolist() == [1]
         # min w s.t. w - u >= 0, w >= 2: y = (1/2, 1/2) has r_u = -1/2, a bound only if u >= 0
         rows = [[1.0, -1.0], [1.0, 0.0]]
         half = np.array([0.5, 0.5])
-        assert rm._dual_bound(lp(rows, [0.0, 2.0], 0.0), half, 1e-8)[0] == 1.0
-        assert rm._dual_bound(lp(rows, [0.0, 2.0], -np.inf), half, 1e-8) is None
+        assert rm._dual_bound(lp(rows, [0.0, 2.0], True), half, 1e-8)[0] == 1.0
+        assert rm._dual_bound(lp(rows, [0.0, 2.0], False), half, 1e-8) is None
 
     def test_one_system_does_no_certificate_work(self, two_state_market, monkeypatch):
         solves, real = [], rm.solve_lp
@@ -779,9 +780,9 @@ class TestInduced:
             unions += a.incidence is not None
             for x in rng.uniform(-5, 5, size=(2, n)):
                 base = solve_rho(a, vm, x).value
-                tags.add(base if not is_finite(base) else 0.0)
+                tags.add(base if not math.isfinite(base) else 0.0)
                 for r in (solve_rho(induced, vm, x), rho_reduction(induced, vm, x)):
-                    if is_finite(base) or is_finite(r.value):
+                    if math.isfinite(base) or math.isfinite(r.value):
                         assert r.value == pytest.approx(base, rel=1e-9, abs=1e-9)
                     else:
                         assert r.value == base
@@ -789,10 +790,10 @@ class TestInduced:
                     pruned += r.diagnostics.get("systems_pruned", 0) > 0
                 # the union read as a set: some system holds y iff y is a member,
                 # at points off the boundary rho = 0
-                shifts = [0.0] if not is_finite(base) else [-base - 0.5, -base + 0.5]
+                shifts = [0.0] if not math.isfinite(base) else [-base - 0.5, -base + 0.5]
                 for y in (x + t * vm.numeraire for t in shifts + [rng.uniform(-3, 3)]):
                     level = solve_rho(a, vm, y).value
-                    if is_finite(level) and abs(level) < 1e-6:
+                    if math.isfinite(level) and abs(level) < 1e-6:
                         continue
                     points += 1
                     inside = any(solve_lp(rep.lp(y, zero)).status == OPTIMAL
@@ -813,7 +814,7 @@ class TestSolverAgreement:
                       avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8)))):
                 d = rho_direct_lp(a, vm, x)
                 r = rho_reduction(a, vm, x)
-                if is_finite(d.value) or is_finite(r.value):
+                if math.isfinite(d.value) or math.isfinite(r.value):
                     assert d.value == pytest.approx(r.value, abs=BAND)
                 else:
                     assert d.value == r.value
@@ -828,7 +829,7 @@ class TestSolverAgreement:
             x = rng.uniform(-5, 5, size=n)
             v = rho_var_exact(a, vm, x)
             r = rho_reduction(a, vm, x)
-            if is_finite(v.value) or is_finite(r.value):
+            if math.isfinite(v.value) or math.isfinite(r.value):
                 assert v.value == pytest.approx(r.value, abs=BAND)
             else:
                 assert v.value == r.value
@@ -846,13 +847,13 @@ class TestSolverAgreement:
             v = solve_rho(a, vm, x)
             r = rho_reduction(a, vm, x)
             assert v.strategy == ("direct_lp" if len(a.systems) == 1 else "var_enum")
-            if is_finite(v.value) or is_finite(r.value):
+            if math.isfinite(v.value) or math.isfinite(r.value):
                 assert v.value == pytest.approx(r.value, abs=1e-9)
             else:
                 assert v.value == r.value
             for res in (v, r):
                 assert not res.attained or a.member(x + res.optimal_payoff)
-            finite += is_finite(v.value)
+            finite += math.isfinite(v.value)
         assert finite >= 50
 
 
