@@ -43,7 +43,7 @@ class AcceptanceParseError(UsageError):
     """Acceptance-set descriptor is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyhedralRep:
     """Rows of {X : exists u with rows @ X + aux @ u >= rhs, u_j >= 0 where aux_nonneg_j}.
 
@@ -51,7 +51,8 @@ class PolyhedralRep:
     only in epigraph-style blocks (average value at risk). ``aux_nonneg``
     holds one flag per auxiliary column, all False (free) by default; a
     flagged column is a nonnegative column of every LP built from the
-    block (``LpProblem.nonneg``), not a row.
+    block (``LpProblem.nonneg``), not a row. Two reps compare equal only
+    when they are the same object.
     """
 
     rows: np.ndarray
@@ -111,7 +112,7 @@ class PolyhedralRep:
         return make_problem(objective, lhs, rhs, GE, nonneg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowIncidence:
     """Which of a union's distinct rows each system has.
 
@@ -121,10 +122,11 @@ class RowIncidence:
     has distinct row r. A row shared by two systems is the same LP row,
     over columns of the same signs, in both for any position, so an LP dual
     supported on shared rows is feasible for every system that has them.
+    Two incidences compare equal only when they are the same object.
     """
 
     ids: tuple[np.ndarray, ...]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = [len(k) for k in self.ids]
@@ -144,14 +146,14 @@ class AcceptanceSet:
     """Membership oracle over positions plus structural metadata.
 
     ``member`` must be pure. ``non_member`` witnesses properness. The set is
-    the union of ``systems``: None if known only through membership, a
-    string (the reason the solvers refuse it) if too many to enumerate. A
-    union of several systems built here carries their ``incidence`` on
-    its distinct rows, which lets the solvers skip systems a solved one
-    already bounds; a set of one system needs none. The three flags are
-    tri-state: True/False as asserted by the constructor, None for
-    unknown; the validator can falsify asserted-True flags by sampling but
-    never certify them.
+    the union of ``systems``, a tuple, and the solvers take only such sets:
+    they refuse None (a set known only through membership) and a string
+    (the reason the systems are too many to enumerate). A union of several
+    systems built here carries their ``incidence`` on its distinct rows,
+    which lets the solvers skip systems a solved one already bounds; a set
+    of one system needs none. The three flags are tri-state: True/False as
+    asserted by the constructor, None for unknown; the validator can
+    falsify asserted-True flags by sampling but never certify them.
     """
 
     dim: int
@@ -456,7 +458,11 @@ def _stack(reps) -> PolyhedralRep:
 def oracle_acceptance(dim: int, member: Callable[[np.ndarray], bool], non_member,
                       is_convex: TriState = None, is_cone: TriState = None,
                       closed_under_addition: TriState = None) -> AcceptanceSet:
-    """Wrap a user-supplied membership oracle with asserted (falsifiable) flags."""
+    """Wrap a user-supplied membership oracle with asserted (falsifiable) flags.
+
+    The set has no systems, so the sampling validator and the sampled
+    recession probe take it, and every solver refuses it.
+    """
     return AcceptanceSet(dim=dim, member=member,
                          non_member=np.asarray(non_member, dtype=float),
                          kind="oracle", is_convex=is_convex, is_cone=is_cone,

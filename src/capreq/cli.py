@@ -27,7 +27,7 @@ from . import CapreqError, UsageError
 from .acceptance import load_acceptance
 from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
                      load_market, validate_market)
-from .riskmeasure import BISECT_TOL, SolveOptions, extreal_str, solve_rho
+from .riskmeasure import BISECT_TOL, extreal_str, solve_rho
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -126,10 +126,6 @@ def _check_options(args) -> None:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
 
 
-def _options_from_args(args) -> SolveOptions:
-    return SolveOptions(lp_tol=args.tol)
-
-
 def cmd_validate(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
     arb = check_no_arbitrage(vm)
@@ -181,7 +177,7 @@ def _solve_requirement(args):
     vm = _load_validated_market(args.market, args.tol)
     a = load_acceptance(_read_file(args.acceptance), vm.space)
     x = _parse_vector(args.position, vm.n_states, "position")
-    result = solve_rho(a, vm, x, _options_from_args(args))
+    result = solve_rho(a, vm, x, args.tol)
     doc = {"position": x.tolist(), "value": extreal_str(result.value),
            "attained": result.attained, "strategy": result.strategy}
     return vm, result, doc
@@ -211,7 +207,6 @@ def cmd_portfolio(args) -> int:
 def cmd_levelset(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
     a = load_acceptance(_read_file(args.acceptance), vm.space)
-    opts = _options_from_args(args)
     n = vm.n_states
 
     if args.points is not None:
@@ -227,8 +222,7 @@ def cmd_levelset(args) -> int:
     band = 10 * BISECT_TOL
     classified = []
     for p in points:
-        # every set a file describes is exact (or refused), so LPs resolve the level
-        value = solve_rho(a, vm, p, opts).value
+        value = solve_rho(a, vm, p, args.tol).value
         if math.isfinite(value) and abs(value - args.level) <= 1e-9:
             tag = "boundary"
         elif math.isfinite(value) and abs(value - args.level) <= band:
@@ -251,21 +245,20 @@ def cmd_properties(args) -> int:
 
     vm = _load_validated_market(args.market, args.tol)
     a = load_acceptance(_read_file(args.acceptance), vm.space)
-    opts = _options_from_args(args)
 
     reports = []
     if args.suite in ("axioms", "all"):
         reports.append(verify.check_risk_measure_axioms(
-            a, vm, trials=args.trials, seed=args.seed, opts=opts))
+            a, vm, trials=args.trials, seed=args.seed, tol=args.tol))
     if args.suite in ("levelsets", "all"):
         reports.append(verify.check_levelset_theorem(
-            a, vm, grid=max(5, min(21, args.trials)), seed=args.seed, opts=opts))
+            a, vm, grid=max(5, min(21, args.trials)), seed=args.seed, tol=args.tol))
     if args.suite in ("domain", "all"):
         reports.append(verify.check_domain_theorem(
-            a, vm, trials=args.trials, seed=args.seed, opts=opts))
+            a, vm, trials=args.trials, seed=args.seed, tol=args.tol))
     if args.suite in ("degeneracy", "all"):
         reports.append(verify.check_degeneracy_lemmas(
-            a, vm, grid=args.trials, seed=args.seed, opts=opts))
+            a, vm, grid=args.trials, seed=args.seed, tol=args.tol))
 
     doc = {"suite": args.suite, "seed": args.seed, "reports": [
         json.loads(r.to_json()) for r in reports]}

@@ -74,7 +74,7 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  x_j >= 0 where nonneg_j.
 
@@ -83,7 +83,8 @@ class LpProblem:
     standard form that ignores ``rhs`` (``_Standard``), so the arrays must
     not change afterwards. ``with_rhs`` gives the same problem with another
     right-hand side, sharing that part: re-solving one matrix for many
-    right-hand sides validates and standardises it once.
+    right-hand sides validates and standardises it once. Two problems
+    compare equal only when they are the same object.
     """
 
     objective: np.ndarray
@@ -92,8 +93,8 @@ class LpProblem:
     senses: tuple[str, ...]
     nonneg: np.ndarray
     # per-row slack coefficient, int8: +1 for "<=", 0 for "=", -1 for ">="
-    _sign: np.ndarray = field(init=False, repr=False, compare=False)
-    _std: _Standard = field(init=False, repr=False, compare=False)
+    _sign: np.ndarray = field(init=False, repr=False)
+    _std: _Standard = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1)):

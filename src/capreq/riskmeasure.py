@@ -2,39 +2,38 @@
 
 The quantity of interest is the infimum of the price of an eligible payoff
 whose addition makes a position acceptable. Two formulations are
-implemented and cross-check each other:
+implemented and cross-check each other, both over a set given as a
+finite union of polyhedral systems:
 
-* for exact sets, a finite union of polyhedral systems, the minimum over
-  the systems of a direct LP over portfolio weights (``rho_direct_lp`` for
-  one system, ``rho_var_exact`` for several);
+* the minimum over the systems of a direct LP over portfolio weights
+  (``rho_direct_lp`` for one system, ``rho_var_exact`` for several);
 * a reduction to cash along the numeraire against the zero-cost-reachable
-  set (acceptance set plus pricing kernel), valid for any acceptance set
-  with a membership oracle.
+  set (acceptance set plus pricing kernel), ``rho_reduction``.
 
 The second route exists because adding multiples of the numeraire, modulo
 price-zero movements, sweeps out every eligible movement: the search over
 the whole span collapses to one dimension whose feasible set is an upward
-ray. For exact sets that search is one cash-minimising LP per system over
-(cash, kernel coordinates, auxiliaries), never over asset weights, so it
-stays an independent check of the direct LP. Only sets known through
-membership alone (grid sets) bisect, to ``BISECT_TOL``; induced sets are
-exact. Values live in [-inf, +inf]; the infinite tags carry meaning
+ray. That search is one cash-minimising LP per system over (cash, kernel
+coordinates, auxiliaries), never over asset weights, so it stays an
+independent check of the direct LP. A set known only through membership
+is refused (``NotPolyhedral``), never approximated; ``rho_from_membership``
+is the one inexact entry, a bisection against a caller's own membership
+functional. Values live in [-inf, +inf]; the infinite tags carry meaning
 (positions that cannot be made acceptable at any cost, and positions
 acceptable at arbitrarily negative cost).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import CapreqError, UsageError
+from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
-from .linprog import (GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, make_problem,
-                      solve_lp)
+from .linprog import (DEFAULT_FEAS_TOL, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
+                      make_problem, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -66,25 +65,6 @@ def extreal_str(value: float) -> str | float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """The grid search's box and points per axis, and the LPs' feasibility tolerance."""
-
-    kernel_box: float = 1e3
-    kernel_grid: int = 33
-    lp_tol: float = 1e-8
-
-    def __post_init__(self):
-        grid = self.kernel_grid
-        if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid <= 0:
-            raise UsageError("kernel_grid must be a positive integer")
-        if not all(0 < v < POS_INF for v in (self.kernel_box, self.lp_tol)):
-            raise UsageError("kernel_box and lp_tol must be positive and finite")
-
-
-DEFAULT_OPTIONS = SolveOptions()
-
-
 @dataclass
 class RiskResult:
     """Requirement value plus, when available, a certified optimal movement.
@@ -102,16 +82,22 @@ class RiskResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _strategy(a: AcceptanceSet, vm: ValidatedMarket) -> str:
-    """"exact" for a set given by its systems, "grid" for one known only through membership.
+def _exact_systems(a: AcceptanceSet, vm: ValidatedMarket) -> tuple[PolyhedralRep, ...]:
+    """The systems of ``a``, refusing a set the solvers cannot take.
 
-    A set whose systems are too many to enumerate is refused.
+    Raises ``DimensionMismatch`` if the set and the market disagree on the
+    state count, ``EnumerationTooLarge`` if the systems are too many to
+    enumerate, and ``NotPolyhedral`` if the set is known only through
+    membership.
     """
     if a.dim != vm.n_states:
         raise DimensionMismatch("acceptance set and market disagree on state count")
     if isinstance(a.systems, str):
         raise EnumerationTooLarge(a.systems)
-    return "grid" if a.systems is None else "exact"
+    if a.systems is None:
+        raise NotPolyhedral("the set is known only through membership; the solvers need its"
+                            " polyhedral systems")
+    return a.systems
 
 
 class MembershipOracle:
@@ -125,20 +111,19 @@ class MembershipOracle:
     built at its first use; a later position re-solves the kept LP with
     that position's right-hand side (``LpProblem.with_rhs`` of
     ``PolyhedralRep.rhs_at``), the same LP ``PolyhedralRep.lp`` builds,
-    without building or standardising its matrix again. A set known only
-    through membership is refused (``NotPolyhedral``); ``rho_reduction``
-    searches a grid for those.
+    without building or standardising its matrix again. Every LP is solved
+    to the feasibility tolerance ``tol``. A set known only through
+    membership is refused (``NotPolyhedral``).
     """
 
-    def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, opts: SolveOptions = DEFAULT_OPTIONS):
-        if _strategy(a, vm) != "exact":
-            raise NotPolyhedral("the membership oracle needs polyhedral systems")
+    def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, tol: float = DEFAULT_FEAS_TOL):
+        systems = _exact_systems(a, vm)
         self.a = a
         self.vm = vm
-        self.opts = opts
+        self.tol = tol
         self.kernel = vm.kernel_basis  # (k, n)
-        self._witness_lps = [None] * len(a.systems)
-        self._cash_lps = [None] * len(a.systems)
+        self._witness_lps = [None] * len(systems)
+        self._cash_lps = [None] * len(systems)
 
     def _system_lp(self, kept: list, index: int, y: np.ndarray, moves) -> LpProblem:
         """System ``index``'s LP at y over ``moves``: ``kept[index]`` with y's right-hand side."""
@@ -161,7 +146,7 @@ class MembershipOracle:
         """
         y, u = np.asarray(position, dtype=float), self.vm.numeraire
         out, _, _, _ = _cheapest(self.a, lambda i: self._system_lp(self._cash_lps, i, y, [u]),
-                                 self.opts.lp_tol)
+                                 self.tol)
         if out is None:
             return INFEASIBLE, POS_INF, None
         if out.status == UNBOUNDED:
@@ -184,53 +169,27 @@ class MembershipOracle:
         """Price-zero movement k with position - k acceptable, or None."""
         y = np.asarray(position, dtype=float)
         for i in range(len(self.a.systems)):
-            out = solve_lp(self._system_lp(self._witness_lps, i, y, ()), tol=self.opts.lp_tol)
+            out = solve_lp(self._system_lp(self._witness_lps, i, y, ()), tol=self.tol)
             if out.status == OPTIMAL:
                 return self.kernel.T @ out.x[:self.kernel.shape[0]]
         return None
 
 
-def _witness_grid(a: AcceptanceSet, kernel: np.ndarray, y: np.ndarray,
-                  opts: SolveOptions) -> np.ndarray | None:
-    """Price-zero movement k with y - k in ``a``, searched on a grid of kernel coordinates.
-
-    One-sided: a movement found is a witness, but a miss may be wrong.
-    """
-    kdim = kernel.shape[0]
-    if kdim == 0:
-        return np.zeros_like(y) if a.member(y) else None
-    per_axis = opts.kernel_grid
-    while per_axis > 3 and per_axis ** kdim > 200_000:
-        per_axis = (per_axis + 1) // 2
-    box = opts.kernel_box
-    # staged grids: full box, then two zoomed passes near small movements
-    for width in (box, box / 8.0, box / 64.0):
-        axes = [np.linspace(-width, width, per_axis)] * kdim
-        for coords in itertools.product(*axes):
-            k = kernel.T @ np.asarray(coords)
-            if a.member(y - k):
-                return k
-    return None
-
-
 def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMarket, position,
-                        witness: Callable[[np.ndarray], np.ndarray | None] | None = None,
-                        member: Callable[[np.ndarray], bool] | None = None,
                         strategy: str = "reduction") -> RiskResult:
     """Bracketed line search along the numeraire against a membership functional.
 
-    This is the route for sets known only through membership (grid sets),
-    flagged ``approximate``; exact sets solve ``MembershipOracle.cash_lp``.
+    The one inexact entry. No solver calls it; it serves a caller who has
+    only their own ``contains`` function, up-closed along the numeraire.
     The feasible cash amounts form an upward-closed ray, so a doubling
     bracket either finds an (infeasible, feasible) pair or tags the value
     infinite at ``M_BRACKET_MAX``. Bisection then narrows the bracket to
-    ``BISECT_TOL``; the reported value is the final midpoint and
-    ``attained`` stays False unless a witness movement verifies at that
-    level.
+    ``BISECT_TOL``; the reported value is the final midpoint, never
+    ``attained``.
     """
     x = np.asarray(position, dtype=float)
     u = vm.numeraire
-    diag = {"bracket_steps": 0, "bisect_steps": 0, "approximate": True}
+    diag = {"bracket_steps": 0, "bisect_steps": 0}
 
     def feas(m: float) -> bool:
         return contains(x + m * u)
@@ -259,47 +218,24 @@ def rho_from_membership(contains: Callable[[np.ndarray], bool], vm: ValidatedMar
         else:
             lo = mid
 
-    value = 0.5 * (lo + hi)
-    result = RiskResult(value, strategy=strategy, diagnostics=diag)
-    if witness is not None and member is not None:
-        for level in (value, hi):
-            k = witness(x + level * u)
-            if k is not None and _certify(result, x, level * u - k, member, vm):
-                break
-    return result
-
-
-def _certify(result: RiskResult, x: np.ndarray, movement: np.ndarray,
-             member: Callable[[np.ndarray], bool], vm: ValidatedMarket) -> bool:
-    """Record ``movement`` as the optimal payoff if it moves x into the set at the value's price."""
-    price_ok = abs(vm.price(movement) - result.value) <= 10 * BISECT_TOL
-    if member(x + movement) and price_ok:
-        result.optimal_payoff = movement
-        result.attained = True
-    return result.attained
+    return RiskResult(0.5 * (lo + hi), strategy=strategy, diagnostics=diag)
 
 
 def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
-                  opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement along the numeraire modulo the pricing kernel (works for any set).
+                  tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
+    """Requirement along the numeraire modulo the pricing kernel.
 
-    Exact sets solve the oracle's cash-minimising LP once per system:
-    infeasible is +inf, unbounded is -inf, otherwise the optimum with its
-    payoff. Sets known only through membership bisect against a grid
-    search of the kernel (``_witness_grid``).
+    One cash-minimising LP per system (``MembershipOracle.cash_lp``):
+    infeasible is +inf, unbounded is -inf, otherwise the optimum. Its
+    payoff is reported as ``attained`` when it moves the position into the
+    set (``member``) at the value's price.
     """
     x = np.asarray(position, dtype=float)
-    if _strategy(a, vm) == "grid":
-        def witness(y: np.ndarray) -> np.ndarray | None:
-            return _witness_grid(a, vm.kernel_basis, y, opts)
-
-        return rho_from_membership(lambda y: witness(y) is not None, vm, x, witness=witness,
-                                   member=a.member, strategy="reduction[grid]")
-    status, m, payoff = MembershipOracle(a, vm, opts).cash_lp(x)
-    result = RiskResult(m, strategy="reduction[exact]",
-                        diagnostics={"tag_test": "structural", "approximate": False})
-    if status == OPTIMAL:
-        _certify(result, x, payoff, a.member, vm)
+    status, m, payoff = MembershipOracle(a, vm, tol).cash_lp(x)
+    result = RiskResult(m, strategy="reduction", diagnostics={"tag_test": "structural"})
+    if (status == OPTIMAL and a.member(x + payoff)
+            and abs(vm.price(payoff) - m) <= 10 * BISECT_TOL):
+        result.optimal_payoff, result.attained = payoff, True
     return result
 
 
@@ -384,7 +320,7 @@ def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     return float(lp.rhs[support] @ y), support
 
 
-def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOptions,
+def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, tol: float,
                  strategy: str) -> RiskResult:
     """Minimum over ``a.systems`` of the LP over portfolio weights and auxiliaries.
 
@@ -394,8 +330,7 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
     system's index, as ``system`` with its LP's ``pivots`` or as
     ``unbounded_loss_set``, both a full scan's.
     """
-    if _strategy(a, vm) != "exact":
-        raise NotPolyhedral("the direct LP needs polyhedral systems")
+    _exact_systems(a, vm)
     x = np.asarray(position, dtype=float)
     s0, s1 = vm.market.prices, vm.market.payoffs
     free = np.zeros(s0.shape[0], dtype=bool)   # portfolio weights
@@ -406,7 +341,7 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
                             np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x), GE,
                             np.concatenate([free, rep.aux_nonneg]))
 
-    out, index, scanned, pruned = _cheapest(a, problem, opts.lp_tol)
+    out, index, scanned, pruned = _cheapest(a, problem, tol)
     diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}
     if out is None:
         return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
@@ -419,15 +354,15 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, opts: SolveOpt
 
 
 def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
-                  opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
+                  tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement as a single LP over portfolio weights (sets of exactly one system)."""
     if a.only_system is None:
         raise NotPolyhedral("the direct LP needs exactly one polyhedral system")
-    return _rho_systems(a, vm, position, opts, "direct_lp")
+    return _rho_systems(a, vm, position, tol, "direct_lp")
 
 
 def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
-                  opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
+                  tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement for a union of systems: the cheapest of one direct LP per system.
 
     For value at risk the systems are the maximal admissible loss sets J
@@ -444,21 +379,19 @@ def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
     equiprobable states it solves about 6.4 of 45-91 LPs, and at 16 states
     and alpha 0.25 a median of 20 of 1,820.
     """
-    return _rho_systems(a, vm, position, opts, "var_enum")
+    return _rho_systems(a, vm, position, tol, "var_enum")
 
 
 def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
-              opts: SolveOptions = DEFAULT_OPTIONS) -> RiskResult:
-    """Requirement by the direct LP per system of an exact set, else by reduction."""
-    if _strategy(a, vm) == "grid":
-        return rho_reduction(a, vm, position, opts)
+              tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
+    """Requirement by the direct LP: one for a set of one system, else the union scan."""
     if a.only_system is not None:
-        return rho_direct_lp(a, vm, position, opts)
-    return rho_var_exact(a, vm, position, opts)
+        return rho_direct_lp(a, vm, position, tol)
+    return rho_var_exact(a, vm, position, tol)
 
 
 def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
-                           opts: SolveOptions = DEFAULT_OPTIONS) -> AcceptanceSet:
+                           tol: float = DEFAULT_FEAS_TOL) -> AcceptanceSet:
     """Acceptance set induced by the requirement: positions of requirement <= 0.
 
     A finite requirement is attained, so that set is the union over the
@@ -471,7 +404,7 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     through membership, and ``DegenerateAcceptance`` if the requirement is
     -inf at zero (the induced set would be the whole space, not proper).
     """
-    oracle = MembershipOracle(a, vm, opts)
+    oracle = MembershipOracle(a, vm, tol)
     at_zero = oracle.cash_lp(np.zeros(a.dim))[1]
     if at_zero == NEG_INF:
         raise DegenerateAcceptance("requirement is -inf at the zero position")

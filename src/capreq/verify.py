@@ -4,8 +4,8 @@ Each check samples positions, markets movements or grid points, runs the
 solvers, and records violations as replayable payloads (the concrete inputs
 are stored, and the seed is captured, so re-running reproduces the report
 bit for bit). Comparisons within a tolerance band of a decision boundary
-count as inconclusive, never as violations: bisection cannot adjudicate
-exact ties.
+count as inconclusive, never as violations: values solved to a tolerance
+cannot adjudicate exact ties.
 
 Checks cover: the risk-measure axioms (monotonicity, translation
 invariance), the level-set identities against directional classification,
@@ -25,11 +25,10 @@ import numpy as np
 
 from .acceptance import AcceptanceSet, PolyhedralRep
 from .directional import PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_member, rec_member
-from .linprog import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .linprog import DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from .market import ValidatedMarket
-from .riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, MembershipOracle, NEG_INF, POS_INF,
-                          NotPolyhedral, RiskResult, SolveOptions,
-                          induced_rho_acceptance, solve_rho)
+from .riskmeasure import (BISECT_TOL, MembershipOracle, NEG_INF, POS_INF, NotPolyhedral,
+                          RiskResult, _exact_systems, induced_rho_acceptance, solve_rho)
 
 
 @dataclass
@@ -87,7 +86,7 @@ def _sample_eligible(rng: np.random.Generator, vm: ValidatedMarket,
 
 def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
                               trials: int = 200, seed: int = 0,
-                              opts: SolveOptions = DEFAULT_OPTIONS,
+                              tol: float = DEFAULT_FEAS_TOL,
                               band: float | None = None) -> PropertyReport:
     """Monotonicity and translation invariance of the requirement.
 
@@ -105,12 +104,12 @@ def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
         x = _sample_position(rng, n)
         bump = rng.uniform(0.0, 3.0, size=n)
         z = _sample_eligible(rng, vm)
-        rx = solve_rho(a, vm, x, opts).value
-        ry = solve_rho(a, vm, x + bump, opts).value
+        rx = solve_rho(a, vm, x, tol).value
+        ry = solve_rho(a, vm, x + bump, tol).value
         if ry > rx + band:
             report.violation(trial=trial, check="monotonicity", x=_listify(x),
                              bump=_listify(bump), value_x=rx, value_y=ry)
-        rz = solve_rho(a, vm, x + z, opts).value
+        rz = solve_rho(a, vm, x + z, tol).value
         price = vm.price(z)
         if _tag(rx) != "finite":
             if _tag(rz) != _tag(rx):
@@ -134,7 +133,7 @@ def _directional_class(oracle: MembershipOracle, u: np.ndarray, point: np.ndarra
 
 def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
                            m_values=(-1.0, 0.0, 1.0), grid: int = 21, seed: int = 0,
-                           opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                           tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Level sets of the requirement against directional classification.
 
     For every grid position and level m: value < m must put the shifted
@@ -143,7 +142,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
     |value - m| inside the band are inconclusive. A set known only through
     membership is refused (``NotPolyhedral``).
     """
-    oracle = MembershipOracle(a, vm, opts)
+    oracle = MembershipOracle(a, vm, tol)
     band = 10 * BISECT_TOL
     report = PropertyReport("levelset_theorem", seed=seed)
     n = vm.n_states
@@ -155,7 +154,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
         points = [_sample_position(rng, n) for _ in range(grid * grid)]
     u = vm.numeraire
     for x in points:
-        value = solve_rho(a, vm, x, opts).value
+        value = solve_rho(a, vm, x, tol).value
         for m in m_values:
             report.trials += 1
             if math.isfinite(value) and abs(value - m) <= band:
@@ -172,7 +171,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
 
 
 def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 200,
-                         seed: int = 0, opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                         seed: int = 0, tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Finiteness characterization of the requirement.
 
     A finite value means the position is reachable at some cash level but
@@ -183,7 +182,7 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     the whole numeraire line is reachable). A set known only through
     membership is refused (``NotPolyhedral``).
     """
-    oracle = MembershipOracle(a, vm, opts)
+    oracle = MembershipOracle(a, vm, tol)
     band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("domain_theorem", trials=trials, seed=seed)
@@ -191,7 +190,7 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     n = vm.n_states
     for trial in range(trials):
         x = _sample_position(rng, n)
-        value = solve_rho(a, vm, x, opts).value
+        value = solve_rho(a, vm, x, tol).value
         status = oracle.cash_lp(x)[0]
         reachable, line = status != INFEASIBLE, status == UNBOUNDED
         if _tag(value) == "pos_inf":
@@ -274,8 +273,7 @@ def _signed_margin(rep: PolyhedralRep, kernel: np.ndarray, x: np.ndarray,
 
 
 def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 25,
-                            seed: int = 0,
-                            opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                            seed: int = 0, tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """The two degeneracy conditions and their consequences.
 
     If the zero-cost-reachable set B = A + span K is certified to be the
@@ -296,7 +294,7 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
 
     whole_space = None
     if (rep := a.only_system) is not None:
-        whole_space = _whole_space(rep, vm.kernel_basis, opts.lp_tol)
+        whole_space = _whole_space(rep, vm.kernel_basis, tol)
     else:
         report.notes.append("not one polyhedral system; coverage not certified")
     report.notes.append(f"whole_space_certified={whole_space}")
@@ -307,7 +305,7 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
 
     for x in probes:
         report.trials += 1
-        value = solve_rho(a, vm, x, opts).value
+        value = solve_rho(a, vm, x, tol).value
         if whole_space is True and value != NEG_INF:
             report.violation(check="whole_space_degeneracy", x=_listify(x),
                              value=value if math.isfinite(value) else _tag(value))
@@ -341,7 +339,7 @@ def _point_hit_level(vm: ValidatedMarket, x: np.ndarray, point: np.ndarray,
 
 
 def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 50,
-                          seed: int = 0, opts: SolveOptions = DEFAULT_OPTIONS,
+                          seed: int = 0, tol: float = DEFAULT_FEAS_TOL,
                           extra_points=None, n_boundary_points: int = 3) -> PropertyReport:
     """Enlarging the acceptance set inside the directional closure changes nothing.
 
@@ -355,7 +353,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     negative control. A set known only through membership is refused
     (``NotPolyhedral``).
     """
-    MembershipOracle(a, vm, opts)   # refuses a set without systems
+    _exact_systems(a, vm)   # refuses a set without systems
     band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("variation_lemma", trials=trials, seed=seed)
@@ -366,7 +364,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     while len(added) < n_boundary_points and attempts < 20 * n_boundary_points:
         attempts += 1
         x = _sample_position(rng, n)
-        value = solve_rho(a, vm, x, opts).value
+        value = solve_rho(a, vm, x, tol).value
         if math.isfinite(value):
             added.append(x + value * vm.numeraire)
     if extra_points is not None:
@@ -379,7 +377,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
 
     probes = [_sample_position(rng, n) for _ in range(trials)] + list(added)
     for trial, x in enumerate(probes):
-        base = solve_rho(a, vm, x, opts).value
+        base = solve_rho(a, vm, x, tol).value
         enlarged = enlarged_value(x, base)
         if _tag(base) != _tag(enlarged):
             report.violation(trial=trial, x=_listify(x), base=_tag(base),
@@ -391,7 +389,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
 
 
 def check_good_deal_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 400,
-                          seed: int = 0, opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                          seed: int = 0) -> PropertyReport:
     """Good deals exist iff the acceptance set meets the pricing kernel nontrivially.
 
     Hypothesis guard: the set must not contain any negative multiple of the
@@ -440,8 +438,7 @@ def check_good_deal_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 4
 
 
 def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 100,
-                              seed: int = 0,
-                              opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                              seed: int = 0, tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """The induced acceptance set reproduces the requirement and its level sets.
 
     Asserts value(x) <= m iff x + m * numeraire belongs to the induced set,
@@ -452,14 +449,14 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
     band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("induced_set_theorem", trials=trials, seed=seed)
-    induced = induced_rho_acceptance(a, vm, opts)
+    induced = induced_rho_acceptance(a, vm, tol)
     n = vm.n_states
     u = vm.numeraire
 
     for trial in range(trials):
         x = _sample_position(rng, n)
         m = float(rng.uniform(-4.0, 4.0))
-        value = solve_rho(a, vm, x, opts).value
+        value = solve_rho(a, vm, x, tol).value
         if math.isfinite(value) and abs(value - m) <= band:
             report.inconclusive += 1
         else:
@@ -470,7 +467,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
                                  value=value if math.isfinite(value) else _tag(value),
                                  induced_member=in_induced)
         if trial < trials // 4:
-            re_solved = solve_rho(induced, vm, x, opts).value
+            re_solved = solve_rho(induced, vm, x, tol).value
             if _tag(value) != _tag(re_solved):
                 report.violation(trial=trial, check="idempotence", x=_listify(x),
                                  base=_tag(value), induced=_tag(re_solved))
@@ -482,7 +479,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
 
 def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
                                      grid: int = 60, seed: int = 0,
-                                     opts: SolveOptions = DEFAULT_OPTIONS) -> PropertyReport:
+                                     tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Directional operators equal the norm ones when the numeraire enters strictly.
 
     Works on the zero-cost-reachable set B = A + span K of a set of one
@@ -501,7 +498,7 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
     if (rep := a.only_system) is None:
         raise NotPolyhedral("directional-vs-topological check needs one polyhedral system")
     report = PropertyReport("directional_vs_topological", seed=seed)
-    kernel, u, tol = vm.kernel_basis, vm.numeraire, opts.lp_tol
+    kernel, u = vm.kernel_basis, vm.numeraire
 
     if _whole_space(rep, kernel, tol):
         report.notes.append("reachable set is the whole space; operators trivially agree")
@@ -519,7 +516,7 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
         return report
 
     rng = np.random.default_rng(seed)
-    oracle = MembershipOracle(a, vm, opts)
+    oracle = MembershipOracle(a, vm, tol)
 
     for trial in range(grid):
         report.trials += 1

@@ -104,6 +104,25 @@ def corner_acceptance_r3() -> AcceptanceSet:
         is_convex=True, is_cone=True, closed_under_addition=True)
 
 
+def non_monotone_acceptance_r3() -> AcceptanceSet:
+    """{x3 >= 0, x1 <= 2} in three states: one polyhedron, but not an acceptance set.
+
+    Raising the first coordinate past 2 leaves the set. On the
+    numeraire-line market (kernel e2, numeraire e3) nothing moves the first
+    coordinate, so the requirement jumps from finite to +inf there: a
+    monotonicity violation every axiom check must flag.
+    """
+    rows = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]])
+
+    def member(x: np.ndarray) -> bool:
+        return bool(x[2] >= -1e-9 and x[0] <= 2.0 + 1e-9)
+
+    return AcceptanceSet(
+        dim=3, member=member, non_member=np.array([0.0, 0.0, -1.0]),
+        kind="non_monotone", systems=(PolyhedralRep(rows, np.zeros((2, 0)), [0.0, -2.0]),),
+        is_convex=True)
+
+
 @pytest.fixture
 def numeraire_line_market() -> ValidatedMarket:
     """Three states, movements only in coordinates 2 and 3, numeraire the third axis.

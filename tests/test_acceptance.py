@@ -11,17 +11,15 @@ import numpy as np
 import pytest
 
 from capreq.acceptance import (avar_acceptance, compute_avar, compute_var,
-                               halfspace_acceptance, oracle_acceptance,
-                               positive_cone, var_acceptance)
+                               halfspace_acceptance, positive_cone, var_acceptance)
 from capreq.market import (Market, ScenarioSpace, check_monotone_pricing,
                            check_no_arbitrage, uniform_space, validate_market)
-from capreq.riskmeasure import (MembershipOracle, NEG_INF, POS_INF, SolveOptions,
-                                rho_direct_lp, rho_from_membership,
+from capreq.riskmeasure import (MembershipOracle, NEG_INF, POS_INF, rho_direct_lp, rho_from_membership,
                                 rho_reduction, rho_var_exact, solve_rho)
 from capreq.verify import (check_domain_theorem, check_levelset_theorem,
                            check_risk_measure_axioms, check_solver_agreement)
-from conftest import (corner_acceptance_r3, planted_free_lunch_market,
-                      random_market)
+from conftest import (corner_acceptance_r3, non_monotone_acceptance_r3,
+                      planted_free_lunch_market, random_market)
 from test_acceptance_sets import avar_quadrature_oracle, var_curve
 
 TOL_EQUIV = 1e-5
@@ -228,16 +226,14 @@ def test_criterion_7_avar_oracle_cross_check():
                "(<= 1e-4); cash invariance exact to 1e-12")
 
 
-def test_criterion_8_negative_controls():
+def test_criterion_8_negative_controls(numeraire_line_market):
     space = uniform_space(2)
     vm = validate_market(Market(space, [1.0, 1.0], [[1.0, 1.0], [2.0, 0.5]]))
 
-    # (a) non-monotone membership oracle
-    broken_set = oracle_acceptance(
-        2, lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0), [-1.0, 0.0])
+    # (a) non-monotone set: one polyhedron that caps the first coordinate
+    broken_set = non_monotone_acceptance_r3()
     rep_a = check_risk_measure_axioms(
-        broken_set, vm, trials=60, seed=1008,
-        opts=SolveOptions(kernel_box=20.0, kernel_grid=41))
+        broken_set, numeraire_line_market, trials=60, seed=1008)
     assert len(rep_a.violations) >= 1
 
     # (b) mispriced market (tampered pricing covector)

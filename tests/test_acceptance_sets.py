@@ -424,3 +424,14 @@ class TestAcceptanceJson:
 def test_loss_probability_treats_zero_as_non_loss():
     sp = uniform_space(4)
     assert loss_probability(sp, [0.0, 0.0, -1.0, 2.0]) == pytest.approx(0.25)
+
+
+def test_blocks_compare_by_identity():
+    # blocks hold arrays, so equal data cannot give one truth value:
+    # == is identity and never raises
+    for make in (lambda: ac.PolyhedralRep(np.eye(2), np.ones((2, 2)), [0.0, 1.0]),
+                 lambda: ac.RowIncidence((np.array([0, 1]), np.array([1, 2])))):
+        block = make()
+        assert block == block
+        assert block != make()
+        assert len({block, block}) == 1

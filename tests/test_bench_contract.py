@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import oracle_acceptance, var_acceptance
+from capreq.acceptance import var_acceptance
 from capreq.linprog import GE, OPTIMAL, make_problem, solve_lp
-from capreq.riskmeasure import MembershipOracle, SolveOptions, rho_var_exact, solve_rho
+from capreq.riskmeasure import MembershipOracle, rho_reduction, rho_var_exact, solve_rho
 from conftest import loadable_sets, random_market
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,12 +39,11 @@ def test_every_strategy_has_a_price_tolerance(bench):
     seen = set()
     for n in (3, 4, 5, 6):
         vm = random_market(rng, n_states=n)
-        grid = oracle_acceptance(n, lambda x: bool(np.all(x >= -1e-9)), -np.ones(n))
-        for a in loadable_sets(rng, vm.space) + [grid]:
+        for a in loadable_sets(rng, vm.space):
             x = rng.uniform(-5, 5, size=n)
-            seen.add(solve_rho(a, vm, x, SolveOptions(kernel_grid=5)).strategy)
-    assert {"direct_lp", "var_enum", "reduction[grid]"} <= seen
-    assert {s.split("[")[0] for s in seen} <= set(workloads.PRICE_TOL)
+            seen.update(solve(a, vm, x).strategy for solve in (solve_rho, rho_reduction))
+    assert {"direct_lp", "var_enum", "reduction"} <= seen
+    assert seen <= set(workloads.PRICE_TOL)
 
 
 def test_span_names_resolve_to_public_functions(bench):

@@ -15,6 +15,7 @@ import capreq.riskmeasure as rm
 from capreq import CapreqError
 from capreq.cli import main
 from capreq.linprog import NumericalBreakdown
+from conftest import non_monotone_acceptance_r3
 
 MODULES = ("acceptance", "cli", "directional", "linprog", "market", "riskmeasure", "verify")
 
@@ -196,6 +197,24 @@ class TestErrorContract:
                                     "--position=-3,0"])
         assert code == 1
         assert json.loads(err) == {"error": f"{exc.__name__}: refused"}
+
+    @pytest.mark.parametrize("kind", ["oracle", "intersection"])
+    @pytest.mark.parametrize("argv", [["requirement", "--position=-3,0"], ["levelset"],
+                                      ["properties", "--trials", "5"]],
+                             ids=["requirement", "levelset", "properties"])
+    def test_membership_only_set_exits_one(self, files, capsys, monkeypatch, argv, kind):
+        # no file describes such a set; a library caller can build one
+        from capreq.acceptance import intersect, oracle_acceptance, positive_cone
+
+        def loader(text, space):
+            a = oracle_acceptance(space.n, lambda x: bool(min(x) >= -1e-9), [-1.0, 0.0])
+            return a if kind == "oracle" else intersect([positive_cone(space.n), a])
+
+        monkeypatch.setattr(cli, "load_acceptance", loader)
+        command, *options = argv
+        error = assert_json_error(run(capsys, [command, files["market"], files["poscone"],
+                                               *options]), 1)
+        assert error.startswith("NotPolyhedral")
 
     def test_every_exception_is_a_capreq_error(self):
         classes = [cls for name in MODULES
@@ -384,14 +403,11 @@ class TestProperties:
         assert not any("not certified" in n for n in notes)
         assert run(capsys, argv)[1] == out
 
-    def test_broken_oracle_exits_one(self, files, capsys, monkeypatch):
-        from capreq.acceptance import oracle_acceptance
-
-        def broken_loader(text, space):
-            return oracle_acceptance(
-                space.n, lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0), [-1.0, 0.0])
-
-        monkeypatch.setattr(cli, "load_acceptance", broken_loader)
+    def test_broken_oracle_exits_one(self, files, capsys, monkeypatch, numeraire_line_market):
+        # a non-monotone set on the numeraire-line market, which no file describes
+        monkeypatch.setattr(cli, "_load_validated_market", lambda path, tol: numeraire_line_market)
+        monkeypatch.setattr(cli, "load_acceptance",
+                            lambda text, space: non_monotone_acceptance_r3())
         code, out, _ = run(capsys, ["properties", files["market"], files["poscone"],
                                     "--suite", "axioms", "--trials", "40"])
         assert code == 1

@@ -521,3 +521,14 @@ def test_entries_that_scaling_underflows_count_as_zero():
         c, nonneg = rng.normal(size=n), rng.uniform(size=n) < 0.5
         assert _outcome_bytes(make_problem(c, np.where(tiny, 1e-310, a), b, senses, nonneg)) \
             == _outcome_bytes(make_problem(c, np.where(tiny, 0.0, a), b, senses, nonneg))
+
+
+def test_problems_compare_by_identity():
+    # a problem holds arrays, so equal data cannot give one truth value:
+    # == is identity and never raises
+    data = ([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, 1.0], GE)
+    p = make_problem(*data)
+    assert p == p
+    assert p != make_problem(*data)
+    assert p != p.with_rhs(p.rhs)
+    assert len({p, p}) == 1

@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq import UsageError
 from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, PolyhedralRep,
                                avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
                                var_acceptance)
-from capreq.linprog import GE, INFEASIBLE, OPTIMAL, UNBOUNDED, make_problem, solve_lp
+from capreq.linprog import (DEFAULT_FEAS_TOL, GE, INFEASIBLE, OPTIMAL, UNBOUNDED,
+                            MalformedProblem, make_problem, solve_lp)
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
-from capreq.riskmeasure import (BISECT_TOL, DEFAULT_OPTIONS, DegenerateAcceptance,
-                                EnumerationTooLarge, MembershipOracle, NEG_INF,
-                                NotPolyhedral, POS_INF, SolveOptions,
-                                extreal_str,
-                                induced_rho_acceptance,
-                                rho_direct_lp, rho_reduction, rho_var_exact, solve_rho)
+from capreq.riskmeasure import (BISECT_TOL, DegenerateAcceptance, EnumerationTooLarge,
+                                MembershipOracle, NEG_INF, NotPolyhedral, POS_INF, extreal_str,
+                                induced_rho_acceptance, rho_direct_lp, rho_reduction,
+                                rho_var_exact, solve_rho)
+from capreq.verify import check_risk_measure_axioms
 from conftest import corner_acceptance_r3, loadable_sets, random_market
 
 BAND = 10 * BISECT_TOL
@@ -78,14 +77,26 @@ class TestMembership:
                 answers.add((inside, status))
         assert answers == {(True, OPTIMAL), (False, OPTIMAL), (True, UNBOUNDED)}
 
-    def test_grid_oracle_finds_witness(self, half_price_market):
+
+class TestMembershipOnlySets:
+    """A set known only through membership has no systems: every solver refuses it."""
+
+    @pytest.mark.parametrize("kind", ["oracle", "intersection"])
+    def test_every_solver_refuses(self, two_state_market, kind):
         a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
-        opts = SolveOptions(kernel_box=8.0, kernel_grid=33)
-        with pytest.raises(NotPolyhedral):
-            MembershipOracle(a, half_price_market, opts)
-        k = rm._witness_grid(a, half_price_market.kernel_basis, np.array([-1.0, 3.0]), opts)
-        assert k is not None
-        assert np.all(np.array([-1.0, 3.0]) - k >= -1e-6)
+        if kind == "intersection":
+            a = intersect([positive_cone(2), a])
+        assert a.systems is None
+        x = np.array([-3.0, 0.0])
+        for run in (lambda: solve_rho(a, two_state_market, x),
+                    lambda: rho_reduction(a, two_state_market, x),
+                    lambda: rho_direct_lp(a, two_state_market, x),
+                    lambda: rho_var_exact(a, two_state_market, x),
+                    lambda: MembershipOracle(a, two_state_market),
+                    lambda: induced_rho_acceptance(a, two_state_market),
+                    lambda: check_risk_measure_axioms(a, two_state_market, trials=3)):
+            with pytest.raises(NotPolyhedral):
+                run()
 
 
 class TestReduction:
@@ -176,24 +187,13 @@ class TestExactReductionLp:
                       avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8)))):
                 d = rho_direct_lp(a, vm, x)
                 r = rho_reduction(a, vm, x)
-                assert r.diagnostics["approximate"] is False
+                assert r.strategy == "reduction"
                 if math.isfinite(d.value) or math.isfinite(r.value):
                     assert r.value == pytest.approx(d.value, abs=1e-9)
                     assert r.attained
                     assert vm.price(r.optimal_payoff) == pytest.approx(r.value, abs=1e-8)
                 else:
                     assert r.value == d.value
-
-    def test_grid_oracle_still_bisects(self, two_state_market):
-        a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])
-        x = np.array([-3.0, 0.0])
-        r = rho_reduction(a, two_state_market, x, SolveOptions(kernel_box=8.0, kernel_grid=33))
-        assert r.strategy == "reduction[grid]"
-        assert r.diagnostics["approximate"] is True
-        assert r.diagnostics["bisect_steps"] > 0
-        # a grid may miss witnesses, never invent them: the value errs upward
-        exact = rho_direct_lp(positive_cone(2), two_state_market, x).value
-        assert exact - BAND <= r.value <= exact + 0.2
 
 
 class TestDirectLp:
@@ -423,7 +423,7 @@ def _index_order_scan(a, problem):
     Each system in turn, skipped once the incumbent has fallen to the level
     of a checked dual that covers it; the first unbounded system ends it.
     """
-    inc, tol = a.incidence, DEFAULT_OPTIONS.lp_tol
+    inc, tol = a.incidence, DEFAULT_FEAS_TOL
     live, certified, best, scanned = np.ones(len(a.systems), dtype=bool), [], POS_INF, 0
     for i, rep in enumerate(a.systems):
         if not live[i]:
@@ -925,14 +925,17 @@ class TestRiskMeasureProperties:
 
 
 class TestPlumbing:
-    def test_solve_options_validation(self):
-        for value in (0.0, -1.0, float("nan"), float("inf")):
-            for name in ("lp_tol", "kernel_box"):
-                with pytest.raises(UsageError):
-                    SolveOptions(**{name: value})
-        for grid in (0, 2.5, True):
-            with pytest.raises(UsageError):
-                SolveOptions(kernel_grid=grid)
+    def test_tol_validation(self, two_state_market):
+        # the one solver option is the LP feasibility tolerance, which solve_lp checks
+        a, x = positive_cone(2), np.array([-3.0, 0.0])
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            for run in (lambda: solve_rho(a, two_state_market, x, tol),
+                        lambda: rho_reduction(a, two_state_market, x, tol),
+                        lambda: induced_rho_acceptance(a, two_state_market, tol),
+                        lambda: check_risk_measure_axioms(a, two_state_market, trials=1,
+                                                          tol=tol)):
+                with pytest.raises(MalformedProblem, match="tolerances"):
+                    run()
 
     def test_state_count_mismatch(self, two_state_market):
         for a in (positive_cone(3), var_acceptance(uniform_space(3), 0.3)):

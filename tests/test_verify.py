@@ -9,7 +9,7 @@ import pytest
 from capreq.acceptance import (PolyhedralRep, avar_acceptance, halfspace_acceptance, intersect,
                                oracle_acceptance, positive_cone, var_acceptance)
 from capreq.market import Market, uniform_space, validate_market
-from capreq.riskmeasure import (NEG_INF, SolveOptions, induced_rho_acceptance,
+from capreq.riskmeasure import (NEG_INF, induced_rho_acceptance,
                                 rho_from_membership, rho_reduction, rho_var_exact, solve_rho,
                                 MembershipOracle)
 from capreq.verify import (NotPolyhedral, PropertyReport, _whole_space,
@@ -19,7 +19,7 @@ from capreq.verify import (NotPolyhedral, PropertyReport, _whole_space,
                            check_induced_set_theorem, check_levelset_theorem,
                            check_risk_measure_axioms, check_solver_agreement,
                            check_variation_lemma)
-from conftest import corner_acceptance_r3, random_market
+from conftest import corner_acceptance_r3, non_monotone_acceptance_r3, random_market
 
 
 class TestAxioms:
@@ -33,14 +33,10 @@ class TestAxioms:
         report = check_risk_measure_axioms(a, two_state_market, trials=100, seed=2)
         assert report.passed
 
-    def test_non_monotone_oracle_flagged(self, two_state_market):
-        # membership punishes large second coordinates: not an acceptance set
-        bad = oracle_acceptance(
-            2, lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0), [-1.0, 0.0],
-            is_cone=None)
-        report = check_risk_measure_axioms(bad, two_state_market, trials=60, seed=3,
-                                           opts=SolveOptions(kernel_box=20.0,
-                                                             kernel_grid=41))
+    def test_non_monotone_oracle_flagged(self, numeraire_line_market):
+        # membership punishes a large first coordinate: not an acceptance set
+        bad = non_monotone_acceptance_r3()
+        report = check_risk_measure_axioms(bad, numeraire_line_market, trials=60, seed=3)
         assert not report.passed
 
 
@@ -279,12 +275,9 @@ class TestWholeSpace:
 class TestNegativeControls:
     """The harness must have power, not just soundness."""
 
-    def test_non_monotone_set(self, two_state_market):
-        bad = oracle_acceptance(
-            2, lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0), [-1.0, 0.0])
-        report = check_risk_measure_axioms(bad, two_state_market, trials=60, seed=23,
-                                           opts=SolveOptions(kernel_box=20.0,
-                                                             kernel_grid=41))
+    def test_non_monotone_set(self, numeraire_line_market):
+        bad = non_monotone_acceptance_r3()
+        report = check_risk_measure_axioms(bad, numeraire_line_market, trials=60, seed=23)
         assert len(report.violations) >= 1
 
     def test_mispriced_market(self, two_state_market):
@@ -323,12 +316,10 @@ class TestNegativeControls:
 
 
 class TestReportMechanics:
-    def test_replayable(self, two_state_market):
-        bad = oracle_acceptance(
-            2, lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0), [-1.0, 0.0])
-        opts = SolveOptions(kernel_box=20.0, kernel_grid=41)
-        r1 = check_risk_measure_axioms(bad, two_state_market, trials=40, seed=26, opts=opts)
-        r2 = check_risk_measure_axioms(bad, two_state_market, trials=40, seed=26, opts=opts)
+    def test_replayable(self, numeraire_line_market):
+        bad = non_monotone_acceptance_r3()
+        r1 = check_risk_measure_axioms(bad, numeraire_line_market, trials=40, seed=26)
+        r2 = check_risk_measure_axioms(bad, numeraire_line_market, trials=40, seed=26)
         assert r1.to_json() == r2.to_json()
         assert not r1.passed
 
