@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import CapreqError, UsageError
-from .linprog import GE, LpProblem, make_problem
+from .linprog import LpProblem, make_problem
 from .market import ScenarioSpace
 
 MEMBER_TOL = 1e-9
@@ -109,7 +109,7 @@ class PolyhedralRep:
         nonneg = np.zeros(lhs.shape[1], dtype=bool)
         nonneg[:len(moves)] = nonnegative
         nonneg[lhs.shape[1] - self.n_aux:] = self.aux_nonneg
-        return make_problem(objective, lhs, rhs, GE, nonneg)
+        return make_problem(objective, lhs, rhs, nonneg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,10 @@ Instances are small (tens of rows/columns), so a dense tableau is the
 right tool: no external solver dependency, fully deterministic pivoting,
 and statuses that are certified before they are returned.
 
-Conventions: minimize ``c @ x`` subject to row constraints ``A @ x`` with
-per-row senses ("<=", "=", ">="); each variable is free or, where the
-``nonneg`` mask flags it, nonnegative. Any other bound is a row.
+Conventions: minimize ``c @ x`` subject to ``A @ x >= b``, the one row
+form; each variable is free or, where the ``nonneg`` mask flags it,
+nonnegative. Any other bound is a row: a "<=" row is negated and an
+equation is a pair of opposite rows.
 
 Phase 1 starts from a slack basis: a row that has a column of its own
 (a slack, or any column nonzero in that row only) starts with that column
@@ -45,17 +46,12 @@ import numpy as np
 
 from . import CapreqError
 
-LE = "<="
-EQ = "="
-GE = ">="
-_SLACK_SIGN = {LE: 1, EQ: 0, GE: -1}   # slack coefficient of each sense
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 DEFAULT_FEAS_TOL = 1e-8
-DEFAULT_PIVOT_TOL = 1e-10
+PIVOT_TOL = 1e-10   # a pivot entry at or below this (scaled) is rounding residue
 _MAX_PIVOTS = 50_000
 
 
@@ -64,7 +60,7 @@ class MalformedProblem(CapreqError, ValueError):
 
 
 class NumericalBreakdown(CapreqError, RuntimeError):
-    """Pivoting stalled below the pivot tolerance, or a status failed its certificate."""
+    """Pivoting stalled below ``PIVOT_TOL``, or a status failed its certificate."""
 
 
 def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
@@ -76,7 +72,7 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """minimize objective @ x  s.t.  lhs @ x (senses) rhs,  x_j >= 0 where nonneg_j.
+    """minimize objective @ x  s.t.  lhs @ x >= rhs,  x_j >= 0 where nonneg_j.
 
     ``nonneg`` holds one bool per column; an unflagged column is free.
     Construction validates the data and derives, once, the part of the
@@ -90,30 +86,22 @@ class LpProblem:
     objective: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    senses: tuple[str, ...]
     nonneg: np.ndarray
-    # per-row slack coefficient, int8: +1 for "<=", 0 for "=", -1 for ">="
-    _sign: np.ndarray = field(init=False, repr=False)
     _std: _Standard = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, ndim in (("objective", 1), ("lhs", 2), ("rhs", 1)):
             object.__setattr__(self, name, _as_float_array(getattr(self, name), name, ndim))
         object.__setattr__(self, "nonneg", np.asarray(self.nonneg))
-        object.__setattr__(self, "senses", tuple(self.senses))
         m, n = self.lhs.shape
         if n == 0:
             raise MalformedProblem("problem must have at least one variable")
         if self.objective.shape != (n,):
             raise MalformedProblem("objective length does not match column count")
-        if self.rhs.shape != (m,) or len(self.senses) != m:
-            raise MalformedProblem("rhs/senses length does not match row count")
+        if self.rhs.shape != (m,):
+            raise MalformedProblem("rhs length does not match row count")
         if self.nonneg.dtype != bool or self.nonneg.shape != (n,):
             raise MalformedProblem("nonneg must hold one bool per column")
-        sign = [_SLACK_SIGN.get(s) if isinstance(s, str) else None for s in self.senses]
-        if None in sign:
-            raise MalformedProblem(f"unknown sense {self.senses[sign.index(None)]!r}")
-        object.__setattr__(self, "_sign", np.array(sign, dtype=np.int8))
         if any(np.count_nonzero(np.isfinite(a)) < a.size
                for a in (self.objective, self.lhs, self.rhs)):
             raise MalformedProblem("objective, lhs and rhs must be finite")
@@ -123,7 +111,7 @@ class LpProblem:
         """This problem with right-hand side ``rhs``; only ``rhs`` is validated."""
         b = _as_float_array(rhs, "rhs", 1)
         if b.shape != self.rhs.shape:
-            raise MalformedProblem("rhs/senses length does not match row count")
+            raise MalformedProblem("rhs length does not match row count")
         if np.count_nonzero(np.isfinite(b)) < b.size:
             raise MalformedProblem("objective, lhs and rhs must be finite")
         twin = object.__new__(LpProblem)
@@ -139,16 +127,14 @@ class LpProblem:
         return self.lhs.shape[1]
 
 
-def make_problem(objective, lhs, rhs, senses, nonneg=None) -> LpProblem:
+def make_problem(objective, lhs, rhs, nonneg=None) -> LpProblem:
     """Convenience constructor; ``nonneg`` defaults to all False, every variable free."""
     c = _as_float_array(objective, "objective", 1)
     n = c.shape[0]
     a = np.asarray(lhs, dtype=float)
     if a.size == 0:
         a = a.reshape(0, n)
-    if isinstance(senses, str):
-        senses = (senses,) * a.shape[0]
-    return LpProblem(c, a, _as_float_array(rhs, "rhs", 1), tuple(senses),
+    return LpProblem(c, a, _as_float_array(rhs, "rhs", 1),
                      np.zeros(n, dtype=bool) if nonneg is None else nonneg)
 
 
@@ -157,11 +143,10 @@ class LpOutcome:
     """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded.
 
     ``dual`` holds one multiplier per row of the original problem, c_B B^-1
-    of the final basis: nonnegative on ">=" rows, nonpositive on "<=" rows,
-    and a row dropped as redundant carries whatever that product gives,
-    which is still a valid multiplier. The union scan in ``riskmeasure``
-    checks it against the problem's data and uses it as a lower bound on
-    the other systems.
+    of the final basis, nonnegative on every row; a row dropped as
+    redundant carries whatever that product gives, which is still a valid
+    multiplier. The union scan in ``riskmeasure`` checks it against the
+    problem's data and uses it as a lower bound on the other systems.
     """
 
     status: str
@@ -177,7 +162,8 @@ class _Standard:
 
     The problem becomes min c @ u s.t. a @ u = rhs, u >= 0. A nonnegative
     column j is x_j = u[first_j]; a ``free`` one is x_j = u[first_j] -
-    u[second], second = first_j + 1. One slack per inequality row follows.
+    u[second], second = first_j + 1. One slack per row follows, with
+    entry -1: a @ u - s = rhs, s >= 0.
 
     ``row_max`` holds each row's largest |a|, which row equilibration
     needs, and ``singletons`` the candidates for the start basis: the
@@ -197,14 +183,13 @@ class _Standard:
         std_sign = np.ones(width.sum())   # sign of each standard column
         std_sign[self.second] = -1.0
         n_std = len(std_sign)
-        ineq = problem._sign.nonzero()[0]
-        n_ineq = len(ineq)
-        a = np.zeros((problem.n_rows, n_std + n_ineq))
-        self.c = np.zeros(n_std + n_ineq)
+        m = problem.n_rows
+        a = np.zeros((m, n_std + m))
+        self.c = np.zeros(n_std + m)
         # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
         a[:, :n_std] = problem.lhs.repeat(width, axis=1) * std_sign + 0.0
         self.c[:n_std] = problem.objective.repeat(width) * std_sign + 0.0
-        a[ineq, np.arange(n_std, n_std + n_ineq)] = problem._sign[ineq]
+        np.fill_diagonal(a[:, n_std:], -1.0)
         self.a = a
         size = np.abs(a)
         self.row_max = size.max(axis=1)
@@ -236,7 +221,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= factors[:, None] * piv_row
 
 
-def _run_simplex(tableau, basis, pivot_tol, n_priced):
+def _run_simplex(tableau, basis, n_priced):
     """Bland's rule loop entering only among the first ``n_priced`` columns.
 
     Returns ("optimal", pivots) or ("unbounded", entering, pivots).
@@ -245,16 +230,16 @@ def _run_simplex(tableau, basis, pivot_tol, n_priced):
     cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
     pivots = 0
     while True:
-        improving = cost < -pivot_tol
+        improving = cost < -PIVOT_TOL
         entering = improving.argmax()  # Bland: lowest index
         if not improving[entering]:
             return ("optimal", pivots)
         col = tableau[:m, entering]
-        # entries up to pivot_tol, scaled by the column's largest magnitude
+        # entries up to PIVOT_TOL, scaled by the column's largest magnitude
         # when that exceeds 1, are rounding residue and treated as zero: a
         # pivot on one blows the tableau up. The unbounded conclusion is
         # certified (or rejected) on the returned ray
-        rows = (col > pivot_tol * np.abs(col).max(initial=1.0)).nonzero()[0]
+        rows = (col > PIVOT_TOL * np.abs(col).max(initial=1.0)).nonzero()[0]
         if not rows.size:
             return ("unbounded", entering, pivots)
         ratios = values[rows] / col[rows]
@@ -267,12 +252,6 @@ def _run_simplex(tableau, basis, pivot_tol, n_priced):
             raise NumericalBreakdown("pivot budget exhausted")
 
 
-def _rows_violated(problem, row_values, limit) -> bool:
-    """Some "<=" row above ``limit``, ">=" row below ``-limit`` or "=" row off by more."""
-    sign = problem._sign
-    return np.count_nonzero(np.where(sign == 0, np.abs(row_values), sign * row_values) > limit) > 0
-
-
 def _certify_optimal(problem, x, tol):
     size = float(np.abs(x).max())
     if not math.isfinite(size):
@@ -280,7 +259,7 @@ def _certify_optimal(problem, x, tol):
     resid = problem.lhs @ x - problem.rhs
     # row scale from the actual cancellation magnitude on each row
     scale = np.maximum(1.0, np.maximum(np.abs(problem.rhs), np.abs(problem.lhs) @ np.abs(x)))
-    if _rows_violated(problem, resid, tol * scale):
+    if np.count_nonzero(resid < -tol * scale):
         return False
     margin = tol * max(1.0, size)
     return np.count_nonzero(problem.nonneg & (x < -margin)) == 0
@@ -291,21 +270,20 @@ def _certify_ray(problem, ray, tol):
     if not (math.isfinite(size) and size > tol):
         return False
     limit = tol * max(1.0, size)
-    if _rows_violated(problem, problem.lhs @ ray, limit):
+    if np.count_nonzero(problem.lhs @ ray < -limit):
         return False
     if np.count_nonzero(problem.nonneg & (ray < -limit)):
         return False
     return float(problem.objective @ ray) < 0.0
 
 
-def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
-             pivot_tol: float = DEFAULT_PIVOT_TOL) -> LpOutcome:
+def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     """Solve a dense LP and certify the reported status.
 
     Deterministic: Bland's anti-cycling rule with lowest-index tie breaking,
     so identical inputs give identical pivot sequences and outputs.
     """
-    if not (0 < tol < math.inf and 0 < pivot_tol < math.inf):
+    if not 0 < tol < math.inf:
         raise MalformedProblem("tolerances must be positive and finite")
 
     std = problem._std
@@ -331,7 +309,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     wrong = []
     for j, i, v in zip(*(_singletons(a_std != 0.0, std.a) if std.fragile else std.singletons)):
         v /= scale[i]
-        if abs(v) <= pivot_tol:
+        if abs(v) <= PIVOT_TOL:
             continue
         if b[i] == 0.0 or (v > 0) == (b[i] > 0):
             if basis[i] < 0:
@@ -384,11 +362,11 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
 
         # only the first n_std columns are priced in either phase, so x0 and
         # the artificials never re-enter once they leave
-        pivots += _run_simplex(tableau, basis, pivot_tol, n_std)[-1]
+        pivots += _run_simplex(tableau, basis, n_std)[-1]
         if -tableau[-1, -1] > tol:
             # infeasibility certificate: phase-1 optimum is positive and its
             # reduced costs are nonnegative, so no feasible point exists
-            if np.count_nonzero(tableau[-1, :n_std] < -10 * pivot_tol):
+            if np.count_nonzero(tableau[-1, :n_std] < -10 * PIVOT_TOL):
                 raise NumericalBreakdown("phase-1 terminated without optimality certificate")
             return LpOutcome(status=INFEASIBLE, pivots=pivots)
 
@@ -399,7 +377,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
         for i in (basis >= n_std).nonzero()[0].tolist():
             entries = np.abs(tableau[i, :n_std])
             best = entries.argmax()
-            if entries[best] > pivot_tol:
+            if entries[best] > PIVOT_TOL:
                 tableau[i, -1] = 0.0
                 _pivot(tableau, i, best)
                 basis[i] = best
@@ -417,7 +395,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL,
     tableau[-1, :-1] = cost - cb @ tableau[:-1, :-1]
     tableau[-1, -1] = -(cb @ tableau[:-1, -1])
 
-    status = _run_simplex(tableau, basis, pivot_tol, n_std)
+    status = _run_simplex(tableau, basis, n_std)
     pivots += status[-1]
 
     if status[0] == "unbounded":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import CapreqError, UsageError
-from .linprog import GE, LE, EQ, OPTIMAL, make_problem, solve_lp
+from .linprog import OPTIMAL, make_problem, solve_lp
 
 PROB_SUM_TOL = 1e-12
 PARSER_PROB_TOL = 1e-9
@@ -250,17 +250,17 @@ class ArbitrageReport:
     min_state_price: float | None = None
 
 
-def _box_lp(objective: np.ndarray, rows: np.ndarray, senses: tuple):
-    """(min value, minimiser) of objective @ x s.t. rows @ x (senses) 0 over |x|_inf <= 1, or None.
+def _box_lp(objective: np.ndarray, rows: np.ndarray):
+    """(min value, minimiser) of objective @ x s.t. rows @ x >= 0 over |x|_inf <= 1, or None.
 
     The box is posed in nonnegative columns: x = u - 1 with 0 <= u <= 2,
-    so the rows read rows @ u (senses) rows @ 1, and the rows u <= 2
-    follow them.
+    so the rows read rows @ u >= rows @ 1, and the rows -u >= -2 follow
+    them.
     """
     k = rows.shape[1]
-    lhs = np.vstack([rows, np.eye(k)])
-    rhs = np.concatenate([rows @ np.ones(k), np.full(k, 2.0)])
-    out = solve_lp(make_problem(objective, lhs, rhs, senses + (LE,) * k, np.ones(k, dtype=bool)))
+    lhs = np.vstack([rows, -np.eye(k)])
+    rhs = np.concatenate([rows @ np.ones(k), np.full(k, -2.0)])
+    out = solve_lp(make_problem(objective, lhs, rhs, np.ones(k, dtype=bool)))
     if out.status != OPTIMAL:
         return None
     return out.objective_value - objective.sum(), out.x - 1.0
@@ -269,38 +269,36 @@ def _box_lp(objective: np.ndarray, rows: np.ndarray, senses: tuple):
 def check_no_arbitrage(vm: ValidatedMarket, tol: float = STRICT_PSI_TOL) -> ArbitrageReport:
     """Search for strictly positive state prices; otherwise produce witnesses.
 
-    State prices psi solve payoffs @ psi = prices; the LP maximizes the
-    minimum component t, capped at t <= 1 to stay bounded on degenerate
-    spans and posed as t = 1 - s with s >= 0, and the market is
+    State prices psi solve payoffs @ psi = prices, posed as the opposite
+    rows payoffs @ psi >= prices and -payoffs @ psi >= -prices; the LP
+    maximizes the minimum component t, capped at t <= 1 to stay bounded on
+    degenerate spans and posed as t = 1 - s with s >= 0, and the market is
     arbitrage-free iff that optimum is strictly positive. Otherwise two
     witness LPs run over the portfolio box |x|_inf <= 1 (``_box_lp``):
     cheapest nonnegative payoff (free lunch when cost < -tol) and
-    most-probable gain at nonpositive cost (free lottery when > tol).
+    most-probable gain at nonpositive cost, the row -prices @ x >= 0
+    (free lottery when > tol).
     """
     s0, s1 = vm.market.prices, vm.market.payoffs
     n_assets, n = s1.shape
 
-    # variables (psi_1..psi_n free, s >= 0): min s  s.t. S1 psi = S0, psi_omega + s >= 1
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    lhs = np.zeros((n_assets + n, n + 1))
-    lhs[:n_assets, :n] = s1
-    lhs[n_assets:, :n] = np.eye(n)
-    lhs[n_assets:, n] = 1.0
-    rhs = np.concatenate([s0, np.ones(n)])
-    senses = (EQ,) * n_assets + (GE,) * n
-    out = solve_lp(make_problem(c, lhs, rhs, senses, np.arange(n + 1) == n))
+    # variables (psi_1..psi_n free, s >= 0): min s  s.t. +-S1 psi >= +-S0, psi_omega + s >= 1
+    lhs = np.zeros((2 * n_assets + n, n + 1))
+    lhs[:, :n] = np.vstack([s1, -s1, np.eye(n)])
+    lhs[2 * n_assets:, n] = 1.0
+    rhs = np.concatenate([s0, -s0, np.ones(n)])
+    out = solve_lp(make_problem(np.eye(n + 1)[n], lhs, rhs, np.arange(n + 1) == n))
     if out.status == OPTIMAL and 1.0 - out.objective_value > tol:
         psi = out.x[:n]
         return ArbitrageReport(kind="none", state_prices=psi,
                                min_state_price=float(psi.min()))
 
-    lunch = _box_lp(s0, s1.T, (GE,) * n)
+    lunch = _box_lp(s0, s1.T)
     lunch_x = lunch[1] if lunch is not None and lunch[0] < -tol else None
 
     p = vm.space.probs
     # max p . (S1^T x) at cost s0 . x <= 0
-    lottery = _box_lp(-(s1 @ p), np.vstack([s1.T, s0.reshape(1, -1)]), (GE,) * n + (LE,))
+    lottery = _box_lp(-(s1 @ p), np.vstack([s1.T, -s0.reshape(1, -1)]))
     lottery_x = lottery[1] if lottery is not None and -lottery[0] > tol else None
 
     if lunch_x is None and lottery_x is None:
@@ -320,16 +318,18 @@ def check_monotone_pricing(vm: ValidatedMarket, tol: float = STRICT_PSI_TOL):
     """Is the pricing functional monotone on the span?
 
     Minimizes the cost of a nonnegative eligible payoff normalized to total
-    mass one. Returns (True, None) when the optimum is >= -tol, else
+    mass one, the state sum held by the opposite rows sum >= 1 and
+    -sum >= -1. Returns (True, None) when the optimum is >= -tol, else
     (False, violating_payoff). Such payoffs lie in the probability simplex
     and the weights that replicate them are unique, so the LP is bounded.
     """
     s0, s1 = vm.market.prices, vm.market.payoffs
     n = s1.shape[1]
     # variables: asset weights w; rows: payoff s1.T @ w >= 0, its state sum = 1
-    lhs = np.vstack([s1.T, s1.sum(axis=1).reshape(1, -1)])
-    rhs = np.concatenate([np.zeros(n), [1.0]])
-    out = solve_lp(make_problem(s0, lhs, rhs, (GE,) * n + (EQ,)))
+    mass = s1.sum(axis=1)
+    lhs = np.vstack([s1.T, mass, -mass])
+    rhs = np.concatenate([np.zeros(n), [1.0, -1.0]])
+    out = solve_lp(make_problem(s0, lhs, rhs))
     if out.status != OPTIMAL:
         # nonnegative mass-one payoffs may not exist in thin spans
         return True, None

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
-from .linprog import (DEFAULT_FEAS_TOL, GE, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
+from .linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
                       make_problem, solve_lp)
 from .market import ValidatedMarket
 
@@ -300,13 +300,14 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
 def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
 
-    ``lp`` is min c x, A x >= b, each x_j free or, where ``lp.nonneg``
-    flags it, nonnegative. S is where y exceeds ``tol``. The dual is checked
-    on the LP's own unscaled data, with r = A_S^T y_S - c and the limit
-    tol * max(1, |c|): y >= -tol, |r_j| within the limit on the other
-    columns and r_j at most the limit on nonnegative ones, where r_j < 0
-    prices a bound at 0, so the bound stays b_S @ y_S. A dual that fails
-    the check bounds nothing.
+    ``lp`` is in ``linprog``'s one row form, min c x, A x >= b, each x_j
+    free or, where ``lp.nonneg`` flags it, nonnegative, so a dual is
+    nonnegative on every row. S is where y exceeds ``tol``. The dual is
+    checked on the LP's own unscaled data, with r = A_S^T y_S - c and the
+    limit tol * max(1, |c|): y >= -tol, |r_j| within the limit on the
+    other columns and r_j at most the limit on nonnegative ones, where
+    r_j < 0 prices a bound at 0, so the bound stays b_S @ y_S. A dual that
+    fails the check bounds nothing.
     """
     if dual.min(initial=0.0) < -tol:
         return None
@@ -338,7 +339,7 @@ def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, tol: float,
     def problem(index: int) -> LpProblem:
         rep = a.systems[index]
         return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x), GE,
+                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x),
                             np.concatenate([free, rep.aux_nonneg]))
 
     out, index, scanned, pruned = _cheapest(a, problem, tol)

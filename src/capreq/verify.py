@@ -131,16 +131,15 @@ def _directional_class(oracle: MembershipOracle, u: np.ndarray, point: np.ndarra
     return "boundary"
 
 
-def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
-                           m_values=(-1.0, 0.0, 1.0), grid: int = 21, seed: int = 0,
+def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 21, seed: int = 0,
                            tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Level sets of the requirement against directional classification.
 
-    For every grid position and level m: value < m must put the shifted
-    point in the directional interior of the zero-cost-reachable set,
-    value > m must keep it outside the directional closure, and points with
-    |value - m| inside the band are inconclusive. A set known only through
-    membership is refused (``NotPolyhedral``).
+    For every grid position and level m in (-1, 0, 1): value < m must put
+    the shifted point in the directional interior of the
+    zero-cost-reachable set, value > m must keep it outside the directional
+    closure, and points with |value - m| inside the band are inconclusive.
+    A set known only through membership is refused (``NotPolyhedral``).
     """
     oracle = MembershipOracle(a, vm, tol)
     band = 10 * BISECT_TOL
@@ -155,7 +154,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket,
     u = vm.numeraire
     for x in points:
         value = solve_rho(a, vm, x, tol).value
-        for m in m_values:
+        for m in (-1.0, 0.0, 1.0):
             report.trials += 1
             if math.isfinite(value) and abs(value - m) <= band:
                 report.inconclusive += 1

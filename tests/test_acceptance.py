@@ -109,8 +109,7 @@ def test_criterion_3_levelset_theorem():
         ("var", var_acceptance(space, 0.3)),
     ]
     for label, a in instances:
-        report = check_levelset_theorem(a, vm, m_values=(-1.0, 0.0, 1.0),
-                                        grid=21, seed=1003)
+        report = check_levelset_theorem(a, vm, grid=21, seed=1003)
         assert report.passed, f"{label}: {report.violations[:3]}"
         assert report.inconclusive <= 0.05 * report.trials, (
             f"{label}: {report.inconclusive}/{report.trials} inconclusive")

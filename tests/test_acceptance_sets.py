@@ -22,7 +22,7 @@ from capreq.acceptance import (PROB_EPS, AcceptanceParseError, BadNormal,
                                oracle_acceptance, positive_cone,
                                validate_acceptance, var_acceptance)
 from capreq.market import ScenarioSpace, uniform_space
-from capreq.linprog import GE, OPTIMAL, make_problem, solve_lp
+from capreq.linprog import OPTIMAL, make_problem, solve_lp
 
 
 def var_grid_oracle(space, x, alpha, lo=-25.0, hi=25.0, steps=200_001):
@@ -315,8 +315,7 @@ class TestAvarAcceptance:
             x = rng.uniform(-3, 3, size=3)
             lhs = rep.aux
             rhs = rep.rhs - rep.rows @ x
-            problem = make_problem(np.zeros(rep.n_aux), lhs, rhs, (GE,) * lhs.shape[0],
-                                   rep.aux_nonneg)
+            problem = make_problem(np.zeros(rep.n_aux), lhs, rhs, rep.aux_nonneg)
             block_feasible = solve_lp(problem).status == OPTIMAL
             value = compute_avar(sp, x, 0.4)
             if abs(value) > 1e-7:

@@ -18,7 +18,7 @@ import pytest
 
 import capreq.riskmeasure as rm
 from capreq.acceptance import var_acceptance
-from capreq.linprog import GE, OPTIMAL, make_problem, solve_lp
+from capreq.linprog import OPTIMAL, make_problem, solve_lp
 from capreq.riskmeasure import MembershipOracle, rho_reduction, rho_var_exact, solve_rho
 from conftest import loadable_sets, random_market
 
@@ -84,7 +84,7 @@ def test_lp_info_reads_a_solved_problem(bench):
     # the tracer reads n_rows, n_cols, status and pivots of each solve_lp
     # call, whose problem comes positionally or as ``problem=``
     _, tracer = bench
-    problem = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 1.0], GE, [True, False])
+    problem = make_problem([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [2.0, 1.0], [True, False])
     out = solve_lp(problem=problem)
     assert out.status == OPTIMAL and out.pivots > 0
     want = (4, OPTIMAL, out.pivots)

@@ -194,6 +194,7 @@ class TestMonotonePricing:
         ok, witness = check_monotone_pricing(vm)
         assert not ok
         assert np.all(witness >= -1e-7)
+        assert abs(witness.sum() - 1.0) <= 1e-9   # the mass-one normalisation
         assert vm.price(witness) < 0
 
 
@@ -220,6 +221,7 @@ class TestMonotonePricing:
             assert ok == bool(truth.min() >= 0)
             if not ok:
                 assert np.all(witness >= -1e-7)
+                assert abs(witness.sum() - 1.0) <= 1e-9
                 assert vm.price(witness) < 0
             verdicts.add(ok)
         assert verdicts == {True, False}

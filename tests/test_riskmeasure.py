@@ -11,7 +11,7 @@ from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, Polyhed
                                avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
                                var_acceptance)
-from capreq.linprog import (DEFAULT_FEAS_TOL, GE, INFEASIBLE, OPTIMAL, UNBOUNDED,
+from capreq.linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED,
                             MalformedProblem, make_problem, solve_lp)
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.riskmeasure import (BISECT_TOL, DegenerateAcceptance, EnumerationTooLarge,
@@ -254,7 +254,7 @@ class TestVarExact:
                     keep = [w for w in range(n) if w not in loss_set]
                     if not keep:
                         return NEG_INF
-                    out = solve_lp(make_problem(s0, s1.T[keep], -x[keep], GE))
+                    out = solve_lp(make_problem(s0, s1.T[keep], -x[keep]))
                     if out.status == UNBOUNDED:
                         return NEG_INF
                     if out.status == OPTIMAL:
@@ -473,7 +473,7 @@ def _direct_problem(vm, x):
     s0, s1 = vm.market.prices, vm.market.payoffs
     return lambda rep: make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
                                     np.hstack([rep.rows @ s1.T, rep.aux]),
-                                    rep.rhs - rep.rows @ x, GE,
+                                    rep.rhs - rep.rows @ x,
                                     _nonneg(len(s0), rep.aux_nonneg))
 
 
@@ -482,7 +482,7 @@ def _cash_problem(vm, x):
     def problem(rep):
         lhs = np.hstack([(rep.rows @ vm.numeraire)[:, None], -(rep.rows @ vm.kernel_basis.T),
                          rep.aux])
-        return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x, GE,
+        return make_problem(np.eye(lhs.shape[1])[0], lhs, rep.rhs - rep.rows @ x,
                             _nonneg(lhs.shape[1] - rep.n_aux, rep.aux_nonneg))
     return problem
 
@@ -629,7 +629,7 @@ class TestDualPruning:
     def test_dual_bound_checks_one_side_on_nonnegative_columns(self):
         # columns (w free, u >= 0); r = A_S^T y_S - c must vanish on w and be <= 0 on u
         def lp(rows, rhs, u_nonneg):
-            return make_problem([1.0, 0.0], rows, rhs, GE, [False, u_nonneg])
+            return make_problem([1.0, 0.0], rows, rhs, [False, u_nonneg])
 
         # min w s.t. w + u >= 5, w >= 2: optimum 2 at (2, 3)
         signed = lp([[1.0, 1.0], [1.0, 0.0]], [5.0, 2.0], True)
