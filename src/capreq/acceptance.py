@@ -482,8 +482,8 @@ class AcceptanceValidationReport:
         return not self.violations and not self.flags_falsified
 
 
-def validate_acceptance(a: AcceptanceSet, space: ScenarioSpace,
-                        sample_count: int = 200, rng_seed: int = 0) -> AcceptanceValidationReport:
+def validate_acceptance(a: AcceptanceSet, sample_count: int = 200,
+                        rng_seed: int = 0) -> AcceptanceValidationReport:
     """Check the acceptance-set axioms and falsify asserted flags by sampling.
 
     Verifies 0-membership, the stored properness witness, and monotonicity

@@ -10,14 +10,15 @@ form; each variable is free or, where the ``nonneg`` mask flags it,
 nonnegative. Any other bound is a row: a "<=" row is negated and an
 equation is a pair of opposite rows.
 
-Phase 1 starts from a slack basis: a row that has a column of its own
-(a slack, or any column nonzero in that row only) starts with that column
-basic. When at least three rows have such a column only with the sign
-opposite to their right-hand side, those columns start basic below zero
-and the rows share one auxiliary column x0, with entry -1 in each
-equilibrated row, which enters at the most violated row (Chvatal 1983,
-ch. 3); every other row lacking a usable column gets an artificial
-column of its own. Phase 1 minimises x0 plus the artificials.
+Phase 1 starts from the slack basis: every row starts on its own slack.
+A row whose right-hand side is positive is violated there. When at least
+three rows are, their slacks start basic anyway, below zero, and the rows
+share one auxiliary column x0, with entry -1 in each equilibrated row,
+which enters at the most violated row (Chvatal 1983, ch. 3); with one or
+two, each such row gets an artificial column instead. Phase 1 minimises
+x0 plus the artificials. A row whose scale (its largest |entry| or
+|right-hand side|) reaches 1/PIVOT_TOL is refused: its scaled slack is
+at or below PIVOT_TOL, so it could never pivot.
 
 The starting columns stay in the tableau through phase 2, unpriced: each
 is a unit column of the scaled rows, so the optimal dual is read off the
@@ -26,15 +27,14 @@ final reduced-cost row (Chvatal 1983, ch. 5) with no second solve.
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the work is split by what it depends on. Once per matrix,
 when an ``LpProblem`` is built: validation, the unscaled standard block
-and objective, each row's largest entry and the singleton columns with
-their rows (``_Standard``). ``LpProblem.with_rhs`` shares all of it, so a
-matrix re-solved for many right-hand sides pays for it once. On every
-call: the right-hand side, the row scales and the scaled block, the start
-basis (chosen on Python scalars: the candidates are few), both phases,
-the certificates and the dual. Phase 1 is skipped when no row starts on
-an auxiliary column, and the tableau is copied only when a redundant row
-is dropped. The array work is whole-array, and a pivot is a fixed handful
-of array operations.
+and objective, and each row's largest entry (``_Standard``).
+``LpProblem.with_rhs`` shares all of it, so a matrix re-solved for many
+right-hand sides pays for it once. On every call: the right-hand side,
+the row scales and the scaled block, the start basis (chosen on Python
+scalars: the rows are few), both phases, the certificates and the dual.
+Phase 1 is skipped when no row starts on an auxiliary column, and the
+tableau is copied only when a redundant row is dropped. The array work is
+whole-array, and a pivot is a fixed handful of array operations.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class MalformedProblem(CapreqError, ValueError):
 
 
 class NumericalBreakdown(CapreqError, RuntimeError):
-    """Pivoting stalled below ``PIVOT_TOL``, or a status failed its certificate."""
+    """A row's scale reaches 1/``PIVOT_TOL``, pivoting stalled, or a status failed its
+    certificate."""
 
 
 def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
@@ -165,15 +166,11 @@ class _Standard:
     u[second], second = first_j + 1. One slack per row follows, with
     entry -1: a @ u - s = rhs, s >= 0.
 
-    ``row_max`` holds each row's largest |a|, which row equilibration
-    needs, and ``singletons`` the candidates for the start basis: the
-    columns nonzero in one row only, in order, with those rows and entries
-    (three lists). Dividing a row by its scale can underflow an entry below
-    1e-15 to zero, which makes more columns singletons; a block with such
-    an entry is ``fragile`` and its singletons are found again per call.
+    ``row_max`` holds each row's largest |a|, at least the slack's 1,
+    which row equilibration needs.
     """
 
-    __slots__ = ("free", "first", "second", "a", "c", "row_max", "singletons", "fragile")
+    __slots__ = ("free", "first", "second", "a", "c", "row_max")
 
     def __init__(self, problem: LpProblem):
         self.free = ~problem.nonneg
@@ -191,11 +188,7 @@ class _Standard:
         self.c[:n_std] = problem.objective.repeat(width) * std_sign + 0.0
         np.fill_diagonal(a[:, n_std:], -1.0)
         self.a = a
-        size = np.abs(a)
-        self.row_max = size.max(axis=1)
-        nonzero = a != 0.0
-        self.singletons = _singletons(nonzero, a)
-        self.fragile = np.count_nonzero(size < 1e-15) + np.count_nonzero(nonzero) > a.size
+        self.row_max = np.abs(a).max(axis=1)
 
     def to_original(self, v_std: np.ndarray) -> np.ndarray:
         """The original columns of a standard point or ray, with +0.0 for -0.0 off the free ones."""
@@ -203,13 +196,6 @@ class _Standard:
         if len(self.second):
             v[self.free] = v_std[self.second - 1] - v_std[self.second]
         return v
-
-
-def _singletons(nonzero: np.ndarray, a: np.ndarray) -> tuple[list, list, list]:
-    """Columns with one ``nonzero`` entry, in order, with that entry's row and value in ``a``."""
-    cols = (nonzero.sum(axis=0) == 1).nonzero()[0]
-    rows = nonzero[:, cols].T.nonzero()[1]  # the one row each such column touches
-    return cols.tolist(), rows.tolist(), a[rows, cols].tolist()
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -289,46 +275,31 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     std = problem._std
     m, n_std = std.a.shape
     # per-row equilibration keeps violations comparable across rows of very
-    # different magnitudes (bracket probes mix O(1) and O(2^40) entries)
-    row_scale = np.maximum(1.0, np.maximum(std.row_max, np.abs(problem.rhs)))
+    # different magnitudes (bracket probes mix O(1) and O(2^33) entries).
+    # row_max counts the slack's 1, so every scale is at least 1
+    row_scale = np.maximum(std.row_max, np.abs(problem.rhs))
+    if np.count_nonzero(row_scale >= 1.0 / PIVOT_TOL):
+        raise NumericalBreakdown("a row's scale reaches 1/PIVOT_TOL, so its slack cannot pivot")
     a_std = std.a / row_scale[:, None]
     b_std = problem.rhs / row_scale
 
-    # slack starting basis: a column whose only nonzero lies in row i starts
-    # basic in row i once the row is divided by that entry, the lowest such
-    # column with the sign of b_i (any sign when b_i = 0) first. When at
-    # least three rows have such columns only with the other sign, they
-    # start basic anyway, below zero, and the rows share one auxiliary
-    # column x0 (with two rows its opening pivot saves no pivot). Every
-    # other row is flipped to b_i >= 0 and gets an artificial column.
-    # Python scalars: the candidates are few, and each value is the scaled
-    # entry, divided as numpy divides it
-    scale, b = row_scale.tolist(), b_std.tolist()
-    mult = [-1.0 if v < 0 else 1.0 for v in b]
-    basis = [-1] * m
-    wrong = []
-    for j, i, v in zip(*(_singletons(a_std != 0.0, std.a) if std.fragile else std.singletons)):
-        v /= scale[i]
-        if abs(v) <= PIVOT_TOL:
-            continue
-        if b[i] == 0.0 or (v > 0) == (b[i] > 0):
-            if basis[i] < 0:
-                basis[i], mult[i] = j, 1.0 / v
-        else:
-            wrong.append((j, i, v))
-    sharing = sorted({i for _, i, _ in wrong if basis[i] < 0})
-    if len(sharing) >= 3:
-        for j, i, v in wrong:
-            if basis[i] < 0:
-                basis[i], mult[i] = j, 1.0 / v
-    else:
-        sharing = []
+    # slack starting basis: row i starts on its slack, column n_std - m + i,
+    # once the row is divided by the slack's entry -1/scale_i. When at least
+    # three rows have b_i > 0, their slacks start basic anyway, below zero,
+    # and the rows share one auxiliary column x0 (with two rows its opening
+    # pivot saves no pivot); with fewer, each gets an artificial column.
+    # Python scalars: the rows are few, and each multiplier is divided as
+    # numpy divides it
+    mult = [1.0 / (-1.0 / s) for s in row_scale.tolist()]
+    basis = list(range(n_std - m, n_std))
+    violated = [i for i, v in enumerate(b_std.tolist()) if v > 0]
+    sharing = violated if len(violated) >= 3 else []
+    art_rows = [] if sharing else violated
+    for k, i in enumerate(art_rows):
+        basis[i], mult[i] = n_std + k, 1.0
     mult = np.array(mult)
     a_std = a_std * mult[:, None]
     b_std = b_std * mult
-    art_rows = [i for i in range(m) if basis[i] < 0]
-    for k, i in enumerate(art_rows):
-        basis[i] = n_std + k
     basis = np.array(basis, dtype=np.intp)
     start = basis.copy()   # column e_i of each scaled row, kept for the dual
 
@@ -347,7 +318,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
             tableau[-1, -1] = -b_std[art_rows].sum()
         if sharing:
             # x0 has entry -1 in each sharing row as equilibrated above, so
-            # -|mult_i| once the row is divided by its singleton. It enters
+            # -|mult_i| once the row is divided by its slack's entry. It enters
             # where the equilibrated b_i is most negative (lowest row on
             # ties): every basic value is then nonnegative, and the pivot's
             # rounding stays at each row's own scale

@@ -39,7 +39,9 @@ from .market import ValidatedMarket
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 M_BRACKET_INIT = 1.0   # first cash level the bracketed search probes
-M_BRACKET_MAX = 2.0 ** 40   # cash level past which the bracketed search tags +-inf
+# cash level past which the bracketed search tags +-inf; below 1/PIVOT_TOL = 1e10,
+# so a probe's LP rows stay within the scale solve_lp accepts
+M_BRACKET_MAX = 2.0 ** 33
 BISECT_TOL = 1e-7      # width the bisection narrows to; membership slack of induced sets
 BOUND_MARGIN = 1e-9    # relative amount a dual bound must exceed the incumbent by to skip
 
@@ -233,8 +235,11 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     x = np.asarray(position, dtype=float)
     status, m, payoff = MembershipOracle(a, vm, tol).cash_lp(x)
     result = RiskResult(m, strategy="reduction", diagnostics={"tag_test": "structural"})
-    if (status == OPTIMAL and a.member(x + payoff)
-            and abs(vm.price(payoff) - m) <= 10 * BISECT_TOL):
+    if status != OPTIMAL or not a.member(x + payoff):
+        return result
+    # the payoff is in the span up to rounding at its own magnitude
+    span_tol = 1e-9 * max(1.0, float(np.abs(payoff).max()))
+    if abs(vm.price(payoff, span_tol) - m) <= 10 * BISECT_TOL:
         result.optimal_payoff, result.attained = payoff, True
     return result
 

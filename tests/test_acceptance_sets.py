@@ -368,7 +368,7 @@ class TestIntersect:
 
 class TestValidateAcceptance:
     def test_positive_cone_passes(self):
-        report = validate_acceptance(positive_cone(3), uniform_space(3))
+        report = validate_acceptance(positive_cone(3))
         assert report.passed
 
     def test_var_convexity_falsified_when_claimed(self):
@@ -377,19 +377,19 @@ class TestValidateAcceptance:
         # override the honest False flag with a wrong assertion
         import dataclasses
         wrong = dataclasses.replace(a, is_convex=True)
-        report = validate_acceptance(wrong, sp, sample_count=400, rng_seed=3)
+        report = validate_acceptance(wrong, sample_count=400, rng_seed=3)
         assert "is_convex" in report.flags_falsified
 
     def test_halfspace_properness_confirmed(self):
         a = halfspace_acceptance([1.0, 0.0])
-        report = validate_acceptance(a, uniform_space(2))
+        report = validate_acceptance(a)
         assert report.passed
         assert not a(a.non_member)
 
     def test_non_monotone_oracle_flagged(self):
         bad = oracle_acceptance(
             2, lambda x: bool(x[0] >= 0 and x[1] <= 5.0), [-1.0, 0.0])
-        report = validate_acceptance(bad, uniform_space(2), sample_count=300, rng_seed=5)
+        report = validate_acceptance(bad, sample_count=300, rng_seed=5)
         assert any(v["check"] == "monotone" for v in report.violations)
 
 

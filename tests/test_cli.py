@@ -74,7 +74,9 @@ def files(tmp_path):
     for name, doc in (("poscone", {"type": "positive_cone"}),
                       ("halfplane", {"type": "halfspace", "normal": [1, 0]}),
                       ("avar", {"type": "avar", "alpha": 0.5}),
-                      ("var", {"type": "var", "alpha": 0.1})):
+                      ("var", {"type": "var", "alpha": 0.1}),
+                      ("cone_avar", {"type": "intersection", "parts": [
+                          {"type": "positive_cone"}, {"type": "avar", "alpha": 0.3}]})):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -171,6 +173,14 @@ class TestRequirement:
         assert doc["value"] == pytest.approx(1 / 12, abs=1e-9)
         assert doc["strategy"] == "var_enum" and doc["attained"] is True
 
+    def test_large_position_below_the_refusal_solves(self, files, capsys):
+        code, out, _ = run(capsys, ["requirement", files["market"], files["cone_avar"],
+                                    "--position=-3e9,0"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] == pytest.approx(1e9, rel=1e-9)
+        assert doc["attained"] is True
+
     def test_wrong_length_position(self, files, capsys):
         code, _, _ = run(capsys, ["requirement", files["market"], files["poscone"],
                                   "--position=1,2,3"])
@@ -215,6 +225,13 @@ class TestErrorContract:
         error = assert_json_error(run(capsys, [command, files["market"], files["poscone"],
                                                *options]), 1)
         assert error.startswith("NotPolyhedral")
+
+    def test_rows_past_one_over_pivot_tol_exit_one(self, files, capsys):
+        # the direct LP's rows carry the position, so at -3e10 one reaches the
+        # scale 1/PIVOT_TOL that solve_lp refuses rather than answer "+inf"
+        error = assert_json_error(run(capsys, ["requirement", files["market"],
+                                               files["cone_avar"], "--position=-3e10,0"]), 1)
+        assert error.startswith("NumericalBreakdown")
 
     def test_every_exception_is_a_capreq_error(self):
         classes = [cls for name in MODULES

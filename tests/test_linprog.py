@@ -47,6 +47,25 @@ def test_feasible_true_false():
     assert solve_lp(make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0])).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("lhs, rhs", [([[1.0]], [1e10]), ([[1e10], [1.0]], [0.0, 1.0])],
+                         ids=["rhs", "entry"])
+def test_rows_past_one_over_pivot_tol_are_refused(lhs, rhs):
+    # a row of scale 1e10 divides its slack down to PIVOT_TOL, so the row
+    # could never pivot: solving on would report "infeasible" for both, whose
+    # optima are 1e10 and 1
+    with pytest.raises(NumericalBreakdown, match="PIVOT_TOL"):
+        solve_lp(make_problem([1.0], lhs, rhs))
+
+
+@pytest.mark.parametrize("lhs, rhs, value", [([[1.0]], [9e9], 9e9),
+                                             ([[1e9], [1.0]], [0.0, 1.0], 1.0)],
+                         ids=["rhs", "entry"])
+def test_rows_below_one_over_pivot_tol_solve(lhs, rhs, value):
+    out = solve_lp(make_problem([1.0], lhs, rhs))
+    assert out.status == OPTIMAL
+    assert out.objective_value == pytest.approx(value, rel=1e-12)
+
+
 def test_feasible_random_system_with_interior_point():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -509,20 +528,25 @@ def test_with_rhs_validates_the_new_rhs(rhs):
 
 
 def test_entries_that_scaling_underflows_count_as_zero():
-    # an entry of 1e-310 in a row scaled by 1e20 is 0 in the scaled block the
-    # solver works on, so the start basis and every pivot are those of the
-    # problem with that entry 0 (which makes more columns singletons)
+    # an entry of 1e-320 in a row scaled by about 1e9 is 0 in the scaled
+    # block the solver works on, so every pivot is that of the problem with
+    # that entry 0. The rows stay below the scale 1/PIVOT_TOL = 1e10 that
+    # solve_lp refuses, so the solves compared are real
     rng = np.random.default_rng(61)
+    solved = 0
     for _ in range(200):
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a, b = rng.normal(size=(m, n)), rng.normal(size=m)
         big = rng.uniform(size=m) < 0.5
-        b[big] *= 1e20
+        b[big] *= 1e9
         tiny = big[:, None] & (rng.uniform(size=(m, n)) < 0.5)
         senses = [(GE, LE, EQ)[k] for k in rng.integers(0, 3, size=m)]
         c, nonneg = rng.normal(size=n), rng.uniform(size=n) < 0.5
-        assert _outcome_bytes(_one_row_form(c, np.where(tiny, 1e-310, a), b, senses, nonneg)) \
-            == _outcome_bytes(_one_row_form(c, np.where(tiny, 0.0, a), b, senses, nonneg))
+        want = _outcome_bytes(_one_row_form(c, np.where(tiny, 0.0, a), b, senses, nonneg))
+        assert _outcome_bytes(_one_row_form(c, np.where(tiny, 1e-320, a), b, senses, nonneg)) \
+            == want
+        solved += tiny.any() and want != "breakdown"
+    assert solved >= 100
 
 
 def test_problems_compare_by_identity():

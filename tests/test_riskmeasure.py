@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import capreq.riskmeasure as rm
-from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, DimensionMismatch, PolyhedralRep,
-                               avar_acceptance, compute_avar, feasible_loss_sets,
+from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, AcceptanceSet, DimensionMismatch,
+                               PolyhedralRep, avar_acceptance, compute_avar, feasible_loss_sets,
                                halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
                                var_acceptance)
 from capreq.linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED,
@@ -19,7 +19,8 @@ from capreq.riskmeasure import (BISECT_TOL, DegenerateAcceptance, EnumerationToo
                                 induced_rho_acceptance, rho_direct_lp, rho_reduction,
                                 rho_var_exact, solve_rho)
 from capreq.verify import check_risk_measure_axioms
-from conftest import corner_acceptance_r3, loadable_sets, random_market
+from conftest import (corner_acceptance_r3, loadable_sets, non_monotone_acceptance_r3,
+                      random_market)
 
 BAND = 10 * BISECT_TOL
 
@@ -99,6 +100,28 @@ class TestMembershipOnlySets:
                 run()
 
 
+class TestMembershipBracket:
+    """``rho_from_membership``'s bracket stays below the rows ``solve_lp`` refuses."""
+
+    def test_minus_inf_reached_within_the_bracket(self, two_state_market):
+        # {x0 >= 0, x1 <= 2}: the kernel direction (1, -1/2) reaches it from
+        # anywhere at any cash level, so the requirement is -inf
+        a = AcceptanceSet(dim=2, member=lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0 + 1e-9),
+                          non_member=np.array([-1.0, 3.0]), kind="half_strip",
+                          systems=(PolyhedralRep(np.array([[1.0, 0.0], [0.0, -1.0]]),
+                                                 np.zeros((2, 0)), [0.0, -2.0]),),
+                          is_convex=True)
+        x = [1.0, 1.0]
+        assert solve_rho(a, two_state_market, x).value == NEG_INF
+        assert rm.rho_from_membership(MembershipOracle(a, two_state_market).contains,
+                                      two_state_market, x).value == NEG_INF
+
+    def test_plus_inf_reached_within_the_bracket(self, numeraire_line_market):
+        a = non_monotone_acceptance_r3()
+        assert rm.rho_from_membership(MembershipOracle(a, numeraire_line_market).contains,
+                                      numeraire_line_market, [3.0, 0.0, 0.0]).value == POS_INF
+
+
 class TestReduction:
     def test_halfplane_everywhere_minus_inf(self, half_price_market):
         a = halfspace_acceptance([1.0, 0.0])
@@ -116,6 +139,13 @@ class TestReduction:
     def test_binding_state_prices(self, two_state_market):
         result = rho_reduction(positive_cone(2), two_state_market, [-3.0, 0.0])
         assert result.value == pytest.approx(1.0, abs=BAND)
+
+    def test_large_position_prices_its_own_payoff(self, two_state_market):
+        # the payoff is of size 3e9, so its span residual is rounding at that
+        # size: the span test is relative to it
+        result = rho_reduction(positive_cone(2), two_state_market, [-3e9, 0.0])
+        assert result.value == pytest.approx(1e9, rel=1e-6)
+        assert result.attained
 
     def test_attained_certificate(self, two_state_market):
         result = rho_reduction(positive_cone(2), two_state_market, [-3.0, 0.0])
