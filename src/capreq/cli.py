@@ -27,7 +27,7 @@ from . import CapreqError, UsageError
 from .acceptance import load_acceptance
 from .market import (ValidatedMarket, check_monotone_pricing, check_no_arbitrage,
                      load_market, validate_market)
-from .riskmeasure import BISECT_TOL, extreal_str, solve_rho
+from .riskmeasure import BISECT_TOL, MembershipOracle, extreal_str, solve_rho
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -151,7 +151,9 @@ def cmd_validate(args) -> int:
 def cmd_price(args) -> int:
     vm = _load_validated_market(args.market, args.tol)
     payoff = _parse_vector(args.payoff, vm.n_states, "payoff")
-    doc = {"payoff": payoff.tolist(), "price": vm.price(payoff, args.tol)}
+    # the span test is relative: projection residuals grow with the payoff
+    tol = args.tol * max(1.0, float(np.abs(payoff).max()))
+    doc = {"payoff": payoff.tolist(), "price": vm.price(payoff, tol)}
     _emit(doc, args.format)
     return EXIT_OK
 
@@ -220,9 +222,10 @@ def cmd_levelset(args) -> int:
         points = [np.asarray(p) for p in itertools.product(*([axis] * n))]
 
     band = 10 * BISECT_TOL
+    context = MembershipOracle(a, vm, args.tol)
     classified = []
     for p in points:
-        value = solve_rho(a, vm, p, args.tol).value
+        value = context.requirement(p).value
         if math.isfinite(value) and abs(value - args.level) <= 1e-9:
             tag = "boundary"
         elif math.isfinite(value) and abs(value - args.level) <= band:

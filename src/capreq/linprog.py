@@ -35,10 +35,17 @@ scalars: the rows are few), both phases, the certificates and the dual.
 Phase 1 is skipped when no row starts on an auxiliary column, and the
 tableau is copied only when a redundant row is dropped. The array work is
 whole-array, and a pivot is a fixed handful of array operations.
+
+An optimal outcome carries its final basis. Its dual does not depend on
+the right-hand side, so ``repose_basis`` answers the same matrix at
+another right-hand side from that basis, without pivoting, wherever the
+basic values stay nonnegative; the answer is certified as a solve's is.
+``solve_lp`` itself keeps nothing between calls.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -148,6 +155,11 @@ class LpOutcome:
     redundant carries whatever that product gives, which is still a valid
     multiplier. The union scan in ``riskmeasure`` checks it against the
     problem's data and uses it as a lower bound on the other systems.
+
+    ``basis`` holds the final basis of an optimal solve, one standard
+    column (``_Standard``) per row; it is None for the other statuses and
+    when a redundant row was dropped. ``repose_basis`` re-poses it at
+    another right-hand side of the same matrix.
     """
 
     status: str
@@ -156,6 +168,8 @@ class LpOutcome:
     dual: np.ndarray | None = None
     ray: np.ndarray | None = None
     pivots: int = 0
+    basis: np.ndarray | None = None
+    _factor = None   # not a field: ``repose_basis`` sets it on the outcome it first tests
 
 
 class _Standard:
@@ -243,10 +257,12 @@ def _certify_optimal(problem, x, tol):
     if not math.isfinite(size):
         return False
     resid = problem.lhs @ x - problem.rhs
-    # row scale from the actual cancellation magnitude on each row
-    scale = np.maximum(1.0, np.maximum(np.abs(problem.rhs), np.abs(problem.lhs) @ np.abs(x)))
-    if np.count_nonzero(resid < -tol * scale):
-        return False
+    # row scale from the actual cancellation magnitude on each row; it is at
+    # least 1, so rows short by at most tol pass without it
+    if resid.min(initial=0.0) < -tol:
+        scale = np.maximum(1.0, np.maximum(np.abs(problem.rhs), np.abs(problem.lhs) @ np.abs(x)))
+        if np.count_nonzero(resid < -tol * scale):
+            return False
     margin = tol * max(1.0, size)
     return np.count_nonzero(problem.nonneg & (x < -margin)) == 0
 
@@ -261,6 +277,27 @@ def _certify_ray(problem, ray, tol):
     if np.count_nonzero(problem.nonneg & (ray < -limit)):
         return False
     return float(problem.objective @ ray) < 0.0
+
+
+def _dual_support(problem: LpProblem, dual: np.ndarray, tol: float) -> np.ndarray | None:
+    """The rows S where an optimal dual y of ``problem`` exceeds ``tol``, or None if y fails.
+
+    In the one row form a dual is nonnegative on every row. y is checked on
+    the problem's own unscaled data, with r = A_S^T y_S - c and the limit
+    tol * max(1, |c|): y >= -tol, |r_j| within the limit on free columns
+    and r_j at most the limit on nonnegative ones, where r_j < 0 prices a
+    bound at 0. y_S is then a feasible dual, so by weak duality no feasible
+    point costs less than b_S @ y_S.
+    """
+    if dual.min(initial=0.0) < -tol:
+        return None
+    support = (dual > tol).nonzero()[0]
+    c = problem.objective
+    residual = problem.lhs[support].T @ dual[support] - c
+    limit = tol * max(1.0, float(np.abs(c).max()))
+    if np.where(problem.nonneg, residual, np.abs(residual)).max() > limit:
+        return None
+    return support
 
 
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
@@ -389,4 +426,54 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     # y = c_B B^-1 of the scaled rows: column start_i is e_i there, so its
     # reduced cost is cost[start_i] - y_i
     dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
-    return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots)
+    return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
+                     basis=basis if len(basis) == m else None)
+
+
+def repose_basis(problem: LpProblem, stored: LpOutcome,
+                 tol: float = DEFAULT_FEAS_TOL) -> LpOutcome | None:
+    """``stored``'s basis at ``problem``'s right-hand side: a certified optimal outcome, or None.
+
+    ``stored`` is an optimal outcome, with a basis, of a problem with the
+    same matrix (``with_rhs``). Its dual y = c_B B^-1 does not depend on
+    the right-hand side b, so the basis stays dual feasible, and it is
+    optimal at b iff its basic values B^-1 b are nonnegative (Gal & Nedoma
+    1972). That test takes no tolerance. The point must then pass
+    ``solve_lp``'s own certificate on the original data, and the duality
+    gap |c x - b_S y_S| must be within ``tol`` of max(1, |c| |x|, |b| |y|),
+    where y_S is the dual as ``_dual_support`` checks it. The outcome
+    reports no pivots and shares ``stored``'s dual and basis.
+
+    The first call that tests ``stored`` checks its dual and inverts B, and
+    keeps both on ``stored``, so a solve whose basis is never re-posed pays
+    for neither. A basis whose dual fails the check, or whose B is
+    singular, is kept as unusable and never passes.
+    """
+    std = problem._std
+    factor = stored._factor
+    if factor is None:
+        support = _dual_support(problem, stored.dual, tol)
+        factor = ()
+        if support is not None:
+            y = np.zeros(len(stored.dual))
+            y[support] = stored.dual[support]
+            with contextlib.suppress(np.linalg.LinAlgError):
+                factor = (np.linalg.inv(std.a[:, stored.basis]), y)
+        object.__setattr__(stored, "_factor", factor)
+    if not factor:
+        return None
+    inverse, y = factor
+    values = inverse @ problem.rhs
+    if np.count_nonzero(values >= 0.0) < len(values):
+        return None
+    x_std = np.zeros(std.a.shape[1])
+    x_std[stored.basis] = values
+    x = std.to_original(x_std)
+    if not _certify_optimal(problem, x, 10 * tol):
+        return None
+    value = float(std.c @ x_std) + 0.0
+    scale = max(1.0, float(np.abs(std.c) @ x_std), float(np.abs(problem.rhs) @ y))
+    if not abs(value - float(problem.rhs @ y)) <= tol * scale:
+        return None
+    return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=stored.dual,
+                     basis=stored.basis)

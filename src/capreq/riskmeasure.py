@@ -21,6 +21,14 @@ is the one inexact entry, a bisection against a caller's own membership
 functional. Values live in [-inf, +inf]; the infinite tags carry meaning
 (positions that cannot be made acceptable at any cost, and positions
 acceptable at arbitrarily negative cost).
+
+Every LP of a system depends on the position only through its right-hand
+side, so a caller who asks many positions of one (set, market) pair builds
+one solve context, ``MembershipOracle``: it keeps each system's LPs and the
+optimal bases they ended on, and answers a position from a kept basis
+where that basis is still optimal (right-hand-side parametric LP). The
+module functions are one-shot: each builds a context for its one
+position, so it solves every LP cold and keeps nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import numpy as np
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
 from .linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      make_problem, solve_lp)
+                      _dual_support, make_problem, repose_basis, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -103,37 +111,94 @@ def _exact_systems(a: AcceptanceSet, vm: ValidatedMarket) -> tuple[PolyhedralRep
 
 
 class MembershipOracle:
-    """Decides whether a position can be made acceptable at zero cost.
+    """The solve context of one (set, market) pair: it keeps every LP it solves.
 
-    Concretely: does some price-zero eligible movement take the position
-    into the acceptance set? The set is a union of linear systems
-    (``AcceptanceSet.systems``), and every question (zero-cost witness,
-    cheapest cash level) is one LP per system over the same constraint
-    block (``PolyhedralRep.lp``). Each system's witness LP and cash LP is
-    built at its first use; a later position re-solves the kept LP with
-    that position's right-hand side (``LpProblem.with_rhs`` of
-    ``PolyhedralRep.rhs_at``), the same LP ``PolyhedralRep.lp`` builds,
-    without building or standardising its matrix again. Every LP is solved
-    to the feasibility tolerance ``tol``. A set known only through
-    membership is refused (``NotPolyhedral``).
+    The set is a union of linear systems (``AcceptanceSet.systems``), and
+    every question is one LP per system: the direct LP over portfolio
+    weights (``requirement``), the cash LP over (cash, kernel coordinates,
+    auxiliaries) (``cash_lp``) and the zero-cost witness LP (``witness``,
+    ``contains``). Only their right-hand side depends on the position
+    (``PolyhedralRep.rhs_at``). So the context builds each system's LP of
+    each kind at its first use and re-poses it by ``LpProblem.with_rhs``
+    after that, and it keeps the optimal bases that LP ended on, in the
+    order they came, one per distinct basis. A later position tries them in
+    that order (``linprog.repose_basis``: basic values nonnegative with no
+    tolerance, the point certified on the original data, the dual checked
+    once, a duality-gap check) and solves cold (``solve_lp``) only when
+    none is optimal there. That answers a repeated matrix without pivoting.
+    The answers are a cold solve's up to rounding, not bit for bit: the
+    same statuses, values within rounding (1e-12 relative in the tests),
+    and where the optimum is not unique, possibly another optimal point of
+    the same value.
+
+    A context belongs to one caller, who decides how long its LPs live; the
+    module's functions (``solve_rho``, ``rho_reduction``, ...) each build
+    their own for one position, so they stay pure and solve every LP cold.
+    Every LP is solved to the feasibility tolerance ``tol``. A set known
+    only through membership is refused (``NotPolyhedral``).
     """
 
     def __init__(self, a: AcceptanceSet, vm: ValidatedMarket, tol: float = DEFAULT_FEAS_TOL):
-        systems = _exact_systems(a, vm)
+        _exact_systems(a, vm)
         self.a = a
         self.vm = vm
         self.tol = tol
         self.kernel = vm.kernel_basis  # (k, n)
-        self._witness_lps = [None] * len(systems)
-        self._cash_lps = [None] * len(systems)
+        self._kept = {}   # (kind, system index) -> (first LP, optimal outcomes of distinct bases)
 
-    def _system_lp(self, kept: list, index: int, y: np.ndarray, moves) -> LpProblem:
-        """System ``index``'s LP at y over ``moves``: ``kept[index]`` with y's right-hand side."""
+    def _solve(self, kind: str, index: int, y: np.ndarray) -> tuple[LpProblem, LpOutcome]:
+        """System ``index``'s LP of ``kind`` at position y and its outcome."""
         rep = self.a.systems[index]
-        if kept[index] is None:
-            kept[index] = rep.lp(y, self.kernel, moves)
-            return kept[index]
-        return kept[index].with_rhs(rep.rhs_at(y))
+        kept = self._kept.get((kind, index))
+        if kept is None:
+            if kind == "direct":
+                s0, s1 = self.vm.market.prices, self.vm.market.payoffs
+                lp = make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
+                                  np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(y),
+                                  np.concatenate([np.zeros(len(s0), dtype=bool), rep.aux_nonneg]))
+            else:
+                lp = rep.lp(y, self.kernel, [self.vm.numeraire] if kind == "cash" else ())
+            kept = self._kept[kind, index] = (lp, [])
+        else:
+            lp = kept[0].with_rhs(rep.rhs_at(y))
+            for stored in kept[1]:
+                out = repose_basis(lp, stored, self.tol)
+                if out is not None:
+                    return lp, out
+        out = solve_lp(lp, tol=self.tol)
+        # a basis is a set of columns: keep one outcome per set
+        if out.basis is not None and not any(
+                set(out.basis.tolist()) == set(stored.basis.tolist()) for stored in kept[1]):
+            kept[1].append(out)
+        return lp, out
+
+    def requirement(self, position) -> RiskResult:
+        """The requirement by the direct LP, as ``solve_rho`` answers it."""
+        return self._requirement(position, "direct_lp" if self.a.only_system is not None
+                                 else "var_enum")
+
+    def _requirement(self, position, strategy: str) -> RiskResult:
+        """Minimum over the systems of the direct LP over portfolio weights and auxiliaries.
+
+        ``diagnostics``: ``loss_sets_scanned`` LPs answered and
+        ``systems_pruned`` systems dropped on a dual bound (``_cheapest``;
+        the two add up to the systems unless an unbounded system ended the
+        scan); the deciding system's index, as ``system`` with its LP's
+        ``pivots`` or as ``unbounded_loss_set``, both a full scan's.
+        """
+        x = np.asarray(position, dtype=float)
+        out, index, scanned, pruned = _cheapest(self.a, lambda i: self._solve("direct", i, x),
+                                                self.tol)
+        diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}
+        if out is None:
+            return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
+        if out.status == UNBOUNDED:
+            diagnostics["unbounded_loss_set"] = index
+            return RiskResult(NEG_INF, strategy=strategy, diagnostics=diagnostics)
+        diagnostics.update(system=index, pivots=out.pivots)
+        s1 = self.vm.market.payoffs
+        return RiskResult(float(out.objective_value), attained=True, strategy=strategy,
+                          optimal_payoff=s1.T @ out.x[:s1.shape[0]], diagnostics=diagnostics)
 
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
@@ -144,11 +209,10 @@ class MembershipOracle:
         through ``_cheapest``: those no solved system's dual covers first,
         in index order, then a covered one only while its bound is under the
         incumbent. Ties keep the earliest system, so the reported payoff is
-        deterministic and equals a full scan's.
+        deterministic and, on a cold context, equals a full scan's.
         """
-        y, u = np.asarray(position, dtype=float), self.vm.numeraire
-        out, _, _, _ = _cheapest(self.a, lambda i: self._system_lp(self._cash_lps, i, y, [u]),
-                                 self.tol)
+        y = np.asarray(position, dtype=float)
+        out, _, _, _ = _cheapest(self.a, lambda i: self._solve("cash", i, y), self.tol)
         if out is None:
             return INFEASIBLE, POS_INF, None
         if out.status == UNBOUNDED:
@@ -171,7 +235,7 @@ class MembershipOracle:
         """Price-zero movement k with position - k acceptable, or None."""
         y = np.asarray(position, dtype=float)
         for i in range(len(self.a.systems)):
-            out = solve_lp(self._system_lp(self._witness_lps, i, y, ()), tol=self.tol)
+            out = self._solve("witness", i, y)[1]
             if out.status == OPTIMAL:
                 return self.kernel.T @ out.x[:self.kernel.shape[0]]
         return None
@@ -227,7 +291,8 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
                   tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement along the numeraire modulo the pricing kernel.
 
-    One cash-minimising LP per system (``MembershipOracle.cash_lp``):
+    One cash-minimising LP per system (``MembershipOracle.cash_lp`` on a
+    context of its own):
     infeasible is +inf, unbounded is -inf, otherwise the optimum. Its
     payoff is reported as ``attained`` when it moves the position into the
     set (``member``) at the value's price.
@@ -244,9 +309,9 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     return result
 
 
-def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
+def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcome]],
               tol: float) -> tuple[LpOutcome | None, int, int, int]:
-    """Minimum over ``a.systems`` of the LP ``problem(i)``: (outcome, index, LPs solved, pruned).
+    """Minimum over ``a.systems`` of the LP ``solve(i)`` answers: (outcome, index, LPs, pruned).
 
     The first unbounded outcome ends the scan (-inf). Otherwise the optimum
     of least (value, index), so the earliest system on ties and a
@@ -271,7 +336,7 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
     """
     systems, incidence = a.systems, a.incidence
     if incidence is None:
-        out = solve_lp(problem(0), tol=tol)
+        out = solve(0)[1]
         return (None if out.status == INFEASIBLE else out), 0, 1, 0
     level = np.full(len(systems), NEG_INF)
     unsolved = np.ones(len(systems), dtype=bool)
@@ -284,8 +349,7 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
             return best, best_index, scanned, len(systems) - scanned
         index = int(pick.argmax())
         unsolved[index] = False
-        lp = problem(index)
-        out = solve_lp(lp, tol=tol)
+        lp, out = solve(index)
         scanned += 1
         if out.status == UNBOUNDED:
             return out, index, scanned, int(np.count_nonzero(unsolved & ~live))
@@ -305,66 +369,24 @@ def _cheapest(a: AcceptanceSet, problem: Callable[[int], LpProblem],
 def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
     """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
 
-    ``lp`` is in ``linprog``'s one row form, min c x, A x >= b, each x_j
-    free or, where ``lp.nonneg`` flags it, nonnegative, so a dual is
-    nonnegative on every row. S is where y exceeds ``tol``. The dual is
-    checked on the LP's own unscaled data, with r = A_S^T y_S - c and the
-    limit tol * max(1, |c|): y >= -tol, |r_j| within the limit on the
-    other columns and r_j at most the limit on nonnegative ones, where
-    r_j < 0 prices a bound at 0, so the bound stays b_S @ y_S. A dual that
-    fails the check bounds nothing.
+    S and the check on y are ``linprog._dual_support``'s; a dual that fails
+    the check bounds nothing.
     """
-    if dual.min(initial=0.0) < -tol:
+    support = _dual_support(lp, dual, tol)
+    if support is None:
         return None
-    support = (dual > tol).nonzero()[0]
-    y = dual[support]
-    c = lp.objective
-    residual = lp.lhs[support].T @ y - c
-    limit = tol * max(1.0, float(np.abs(c).max()))
-    if np.where(lp.nonneg, residual, np.abs(residual)).max() > limit:
-        return None
-    return float(lp.rhs[support] @ y), support
-
-
-def _rho_systems(a: AcceptanceSet, vm: ValidatedMarket, position, tol: float,
-                 strategy: str) -> RiskResult:
-    """Minimum over ``a.systems`` of the LP over portfolio weights and auxiliaries.
-
-    ``diagnostics``: ``loss_sets_scanned`` LPs solved and ``systems_pruned``
-    systems dropped on a dual bound (``_cheapest``; the two add up to the
-    systems unless an unbounded system ended the scan); the deciding
-    system's index, as ``system`` with its LP's ``pivots`` or as
-    ``unbounded_loss_set``, both a full scan's.
-    """
-    _exact_systems(a, vm)
-    x = np.asarray(position, dtype=float)
-    s0, s1 = vm.market.prices, vm.market.payoffs
-    free = np.zeros(s0.shape[0], dtype=bool)   # portfolio weights
-
-    def problem(index: int) -> LpProblem:
-        rep = a.systems[index]
-        return make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                            np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(x),
-                            np.concatenate([free, rep.aux_nonneg]))
-
-    out, index, scanned, pruned = _cheapest(a, problem, tol)
-    diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}
-    if out is None:
-        return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
-    if out.status == UNBOUNDED:
-        diagnostics["unbounded_loss_set"] = index
-        return RiskResult(NEG_INF, strategy=strategy, diagnostics=diagnostics)
-    diagnostics.update(system=index, pivots=out.pivots)
-    return RiskResult(float(out.objective_value), attained=True, strategy=strategy,
-                      optimal_payoff=s1.T @ out.x[:s1.shape[0]], diagnostics=diagnostics)
+    return float(lp.rhs[support] @ dual[support]), support
 
 
 def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
                   tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
-    """Requirement as a single LP over portfolio weights (sets of exactly one system)."""
+    """Requirement as a single LP over portfolio weights (sets of exactly one system).
+
+    One-shot: the LP is solved cold on a context of its own.
+    """
     if a.only_system is None:
         raise NotPolyhedral("the direct LP needs exactly one polyhedral system")
-    return _rho_systems(a, vm, position, tol, "direct_lp")
+    return MembershipOracle(a, vm, tol)._requirement(position, "direct_lp")
 
 
 def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
@@ -385,7 +407,7 @@ def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
     equiprobable states it solves about 6.4 of 45-91 LPs, and at 16 states
     and alpha 0.25 a median of 20 of 1,820.
     """
-    return _rho_systems(a, vm, position, tol, "var_enum")
+    return MembershipOracle(a, vm, tol)._requirement(position, "var_enum")
 
 
 def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
@@ -405,13 +427,13 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     rows R and right-hand side over the auxiliaries [-R U | -R K^T | old],
     the old ones keeping their signs. A shared row gains the same entries in
     every system, so the source's ``incidence`` carries over. ``member`` is
-    one cash LP scan (requirement <= ``BISECT_TOL``). Inherits the structural
+    one cash LP scan (requirement <= ``BISECT_TOL``) on a context of its own,
+    so the set keeps no solver state between calls. Inherits the structural
     flags of the source set. Raises ``NotPolyhedral`` for a set known only
     through membership, and ``DegenerateAcceptance`` if the requirement is
     -inf at zero (the induced set would be the whole space, not proper).
     """
-    oracle = MembershipOracle(a, vm, tol)
-    at_zero = oracle.cash_lp(np.zeros(a.dim))[1]
+    at_zero = MembershipOracle(a, vm, tol).cash_lp(np.zeros(a.dim))[1]
     if at_zero == NEG_INF:
         raise DegenerateAcceptance("requirement is -inf at the zero position")
     moves = np.vstack([vm.numeraire, vm.kernel_basis])   # m U + K^T c, m >= 0 first
@@ -421,7 +443,7 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
                     for rep in a.systems)
 
     def member(x: np.ndarray) -> bool:
-        return oracle.cash_lp(x)[1] <= BISECT_TOL
+        return MembershipOracle(a, vm, tol).cash_lp(x)[1] <= BISECT_TOL
 
     return AcceptanceSet(
         dim=a.dim, member=member, non_member=-(max(at_zero, 0.0) + 1.0) * vm.numeraire,

@@ -3,7 +3,9 @@
 Each check samples positions, markets movements or grid points, runs the
 solvers, and records violations as replayable payloads (the concrete inputs
 are stored, and the seed is captured, so re-running reproduces the report
-bit for bit). Comparisons within a tolerance band of a decision boundary
+bit for bit). A check asks every position of its (set, market) pair of one
+solve context (``MembershipOracle``), which answers a repeated LP matrix
+from its kept optimal bases. Comparisons within a tolerance band of a decision boundary
 count as inconclusive, never as violations: values solved to a tolerance
 cannot adjudicate exact ties.
 
@@ -28,7 +30,7 @@ from .directional import PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_memb
 from .linprog import DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 from .market import ValidatedMarket
 from .riskmeasure import (BISECT_TOL, MembershipOracle, NEG_INF, POS_INF, NotPolyhedral,
-                          RiskResult, _exact_systems, induced_rho_acceptance, solve_rho)
+                          RiskResult, induced_rho_acceptance, solve_rho)
 
 
 @dataclass
@@ -97,6 +99,7 @@ def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
     """
     if band is None:
         band = 10 * BISECT_TOL
+    context = MembershipOracle(a, vm, tol)
     rng = np.random.default_rng(seed)
     report = PropertyReport("risk_measure_axioms", trials=trials, seed=seed)
     n = vm.n_states
@@ -104,12 +107,12 @@ def check_risk_measure_axioms(a: AcceptanceSet, vm: ValidatedMarket,
         x = _sample_position(rng, n)
         bump = rng.uniform(0.0, 3.0, size=n)
         z = _sample_eligible(rng, vm)
-        rx = solve_rho(a, vm, x, tol).value
-        ry = solve_rho(a, vm, x + bump, tol).value
+        rx = context.requirement(x).value
+        ry = context.requirement(x + bump).value
         if ry > rx + band:
             report.violation(trial=trial, check="monotonicity", x=_listify(x),
                              bump=_listify(bump), value_x=rx, value_y=ry)
-        rz = solve_rho(a, vm, x + z, tol).value
+        rz = context.requirement(x + z).value
         price = vm.price(z)
         if _tag(rx) != "finite":
             if _tag(rz) != _tag(rx):
@@ -153,7 +156,7 @@ def check_levelset_theorem(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 21
         points = [_sample_position(rng, n) for _ in range(grid * grid)]
     u = vm.numeraire
     for x in points:
-        value = solve_rho(a, vm, x, tol).value
+        value = oracle.requirement(x).value
         for m in (-1.0, 0.0, 1.0):
             report.trials += 1
             if math.isfinite(value) and abs(value - m) <= band:
@@ -189,7 +192,7 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     n = vm.n_states
     for trial in range(trials):
         x = _sample_position(rng, n)
-        value = solve_rho(a, vm, x, tol).value
+        value = oracle.requirement(x).value
         status = oracle.cash_lp(x)[0]
         reachable, line = status != INFEASIBLE, status == UNBOUNDED
         if _tag(value) == "pos_inf":
@@ -285,6 +288,7 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     right-hand side for the cone). Sets of several systems or none are
     reported as not certifiable and nothing is asserted on coverage.
     """
+    context = MembershipOracle(a, vm, tol)
     rng = np.random.default_rng(seed)
     report = PropertyReport("degeneracy_lemmas", seed=seed)
     n = vm.n_states
@@ -304,7 +308,7 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
 
     for x in probes:
         report.trials += 1
-        value = solve_rho(a, vm, x, tol).value
+        value = context.requirement(x).value
         if whole_space is True and value != NEG_INF:
             report.violation(check="whole_space_degeneracy", x=_listify(x),
                              value=value if math.isfinite(value) else _tag(value))
@@ -352,7 +356,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     negative control. A set known only through membership is refused
     (``NotPolyhedral``).
     """
-    _exact_systems(a, vm)   # refuses a set without systems
+    context = MembershipOracle(a, vm, tol)   # refuses a set without systems
     band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("variation_lemma", trials=trials, seed=seed)
@@ -363,7 +367,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     while len(added) < n_boundary_points and attempts < 20 * n_boundary_points:
         attempts += 1
         x = _sample_position(rng, n)
-        value = solve_rho(a, vm, x, tol).value
+        value = context.requirement(x).value
         if math.isfinite(value):
             added.append(x + value * vm.numeraire)
     if extra_points is not None:
@@ -376,7 +380,7 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
 
     probes = [_sample_position(rng, n) for _ in range(trials)] + list(added)
     for trial, x in enumerate(probes):
-        base = solve_rho(a, vm, x, tol).value
+        base = context.requirement(x).value
         enlarged = enlarged_value(x, base)
         if _tag(base) != _tag(enlarged):
             report.violation(trial=trial, x=_listify(x), base=_tag(base),
@@ -445,6 +449,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
     equals the original within the band (level comparisons inside the band
     are inconclusive). A set known only through membership is refused.
     """
+    context = MembershipOracle(a, vm, tol)
     band = 10 * BISECT_TOL
     rng = np.random.default_rng(seed)
     report = PropertyReport("induced_set_theorem", trials=trials, seed=seed)
@@ -455,7 +460,7 @@ def check_induced_set_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int
     for trial in range(trials):
         x = _sample_position(rng, n)
         m = float(rng.uniform(-4.0, 4.0))
-        value = solve_rho(a, vm, x, tol).value
+        value = context.requirement(x).value
         if math.isfinite(value) and abs(value - m) <= band:
             report.inconclusive += 1
         else:

@@ -347,6 +347,13 @@ class TestPriceAndArbitrage:
         assert code == 0
         assert json.loads(out)["price"] == pytest.approx(1.0)
 
+    def test_large_payoff_in_the_span_prices(self, files, capsys):
+        # the span test scales --tol by the payoff: at 3e9 the projection
+        # residual is about 5e-7, above the default 1e-8 taken as absolute
+        code, out, _ = run(capsys, ["price", files["market"], "--payoff=3e9,3e9"])
+        assert code == 0
+        assert json.loads(out)["price"] == pytest.approx(3e9, rel=1e-12)
+
     def test_price_not_in_span(self, files, capsys):
         # three-entry payoff is a usage error; non-span payoff is domain error
         code, _, _ = run(capsys, ["price", files["market"], "--payoff", "1,2,3"])
@@ -381,6 +388,27 @@ class TestLevelset:
         for p in doc0["points"]:
             shifted = tuple(np.asarray(p["point"]) - 1.0)
             assert tags1[shifted] == p["tag"]
+
+    def test_one_context_answers_like_one_shot_solves(self, files, capsys):
+        # every point is asked of one solve context; values match a fresh
+        # solve_rho per point to 1e-12 relative, so the tags do too
+        code, out, _ = run(capsys, ["levelset", files["three_state"], files["cone_avar"],
+                                    "--level", "0.5", "--grid", "7"])
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 343
+        vm = cli._load_validated_market(files["three_state"], 1e-8)
+        a = cli.load_acceptance(cli._read_file(files["cone_avar"]), vm.space)
+        tags = set()
+        for p in points:
+            want = rm.solve_rho(a, vm, p["point"]).value
+            got = p["value"]
+            if isinstance(got, str):
+                assert got == rm.extreal_str(want)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            tags.add(p["tag"])
+        assert {"below", "above"} <= tags
 
     def test_degenerate_all_below(self, files, capsys):
         code, out, _ = run(capsys, ["levelset", files["halfplane_market"],

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capreq.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, MalformedProblem,
-                            NumericalBreakdown, make_problem, solve_lp)
+from capreq.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
+                            MalformedProblem, NumericalBreakdown, make_problem, repose_basis,
+                            solve_lp)
 
 # row senses that the random generators draw; ``_one_row_form`` poses them as A x >= b
 GE, LE, EQ = ">=", "<=", "="
@@ -558,3 +559,93 @@ def test_problems_compare_by_identity():
     assert p != make_problem(*data)
     assert p != p.with_rhs(p.rhs)
     assert len({p, p}) == 1
+
+
+def test_reposed_basis_answers_like_a_cold_solve():
+    # a kept optimal basis re-posed at a nearby right-hand side: where it is
+    # still optimal, the answer is a cold solve's value with a certified dual
+    rng = np.random.default_rng(67)
+    reposed = refused = 0
+    for violated in (False, True):
+        for _ in range(100):
+            problem = _planted_lp(rng, OPTIMAL, violated)
+            stored = solve_lp(problem)
+            assert len(stored.basis) == problem.n_rows
+            for step in (1e-6, 1e-3, 1e-1):
+                # the rows shifted along a random direction, some of them relaxed
+                shift = step * rng.normal(size=problem.n_cols) * ~problem.nonneg
+                relax = step * rng.uniform(size=problem.n_rows) * (rng.random(problem.n_rows) < 0.5)
+                rhs = problem.rhs + problem.lhs @ shift - relax * np.abs(problem.lhs).max(axis=1)
+                moved = problem.with_rhs(rhs)
+                out = repose_basis(moved, stored)
+                if out is None:
+                    refused += 1
+                    continue
+                reposed += 1
+                cold = solve_lp(moved)
+                assert out.status == cold.status == OPTIMAL and out.pivots == 0
+                assert abs(out.objective_value - cold.objective_value) <= 1e-9 * max(
+                    1.0, abs(cold.objective_value))
+                assert np.count_nonzero(moved.lhs @ out.x - rhs < -1e-7 * max(
+                    1.0, float(np.abs(moved.lhs).max()) * float(np.abs(out.x).max()))) == 0
+                _check_dual(moved, out)
+    assert reposed >= 300 and refused >= 100, (reposed, refused)
+
+
+def test_basis_only_on_optimal_outcomes():
+    assert solve_lp(make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0])).basis is None
+    assert solve_lp(make_problem([-1.0, -1.0], [[-1.0, 1.0]], [-1.0])).basis is None
+    out = solve_lp(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
+    # x = u+ - u- is basic in row 0 and row 1's slack (standard column 3) in row 1
+    assert out.basis.tolist() == [0, 3]
+
+
+def test_negative_basic_value_is_refused_without_tolerance():
+    # min x s.t. x >= b0, x >= b1: the basis kept at b = (1, 0) has row 1's
+    # slack basic. At b1 = 1 + 1e-12 that slack would be -1e-12, inside every
+    # feasibility tolerance, so taking it would report 1 where the optimum is
+    # 1 + 1e-12; the basis is refused and a cold solve answers
+    problem = make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0])
+    stored = solve_lp(problem)
+    assert repose_basis(problem.with_rhs([1.0, 1.0]), stored).objective_value == 1.0
+    moved = problem.with_rhs([1.0, 1.0 + 1e-12])
+    assert repose_basis(moved, stored) is None
+    assert solve_lp(moved).objective_value == 1.0 + 1e-12
+
+
+def test_ill_conditioned_basis_fails_the_certificate():
+    # zero cost: every basis is optimal where its basic values are nonnegative.
+    # Re-posed through the inverse of a basis with condition number 1e8-1e13,
+    # the point can miss its rows by far more than the tolerance while every
+    # basic value stays nonnegative; the certificate on the original rows must
+    # refuse it
+    rng = np.random.default_rng(71)
+    refused = 0
+    for _ in range(40):
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        lhs = np.round(u @ np.diag([1.0, 1.0, 10.0 ** -rng.uniform(8, 13)]) @ v.T, 14)
+        problem = make_problem(np.zeros(3), lhs, lhs @ np.ones(3))
+        # free columns: x_j = u[2j] - u[2j + 1], so the basis [0, 2, 4] holds x itself
+        stored = LpOutcome(status=OPTIMAL, dual=np.zeros(3), basis=np.array([0, 2, 4]))
+        out = repose_basis(problem, stored)
+        if out is None:
+            refused += bool(np.all(np.linalg.inv(lhs) @ problem.rhs >= 0.0))
+            continue
+        scale = np.maximum(1.0, np.abs(lhs) @ np.abs(out.x))
+        assert np.all(lhs @ out.x - problem.rhs >= -1e-7 * scale)
+    assert refused >= 10
+
+
+def test_dual_that_fails_its_check_is_never_reposed():
+    # min x0 s.t. x0 >= 1, x1 >= 0 over free x: the optimal dual is (1, 0).
+    # (1, 1) leaves r = A^T y - c = (0, 1) on the free x1, and (-1, 0) is
+    # negative; neither is a certificate, though (1, 1) closes the duality
+    # gap at this right-hand side
+    problem = make_problem([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+    good = solve_lp(problem)
+    assert good.dual.tolist() == [1.0, 0.0]
+    assert repose_basis(problem, good) is not None
+    for dual in ([1.0, 1.0], [-1.0, 0.0]):
+        bad = LpOutcome(status=OPTIMAL, dual=np.array(dual), basis=good.basis)
+        assert repose_basis(problem, bad) is None

@@ -18,7 +18,8 @@ from capreq.riskmeasure import (BISECT_TOL, DegenerateAcceptance, EnumerationToo
                                 MembershipOracle, NEG_INF, NotPolyhedral, POS_INF, extreal_str,
                                 induced_rho_acceptance, rho_direct_lp, rho_reduction,
                                 rho_var_exact, solve_rho)
-from capreq.verify import check_risk_measure_axioms
+from capreq.verify import (check_domain_theorem, check_levelset_theorem,
+                           check_risk_measure_axioms)
 from conftest import (corner_acceptance_r3, loadable_sets, non_monotone_acceptance_r3,
                       random_market)
 
@@ -49,7 +50,10 @@ class TestMembership:
 
     def test_kept_lps_answer_like_fresh_oracles(self, monkeypatch):
         # each system's witness LP and cash LP is built once, then re-solved by
-        # right-hand side; the answers are a fresh oracle's, bit for bit
+        # right-hand side or answered from a kept optimal basis; the answers are
+        # a fresh oracle's up to rounding: the same status and membership, the
+        # same m to 1e-12 relative, and a payoff that makes the position
+        # acceptable and prices to m
         builds, build = [], PolyhedralRep.lp
 
         def counted(rep, *args, **kwargs):
@@ -72,9 +76,13 @@ class TestMembership:
                 fresh = MembershipOracle(a, vm)
                 assert inside == fresh.contains(x)
                 want = fresh.cash_lp(x)
-                assert (status, m) == want[:2]
+                assert status == want[0]
+                assert m == pytest.approx(want[1], rel=1e-12, abs=0.0)
                 assert (payoff is None) == (want[2] is None)
-                assert payoff is None or payoff.tobytes() == want[2].tobytes()
+                if payoff is not None:
+                    assert a.member(x + payoff)
+                    span_tol = 1e-9 * max(1.0, float(np.abs(payoff).max()))
+                    assert vm.price(payoff, span_tol) == pytest.approx(m, rel=1e-9, abs=1e-9)
                 answers.add((inside, status))
         assert answers == {(True, OPTIMAL), (False, OPTIMAL), (True, UNBOUNDED)}
 
@@ -479,22 +487,15 @@ def _index_order_scan(a, problem):
 
 def _record_solve_order(monkeypatch):
     """A list that records, in solve order, the index of each system whose LP ``rm`` solves."""
-    order, system_of = [], {}
-    cheapest, solve = rm._cheapest, rm.solve_lp
+    order, cheapest = [], rm._cheapest
 
-    def tagged(a, problem, tol):
-        def build(index):
-            lp = problem(index)
-            system_of[id(lp)] = index
-            return lp
-        return cheapest(a, build, tol)
-
-    def recorded(lp, *args, **kwargs):
-        order.append(system_of[id(lp)])
-        return solve(lp, *args, **kwargs)
+    def tagged(a, solve, tol):
+        def recorded(index):
+            order.append(index)
+            return solve(index)
+        return cheapest(a, recorded, tol)
 
     monkeypatch.setattr(rm, "_cheapest", tagged)
-    monkeypatch.setattr(rm, "solve_lp", recorded)
     return order
 
 
@@ -691,6 +692,106 @@ class TestDualPruning:
             r = rho_direct_lp(a, two_state_market, [-1.0, 2.0])
             assert len(solves) == 1
             assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (1, 0)
+
+
+def _context_instances(rng, count):
+    """Seeded (a, vm) on 3-8 states: VaR, AVaR, the cone and VaR with a cone or AVaR."""
+    for trial in range(count):
+        n = int(rng.integers(3, 9))
+        vm = random_market(rng, n_states=n)
+        var = var_acceptance(vm.space, float(rng.uniform(0.15, 0.5)))
+        avar = avar_acceptance(vm.space, float(rng.uniform(0.2, 0.8)))
+        yield (var, avar, positive_cone(n), intersect([var, positive_cone(n)]),
+               intersect([var, avar]))[trial % 5], vm
+
+
+def _near(got, want, rel=1e-12):
+    """Equal infinite tags, or finite values within ``rel`` of max(1, |want|)."""
+    if not math.isfinite(want):
+        return got == want
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+class TestSolveContext:
+    """One context per (set, market) answers every position like a fresh one-shot solve."""
+
+    def test_answers_equal_fresh_one_shot_solves(self, monkeypatch):
+        cold, real = {"context": 0, "fresh": 0}, rm.solve_lp
+        side = ["fresh"]
+
+        def counting(*args, **kwargs):
+            cold[side[0]] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rm, "solve_lp", counting)
+        rng = np.random.default_rng(113)
+        # a secure asset makes every position acceptable at some cost: no +inf here
+        tags = {"finite": 0, "neg_inf": 0, "member": 0, "outside": 0}
+        for a, vm in _context_instances(rng, 30):
+            n = vm.n_states
+            context = MembershipOracle(a, vm)
+            # positions scattered about a few centres, so that matrices repeat
+            centres = rng.uniform(-5.0, 5.0, size=(4, n))
+            positions = centres[rng.integers(0, 4, size=20)] + rng.normal(0.0, 0.3, (20, n))
+            for x in positions:
+                side[0] = "context"
+                got, (status, m, payoff), inside = (context.requirement(x), context.cash_lp(x),
+                                                    context.contains(x))
+                side[0] = "fresh"
+                want, fresh = solve_rho(a, vm, x), MembershipOracle(a, vm)
+                assert got.strategy == want.strategy and _tag(got.value) == _tag(want.value)
+                assert _near(got.value, want.value) and got.attained == want.attained
+                if got.attained:
+                    assert a.member(x + got.optimal_payoff)
+                    assert vm.price(got.optimal_payoff, 1e-8) == pytest.approx(got.value, abs=1e-8)
+                want_status, want_m, _ = fresh.cash_lp(x)
+                assert status == want_status and _near(m, want_m)
+                assert payoff is None or a.member(x + payoff)
+                assert inside == fresh.contains(x)
+                tags[_tag(got.value)] += 1
+                tags["member" if inside else "outside"] += 1
+        assert min(tags.values()) >= 100, tags
+        # the same questions, asked cold, solve about 1.5 times the LPs (3,522 against 2,252);
+        # infeasible witness LPs are always solved cold
+        assert cold["fresh"] > 1.4 * cold["context"], cold
+
+    def test_reports_equal_the_cold_reports(self, monkeypatch):
+        # probes sit 2^-24 from solved levels, so a stored basis taken a
+        # rounding error outside its region would move them across the band
+        rng = np.random.default_rng(131)
+        instances = list(_context_instances(rng, 10))
+        checks = (lambda a, vm, s: check_domain_theorem(a, vm, trials=8, seed=s),
+                  lambda a, vm, s: check_levelset_theorem(a, vm, grid=3, seed=s),
+                  lambda a, vm, s: check_risk_measure_axioms(a, vm, trials=6, seed=s))
+        warm = [check(a, vm, seed).to_json()
+                for seed, (a, vm) in enumerate(instances) for check in checks]
+        monkeypatch.setattr(rm, "repose_basis", lambda *args, **kwargs: None)
+        cold = [check(a, vm, seed).to_json()
+                for seed, (a, vm) in enumerate(instances) for check in checks]
+        assert warm == cold
+
+    def test_levelset_check_lp_count_of_a_fixed_instance(self, monkeypatch):
+        # four VaR systems at 4 states: the parent solved each of this check's
+        # 106 LPs cold; kept bases answer 50 of them
+        calls, real = [], rm.solve_lp
+        monkeypatch.setattr(rm, "solve_lp", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        rng = np.random.default_rng(5)
+        vm = random_market(rng, n_states=4, n_risky=2)
+        a = var_acceptance(vm.space, 0.3)
+        report = check_levelset_theorem(a, vm, grid=3, seed=5)
+        assert len(a.systems) == 4 and report.passed and report.trials == 27
+        assert len(calls) == 56
+
+    def test_one_shot_solves_reuse_no_basis(self, monkeypatch):
+        # a one-shot call solves every LP cold and never tests a stored basis
+        def no_reuse(*args, **kwargs):
+            raise AssertionError("a one-shot call re-posed a basis")
+
+        monkeypatch.setattr(rm, "repose_basis", no_reuse)
+        rng = np.random.default_rng(137)
+        for a, vm in _context_instances(rng, 10):
+            x = rng.uniform(-5.0, 5.0, size=vm.n_states)
+            solve_rho(a, vm, x), rho_reduction(a, vm, x)
 
 
 class TestAvarSignAsBound:
