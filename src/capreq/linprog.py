@@ -32,15 +32,19 @@ and objective, and each row's largest entry (``_Standard``).
 right-hand sides pays for it once. On every call: the right-hand side,
 the row scales and the scaled block, the start basis (chosen on Python
 scalars: the rows are few), both phases, the certificates and the dual.
-Phase 1 is skipped when no row starts on an auxiliary column, and the
-tableau is copied only when a redundant row is dropped. The array work is
-whole-array, and a pivot is a fixed handful of array operations.
+Phase 1 is skipped when no row starts on an auxiliary column. The array
+work is whole-array, and a pivot is a fixed handful of array operations.
 
-An optimal outcome carries its final basis. Its dual does not depend on
-the right-hand side, so ``repose_basis`` answers the same matrix at
-another right-hand side from that basis, without pivoting, wherever the
-basic values stay nonnegative; the answer is certified as a solve's is.
-``solve_lp`` itself keeps nothing between calls.
+Every status leaves a certificate that does not depend on the right-hand
+side b except through one test. An infeasible outcome carries the
+phase-1 dual as a Farkas ray, read off the final phase-1 row as the
+optimal dual is read off the phase-2 row, and checked on the original
+data; it proves infeasibility wherever y @ b > 0. An optimal outcome
+carries its final basis, whose dual is the same at every b, and an
+unbounded one its basis and ray, which does not depend on b. ``repose``
+answers the same matrix at another right-hand side from one of them
+without pivoting (right-hand-side parametric LP), and certifies the
+answer as a solve's is. ``solve_lp`` itself keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -151,14 +155,17 @@ class LpOutcome:
     """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded.
 
     ``dual`` holds one multiplier per row of the original problem, c_B B^-1
-    of the final basis, nonnegative on every row; a row dropped as
-    redundant carries whatever that product gives, which is still a valid
-    multiplier. The union scan in ``riskmeasure`` checks it against the
-    problem's data and uses it as a lower bound on the other systems.
+    of the final basis, nonnegative on every row. The union scan in
+    ``riskmeasure`` checks it against the problem's data and uses it as a
+    lower bound on the other systems. ``support`` holds the rows S on which
+    ``repose`` checked that dual (``_dual_support``); it is None on a cold
+    solve's outcome, whose dual is unchecked.
 
-    ``basis`` holds the final basis of an optimal solve, one standard
-    column (``_Standard``) per row; it is None for the other statuses and
-    when a redundant row was dropped. ``repose_basis`` re-poses it at
+    ``farkas`` holds, on an infeasible outcome, the phase-1 dual as a
+    Farkas ray checked on the original data (``_farkas_ray``), or None
+    where that check failed; the status stands either way. ``basis`` holds
+    the final basis of an optimal or unbounded solve, one standard column
+    (``_Standard``) per row. ``repose`` re-poses a ray or a basis at
     another right-hand side of the same matrix.
     """
 
@@ -169,7 +176,9 @@ class LpOutcome:
     ray: np.ndarray | None = None
     pivots: int = 0
     basis: np.ndarray | None = None
-    _factor = None   # not a field: ``repose_basis`` sets it on the outcome it first tests
+    farkas: np.ndarray | None = None
+    support: np.ndarray | None = None
+    _factor = None   # not a field: ``repose`` sets it on the basis it first tests
 
 
 class _Standard:
@@ -300,6 +309,30 @@ def _dual_support(problem: LpProblem, dual: np.ndarray, tol: float) -> np.ndarra
     return support
 
 
+def _farkas_ray(problem: LpProblem, y: np.ndarray, tol: float) -> np.ndarray | None:
+    """The phase-1 dual y of an infeasible ``problem`` as a Farkas ray, or None if y fails.
+
+    A ray y >= 0 with r = A^T y at most 0 on nonnegative columns and 0 on
+    free ones, and y @ b > 0, proves that no x has A x >= b: y @ A x would
+    be at most 0 and at least y @ b. y is checked on the problem's own
+    unscaled data: an entry below -tol fails, other negative entries
+    become 0, each |r_j| must be within tol times (|A|^T y)_j, the scale of
+    its rounding (only r_j itself on a nonnegative column), and y @ b must
+    be positive. y keeps its phase-1 scale, in which y @ b is the phase-1
+    optimum up to rounding: ``solve_lp`` calls the LP infeasible because
+    that optimum exceeds tol.
+    """
+    if y.min(initial=0.0) < -tol:
+        return None
+    y = np.maximum(y, 0.0) + 0.0
+    lhs = problem.lhs
+    r = lhs.T @ y
+    limit = tol * (np.abs(lhs).T @ y)
+    if np.count_nonzero(np.where(problem.nonneg, r, np.abs(r)) > limit):
+        return None
+    return y if float(problem.rhs @ y) > 0.0 else None
+
+
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     """Solve a dense LP and certify the reported status.
 
@@ -376,24 +409,24 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
             # reduced costs are nonnegative, so no feasible point exists
             if np.count_nonzero(tableau[-1, :n_std] < -10 * PIVOT_TOL):
                 raise NumericalBreakdown("phase-1 terminated without optimality certificate")
-            return LpOutcome(status=INFEASIBLE, pivots=pivots)
+            # the phase-1 dual, read as the optimal dual is below: the start
+            # columns cost 1 if artificial and 0 if slack
+            y = ((start >= n_std) - tableau[-1, start]) * mult / row_scale + 0.0
+            return LpOutcome(status=INFEASIBLE, pivots=pivots, farkas=_farkas_ray(problem, y, tol))
 
-        # drive leftover auxiliaries out of the basis; drop redundant rows.
-        # Their values are below the feasibility tolerance, so clamp to zero
-        # first: pivoting a nonzero residual through a small entry would
-        # amplify it onto a structural variable.
+        # drive leftover auxiliaries out of the basis. Their values are below
+        # the feasibility tolerance, so clamp to zero first: pivoting a
+        # nonzero residual through a small entry would amplify it onto a
+        # structural variable. Each row has its own slack, so no row is zero
+        # over the standard columns unless rounding made it so
         for i in (basis >= n_std).nonzero()[0].tolist():
             entries = np.abs(tableau[i, :n_std])
             best = entries.argmax()
-            if entries[best] > PIVOT_TOL:
-                tableau[i, -1] = 0.0
-                _pivot(tableau, i, best)
-                basis[i] = best
-            # else: redundant constraint, row dropped below
-        keep = (basis < n_std).nonzero()[0]
-        if len(keep) < m:
-            tableau = tableau[np.append(keep, m)]
-            basis = basis[keep]
+            if entries[best] <= PIVOT_TOL:
+                raise NumericalBreakdown("an auxiliary column cannot leave the basis")
+            tableau[i, -1] = 0.0
+            _pivot(tableau, i, best)
+            basis[i] = best
 
     # phase 2: rebuild reduced costs for the true objective, which costs
     # the auxiliary columns nothing
@@ -414,7 +447,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         ray = std.to_original(d_std)
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
-        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots)
+        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
@@ -427,42 +460,56 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     # reduced cost is cost[start_i] - y_i
     dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
-                     basis=basis if len(basis) == m else None)
+                     basis=basis)
 
 
-def repose_basis(problem: LpProblem, stored: LpOutcome,
-                 tol: float = DEFAULT_FEAS_TOL) -> LpOutcome | None:
-    """``stored``'s basis at ``problem``'s right-hand side: a certified optimal outcome, or None.
+def repose(problem: LpProblem, stored: LpOutcome,
+           tol: float = DEFAULT_FEAS_TOL) -> LpOutcome | None:
+    """``stored``'s certificate at ``problem``'s right-hand side: a certified outcome, or None.
 
-    ``stored`` is an optimal outcome, with a basis, of a problem with the
-    same matrix (``with_rhs``). Its dual y = c_B B^-1 does not depend on
-    the right-hand side b, so the basis stays dual feasible, and it is
-    optimal at b iff its basic values B^-1 b are nonnegative (Gal & Nedoma
-    1972). That test takes no tolerance. The point must then pass
-    ``solve_lp``'s own certificate on the original data, and the duality
-    gap |c x - b_S y_S| must be within ``tol`` of max(1, |c| |x|, |b| |y|),
-    where y_S is the dual as ``_dual_support`` checks it. The outcome
-    reports no pivots and shares ``stored``'s dual and basis.
+    ``stored`` is an outcome of a problem with the same matrix
+    (``with_rhs``): infeasible with a Farkas ray, or optimal or unbounded
+    with a basis. Only the right-hand side b changed, so:
 
-    The first call that tests ``stored`` checks its dual and inverts B, and
-    keeps both on ``stored``, so a solve whose basis is never re-posed pays
-    for neither. A basis whose dual fails the check, or whose B is
+    - the ray y still has y >= 0 and the column signs of A^T y, so it
+      proves infeasibility wherever y @ b > 0. It is taken only where
+      y @ b > tol * max(1, |b| @ y), stricter than the y @ b > 0 it was
+      stored with: in its phase-1 scale y @ b is then past the tol at
+      which a cold solve calls the LP infeasible, with room for rounding,
+      so a re-posed "infeasible" does not meet a cold "feasible";
+    - the basis keeps its reduced costs, so it is optimal (Gal & Nedoma
+      1972), or still ends on the stored unbounded ray, wherever its basic
+      values B^-1 b are nonnegative. That test takes no tolerance. The
+      point must then pass ``solve_lp``'s own certificate on the original
+      data. An optimal basis must also have its dual y pass the sign rule
+      (``_dual_support``, rows S) and close the gap |c x - b_S y_S| to
+      within ``tol`` of max(1, |c| |x|, |b| |y|); the outcome carries S as
+      ``support``. An unbounded basis then has a feasible point, and the
+      stored ray, which does not depend on b, makes the LP unbounded.
+
+    The outcome reports no pivots and shares ``stored``'s dual, rays and
+    basis. The first call that tests a basis checks its dual and inverts B,
+    and keeps both on ``stored``, so a solve whose basis is never re-posed
+    pays for neither. A basis whose dual fails the check, or whose B is
     singular, is kept as unusable and never passes.
     """
+    if stored.status == INFEASIBLE:
+        y = stored.farkas
+        if float(problem.rhs @ y) > tol * max(1.0, float(np.abs(problem.rhs) @ y)):
+            return LpOutcome(status=INFEASIBLE, farkas=y)
+        return None
     std = problem._std
     factor = stored._factor
     if factor is None:
-        support = _dual_support(problem, stored.dual, tol)
+        support = None if stored.status == UNBOUNDED else _dual_support(problem, stored.dual, tol)
         factor = ()
-        if support is not None:
-            y = np.zeros(len(stored.dual))
-            y[support] = stored.dual[support]
+        if stored.status == UNBOUNDED or support is not None:
             with contextlib.suppress(np.linalg.LinAlgError):
-                factor = (np.linalg.inv(std.a[:, stored.basis]), y)
+                factor = (np.linalg.inv(std.a[:, stored.basis]), support)
         object.__setattr__(stored, "_factor", factor)
     if not factor:
         return None
-    inverse, y = factor
+    inverse, support = factor
     values = inverse @ problem.rhs
     if np.count_nonzero(values >= 0.0) < len(values):
         return None
@@ -471,9 +518,12 @@ def repose_basis(problem: LpProblem, stored: LpOutcome,
     x = std.to_original(x_std)
     if not _certify_optimal(problem, x, 10 * tol):
         return None
+    if stored.status == UNBOUNDED:
+        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=stored.basis)
     value = float(std.c @ x_std) + 0.0
-    scale = max(1.0, float(np.abs(std.c) @ x_std), float(np.abs(problem.rhs) @ y))
-    if not abs(value - float(problem.rhs @ y)) <= tol * scale:
+    y, b = stored.dual[support], problem.rhs[support]
+    scale = max(1.0, float(np.abs(std.c) @ x_std), float(np.abs(b) @ y))
+    if not abs(value - float(b @ y)) <= tol * scale:
         return None
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=stored.dual,
-                     basis=stored.basis)
+                     basis=stored.basis, support=support)

@@ -25,10 +25,11 @@ acceptable at arbitrarily negative cost).
 Every LP of a system depends on the position only through its right-hand
 side, so a caller who asks many positions of one (set, market) pair builds
 one solve context, ``MembershipOracle``: it keeps each system's LPs and the
-optimal bases they ended on, and answers a position from a kept basis
-where that basis is still optimal (right-hand-side parametric LP). The
-module functions are one-shot: each builds a context for its one
-position, so it solves every LP cold and keeps nothing.
+Farkas rays and bases they ended on, and answers a position from a kept
+ray or basis wherever it still certifies the status there
+(right-hand-side parametric LP). The module functions are one-shot: each
+builds a context for its one position, so it solves every LP cold and
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
 from .linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      _dual_support, make_problem, repose_basis, solve_lp)
+                      _dual_support, make_problem, repose, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -120,16 +121,19 @@ class MembershipOracle:
     ``contains``). Only their right-hand side depends on the position
     (``PolyhedralRep.rhs_at``). So the context builds each system's LP of
     each kind at its first use and re-poses it by ``LpProblem.with_rhs``
-    after that, and it keeps the optimal bases that LP ended on, in the
-    order they came, one per distinct basis. A later position tries them in
-    that order (``linprog.repose_basis``: basic values nonnegative with no
-    tolerance, the point certified on the original data, the dual checked
-    once, a duality-gap check) and solves cold (``solve_lp``) only when
-    none is optimal there. That answers a repeated matrix without pivoting.
-    The answers are a cold solve's up to rounding, not bit for bit: the
-    same statuses, values within rounding (1e-12 relative in the tests),
-    and where the optimum is not unique, possibly another optimal point of
-    the same value.
+    after that, and it keeps the certificates that LP's cold solves ended
+    on: one Farkas ray per distinct support, then the optimal and unbounded
+    bases, one per (status, set of columns), in the order they came. A
+    later position tries them in that order, the rays first, because each
+    is tested by one dot product (``linprog.repose``: a ray's margin on the
+    new right-hand side; a basis's values nonnegative with no tolerance and
+    its point certified on the original data, plus, for an optimal one, its
+    dual checked once and a duality-gap check), and solves cold
+    (``solve_lp``) only when none answers there. That answers a repeated
+    matrix without pivoting, whatever its status. The answers are a cold
+    solve's up to rounding, not bit for bit: the same statuses, values
+    within rounding (1e-12 relative in the tests), and where the optimum is
+    not unique, possibly another optimal point of the same value.
 
     A context belongs to one caller, who decides how long its LPs live; the
     module's functions (``solve_rho``, ``rho_reduction``, ...) each build
@@ -144,7 +148,7 @@ class MembershipOracle:
         self.vm = vm
         self.tol = tol
         self.kernel = vm.kernel_basis  # (k, n)
-        self._kept = {}   # (kind, system index) -> (first LP, optimal outcomes of distinct bases)
+        self._kept = {}   # (kind, system index) -> (first LP, Farkas rays, bases)
 
     def _solve(self, kind: str, index: int, y: np.ndarray) -> tuple[LpProblem, LpOutcome]:
         """System ``index``'s LP of ``kind`` at position y and its outcome."""
@@ -158,18 +162,23 @@ class MembershipOracle:
                                   np.concatenate([np.zeros(len(s0), dtype=bool), rep.aux_nonneg]))
             else:
                 lp = rep.lp(y, self.kernel, [self.vm.numeraire] if kind == "cash" else ())
-            kept = self._kept[kind, index] = (lp, [])
+            kept = self._kept[kind, index] = (lp, [], [])
         else:
             lp = kept[0].with_rhs(rep.rhs_at(y))
-            for stored in kept[1]:
-                out = repose_basis(lp, stored, self.tol)
+            for stored in (*kept[1], *kept[2]):
+                out = repose(lp, stored, self.tol)
                 if out is not None:
                     return lp, out
         out = solve_lp(lp, tol=self.tol)
-        # a basis is a set of columns: keep one outcome per set
-        if out.basis is not None and not any(
-                set(out.basis.tolist()) == set(stored.basis.tolist()) for stored in kept[1]):
-            kept[1].append(out)
+        # a ray is kept once per support, a basis once per status and set of columns
+        if out.farkas is not None:
+            rows = out.farkas > 0.0
+            if not any(np.array_equal(rows, stored.farkas > 0.0) for stored in kept[1]):
+                kept[1].append(out)
+        elif out.basis is not None and not any(
+                stored.status == out.status and set(out.basis.tolist()) == set(stored.basis.tolist())
+                for stored in kept[2]):
+            kept[2].append(out)
         return lp, out
 
     def requirement(self, position) -> RiskResult:
@@ -358,7 +367,7 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
         value = out.objective_value
         if value < incumbent or (value == incumbent and index < best_index):
             best, best_index, incumbent = out, index, value
-        certificate = _dual_bound(lp, out.dual, tol)
+        certificate = _dual_bound(lp, out.dual, tol, out.support)
         if certificate is not None:
             bound, support = certificate
             raised = bound - BOUND_MARGIN * max(1.0, abs(bound))
@@ -366,13 +375,15 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
             level[covered & (level < raised)] = raised
 
 
-def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float):
+def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float, support=None):
     """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
 
     S and the check on y are ``linprog._dual_support``'s; a dual that fails
-    the check bounds nothing.
+    the check bounds nothing. A ``support`` that ``repose`` already checked
+    is taken as it is.
     """
-    support = _dual_support(lp, dual, tol)
+    if support is None:
+        support = _dual_support(lp, dual, tol)
     if support is None:
         return None
     return float(lp.rhs[support] @ dual[support]), support

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreq.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                            MalformedProblem, NumericalBreakdown, make_problem, repose_basis,
+                            MalformedProblem, NumericalBreakdown, make_problem, repose,
                             solve_lp)
 
 # row senses that the random generators draw; ``_one_row_form`` poses them as A x >= b
@@ -411,12 +411,33 @@ def _violated_at_start(problem):
     return int(np.count_nonzero(problem.rhs > 0))
 
 
+def _check_farkas(problem, out):
+    """1 if ``out`` carries a Farkas ray that holds on the original data, 0 if it has none.
+
+    The ray y is nonnegative, r = A^T y is at most 0 on nonnegative columns
+    and 0 on free ones, both within 1e-9 of (|A|^T y)_j, and b @ y > 0: no
+    x can have A x >= b.
+    """
+    y = out.farkas
+    if y is None:
+        return 0
+    assert out.status == INFEASIBLE and y.shape == (problem.n_rows,)
+    assert np.all(y >= 0.0)
+    r, limit = problem.lhs.T @ y, 1e-9 * (np.abs(problem.lhs).T @ y)
+    assert np.all(r[problem.nonneg] <= limit[problem.nonneg])
+    assert np.all(np.abs(r[~problem.nonneg]) <= limit[~problem.nonneg])
+    assert float(problem.rhs @ y) > 0.0
+    return 1
+
+
 @pytest.mark.parametrize("status, seed", [(OPTIMAL, 23), (INFEASIBLE, 29), (UNBOUNDED, 31)])
 def test_matches_highs_on_planted_statuses(status, seed):
     # the planted status is the reference: on scaled instances HiGHS was
-    # seen to call a few planted-unbounded (feasible) problems infeasible
+    # seen to call a few planted-unbounded (feasible) problems infeasible.
+    # Every infeasible outcome carries a ray that holds on the original data
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(seed)
+    rays = 0
     for _ in range(100):
         problem = _planted_lp(rng, status)
         out = solve_lp(problem)
@@ -425,6 +446,8 @@ def test_matches_highs_on_planted_statuses(status, seed):
         assert highs_status == status
         if status == OPTIMAL:
             assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))
+        rays += _check_farkas(problem, out)
+    assert rays == (100 if status == INFEASIBLE else 0)
 
 
 @pytest.mark.parametrize("status, seed", [(OPTIMAL, 37), (INFEASIBLE, 41), (UNBOUNDED, 43)])
@@ -435,6 +458,7 @@ def test_matches_highs_when_rows_start_violated(status, seed):
     # infeasible here too
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(seed)
+    rays = 0
     for _ in range(100):
         problem = _planted_lp(rng, status, violated=True)
         assert _violated_at_start(problem) >= 3
@@ -445,6 +469,8 @@ def test_matches_highs_when_rows_start_violated(status, seed):
             assert highs_status == status
         if status == OPTIMAL:
             assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))
+        rays += _check_farkas(problem, out)
+    assert rays == (100 if status == INFEASIBLE else 0)
 
 
 def _check_dual(problem, out):
@@ -577,7 +603,7 @@ def test_reposed_basis_answers_like_a_cold_solve():
                 relax = step * rng.uniform(size=problem.n_rows) * (rng.random(problem.n_rows) < 0.5)
                 rhs = problem.rhs + problem.lhs @ shift - relax * np.abs(problem.lhs).max(axis=1)
                 moved = problem.with_rhs(rhs)
-                out = repose_basis(moved, stored)
+                out = repose(moved, stored)
                 if out is None:
                     refused += 1
                     continue
@@ -592,9 +618,47 @@ def test_reposed_basis_answers_like_a_cold_solve():
     assert reposed >= 300 and refused >= 100, (reposed, refused)
 
 
-def test_basis_only_on_optimal_outcomes():
-    assert solve_lp(make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0])).basis is None
-    assert solve_lp(make_problem([-1.0, -1.0], [[-1.0, 1.0]], [-1.0])).basis is None
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_reposed_rays_answer_like_a_cold_solve(status):
+    # a kept Farkas ray or unbounded basis re-posed at moved right-hand
+    # sides: wherever it answers, a cold solve gives the same status, or
+    # breaks down. The planted ray holds the equation rows only up to
+    # rounding, and twice at a move of 1e-6 the cold solve's own ray fails
+    # its certificate, while the stored one, with a point B^-1 b >= 0 that
+    # passes the feasibility certificate, still answers
+    rng = np.random.default_rng(73)
+    reposed = refused = breakdowns = 0
+    for violated in (False, True):
+        for _ in range(100):
+            problem = _planted_lp(rng, status, violated)
+            stored = solve_lp(problem)
+            assert (stored.farkas if status == INFEASIBLE else stored.basis) is not None
+            for step in (1e-6, 1e-3, 1e-1, 1.0):
+                # the rows shifted along a random direction, some of them tightened or relaxed
+                shift = step * rng.normal(size=problem.n_cols) * ~problem.nonneg
+                move = step * rng.normal(size=problem.n_rows) * (rng.random(problem.n_rows) < 0.5)
+                moved = problem.with_rhs(problem.rhs + problem.lhs @ shift
+                                         + move * np.abs(problem.lhs).max(axis=1))
+                out = repose(moved, stored)
+                if out is None:
+                    refused += 1
+                    continue
+                reposed += 1
+                assert out.status == status and out.pivots == 0
+                cold = _outcome_bytes(moved)
+                breakdowns += cold == "breakdown"
+                assert cold == "breakdown" or cold[0] == status
+    assert reposed >= 250 and refused >= 25, (reposed, refused)
+    assert breakdowns == (2 if status == UNBOUNDED else 0)
+
+
+def test_basis_on_optimal_and_unbounded_outcomes():
+    # x >= 1 and -x >= 0: no basis, and the ray y = (1, 1) sums the rows to 0 >= 1
+    infeasible = solve_lp(make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0]))
+    assert infeasible.basis is None and infeasible.farkas.tolist() == [1.0, 1.0]
+    # min -x0 - x1 s.t. x1 - x0 >= -1 over free x: x0 = u[0] - u[1] enters and stays basic
+    unbounded = solve_lp(make_problem([-1.0, -1.0], [[-1.0, 1.0]], [-1.0]))
+    assert unbounded.status == UNBOUNDED and unbounded.basis.tolist() == [0]
     out = solve_lp(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
     # x = u+ - u- is basic in row 0 and row 1's slack (standard column 3) in row 1
     assert out.basis.tolist() == [0, 3]
@@ -607,9 +671,9 @@ def test_negative_basic_value_is_refused_without_tolerance():
     # 1 + 1e-12; the basis is refused and a cold solve answers
     problem = make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0])
     stored = solve_lp(problem)
-    assert repose_basis(problem.with_rhs([1.0, 1.0]), stored).objective_value == 1.0
+    assert repose(problem.with_rhs([1.0, 1.0]), stored).objective_value == 1.0
     moved = problem.with_rhs([1.0, 1.0 + 1e-12])
-    assert repose_basis(moved, stored) is None
+    assert repose(moved, stored) is None
     assert solve_lp(moved).objective_value == 1.0 + 1e-12
 
 
@@ -628,7 +692,7 @@ def test_ill_conditioned_basis_fails_the_certificate():
         problem = make_problem(np.zeros(3), lhs, lhs @ np.ones(3))
         # free columns: x_j = u[2j] - u[2j + 1], so the basis [0, 2, 4] holds x itself
         stored = LpOutcome(status=OPTIMAL, dual=np.zeros(3), basis=np.array([0, 2, 4]))
-        out = repose_basis(problem, stored)
+        out = repose(problem, stored)
         if out is None:
             refused += bool(np.all(np.linalg.inv(lhs) @ problem.rhs >= 0.0))
             continue
@@ -645,7 +709,38 @@ def test_dual_that_fails_its_check_is_never_reposed():
     problem = make_problem([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     good = solve_lp(problem)
     assert good.dual.tolist() == [1.0, 0.0]
-    assert repose_basis(problem, good) is not None
+    assert repose(problem, good) is not None
     for dual in ([1.0, 1.0], [-1.0, 0.0]):
         bad = LpOutcome(status=OPTIMAL, dual=np.array(dual), basis=good.basis)
-        assert repose_basis(problem, bad) is None
+        assert repose(problem, bad) is None
+
+
+def test_farkas_ray_is_refused_inside_its_margin():
+    # x >= b0 and -x >= b1 are infeasible iff b0 + b1 > 0; the stored ray is
+    # y = (1, 1), so y @ b = b0 + b1 and the margin is tol * max(1, |b0| + |b1|),
+    # 2e-8 here. A cold solve calls y @ b = 1e-9 feasible (within tol) and
+    # 1.5e-8 infeasible; the ray answers neither, only 3e-8
+    problem = make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0])
+    stored = solve_lp(problem)
+    assert stored.farkas.tolist() == [1.0, 1.0]
+    for gap, cold in ((1e-9, OPTIMAL), (1.5e-8, INFEASIBLE)):
+        moved = problem.with_rhs([1.0, gap - 1.0])
+        assert repose(moved, stored) is None
+        assert solve_lp(moved).status == cold
+    out = repose(problem.with_rhs([1.0, 3e-8 - 1.0]), stored)
+    assert out.status == INFEASIBLE and out.pivots == 0 and out.farkas is stored.farkas
+
+
+def test_unbounded_basis_with_a_negative_basic_value_is_refused():
+    # min -x1 s.t. x0 >= b0, x0 >= b1, x1 >= 0: x1 rises without bound from
+    # the basis that holds x0 and the slacks of rows 1 and 2. At b1 = 1 + 1e-12
+    # row 1's slack would be -1e-12, inside every feasibility tolerance; the
+    # basis is refused though the LP is still unbounded there
+    problem = make_problem([0.0, -1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0])
+    stored = solve_lp(problem)
+    assert stored.status == UNBOUNDED and stored.basis.tolist() == [0, 5, 6]
+    out = repose(problem.with_rhs([1.0, 1.0, 0.0]), stored)
+    assert out.status == UNBOUNDED and out.pivots == 0 and out.ray is stored.ray
+    moved = problem.with_rhs([1.0, 1.0 + 1e-12, 0.0])
+    assert repose(moved, stored) is None
+    assert solve_lp(moved).status == UNBOUNDED
