@@ -1,4 +1,4 @@
-"""Dense linear programming: two-phase primal simplex with Bland's rule.
+"""Dense linear programming: two-phase primal simplex with Bland's rule, and its dual re-solve.
 
 Self-contained kernel used by every exact solver path in this package.
 Instances are small (tens of rows/columns), so a dense tableau is the
@@ -39,17 +39,20 @@ Every status leaves a certificate that does not depend on the right-hand
 side b except through one test. An infeasible outcome carries the
 phase-1 dual as a Farkas ray, read off the final phase-1 row as the
 optimal dual is read off the phase-2 row, and checked on the original
-data; it proves infeasibility wherever y @ b > 0. An optimal outcome
-carries its final basis, whose dual is the same at every b, and an
-unbounded one its basis and ray, which does not depend on b. ``repose``
-answers the same matrix at another right-hand side from one of them
-without pivoting (right-hand-side parametric LP), and certifies the
-answer as a solve's is. ``solve_lp`` itself keeps nothing between calls.
+data; it proves infeasibility wherever y @ b > 0. An optimal or
+unbounded outcome carries its final basis and tableau: the basis's
+reduced costs, so an optimal basis's dual, are the same at every b, and
+an unbounded outcome's ray does not depend on b. ``repose`` answers the
+same matrix at another right-hand side from one of them (right-hand-side
+parametric LP): with no pivot from a ray, or from a basis whose values
+B^-1 b are still nonnegative, and from an optimal basis they no longer
+fit by the dual simplex (Lemke 1954) on a copy of its tableau, which
+stays dual feasible. It certifies the answer as a solve's is.
+``solve_lp`` itself keeps nothing between calls.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -164,9 +167,14 @@ class LpOutcome:
     ``farkas`` holds, on an infeasible outcome, the phase-1 dual as a
     Farkas ray checked on the original data (``_farkas_ray``), or None
     where that check failed; the status stands either way. ``basis`` holds
-    the final basis of an optimal or unbounded solve, one standard column
-    (``_Standard``) per row. ``repose`` re-poses a ray or a basis at
-    another right-hand side of the same matrix.
+    the final basis of an optimal or unbounded outcome, one standard column
+    (``_Standard``) per row. Such an outcome keeps, privately (``_final``),
+    its final tableau, the start columns and the row factors d: tableau
+    row i began as d_i times row i of the standard form, so that B^-1 =
+    tableau[:m, start] diag(d). The fourth entry is that B^-1 once a
+    re-pose has formed it, else None. ``repose`` re-poses a ray, or
+    re-poses or re-solves a basis, at another right-hand side of the same
+    matrix.
     """
 
     status: str
@@ -178,7 +186,7 @@ class LpOutcome:
     basis: np.ndarray | None = None
     farkas: np.ndarray | None = None
     support: np.ndarray | None = None
-    _factor = None   # not a field: ``repose`` sets it on the basis it first tests
+    _final: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class _Standard:
@@ -259,6 +267,38 @@ def _run_simplex(tableau, basis, n_priced):
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise NumericalBreakdown("pivot budget exhausted")
+
+
+def _run_dual_simplex(tableau, basis, n_priced):
+    """Dual simplex with Bland's rule, entering only among the first ``n_priced`` columns.
+
+    The basis is dual feasible: its reduced costs are nonnegative, up to
+    rounding, which the ratios clamp to 0. The leaving row is the one with
+    a negative value whose basic column has the lowest index; the entering
+    column, among the row's entries below -PIVOT_TOL (scaled as in
+    ``_run_simplex``), has the least ratio of reduced cost to |entry|, the
+    lowest index on ties. Returns the pivots made once every basic value is
+    nonnegative, or None at a row with no entering column, which proves the
+    LP infeasible, or past ``_MAX_PIVOTS``.
+    """
+    m = len(basis)
+    cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
+    pivots = 0
+    while True:
+        negative = (values < 0.0).nonzero()[0]
+        if not negative.size:
+            return pivots
+        leaving = negative[basis[negative].argmin()]
+        row = tableau[leaving, :n_priced]
+        cols = (row < -PIVOT_TOL * max(1.0, float(np.abs(row).max()))).nonzero()[0]
+        if not cols.size:
+            return None
+        entering = cols[(np.maximum(cost[cols], 0.0) / -row[cols]).argmin()]
+        _pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+        pivots += 1
+        if pivots > _MAX_PIVOTS:
+            return None
 
 
 def _certify_optimal(problem, x, tol):
@@ -438,6 +478,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
 
     status = _run_simplex(tableau, basis, n_std)
     pivots += status[-1]
+    final = (tableau, start, mult / row_scale, None)
 
     if status[0] == "unbounded":
         entering = status[1]
@@ -447,7 +488,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         ray = std.to_original(d_std)
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
-        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis)
+        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis, _final=final)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
@@ -460,7 +501,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     # reduced cost is cost[start_i] - y_i
     dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
-                     basis=basis)
+                     basis=basis, _final=final)
 
 
 def repose(problem: LpProblem, stored: LpOutcome,
@@ -469,7 +510,7 @@ def repose(problem: LpProblem, stored: LpOutcome,
 
     ``stored`` is an outcome of a problem with the same matrix
     (``with_rhs``): infeasible with a Farkas ray, or optimal or unbounded
-    with a basis. Only the right-hand side b changed, so:
+    with its final tableau. Only the right-hand side b changed, so:
 
     - the ray y still has y >= 0 and the column signs of A^T y, so it
       proves infeasibility wherever y @ b > 0. It is taken only where
@@ -477,21 +518,27 @@ def repose(problem: LpProblem, stored: LpOutcome,
       stored with: in its phase-1 scale y @ b is then past the tol at
       which a cold solve calls the LP infeasible, with room for rounding,
       so a re-posed "infeasible" does not meet a cold "feasible";
-    - the basis keeps its reduced costs, so it is optimal (Gal & Nedoma
-      1972), or still ends on the stored unbounded ray, wherever its basic
-      values B^-1 b are nonnegative. That test takes no tolerance. The
-      point must then pass ``solve_lp``'s own certificate on the original
-      data. An optimal basis must also have its dual y pass the sign rule
-      (``_dual_support``, rows S) and close the gap |c x - b_S y_S| to
-      within ``tol`` of max(1, |c| |x|, |b| |y|); the outcome carries S as
-      ``support``. An unbounded basis then has a feasible point, and the
-      stored ray, which does not depend on b, makes the LP unbounded.
+    - the basis keeps its reduced costs, so it stays dual feasible. Its
+      values B^-1 b are read off the tableau's start columns (B^-1 is
+      ``tableau[:m, start]`` times the row factors). Where they are all
+      nonnegative, a test that takes no tolerance, the basis is optimal
+      (Gal & Nedoma 1972), or still ends on the stored unbounded ray,
+      with no pivot. Otherwise an optimal basis is re-solved by the dual
+      simplex (Lemke 1954) on a copy of its tableau
+      (``_run_dual_simplex``); None where a row proves the LP infeasible
+      (the cold solve then supplies the checked Farkas ray) or past the
+      pivot budget. An unbounded basis is not re-solved.
 
-    The outcome reports no pivots and shares ``stored``'s dual, rays and
-    basis. The first call that tests a basis checks its dual and inverts B,
-    and keeps both on ``stored``, so a solve whose basis is never re-posed
-    pays for neither. A basis whose dual fails the check, or whose B is
-    singular, is kept as unusable and never passes.
+    The point must pass ``solve_lp``'s own certificate on the original
+    data. An optimal answer must also have its dual y pass the sign rule
+    (``_dual_support``, rows S; ``stored.support`` is taken as it is when
+    no pivot was made) and close the gap |c x - b_S y_S| to within ``tol``
+    of max(1, |c| |x|, |b| |y|); it carries S as ``support``, its pivots
+    and its tableau. An unbounded basis with a certified point has a
+    feasible point, and the stored ray, which does not depend on b, makes
+    the LP unbounded. A no-pivot answer shares ``stored``'s tableau, dual
+    and basis, and carries the B^-1 it formed, so a caller that keeps the
+    latest answer forms B^-1 once per basis.
     """
     if stored.status == INFEASIBLE:
         y = stored.farkas
@@ -499,31 +546,39 @@ def repose(problem: LpProblem, stored: LpOutcome,
             return LpOutcome(status=INFEASIBLE, farkas=y)
         return None
     std = problem._std
-    factor = stored._factor
-    if factor is None:
-        support = None if stored.status == UNBOUNDED else _dual_support(problem, stored.dual, tol)
-        factor = ()
-        if stored.status == UNBOUNDED or support is not None:
-            with contextlib.suppress(np.linalg.LinAlgError):
-                factor = (np.linalg.inv(std.a[:, stored.basis]), support)
-        object.__setattr__(stored, "_factor", factor)
-    if not factor:
-        return None
-    inverse, support = factor
+    tableau, start, row_factor, inverse = stored._final
+    m, basis, pivots = len(start), stored.basis, 0
+    if inverse is None:
+        inverse = tableau[:m, start] * row_factor
     values = inverse @ problem.rhs
-    if np.count_nonzero(values >= 0.0) < len(values):
-        return None
+    if values.min(initial=0.0) < 0.0:
+        if stored.status == UNBOUNDED:
+            return None
+        tableau, basis = tableau.copy(), basis.copy()
+        tableau[:m, -1] = values
+        pivots = _run_dual_simplex(tableau, basis, std.a.shape[1])
+        if pivots is None:
+            return None
+        values, inverse = tableau[:m, -1], None
     x_std = np.zeros(std.a.shape[1])
-    x_std[stored.basis] = values
+    x_std[basis] = values
     x = std.to_original(x_std)
     if not _certify_optimal(problem, x, 10 * tol):
         return None
+    final = (tableau, start, row_factor, inverse)
     if stored.status == UNBOUNDED:
-        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=stored.basis)
+        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=basis, _final=final)
+    dual, support = stored.dual, stored.support
+    if pivots:
+        dual, support = -tableau[-1, start] * row_factor + 0.0, None
+    if support is None:
+        support = _dual_support(problem, dual, tol)
+        if support is None:
+            return None
     value = float(std.c @ x_std) + 0.0
-    y, b = stored.dual[support], problem.rhs[support]
+    y, b = dual[support], problem.rhs[support]
     scale = max(1.0, float(np.abs(std.c) @ x_std), float(np.abs(b) @ y))
     if not abs(value - float(b @ y)) <= tol * scale:
         return None
-    return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=stored.dual,
-                     basis=stored.basis, support=support)
+    return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
+                     basis=basis, support=support, _final=final)

@@ -25,11 +25,13 @@ acceptable at arbitrarily negative cost).
 Every LP of a system depends on the position only through its right-hand
 side, so a caller who asks many positions of one (set, market) pair builds
 one solve context, ``MembershipOracle``: it keeps each system's LPs and the
-Farkas rays and bases they ended on, and answers a position from a kept
-ray or basis wherever it still certifies the status there
-(right-hand-side parametric LP). The module functions are one-shot: each
-builds a context for its one position, so it solves every LP cold and
-keeps nothing.
+Farkas rays, latest optimal outcome and unbounded bases they ended on
+(right-hand-side parametric LP). A position is answered from a kept ray
+or unbounded basis wherever it still certifies the status there, and
+from the optimal outcome by the dual simplex, in no pivot where its basis
+still fits and a few where it does not. The module functions are
+one-shot: each builds a context for its one position, so it solves every
+LP cold and keeps nothing.
 """
 
 from __future__ import annotations
@@ -111,6 +113,16 @@ def _exact_systems(a: AcceptanceSet, vm: ValidatedMarket) -> tuple[PolyhedralRep
     return a.systems
 
 
+@dataclass
+class _Kept:
+    """One system's LP of one kind, as first built, and the outcomes kept to re-pose it."""
+
+    lp: LpProblem
+    rays: list = field(default_factory=list)        # infeasible, one per Farkas-ray support
+    optimal: tuple = ()                             # the latest optimal outcome, once there is one
+    unbounded: list = field(default_factory=list)   # one per set of basic columns
+
+
 class MembershipOracle:
     """The solve context of one (set, market) pair: it keeps every LP it solves.
 
@@ -121,19 +133,23 @@ class MembershipOracle:
     ``contains``). Only their right-hand side depends on the position
     (``PolyhedralRep.rhs_at``). So the context builds each system's LP of
     each kind at its first use and re-poses it by ``LpProblem.with_rhs``
-    after that, and it keeps the certificates that LP's cold solves ended
-    on: one Farkas ray per distinct support, then the optimal and unbounded
-    bases, one per (status, set of columns), in the order they came. A
-    later position tries them in that order, the rays first, because each
-    is tested by one dot product (``linprog.repose``: a ray's margin on the
-    new right-hand side; a basis's values nonnegative with no tolerance and
-    its point certified on the original data, plus, for an optimal one, its
-    dual checked once and a duality-gap check), and solves cold
-    (``solve_lp``) only when none answers there. That answers a repeated
-    matrix without pivoting, whatever its status. The answers are a cold
-    solve's up to rounding, not bit for bit: the same statuses, values
-    within rounding (1e-12 relative in the tests), and where the optimum is
-    not unique, possibly another optimal point of the same value.
+    after that, and it keeps the outcomes that LP's solves ended on
+    (``_Kept``): one Farkas ray per distinct support, the latest optimal
+    outcome, cold or re-posed, and one unbounded basis per set of columns.
+    A later position tries them in that order through ``linprog.repose``:
+    a ray's margin on the new right-hand side, tested by one dot product;
+    then the optimal basis, answered with no pivot where its values are
+    nonnegative (no tolerance) and otherwise re-solved by the dual simplex
+    from its tableau; then an unbounded basis, where its values are
+    nonnegative. Every answer's point is certified on the original data,
+    and an optimal one's dual by the sign rule and a duality-gap check. It
+    solves cold (``solve_lp``) only when none answers there: the first
+    time, where a row proves the LP infeasible and no kept ray does yet,
+    where a certificate fails, or where an unbounded basis no longer fits.
+    The answers are a cold solve's up to rounding, not bit for bit: the
+    same statuses, values within rounding (1e-12 relative in the tests),
+    and where the optimum is not unique, possibly another optimal point of
+    the same value.
 
     A context belongs to one caller, who decides how long its LPs live; the
     module's functions (``solve_rho``, ``rho_reduction``, ...) each build
@@ -148,12 +164,12 @@ class MembershipOracle:
         self.vm = vm
         self.tol = tol
         self.kernel = vm.kernel_basis  # (k, n)
-        self._kept = {}   # (kind, system index) -> (first LP, Farkas rays, bases)
+        self._kept = {}   # (kind, system index) -> _Kept
 
     def _solve(self, kind: str, index: int, y: np.ndarray) -> tuple[LpProblem, LpOutcome]:
         """System ``index``'s LP of ``kind`` at position y and its outcome."""
         rep = self.a.systems[index]
-        kept = self._kept.get((kind, index))
+        kept, out = self._kept.get((kind, index)), None
         if kept is None:
             if kind == "direct":
                 s0, s1 = self.vm.market.prices, self.vm.market.payoffs
@@ -162,23 +178,26 @@ class MembershipOracle:
                                   np.concatenate([np.zeros(len(s0), dtype=bool), rep.aux_nonneg]))
             else:
                 lp = rep.lp(y, self.kernel, [self.vm.numeraire] if kind == "cash" else ())
-            kept = self._kept[kind, index] = (lp, [], [])
+            kept = self._kept[kind, index] = _Kept(lp)
         else:
-            lp = kept[0].with_rhs(rep.rhs_at(y))
-            for stored in (*kept[1], *kept[2]):
+            lp = kept.lp.with_rhs(rep.rhs_at(y))
+            for stored in (*kept.rays, *kept.optimal, *kept.unbounded):
                 out = repose(lp, stored, self.tol)
                 if out is not None:
-                    return lp, out
-        out = solve_lp(lp, tol=self.tol)
-        # a ray is kept once per support, a basis once per status and set of columns
-        if out.farkas is not None:
-            rows = out.farkas > 0.0
-            if not any(np.array_equal(rows, stored.farkas > 0.0) for stored in kept[1]):
-                kept[1].append(out)
-        elif out.basis is not None and not any(
-                stored.status == out.status and set(out.basis.tolist()) == set(stored.basis.tolist())
-                for stored in kept[2]):
-            kept[2].append(out)
+                    break
+        if out is None:
+            out = solve_lp(lp, tol=self.tol)
+            # a ray is kept once per support, an unbounded basis once per set of columns
+            if out.farkas is not None:
+                rows = out.farkas > 0.0
+                if not any(np.array_equal(rows, stored.farkas > 0.0) for stored in kept.rays):
+                    kept.rays.append(out)
+            elif out.status == UNBOUNDED and not any(
+                    set(out.basis.tolist()) == set(stored.basis.tolist())
+                    for stored in kept.unbounded):
+                kept.unbounded.append(out)
+        if out.status == OPTIMAL:
+            kept.optimal = (out,)
         return lp, out
 
     def requirement(self, position) -> RiskResult:

@@ -5,9 +5,10 @@ solvers, and records violations as replayable payloads (the concrete inputs
 are stored, and the seed is captured, so re-running reproduces the report
 bit for bit). A check asks every position of its (set, market) pair of one
 solve context (``MembershipOracle``), which answers a repeated LP matrix
-from its kept optimal bases. Comparisons within a tolerance band of a decision boundary
-count as inconclusive, never as violations: values solved to a tolerance
-cannot adjudicate exact ties.
+from its kept Farkas rays and bases, re-solving a kept optimal basis by
+the dual simplex where it no longer fits. Comparisons within a tolerance
+band of a decision boundary count as inconclusive, never as violations:
+values solved to a tolerance cannot adjudicate exact ties.
 
 Checks cover: the risk-measure axioms (monotonicity, translation
 invariance), the level-set identities against directional classification,

@@ -757,7 +757,8 @@ class TestSolveContext:
     def test_reports_equal_the_cold_reports(self, monkeypatch):
         # probes sit 2^-24 from solved levels, so a stored basis taken a
         # rounding error outside its region would move them across the band.
-        # With ``repose`` off no stored ray or basis answers any LP
+        # With ``repose`` off no stored ray or basis answers any LP, and no
+        # kept optimal basis is re-solved by dual pivots: those run inside it
         rng = np.random.default_rng(131)
         instances = list(_context_instances(rng, 10))
         checks = (lambda a, vm, s: check_domain_theorem(a, vm, trials=8, seed=s),
@@ -772,7 +773,10 @@ class TestSolveContext:
 
     def test_levelset_check_lp_count_of_a_fixed_instance(self, monkeypatch):
         # four VaR systems at 4 states: solved cold, this check takes 106 LPs;
-        # kept rays and bases answer 89 of them
+        # kept rays and bases answer 98 of them, 15 of those after dual pivots.
+        # The 8 cold LPs are each LP's first solve (4), a witness LP first
+        # optimal where only a ray was kept, and 3 unbounded direct LPs whose
+        # kept bases have a negative basic value there
         calls, real = [], rm.solve_lp
         monkeypatch.setattr(rm, "solve_lp", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         rng = np.random.default_rng(5)
@@ -780,7 +784,7 @@ class TestSolveContext:
         a = var_acceptance(vm.space, 0.3)
         report = check_levelset_theorem(a, vm, grid=3, seed=5)
         assert len(a.systems) == 4 and report.passed and report.trials == 27
-        assert len(calls) == 17
+        assert len(calls) == 8
 
     def test_one_shot_solves_reuse_no_basis(self, monkeypatch):
         # a one-shot call solves every LP cold and never tests a stored ray or basis
