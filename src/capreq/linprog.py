@@ -10,6 +10,15 @@ form; each variable is free or, where the ``nonneg`` mask flags it,
 nonnegative. Any other bound is a row: a "<=" row is negated and an
 equation is a pair of opposite rows.
 
+The standard form keeps every column whole: [A | -I] over x and one slack
+per row, with no free column split into a difference of two nonnegative
+ones (``_Standard``). The simplex treats a free column natively, as
+production codes do (Maros 2003): it enters where its reduced cost is
+nonzero, decreasing where that cost is positive, it is never chosen to
+leave, and its basic value may be negative. A free column therefore
+enters at most once per solve, after which Bland's rule on the bounded
+columns ends the solve.
+
 Phase 1 starts from the slack basis: every row starts on its own slack.
 A row whose right-hand side is positive is violated there. When at least
 three rows are, their slacks start basic anyway, below zero, and the rows
@@ -45,9 +54,12 @@ reduced costs, so an optimal basis's dual, are the same at every b, and
 an unbounded outcome's ray does not depend on b. ``repose`` answers the
 same matrix at another right-hand side from one of them (right-hand-side
 parametric LP): with no pivot from a ray, or from a basis whose values
-B^-1 b are still nonnegative, and from an optimal basis they no longer
+B^-1 b are still nonnegative on its bounded columns (a free column's
+value may have changed sign), and from an optimal basis they no longer
 fit by the dual simplex (Lemke 1954) on a copy of its tableau, which
-stays dual feasible. It certifies the answer as a solve's is.
+stays dual feasible; a row at which the dual simplex stops proves
+infeasibility, and that row of B^-1, negated, is a Farkas ray. It
+certifies the answer as a solve's is.
 ``solve_lp`` itself keeps nothing between calls.
 """
 
@@ -164,17 +176,19 @@ class LpOutcome:
     ``repose`` checked that dual (``_dual_support``); it is None on a cold
     solve's outcome, whose dual is unchecked.
 
-    ``farkas`` holds, on an infeasible outcome, the phase-1 dual as a
-    Farkas ray checked on the original data (``_farkas_ray``), or None
-    where that check failed; the status stands either way. ``basis`` holds
-    the final basis of an optimal or unbounded outcome, one standard column
-    (``_Standard``) per row. Such an outcome keeps, privately (``_final``),
-    its final tableau, the start columns and the row factors d: tableau
-    row i began as d_i times row i of the standard form, so that B^-1 =
-    tableau[:m, start] diag(d). The fourth entry is that B^-1 once a
-    re-pose has formed it, else None. ``repose`` re-poses a ray, or
-    re-poses or re-solves a basis, at another right-hand side of the same
-    matrix.
+    ``farkas`` holds, on an infeasible outcome, the phase-1 dual (or, from
+    ``repose``, a stalled dual-simplex row) as a Farkas ray checked on the
+    original data (``_farkas_ray``), or None where a cold solve's check
+    failed; the status stands either way. ``basis`` holds the final basis
+    of an optimal or unbounded outcome, one standard column (``_Standard``:
+    column j < n is the original column j, column n + i row i's slack) per
+    row; a free column, once basic, stays so. Such an outcome keeps,
+    privately (``_final``), its final tableau, the start columns and the
+    row factors d: tableau row i began as d_i times row i of the standard
+    form, so that B^-1 = tableau[:m, start] diag(d). The fourth entry is
+    that B^-1 once a re-pose has formed it, else None. ``repose`` re-poses
+    a ray, or re-poses or re-solves a basis, at another right-hand side of
+    the same matrix.
     """
 
     status: str
@@ -192,41 +206,30 @@ class LpOutcome:
 class _Standard:
     """What ``solve_lp`` derives from a problem's data other than its right-hand side.
 
-    The problem becomes min c @ u s.t. a @ u = rhs, u >= 0. A nonnegative
-    column j is x_j = u[first_j]; a ``free`` one is x_j = u[first_j] -
-    u[second], second = first_j + 1. One slack per row follows, with
-    entry -1: a @ u - s = rhs, s >= 0.
+    The problem becomes min c @ u s.t. a @ u = rhs over the standard
+    columns u = (x, s): the n original columns, whole, then one slack per
+    row with entry -1, so a = [lhs | -I] and c = [objective | 0]. ``free``
+    flags the standard columns without a sign bound, the original free
+    ones; every other column, slacks included, is >= 0. A free column is
+    not split into a difference of two bounded ones: the simplex lets it
+    enter in either direction and never chooses it to leave.
 
     ``row_max`` holds each row's largest |a|, at least the slack's 1,
     which row equilibration needs.
     """
 
-    __slots__ = ("free", "first", "second", "a", "c", "row_max")
+    __slots__ = ("free", "a", "c", "row_max")
 
     def __init__(self, problem: LpProblem):
-        self.free = ~problem.nonneg
-        width = self.free + 1   # standard columns per original column
-        self.first = width.cumsum() - width
-        self.second = self.first[self.free] + 1
-        std_sign = np.ones(width.sum())   # sign of each standard column
-        std_sign[self.second] = -1.0
-        n_std = len(std_sign)
-        m = problem.n_rows
-        a = np.zeros((m, n_std + m))
-        self.c = np.zeros(n_std + m)
-        # "+ 0.0" stores zero entries as +0.0, so no -0.0 reaches the reported point or dual
-        a[:, :n_std] = problem.lhs.repeat(width, axis=1) * std_sign + 0.0
-        self.c[:n_std] = problem.objective.repeat(width) * std_sign + 0.0
-        np.fill_diagonal(a[:, n_std:], -1.0)
-        self.a = a
-        self.row_max = np.abs(a).max(axis=1)
-
-    def to_original(self, v_std: np.ndarray) -> np.ndarray:
-        """The original columns of a standard point or ray, with +0.0 for -0.0 off the free ones."""
-        v = v_std[self.first] + 0.0
-        if len(self.second):
-            v[self.free] = v_std[self.second - 1] - v_std[self.second]
-        return v
+        m, n = problem.lhs.shape
+        self.free = np.zeros(n + m, dtype=bool)
+        self.free[:n] = ~problem.nonneg
+        self.a = np.zeros((m, n + m))
+        self.a[:, :n] = problem.lhs
+        np.fill_diagonal(self.a[:, n:], -1.0)
+        self.c = np.zeros(n + m)
+        self.c[:n] = problem.objective
+        self.row_max = np.abs(self.a).max(axis=1)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -238,25 +241,40 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= factors[:, None] * piv_row
 
 
-def _run_simplex(tableau, basis, n_priced):
+def _run_simplex(tableau, basis, n_priced, free):
     """Bland's rule loop entering only among the first ``n_priced`` columns.
 
-    Returns ("optimal", pivots) or ("unbounded", entering, pivots).
+    ``free`` flags, over every column that can be basic, those without a
+    sign bound. The entering column is the lowest index among bounded
+    columns with reduced cost below -PIVOT_TOL and free ones with
+    |reduced cost| above it; a free column whose reduced cost is positive
+    enters decreasing. Rows whose basic column is free take no part in the
+    ratio test, so a free column never leaves once it enters, and its basic
+    value may be negative. A basic column's reduced cost is exactly 0, so
+    each free column enters at most once; after that, Bland's rule runs on
+    the bounded columns alone, and it ends.
+
+    Returns ("optimal", pivots) or ("unbounded", entering, pivots); the
+    entering column moves in the direction that lowers the cost.
     """
     m = len(basis)
     cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
+    free_priced = free[:n_priced]
+    bounded = ~free[basis]   # the rows that take part in the ratio test
     pivots = 0
     while True:
-        improving = cost < -PIVOT_TOL
+        improving = (cost < -PIVOT_TOL) | (free_priced & (cost > PIVOT_TOL))
         entering = improving.argmax()  # Bland: lowest index
         if not improving[entering]:
             return ("optimal", pivots)
         col = tableau[:m, entering]
+        if cost[entering] > 0.0:
+            col = -col   # a free column entering decreasing
         # entries up to PIVOT_TOL, scaled by the column's largest magnitude
         # when that exceeds 1, are rounding residue and treated as zero: a
         # pivot on one blows the tableau up. The unbounded conclusion is
         # certified (or rejected) on the returned ray
-        rows = (col > PIVOT_TOL * np.abs(col).max(initial=1.0)).nonzero()[0]
+        rows = ((col > PIVOT_TOL * np.abs(col).max(initial=1.0)) & bounded).nonzero()[0]
         if not rows.size:
             return ("unbounded", entering, pivots)
         ratios = values[rows] / col[rows]
@@ -264,38 +282,50 @@ def _run_simplex(tableau, basis, n_priced):
         leaving = tied[basis[tied].argmin()] if tied.size > 1 else tied[0]  # Bland tie-break
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
+        bounded[leaving] = not free[entering]
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise NumericalBreakdown("pivot budget exhausted")
 
 
-def _run_dual_simplex(tableau, basis, n_priced):
-    """Dual simplex with Bland's rule, entering only among the first ``n_priced`` columns.
+def _run_dual_simplex(tableau, basis, free):
+    """Dual simplex with Bland's rule, entering only among the columns ``free`` covers.
 
-    The basis is dual feasible: its reduced costs are nonnegative, up to
-    rounding, which the ratios clamp to 0. The leaving row is the one with
-    a negative value whose basic column has the lowest index; the entering
-    column, among the row's entries below -PIVOT_TOL (scaled as in
-    ``_run_simplex``), has the least ratio of reduced cost to |entry|, the
-    lowest index on ties. Returns the pivots made once every basic value is
-    nonnegative, or None at a row with no entering column, which proves the
-    LP infeasible, or past ``_MAX_PIVOTS``.
+    ``free`` flags the standard columns without a sign bound. The basis is
+    dual feasible: its reduced costs are nonnegative on bounded columns
+    and 0 on free ones, up to rounding, which the ratios absorb. The
+    leaving row is the one with a negative value whose basic column is
+    bounded and has the lowest index; a free basic value may be negative.
+    The entering column, among the row's bounded entries below -PIVOT_TOL
+    and free entries above it in magnitude (scaled as in ``_run_simplex``),
+    has the least ratio of max(reduced cost, 0) (|reduced cost| on a free
+    column) to |entry|, the lowest index on ties. A free column is never
+    chosen to leave, so it enters at most once.
+
+    Returns ("optimal", pivots) once every bounded basic value is
+    nonnegative, ("infeasible", row, pivots) at a row with no entering
+    column, which proves the LP infeasible, or None past ``_MAX_PIVOTS``.
     """
-    m = len(basis)
+    m, n_priced = len(basis), len(free)
     cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
+    bounded = ~free[basis]
     pivots = 0
     while True:
-        negative = (values < 0.0).nonzero()[0]
+        negative = ((values < 0.0) & bounded).nonzero()[0]
         if not negative.size:
-            return pivots
+            return ("optimal", pivots)
         leaving = negative[basis[negative].argmin()]
         row = tableau[leaving, :n_priced]
-        cols = (row < -PIVOT_TOL * max(1.0, float(np.abs(row).max()))).nonzero()[0]
+        limit = PIVOT_TOL * max(1.0, float(np.abs(row).max()))
+        cols = ((row < -limit) | (free & (np.abs(row) > limit))).nonzero()[0]
         if not cols.size:
-            return None
-        entering = cols[(np.maximum(cost[cols], 0.0) / -row[cols]).argmin()]
+            return ("infeasible", leaving, pivots)
+        d = cost[cols]
+        ratios = np.where(free[cols], np.abs(d), np.maximum(d, 0.0)) / np.abs(row[cols])
+        entering = cols[ratios.argmin()]
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
+        bounded[leaving] = not free[entering]
         pivots += 1
         if pivots > _MAX_PIVOTS:
             return None
@@ -442,12 +472,16 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
             pivots = 1
 
         # only the first n_std columns are priced in either phase, so x0 and
-        # the artificials never re-enter once they leave
-        pivots += _run_simplex(tableau, basis, n_std)[-1]
+        # the artificials never re-enter once they leave; neither is free
+        free = np.zeros(tableau.shape[1] - 1, dtype=bool)
+        free[:n_std] = std.free
+        pivots += _run_simplex(tableau, basis, n_std, free)[-1]
         if -tableau[-1, -1] > tol:
             # infeasibility certificate: phase-1 optimum is positive and its
-            # reduced costs are nonnegative, so no feasible point exists
-            if np.count_nonzero(tableau[-1, :n_std] < -10 * PIVOT_TOL):
+            # reduced costs are nonnegative, and 0 on free columns, so no
+            # feasible point exists
+            d = tableau[-1, :n_std]
+            if np.count_nonzero(np.where(std.free, np.abs(d), -d) > 10 * PIVOT_TOL):
                 raise NumericalBreakdown("phase-1 terminated without optimality certificate")
             # the phase-1 dual, read as the optimal dual is below: the start
             # columns cost 1 if artificial and 0 if slack
@@ -476,23 +510,26 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     tableau[-1, :-1] = cost - cb @ tableau[:-1, :-1]
     tableau[-1, -1] = -(cb @ tableau[:-1, -1])
 
-    status = _run_simplex(tableau, basis, n_std)
+    # every basic column is a standard one now
+    status = _run_simplex(tableau, basis, n_std, std.free)
     pivots += status[-1]
     final = (tableau, start, mult / row_scale, None)
 
     if status[0] == "unbounded":
+        # the entering column rises where its reduced cost is negative and,
+        # free, falls where it is positive
         entering = status[1]
         d_std = np.zeros(n_std)
-        d_std[entering] = 1.0
-        d_std[basis] = -tableau[:-1, entering]
-        ray = std.to_original(d_std)
+        d_std[entering] = 1.0 if tableau[-1, entering] < 0.0 else -1.0
+        d_std[basis] = -d_std[entering] * tableau[:-1, entering]
+        ray = d_std[:problem.n_cols] + 0.0
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
         return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis, _final=final)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
-    x = std.to_original(x_std)
+    x = x_std[:problem.n_cols] + 0.0
     if not _certify_optimal(problem, x, 10 * tol):
         raise NumericalBreakdown("optimal point failed feasibility certificate")
     value = float(std.c @ x_std) + 0.0
@@ -502,6 +539,14 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
                      basis=basis, _final=final)
+
+
+def _past_margin(problem: LpProblem, y: np.ndarray | None, pivots: int,
+                 tol: float) -> LpOutcome | None:
+    """Infeasible by the checked Farkas ray y where y @ b clears ``repose``'s margin, else None."""
+    if y is not None and float(problem.rhs @ y) > tol * max(1.0, float(np.abs(problem.rhs) @ y)):
+        return LpOutcome(status=INFEASIBLE, pivots=pivots, farkas=y)
+    return None
 
 
 def repose(problem: LpProblem, stored: LpOutcome,
@@ -520,14 +565,18 @@ def repose(problem: LpProblem, stored: LpOutcome,
       so a re-posed "infeasible" does not meet a cold "feasible";
     - the basis keeps its reduced costs, so it stays dual feasible. Its
       values B^-1 b are read off the tableau's start columns (B^-1 is
-      ``tableau[:m, start]`` times the row factors). Where they are all
-      nonnegative, a test that takes no tolerance, the basis is optimal
-      (Gal & Nedoma 1972), or still ends on the stored unbounded ray,
-      with no pivot. Otherwise an optimal basis is re-solved by the dual
-      simplex (Lemke 1954) on a copy of its tableau
-      (``_run_dual_simplex``); None where a row proves the LP infeasible
-      (the cold solve then supplies the checked Farkas ray) or past the
-      pivot budget. An unbounded basis is not re-solved.
+      ``tableau[:m, start]`` times the row factors). Where those of its
+      bounded columns are all nonnegative, a test that takes no
+      tolerance, the basis is optimal (Gal & Nedoma 1972), or still ends
+      on the stored unbounded ray, with no pivot; a free column's basic
+      value may have either sign. Otherwise an optimal basis is re-solved
+      by the dual simplex (Lemke 1954) on a copy of its tableau
+      (``_run_dual_simplex``); None past the pivot budget. Where a row
+      with a negative value has no entering column, that row r of
+      B^-1 b = B^-1 A u proves the LP infeasible: y = -(row r of B^-1)
+      is a Farkas ray. It answers "infeasible" only where it passes
+      ``_farkas_ray`` and the margin above, else None, and a cold solve
+      decides. An unbounded basis is not re-solved.
 
     The point must pass ``solve_lp``'s own certificate on the original
     data. An optimal answer must also have its dual y pass the sign rule
@@ -541,28 +590,30 @@ def repose(problem: LpProblem, stored: LpOutcome,
     latest answer forms B^-1 once per basis.
     """
     if stored.status == INFEASIBLE:
-        y = stored.farkas
-        if float(problem.rhs @ y) > tol * max(1.0, float(np.abs(problem.rhs) @ y)):
-            return LpOutcome(status=INFEASIBLE, farkas=y)
-        return None
+        return _past_margin(problem, stored.farkas, 0, tol)
     std = problem._std
     tableau, start, row_factor, inverse = stored._final
     m, basis, pivots = len(start), stored.basis, 0
     if inverse is None:
         inverse = tableau[:m, start] * row_factor
     values = inverse @ problem.rhs
-    if values.min(initial=0.0) < 0.0:
+    if np.count_nonzero((values < 0.0) & ~std.free[basis]):
         if stored.status == UNBOUNDED:
             return None
         tableau, basis = tableau.copy(), basis.copy()
         tableau[:m, -1] = values
-        pivots = _run_dual_simplex(tableau, basis, std.a.shape[1])
-        if pivots is None:
+        status = _run_dual_simplex(tableau, basis, std.free)
+        if status is None:
             return None
-        values, inverse = tableau[:m, -1], None
-    x_std = np.zeros(std.a.shape[1])
+        if status[0] == INFEASIBLE:
+            # row r reads beta @ a @ u = beta @ b < 0 with beta = B^-1's row r,
+            # and no entry of beta @ a that lets u move: y = -beta is a ray
+            y = -tableau[status[1], start] * row_factor + 0.0
+            return _past_margin(problem, _farkas_ray(problem, y, tol), status[-1], tol)
+        pivots, values, inverse = status[-1], tableau[:m, -1], None
+    x_std = np.zeros(len(std.free))
     x_std[basis] = values
-    x = std.to_original(x_std)
+    x = x_std[:problem.n_cols] + 0.0
     if not _certify_optimal(problem, x, 10 * tol):
         return None
     final = (tableau, start, row_factor, inverse)

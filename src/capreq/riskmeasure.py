@@ -134,18 +134,22 @@ class MembershipOracle:
     (``PolyhedralRep.rhs_at``). So the context builds each system's LP of
     each kind at its first use and re-poses it by ``LpProblem.with_rhs``
     after that, and it keeps the outcomes that LP's solves ended on
-    (``_Kept``): one Farkas ray per distinct support, the latest optimal
-    outcome, cold or re-posed, and one unbounded basis per set of columns.
+    (``_Kept``): one Farkas ray per distinct support, found by a cold solve
+    or by a dual re-solve that stopped at a row proving infeasibility, the
+    latest optimal outcome, cold or re-posed, and one unbounded basis per
+    set of columns.
     A later position tries them in that order through ``linprog.repose``:
     a ray's margin on the new right-hand side, tested by one dot product;
-    then the optimal basis, answered with no pivot where its values are
-    nonnegative (no tolerance) and otherwise re-solved by the dual simplex
-    from its tableau; then an unbounded basis, where its values are
-    nonnegative. Every answer's point is certified on the original data,
-    and an optimal one's dual by the sign rule and a duality-gap check. It
-    solves cold (``solve_lp``) only when none answers there: the first
-    time, where a row proves the LP infeasible and no kept ray does yet,
-    where a certificate fails, or where an unbounded basis no longer fits.
+    then the optimal basis, answered with no pivot where its values on
+    bounded columns are nonnegative (no tolerance; a free column's may have
+    either sign) and otherwise re-solved by the dual simplex from its
+    tableau; then an unbounded basis, where those values are nonnegative.
+    Every answer's point is certified on the original data, and an optimal
+    one's dual by the sign rule and a duality-gap check. It solves cold
+    (``solve_lp``) only when none answers there: the first time, where a
+    row proves the LP infeasible but its ray fails its check or the
+    margin, where a certificate fails, or where an unbounded basis no
+    longer fits.
     The answers are a cold solve's up to rounding, not bit for bit: the
     same statuses, values within rounding (1e-12 relative in the tests),
     and where the optimum is not unique, possibly another optimal point of
@@ -169,7 +173,7 @@ class MembershipOracle:
     def _solve(self, kind: str, index: int, y: np.ndarray) -> tuple[LpProblem, LpOutcome]:
         """System ``index``'s LP of ``kind`` at position y and its outcome."""
         rep = self.a.systems[index]
-        kept, out = self._kept.get((kind, index)), None
+        kept, out, stored = self._kept.get((kind, index)), None, None
         if kept is None:
             if kind == "direct":
                 s0, s1 = self.vm.market.prices, self.vm.market.payoffs
@@ -187,15 +191,17 @@ class MembershipOracle:
                     break
         if out is None:
             out = solve_lp(lp, tol=self.tol)
-            # a ray is kept once per support, an unbounded basis once per set of columns
-            if out.farkas is not None:
-                rows = out.farkas > 0.0
-                if not any(np.array_equal(rows, stored.farkas > 0.0) for stored in kept.rays):
-                    kept.rays.append(out)
-            elif out.status == UNBOUNDED and not any(
-                    set(out.basis.tolist()) == set(stored.basis.tolist())
-                    for stored in kept.unbounded):
+            # an unbounded basis is kept once per set of columns
+            if out.status == UNBOUNDED and not any(
+                    set(out.basis.tolist()) == set(other.basis.tolist())
+                    for other in kept.unbounded):
                 kept.unbounded.append(out)
+        # a ray is kept once per support, whether a cold solve or a dual
+        # re-solve of the optimal basis found it; a kept ray's answer holds that ray
+        if out.farkas is not None and (stored is None or out.farkas is not stored.farkas):
+            rows = out.farkas > 0.0
+            if not any(np.array_equal(rows, other.farkas > 0.0) for other in kept.rays):
+                kept.rays.append(out)
         if out.status == OPTIMAL:
             kept.optimal = (out,)
         return lp, out

@@ -661,12 +661,12 @@ def test_basis_on_optimal_and_unbounded_outcomes():
     # x >= 1 and -x >= 0: no basis, and the ray y = (1, 1) sums the rows to 0 >= 1
     infeasible = solve_lp(make_problem([0.0], [[1.0], [-1.0]], [1.0, 0.0]))
     assert infeasible.basis is None and infeasible.farkas.tolist() == [1.0, 1.0]
-    # min -x0 - x1 s.t. x1 - x0 >= -1 over free x: x0 = u[0] - u[1] enters and stays basic
+    # min -x0 - x1 s.t. x1 - x0 >= -1 over free x: x0 (standard column 0) enters and stays basic
     unbounded = solve_lp(make_problem([-1.0, -1.0], [[-1.0, 1.0]], [-1.0]))
     assert unbounded.status == UNBOUNDED and unbounded.basis.tolist() == [0]
     out = solve_lp(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
-    # x = u+ - u- is basic in row 0 and row 1's slack (standard column 3) in row 1
-    assert out.basis.tolist() == [0, 3]
+    # x is basic in row 0 and row 1's slack (standard column 2) in row 1
+    assert out.basis.tolist() == [0, 2]
 
 
 def test_negative_basic_value_is_refused_without_tolerance():
@@ -696,13 +696,13 @@ def test_ill_conditioned_basis_fails_the_certificate(monkeypatch):
         v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         lhs = np.round(u @ np.diag([1.0, 1.0, 10.0 ** -rng.uniform(8, 13)]) @ v.T, 14)
         problem = make_problem(np.zeros(3), lhs, lhs @ np.ones(3))
-        # free columns: x_j = u[2j] - u[2j + 1], so the basis [0, 2, 4] holds x
-        # itself. The slack basis solved at b = 0 is pivoted there, each column
-        # on its largest entry among the rows left
+        # the basis [0, 1, 2] holds the free x itself. The slack basis solved
+        # at b = 0 is pivoted there, each column on its largest entry among
+        # the rows left
         slack = solve_lp(problem.with_rhs(np.zeros(3)))
         tableau, start, row_factor, _ = slack._final
         tableau, basis, rows = tableau.copy(), slack.basis.copy(), [0, 1, 2]
-        for col in (0, 2, 4):
+        for col in (0, 1, 2):
             row = max(rows, key=lambda i: abs(tableau[i, col]))
             rows.remove(row)
             _pivot(tableau, row, col)
@@ -760,12 +760,19 @@ def test_row_that_proves_infeasibility_returns_none():
     # min x s.t. x >= b0, -x >= b1: the basis kept at b = (0, -1) holds x in
     # row 0 and row 1's slack. At b = (2, -1) that slack is -1, and its row
     # reads s1 + s0 = -1 with no negative entry: no x has 2 <= x <= 1. The
-    # dual simplex stops there, and the cold solve gives the Farkas ray
+    # dual simplex stops there, and the row gives the Farkas ray y = (1, 1),
+    # the cold solve's up to scale. At b0 = 1 + 1e-9, y @ b = 1e-9 is inside
+    # the margin tol * max(1, |b| @ y) = 2e-8 and a cold solve calls the LP
+    # feasible, so the same stop returns None
     problem = make_problem([1.0], [[1.0], [-1.0]], [0.0, -1.0])
     stored = solve_lp(problem)
     moved = problem.with_rhs([2.0, -1.0])
+    out = repose(moved, stored)
+    assert out.status == INFEASIBLE and out.farkas.tolist() == [1.0, 1.0]
+    assert solve_lp(moved).farkas.tolist() == [0.5, 0.5]
+    moved = problem.with_rhs([1.0 + 1e-9, -1.0])
     assert repose(moved, stored) is None
-    assert solve_lp(moved).status == INFEASIBLE
+    assert solve_lp(moved).status == OPTIMAL
     assert repose(problem.with_rhs([0.5, -1.0]), stored).objective_value == 0.5
 
 
@@ -792,9 +799,103 @@ def test_unbounded_basis_with_a_negative_basic_value_is_refused():
     # basis is refused though the LP is still unbounded there
     problem = make_problem([0.0, -1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0])
     stored = solve_lp(problem)
-    assert stored.status == UNBOUNDED and stored.basis.tolist() == [0, 5, 6]
+    assert stored.status == UNBOUNDED and stored.basis.tolist() == [0, 3, 4]
     out = repose(problem.with_rhs([1.0, 1.0, 0.0]), stored)
     assert out.status == UNBOUNDED and out.pivots == 0 and out.ray is stored.ray
     moved = problem.with_rhs([1.0, 1.0 + 1e-12, 0.0])
     assert repose(moved, stored) is None
     assert solve_lp(moved).status == UNBOUNDED
+
+
+def test_basic_free_value_changes_sign_with_no_pivot():
+    # min x0 + 2 x1 s.t. x0 + x1 >= b0, x1 >= b1 over free x: the basis kept
+    # at b = (3, 1) holds x0 and x1, both free, so it is optimal at every b.
+    # x0 = b0 - b1 and x1 = b1 turn negative at the moved right-hand sides,
+    # and the basis still answers there as it is
+    problem = make_problem([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [3.0, 1.0])
+    stored = solve_lp(problem)
+    assert stored.x.tolist() == [2.0, 1.0] and sorted(stored.basis.tolist()) == [0, 1]
+    for b, x in (([-3.0, 1.0], [-4.0, 1.0]), ([3.0, -2.0], [5.0, -2.0]),
+                 ([-3.0, -2.0], [-1.0, -2.0])):
+        moved = problem.with_rhs(b)
+        out = repose(moved, stored)
+        assert out.status == OPTIMAL and out.pivots == 0 and out.x.tolist() == x
+        assert out.objective_value == solve_lp(moved).objective_value
+
+
+def test_dual_re_solve_keeps_a_negative_free_value_basic():
+    # min x0 + 2 x1 s.t. x0 + x1 >= b0, x1 >= b1, x0 >= b2 over free x. The
+    # basis kept at b = (3, 1, -10) holds x0, x1 and row 2's slack. At
+    # b = (-3, 1, -2) the slack is -2 and x0 = -4: only the slack's row
+    # leaves, and one dual pivot brings in row 0's slack, at x = (-2, 1)
+    problem = make_problem([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [3.0, 1.0, -10.0])
+    stored = solve_lp(problem)
+    assert sorted(stored.basis.tolist()) == [0, 1, 4]
+    moved = problem.with_rhs([-3.0, 1.0, -2.0])
+    out = repose(moved, stored)
+    assert out.status == OPTIMAL and out.pivots == 1 and out.x.tolist() == [-2.0, 1.0]
+    assert sorted(out.basis.tolist()) == [0, 1, 2]
+    assert out.objective_value == solve_lp(moved).objective_value == 0.0
+
+
+def test_basic_free_column_never_leaves_a_primal_solve(monkeypatch):
+    # every pivot that _run_simplex makes, on planted LPs with free columns:
+    # the column leaving is never free, and free columns do enter, in both
+    # directions, and end basic at negative values
+    pivots, loop = [], {}
+    real_run, real_pivot = linprog._run_simplex, linprog._pivot
+
+    def run(tableau, basis, n_priced, free):
+        loop.update(basis=basis, free=free, cost=tableau[-1])
+        try:
+            return real_run(tableau, basis, n_priced, free)
+        finally:
+            loop.clear()
+
+    def pivot(tableau, row, col):
+        if loop:
+            free = loop["free"]
+            pivots.append((free[loop["basis"][row]], free[col], loop["cost"][col] > 0.0))
+        real_pivot(tableau, row, col)
+
+    monkeypatch.setattr(linprog, "_run_simplex", run)
+    monkeypatch.setattr(linprog, "_pivot", pivot)
+    rng = np.random.default_rng(79)
+    negative = 0
+    for status in (OPTIMAL, UNBOUNDED):
+        for violated in (False, True):
+            for _ in range(50):
+                out = solve_lp(_planted_lp(rng, status, violated))
+                if out.status == OPTIMAL:
+                    negative += np.count_nonzero(out.x < 0.0)
+    left_free = sum(left for left, _, _ in pivots)
+    rising = sum(entered and not down for _, entered, down in pivots)
+    falling = sum(entered and down for _, entered, down in pivots)
+    assert left_free == 0 and rising >= 150 and falling >= 150 and negative >= 75, (
+        left_free, rising, falling, negative)
+
+
+def test_free_column_entering_decreasing_gives_a_ray_of_its_sign():
+    # min x0 s.t. x1 - x0 >= 0 over free x starts on the row's slack with no
+    # pivot. x0's reduced cost 1 is positive, so x0 enters decreasing, which
+    # only loosens the row: the LP is unbounded along the certified ray
+    # (-1, 0), found with no pivot. With x0 >= 0 instead, x0 = 0 is optimal
+    problem = make_problem([1.0, 0.0], [[-1.0, 1.0]], [0.0])
+    out = solve_lp(problem)
+    assert out.status == UNBOUNDED and out.pivots == 0 and out.ray.tolist() == [-1.0, 0.0]
+    bounded = solve_lp(make_problem([1.0, 0.0], [[-1.0, 1.0]], [0.0], [True, False]))
+    assert bounded.status == OPTIMAL and bounded.objective_value == 0.0
+
+
+def test_phase_one_certificate_refuses_a_free_column_left_out(monkeypatch):
+    # -x >= 1 over free x is feasible: phase 1 has x enter decreasing. A loop
+    # that never lets a free column enter that way stops with the phase-1
+    # optimum 1 > tol; the certificate then meets x's positive reduced cost
+    # and raises instead of calling the LP infeasible
+    problem = make_problem([0.0], [[-1.0]], [1.0])
+    assert solve_lp(problem).x.tolist() == [-1.0]
+    real_run = linprog._run_simplex
+    monkeypatch.setattr(linprog, "_run_simplex", lambda tableau, basis, n_priced, free:
+                        real_run(tableau, basis, n_priced, np.zeros_like(free)))
+    with pytest.raises(NumericalBreakdown, match="phase-1"):
+        solve_lp(problem)

@@ -773,10 +773,11 @@ class TestSolveContext:
 
     def test_levelset_check_lp_count_of_a_fixed_instance(self, monkeypatch):
         # four VaR systems at 4 states: solved cold, this check takes 106 LPs;
-        # kept rays and bases answer 98 of them, 15 of those after dual pivots.
-        # The 8 cold LPs are each LP's first solve (4), a witness LP first
-        # optimal where only a ray was kept, and 3 unbounded direct LPs whose
-        # kept bases have a negative basic value there
+        # kept rays and bases answer 100 of them, 1 of those after a dual
+        # pivot. The 6 cold LPs are each LP's first solve (4), a witness LP
+        # first optimal where only a ray was kept, and an unbounded direct LP
+        # whose kept basis reads a basic value that is 0 up to rounding as
+        # -1.7e-15 there, so it is refused
         calls, real = [], rm.solve_lp
         monkeypatch.setattr(rm, "solve_lp", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         rng = np.random.default_rng(5)
@@ -784,7 +785,7 @@ class TestSolveContext:
         a = var_acceptance(vm.space, 0.3)
         report = check_levelset_theorem(a, vm, grid=3, seed=5)
         assert len(a.systems) == 4 and report.passed and report.trials == 27
-        assert len(calls) == 8
+        assert len(calls) == 6
 
     def test_one_shot_solves_reuse_no_basis(self, monkeypatch):
         # a one-shot call solves every LP cold and never tests a stored ray or basis
