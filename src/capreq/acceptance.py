@@ -151,7 +151,8 @@ class AcceptanceSet:
     (the reason the systems are too many to enumerate). A union of several
     systems built here carries their ``incidence`` on its distinct rows,
     which lets the solvers skip systems a solved one already bounds; a set
-    of one system needs none. The three flags are tri-state: True/False as
+    of one system needs none, and a union without one is solved system by
+    system. The three flags are tri-state: True/False as
     asserted by the constructor, None for unknown; the validator can
     falsify asserted-True flags by sampling but never certify them.
     """

@@ -29,9 +29,13 @@ x0 plus the artificials. A row whose scale (its largest |entry| or
 |right-hand side|) reaches 1/PIVOT_TOL is refused: its scaled slack is
 at or below PIVOT_TOL, so it could never pivot.
 
-The starting columns stay in the tableau through phase 2, unpriced: each
-is a unit column of the scaled rows, so the optimal dual is read off the
-final reduced-cost row (Chvatal 1983, ch. 5) with no second solve.
+Every certificate is read off the final tableau's slack block, columns
+n .. n+m-1. Whatever the row scaling and the start columns, the standard
+columns of a final tableau with basis B are B^-1 [A | -I] (the
+revised-simplex identity; Chvatal 1983), so the block is -B^-1. A slack
+costs 0 and its column is -e_i, so its reduced cost is y_i of
+y = c_B B^-1: the optimal dual and the phase-1 Farkas ray are the
+block's reduced costs, with no second solve, and B^-1 b is -(block @ b).
 
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the work is split by what it depends on. Once per matrix,
@@ -183,12 +187,9 @@ class LpOutcome:
     of an optimal or unbounded outcome, one standard column (``_Standard``:
     column j < n is the original column j, column n + i row i's slack) per
     row; a free column, once basic, stays so. Such an outcome keeps,
-    privately (``_final``), its final tableau, the start columns and the
-    row factors d: tableau row i began as d_i times row i of the standard
-    form, so that B^-1 = tableau[:m, start] diag(d). The fourth entry is
-    that B^-1 once a re-pose has formed it, else None. ``repose`` re-poses
-    a ray, or re-poses or re-solves a basis, at another right-hand side of
-    the same matrix.
+    privately, its final tableau (``_final``), whose slack block is -B^-1
+    (module docstring). ``repose`` re-poses a ray, or re-poses or
+    re-solves a basis, at another right-hand side of the same matrix.
     """
 
     status: str
@@ -200,7 +201,7 @@ class LpOutcome:
     basis: np.ndarray | None = None
     farkas: np.ndarray | None = None
     support: np.ndarray | None = None
-    _final: tuple | None = field(default=None, repr=False, compare=False)
+    _final: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 class _Standard:
@@ -441,7 +442,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     a_std = a_std * mult[:, None]
     b_std = b_std * mult
     basis = np.array(basis, dtype=np.intp)
-    start = basis.copy()   # column e_i of each scaled row, kept for the dual
+    slacks = slice(n_std - m, n_std)
 
     # columns: standard | artificials | x0 when shared | right-hand side
     x0 = n_std + len(art_rows)
@@ -483,9 +484,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
             d = tableau[-1, :n_std]
             if np.count_nonzero(np.where(std.free, np.abs(d), -d) > 10 * PIVOT_TOL):
                 raise NumericalBreakdown("phase-1 terminated without optimality certificate")
-            # the phase-1 dual, read as the optimal dual is below: the start
-            # columns cost 1 if artificial and 0 if slack
-            y = ((start >= n_std) - tableau[-1, start]) * mult / row_scale + 0.0
+            # the phase-1 dual, read off the slack block as the optimal dual is below
+            y = tableau[-1, slacks] + 0.0
             return LpOutcome(status=INFEASIBLE, pivots=pivots, farkas=_farkas_ray(problem, y, tol))
 
         # drive leftover auxiliaries out of the basis. Their values are below
@@ -504,16 +504,12 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
 
     # phase 2: rebuild reduced costs for the true objective, which costs
     # the auxiliary columns nothing
-    cost = np.zeros(tableau.shape[1] - 1)
-    cost[:n_std] = std.c
-    cb = std.c[basis]
-    tableau[-1, :-1] = cost - cb @ tableau[:-1, :-1]
-    tableau[-1, -1] = -(cb @ tableau[:-1, -1])
+    tableau[-1] = -(std.c[basis] @ tableau[:-1])
+    tableau[-1, :n_std] += std.c
 
     # every basic column is a standard one now
     status = _run_simplex(tableau, basis, n_std, std.free)
     pivots += status[-1]
-    final = (tableau, start, mult / row_scale, None)
 
     if status[0] == "unbounded":
         # the entering column rises where its reduced cost is negative and,
@@ -525,7 +521,7 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         ray = d_std[:problem.n_cols] + 0.0
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
-        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis, _final=final)
+        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis, _final=tableau)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
@@ -534,11 +530,10 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         raise NumericalBreakdown("optimal point failed feasibility certificate")
     value = float(std.c @ x_std) + 0.0
 
-    # y = c_B B^-1 of the scaled rows: column start_i is e_i there, so its
-    # reduced cost is cost[start_i] - y_i
-    dual = (cost[start] - tableau[-1, start]) * mult / row_scale + 0.0
+    # y = c_B B^-1: slack i costs 0 and its column is -e_i, so its reduced cost is y_i
+    dual = tableau[-1, slacks] + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
-                     basis=basis, _final=final)
+                     basis=basis, _final=tableau)
 
 
 def _past_margin(problem: LpProblem, y: np.ndarray | None, pivots: int,
@@ -564,19 +559,19 @@ def repose(problem: LpProblem, stored: LpOutcome,
       which a cold solve calls the LP infeasible, with room for rounding,
       so a re-posed "infeasible" does not meet a cold "feasible";
     - the basis keeps its reduced costs, so it stays dual feasible. Its
-      values B^-1 b are read off the tableau's start columns (B^-1 is
-      ``tableau[:m, start]`` times the row factors). Where those of its
-      bounded columns are all nonnegative, a test that takes no
-      tolerance, the basis is optimal (Gal & Nedoma 1972), or still ends
-      on the stored unbounded ray, with no pivot; a free column's basic
-      value may have either sign. Otherwise an optimal basis is re-solved
-      by the dual simplex (Lemke 1954) on a copy of its tableau
+      values B^-1 b are -(block @ b) for the tableau's slack block
+      (columns n .. n+m-1), which is -B^-1. Where those of its bounded
+      columns are all nonnegative, a test that takes no tolerance, the
+      basis is optimal (Gal & Nedoma 1972), or still ends on the stored
+      unbounded ray, with no pivot; a free column's basic value may have
+      either sign. Otherwise an optimal basis is re-solved by the dual
+      simplex (Lemke 1954) on a copy of its tableau
       (``_run_dual_simplex``); None past the pivot budget. Where a row
       with a negative value has no entering column, that row r of
-      B^-1 b = B^-1 A u proves the LP infeasible: y = -(row r of B^-1)
-      is a Farkas ray. It answers "infeasible" only where it passes
-      ``_farkas_ray`` and the margin above, else None, and a cold solve
-      decides. An unbounded basis is not re-solved.
+      B^-1 b = B^-1 A u proves the LP infeasible: y = -(row r of B^-1),
+      the slack block's row r, is a Farkas ray. It answers "infeasible"
+      only where it passes ``_farkas_ray`` and the margin above, else
+      None, and a cold solve decides. An unbounded basis is not re-solved.
 
     The point must pass ``solve_lp``'s own certificate on the original
     data. An optimal answer must also have its dual y pass the sign rule
@@ -586,17 +581,15 @@ def repose(problem: LpProblem, stored: LpOutcome,
     and its tableau. An unbounded basis with a certified point has a
     feasible point, and the stored ray, which does not depend on b, makes
     the LP unbounded. A no-pivot answer shares ``stored``'s tableau, dual
-    and basis, and carries the B^-1 it formed, so a caller that keeps the
-    latest answer forms B^-1 once per basis.
+    and basis; a re-solve pivots a copy, so ``stored`` is never written to.
     """
     if stored.status == INFEASIBLE:
         return _past_margin(problem, stored.farkas, 0, tol)
     std = problem._std
-    tableau, start, row_factor, inverse = stored._final
-    m, basis, pivots = len(start), stored.basis, 0
-    if inverse is None:
-        inverse = tableau[:m, start] * row_factor
-    values = inverse @ problem.rhs
+    m, n = problem.lhs.shape
+    tableau, basis, pivots = stored._final, stored.basis, 0
+    slacks = slice(n, n + m)
+    values = -(tableau[:m, slacks] @ problem.rhs)
     if np.count_nonzero((values < 0.0) & ~std.free[basis]):
         if stored.status == UNBOUNDED:
             return None
@@ -607,21 +600,20 @@ def repose(problem: LpProblem, stored: LpOutcome,
             return None
         if status[0] == INFEASIBLE:
             # row r reads beta @ a @ u = beta @ b < 0 with beta = B^-1's row r,
-            # and no entry of beta @ a that lets u move: y = -beta is a ray
-            y = -tableau[status[1], start] * row_factor + 0.0
+            # and no entry of beta @ a that lets u move: y = -beta, the row's slack block, is a ray
+            y = tableau[status[1], slacks] + 0.0
             return _past_margin(problem, _farkas_ray(problem, y, tol), status[-1], tol)
-        pivots, values, inverse = status[-1], tableau[:m, -1], None
+        pivots, values = status[-1], tableau[:m, -1]
     x_std = np.zeros(len(std.free))
     x_std[basis] = values
     x = x_std[:problem.n_cols] + 0.0
     if not _certify_optimal(problem, x, 10 * tol):
         return None
-    final = (tableau, start, row_factor, inverse)
     if stored.status == UNBOUNDED:
-        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=basis, _final=final)
+        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=basis, _final=tableau)
     dual, support = stored.dual, stored.support
     if pivots:
-        dual, support = -tableau[-1, start] * row_factor + 0.0, None
+        dual, support = tableau[-1, slacks] + 0.0, None
     if support is None:
         support = _dual_support(problem, dual, tol)
         if support is None:
@@ -632,4 +624,4 @@ def repose(problem: LpProblem, stored: LpOutcome,
     if not abs(value - float(b @ y)) <= tol * scale:
         return None
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
-                     basis=basis, support=support, _final=final)
+                     basis=basis, support=support, _final=tableau)

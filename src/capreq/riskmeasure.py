@@ -365,11 +365,12 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
     the system a full scan does. A covered system is bounded and uncovered
     systems are solved in index order, so the first unbounded one met is a
     full scan's first too; ``pruned`` then counts only the systems dropped
-    so far. A set without ``incidence`` (one system) solves its one LP and
-    checks no dual.
+    so far. A set of one system solves its one LP and checks no dual; a
+    union without ``incidence`` has no coverage to prune by, so every
+    system is solved.
     """
     systems, incidence = a.systems, a.incidence
-    if incidence is None:
+    if len(systems) == 1:
         out = solve(0)[1]
         return (None if out.status == INFEASIBLE else out), 0, 1, 0
     level = np.full(len(systems), NEG_INF)
@@ -392,6 +393,8 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
         value = out.objective_value
         if value < incumbent or (value == incumbent and index < best_index):
             best, best_index, incumbent = out, index, value
+        if incidence is None:
+            continue
         certificate = _dual_bound(lp, out.dual, tol, out.support)
         if certificate is not None:
             bound, support = certificate

@@ -669,6 +669,73 @@ def test_basis_on_optimal_and_unbounded_outcomes():
     assert out.basis.tolist() == [0, 2]
 
 
+def _with_violated_rows(problem, k):
+    """``problem`` with only the first ``k`` of its rows that x = 0 violates kept.
+
+    The other such rows are relaxed to b_i = 0. A planted point still holds
+    every row, and a planted ray or box is kept, so the status stays.
+    """
+    rhs = problem.rhs.copy()
+    rhs[(rhs > 0).nonzero()[0][k:]] = 0.0
+    return problem.with_rhs(rhs)
+
+
+def test_slack_block_is_minus_the_basis_inverse():
+    # whatever the row scaling and start (slack, artificial or shared x0),
+    # a final tableau's standard columns are B^-1 [A | -I], so its slack
+    # block is -B^-1, and an optimal dual is c_B B^-1, as a linear solve gives it
+    rng = np.random.default_rng(83)
+    seen = {}
+    for status in (OPTIMAL, UNBOUNDED):
+        for _ in range(60):
+            planted = _planted_lp(rng, status, violated=True)
+            for k in (0, 1, 2, planted.n_rows):
+                problem = _with_violated_rows(planted, k)
+                out = solve_lp(problem)
+                m, n = problem.lhs.shape
+                violated = _violated_at_start(problem)
+                key = (out.status, min(violated, 3))
+                seen[key] = seen.get(key, 0) + 1
+                basis = np.hstack([problem.lhs, -np.eye(m)])[:, out.basis]
+                block = out._final[:m, n:n + m]
+                scale = np.maximum(1.0, np.abs(block) @ np.abs(basis))
+                assert np.all(np.abs(-block @ basis - np.eye(m)) <= 1e-9 * scale)
+                if out.status == OPTIMAL:
+                    cost = np.concatenate([problem.objective, np.zeros(m)])[out.basis]
+                    want = np.linalg.solve(basis.T, cost)
+                    assert np.all(np.abs(out.dual - want) <= 1e-9 * max(1.0, np.abs(want).max()))
+    assert len(seen) == 8 and min(seen.values()) >= 40, seen
+
+
+def test_repose_never_writes_to_the_stored_outcome():
+    # a kept outcome's tableau is its only state, and a no-pivot answer shares
+    # it: no re-pose, with or without pivots, or one that stops at a row and
+    # returns its ray, may change the stored tableau, basis or dual
+    def state(out):
+        return [None if v is None else v.tobytes() for v in (out._final, out.basis, out.dual)]
+
+    rng = np.random.default_rng(89)
+    cases = {"shared": 0, "pivoted": 0, "stalled": 0}
+    for status in (OPTIMAL, UNBOUNDED):
+        for violated in (False, True):
+            for _ in range(40):
+                problem = _planted_lp(rng, status, violated)
+                stored = solve_lp(problem)
+                before = state(stored)
+                for step in (1e-3, 1e-2, 1e-1, 1.0):
+                    move = step * rng.normal(size=problem.n_rows) * np.abs(problem.lhs).max(axis=1)
+                    out = repose(problem.with_rhs(problem.rhs + move), stored)
+                    if out is not None and out.status == INFEASIBLE:
+                        cases["stalled"] += 1
+                    elif out is not None and out.pivots:
+                        cases["pivoted"] += 1
+                    elif out is not None:
+                        assert out._final is stored._final
+                        cases["shared"] += 1
+                    assert state(stored) == before
+    assert min(cases.values()) >= 25, cases
+
+
 def test_negative_basic_value_is_refused_without_tolerance():
     # min x s.t. x >= b0, x >= b1: the basis kept at b = (1, 0) has row 1's
     # slack basic. At b1 = 1 + 1e-12 that slack would be -1e-12, inside every
@@ -700,14 +767,13 @@ def test_ill_conditioned_basis_fails_the_certificate(monkeypatch):
         # at b = 0 is pivoted there, each column on its largest entry among
         # the rows left
         slack = solve_lp(problem.with_rhs(np.zeros(3)))
-        tableau, start, row_factor, _ = slack._final
-        tableau, basis, rows = tableau.copy(), slack.basis.copy(), [0, 1, 2]
+        tableau, basis, rows = slack._final.copy(), slack.basis.copy(), [0, 1, 2]
         for col in (0, 1, 2):
             row = max(rows, key=lambda i: abs(tableau[i, col]))
             rows.remove(row)
             _pivot(tableau, row, col)
             basis[row] = col
-        stored = replace(slack, basis=basis, _final=(tableau, start, row_factor, None))
+        stored = replace(slack, basis=basis, _final=tableau)
         out = repose(problem, stored)
         if out is None:
             # without the certificate, the basis answers as it is, off its rows

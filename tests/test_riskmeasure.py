@@ -693,6 +693,25 @@ class TestDualPruning:
             assert len(solves) == 1
             assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (1, 0)
 
+    @pytest.mark.parametrize("solver", [solve_rho, rho_reduction])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_union_without_incidence_scans_every_system(self, solver, reverse):
+        # a caller-built union of {x0 >= 5} and {x1 >= 0, x2 >= 0} with no incidence.
+        # At (0, -1, -1) the first system costs 5 (z0 = price) and the second 1 (one unit
+        # of the riskless asset), so the requirement is 1 in either system order
+        vm = validate_market(Market(uniform_space(3), [1.0, 1.0],
+                                    [[1.0, 1.0, 1.0], [1.0, 2.0, 0.0]]))
+        systems = (PolyhedralRep([[1.0, 0.0, 0.0]], np.zeros((1, 0)), [5.0]),
+                   PolyhedralRep([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros((2, 0)), [0.0, 0.0]))
+        systems = systems[::-1] if reverse else systems
+        a = AcceptanceSet(
+            dim=3, member=lambda x: any(np.all(s.rows @ x >= s.rhs) for s in systems),
+            non_member=[-1.0, -1.0, -1.0], kind="union", systems=systems)
+        x = np.array([0.0, -1.0, -1.0])
+        assert a.incidence is None and not MembershipOracle(a, vm).contains(x)
+        r = solver(a, vm, x)
+        assert abs(r.value - 1.0) <= BAND and r.attained and a.member(x + r.optimal_payoff)
+
 
 def _context_instances(rng, count):
     """Seeded (a, vm) on 3-8 states: VaR, AVaR, the cone and VaR with a cone or AVaR."""
