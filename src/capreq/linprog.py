@@ -1,4 +1,4 @@
-"""Dense linear programming: two-phase primal simplex with Bland's rule, and its dual re-solve.
+"""Dense linear programming: a dual-simplex phase 1 and a primal phase 2 with Bland's rule.
 
 Self-contained kernel used by every exact solver path in this package.
 Instances are small (tens of rows/columns), so a dense tableau is the
@@ -19,23 +19,27 @@ leave, and its basic value may be negative. A free column therefore
 enters at most once per solve, after which Bland's rule on the bounded
 columns ends the solve.
 
-Phase 1 starts from the slack basis: every row starts on its own slack.
-A row whose right-hand side is positive is violated there. When at least
-three rows are, their slacks start basic anyway, below zero, and the rows
-share one auxiliary column x0, with entry -1 in each equilibrated row,
-which enters at the most violated row (Chvatal 1983, ch. 3); with one or
-two, each such row gets an artificial column instead. Phase 1 minimises
-x0 plus the artificials. A row whose scale (its largest |entry| or
-|right-hand side|) reaches 1/PIVOT_TOL is refused: its scaled slack is
-at or below PIVOT_TOL, so it could never pivot.
+Phase 1 is the dual simplex from the slack basis: every row starts on its
+own slack, and a row whose right-hand side is positive starts with that
+slack basic below zero. On a zero cost row every basis is dual feasible,
+so ``_run_dual_simplex`` alone reaches a feasible basis (Lemke 1954;
+Maros 2003, ch. 9) with no auxiliary column: the most violated row,
+relative to its scale, leaves first, and Bland's rule picks every later
+row. It stops at a row with a negative value and no column that can move
+it: below -tol the row proves the LP infeasible (below); within tol it is
+short by rounding only, its value becomes 0 and the dual simplex goes
+on. A row whose scale (its largest |entry| or |right-hand side|) reaches
+1/PIVOT_TOL is refused: its scaled slack is at or below PIVOT_TOL, so it
+could never pivot.
 
 Every certificate is read off the final tableau's slack block, columns
-n .. n+m-1. Whatever the row scaling and the start columns, the standard
-columns of a final tableau with basis B are B^-1 [A | -I] (the
-revised-simplex identity; Chvatal 1983), so the block is -B^-1. A slack
+n .. n+m-1. Whatever the row scaling, the standard columns of a final
+tableau with basis B are B^-1 [A | -I] (the revised-simplex identity;
+Chvatal 1983), so the block is -B^-1. A slack
 costs 0 and its column is -e_i, so its reduced cost is y_i of
-y = c_B B^-1: the optimal dual and the phase-1 Farkas ray are the
-block's reduced costs, with no second solve, and B^-1 b is -(block @ b).
+y = c_B B^-1: the optimal dual is the block's reduced costs, with no
+second solve, B^-1 b is -(block @ b), and a Farkas ray is a row of the
+block (below).
 
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the work is split by what it depends on. Once per matrix,
@@ -43,16 +47,19 @@ when an ``LpProblem`` is built: validation, the unscaled standard block
 and objective, and each row's largest entry (``_Standard``).
 ``LpProblem.with_rhs`` shares all of it, so a matrix re-solved for many
 right-hand sides pays for it once. On every call: the right-hand side,
-the row scales and the scaled block, the start basis (chosen on Python
-scalars: the rows are few), both phases, the certificates and the dual.
-Phase 1 is skipped when no row starts on an auxiliary column. The array
-work is whole-array, and a pivot is a fixed handful of array operations.
+the row scales and the scaled block, the first row to leave, both
+phases, the certificates and the dual. Phase 1 makes no pivot when no row
+starts violated. The array work is whole-array, and a pivot is a fixed
+handful of array operations.
 
 Every status leaves a certificate that does not depend on the right-hand
-side b except through one test. An infeasible outcome carries the
-phase-1 dual as a Farkas ray, read off the final phase-1 row as the
-optimal dual is read off the phase-2 row, and checked on the original
-data; it proves infeasibility wherever y @ b > 0. An optimal or
+side b except through one test. An infeasible outcome carries a Farkas
+ray, read off the row r at which the dual simplex stopped: that row reads
+beta @ [A | -I] u = beta @ b < 0 with beta = B^-1's row r and no entry
+that lets a column move it, so y = -beta, the slack block's row r, has
+y >= 0, A^T y at most 0 on nonnegative columns and 0 on free ones, and
+y @ b > 0. It is checked on the original data and proves infeasibility
+wherever y @ b > 0. An optimal or
 unbounded outcome carries its final basis and tableau: the basis's
 reduced costs, so an optimal basis's dual, are the same at every b, and
 an unbounded outcome's ray does not depend on b. ``repose`` answers the
@@ -61,9 +68,9 @@ parametric LP): with no pivot from a ray, or from a basis whose values
 B^-1 b are still nonnegative on its bounded columns (a free column's
 value may have changed sign), and from an optimal basis they no longer
 fit by the dual simplex (Lemke 1954) on a copy of its tableau, which
-stays dual feasible; a row at which the dual simplex stops proves
-infeasibility, and that row of B^-1, negated, is a Farkas ray. It
-certifies the answer as a solve's is.
+stays dual feasible; a row at which the dual simplex stops gives a
+Farkas ray as a cold solve's stalled row does. It certifies the answer as
+a solve's is.
 ``solve_lp`` itself keeps nothing between calls.
 """
 
@@ -180,16 +187,17 @@ class LpOutcome:
     ``repose`` checked that dual (``_dual_support``); it is None on a cold
     solve's outcome, whose dual is unchecked.
 
-    ``farkas`` holds, on an infeasible outcome, the phase-1 dual (or, from
-    ``repose``, a stalled dual-simplex row) as a Farkas ray checked on the
-    original data (``_farkas_ray``), or None where a cold solve's check
-    failed; the status stands either way. ``basis`` holds the final basis
-    of an optimal or unbounded outcome, one standard column (``_Standard``:
-    column j < n is the original column j, column n + i row i's slack) per
-    row; a free column, once basic, stays so. Such an outcome keeps,
-    privately, its final tableau (``_final``), whose slack block is -B^-1
-    (module docstring). ``repose`` re-poses a ray, or re-poses or
-    re-solves a basis, at another right-hand side of the same matrix.
+    ``farkas`` holds, on an infeasible outcome, the slack block's row at
+    which the dual simplex stopped, in phase 1 or in ``repose``, as a
+    Farkas ray checked on the original data (``_farkas_ray``), or None
+    where a cold solve's check failed; the status stands either way.
+    ``basis`` holds the final basis of an optimal or unbounded outcome, one
+    standard column (``_Standard``: column j < n is the original column j,
+    column n + i row i's slack) per row; a free column, once basic, stays
+    so. Such an outcome keeps, privately, its final tableau (``_final``),
+    whose slack block is -B^-1 (module docstring). ``repose`` re-poses a
+    ray, or re-poses or re-solves a basis, at another right-hand side of
+    the same matrix.
     """
 
     status: str
@@ -242,29 +250,28 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= factors[:, None] * piv_row
 
 
-def _run_simplex(tableau, basis, n_priced, free):
-    """Bland's rule loop entering only among the first ``n_priced`` columns.
+def _run_simplex(tableau, basis, free):
+    """Bland's rule loop over the standard columns, which ``free`` covers.
 
-    ``free`` flags, over every column that can be basic, those without a
-    sign bound. The entering column is the lowest index among bounded
-    columns with reduced cost below -PIVOT_TOL and free ones with
-    |reduced cost| above it; a free column whose reduced cost is positive
-    enters decreasing. Rows whose basic column is free take no part in the
-    ratio test, so a free column never leaves once it enters, and its basic
-    value may be negative. A basic column's reduced cost is exactly 0, so
-    each free column enters at most once; after that, Bland's rule runs on
-    the bounded columns alone, and it ends.
+    ``free`` flags the standard columns without a sign bound. The entering
+    column is the lowest index among bounded columns with reduced cost
+    below -PIVOT_TOL and free ones with |reduced cost| above it; a free
+    column whose reduced cost is positive enters decreasing. Rows whose
+    basic column is free take no part in the ratio test, so a free column
+    never leaves once it enters, and its basic value may be negative. A
+    basic column's reduced cost is exactly 0, so each free column enters at
+    most once; after that, Bland's rule runs on the bounded columns alone,
+    and it ends.
 
     Returns ("optimal", pivots) or ("unbounded", entering, pivots); the
     entering column moves in the direction that lowers the cost.
     """
     m = len(basis)
-    cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
-    free_priced = free[:n_priced]
+    cost, values = tableau[-1, :len(free)], tableau[:m, -1]   # views, updated by each pivot
     bounded = ~free[basis]   # the rows that take part in the ratio test
     pivots = 0
     while True:
-        improving = (cost < -PIVOT_TOL) | (free_priced & (cost > PIVOT_TOL))
+        improving = (cost < -PIVOT_TOL) | (free & (cost > PIVOT_TOL))
         entering = improving.argmax()  # Bland: lowest index
         if not improving[entering]:
             return ("optimal", pivots)
@@ -289,36 +296,48 @@ def _run_simplex(tableau, basis, n_priced, free):
             raise NumericalBreakdown("pivot budget exhausted")
 
 
-def _run_dual_simplex(tableau, basis, free):
-    """Dual simplex with Bland's rule, entering only among the columns ``free`` covers.
+def _movers(row, free):
+    """The entries of a tableau row that let its column move the row's basic value up.
+
+    A bounded column's entry below -10 PIVOT_TOL max(1, |row|) and a free
+    column's entry beyond that in magnitude. Smaller entries are rounding
+    residue: on a zero cost row every dual ratio ties, and Bland's rule
+    would pivot on one and blow the tableau up.
+    """
+    limit = 10 * PIVOT_TOL * max(1.0, float(np.abs(row).max()))
+    return (row < -limit) | (free & (np.abs(row) > limit))
+
+
+def _run_dual_simplex(tableau, basis, free, first=None):
+    """Dual simplex with Bland's rule over the standard columns, which ``free`` covers.
 
     ``free`` flags the standard columns without a sign bound. The basis is
     dual feasible: its reduced costs are nonnegative on bounded columns
     and 0 on free ones, up to rounding, which the ratios absorb. The
-    leaving row is the one with a negative value whose basic column is
-    bounded and has the lowest index; a free basic value may be negative.
-    The entering column, among the row's bounded entries below -PIVOT_TOL
-    and free entries above it in magnitude (scaled as in ``_run_simplex``),
-    has the least ratio of max(reduced cost, 0) (|reduced cost| on a free
-    column) to |entry|, the lowest index on ties. A free column is never
-    chosen to leave, so it enters at most once.
+    leaving row is ``first`` on the first pivot where it is given, and
+    otherwise the one with a negative value whose basic column is bounded
+    and has the lowest index; a free basic value may be negative. The
+    entering column, among the row's ``_movers``, has the least ratio of
+    max(reduced cost, 0) (|reduced cost| on a free column) to |entry|, the
+    lowest index on ties. A free column is never chosen to leave, so it
+    enters at most once.
 
     Returns ("optimal", pivots) once every bounded basic value is
     nonnegative, ("infeasible", row, pivots) at a row with no entering
     column, which proves the LP infeasible, or None past ``_MAX_PIVOTS``.
     """
-    m, n_priced = len(basis), len(free)
-    cost, values = tableau[-1, :n_priced], tableau[:m, -1]   # views, updated by each pivot
+    m = len(basis)
+    cost, values = tableau[-1, :len(free)], tableau[:m, -1]   # views, updated by each pivot
     bounded = ~free[basis]
-    pivots = 0
+    pivots, leaving = 0, first
     while True:
-        negative = ((values < 0.0) & bounded).nonzero()[0]
-        if not negative.size:
-            return ("optimal", pivots)
-        leaving = negative[basis[negative].argmin()]
-        row = tableau[leaving, :n_priced]
-        limit = PIVOT_TOL * max(1.0, float(np.abs(row).max()))
-        cols = ((row < -limit) | (free & (np.abs(row) > limit))).nonzero()[0]
+        if leaving is None:
+            negative = ((values < 0.0) & bounded).nonzero()[0]
+            if not negative.size:
+                return ("optimal", pivots)
+            leaving = negative[basis[negative].argmin()]
+        row = tableau[leaving, :len(free)]
+        cols = _movers(row, free).nonzero()[0]
         if not cols.size:
             return ("infeasible", leaving, pivots)
         d = cost[cols]
@@ -327,7 +346,7 @@ def _run_dual_simplex(tableau, basis, free):
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         bounded[leaving] = not free[entering]
-        pivots += 1
+        pivots, leaving = pivots + 1, None
         if pivots > _MAX_PIVOTS:
             return None
 
@@ -381,7 +400,7 @@ def _dual_support(problem: LpProblem, dual: np.ndarray, tol: float) -> np.ndarra
 
 
 def _farkas_ray(problem: LpProblem, y: np.ndarray, tol: float) -> np.ndarray | None:
-    """The phase-1 dual y of an infeasible ``problem`` as a Farkas ray, or None if y fails.
+    """A stalled row's slack block y of an infeasible ``problem`` as a Farkas ray, or None.
 
     A ray y >= 0 with r = A^T y at most 0 on nonnegative columns and 0 on
     free ones, and y @ b > 0, proves that no x has A x >= b: y @ A x would
@@ -389,9 +408,9 @@ def _farkas_ray(problem: LpProblem, y: np.ndarray, tol: float) -> np.ndarray | N
     unscaled data: an entry below -tol fails, other negative entries
     become 0, each |r_j| must be within tol times (|A|^T y)_j, the scale of
     its rounding (only r_j itself on a nonnegative column), and y @ b must
-    be positive. y keeps its phase-1 scale, in which y @ b is the phase-1
-    optimum up to rounding: ``solve_lp`` calls the LP infeasible because
-    that optimum exceeds tol.
+    be positive. y keeps the scale of its row, in which y @ b is minus the
+    row's value up to rounding: ``solve_lp`` calls the LP infeasible
+    because that value is below -tol.
     """
     if y.min(initial=0.0) < -tol:
         return None
@@ -415,100 +434,50 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
 
     std = problem._std
     m, n_std = std.a.shape
-    # per-row equilibration keeps violations comparable across rows of very
+    # each row's scale keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^33) entries).
     # row_max counts the slack's 1, so every scale is at least 1
     row_scale = np.maximum(std.row_max, np.abs(problem.rhs))
     if np.count_nonzero(row_scale >= 1.0 / PIVOT_TOL):
         raise NumericalBreakdown("a row's scale reaches 1/PIVOT_TOL, so its slack cannot pivot")
-    a_std = std.a / row_scale[:, None]
-    b_std = problem.rhs / row_scale
 
     # slack starting basis: row i starts on its slack, column n_std - m + i,
-    # once the row is divided by the slack's entry -1/scale_i. When at least
-    # three rows have b_i > 0, their slacks start basic anyway, below zero,
-    # and the rows share one auxiliary column x0 (with two rows its opening
-    # pivot saves no pivot); with fewer, each gets an artificial column.
-    # Python scalars: the rows are few, and each multiplier is divided as
-    # numpy divides it
-    mult = [1.0 / (-1.0 / s) for s in row_scale.tolist()]
-    basis = list(range(n_std - m, n_std))
-    violated = [i for i, v in enumerate(b_std.tolist()) if v > 0]
-    sharing = violated if len(violated) >= 3 else []
-    art_rows = [] if sharing else violated
-    for k, i in enumerate(art_rows):
-        basis[i], mult[i] = n_std + k, 1.0
-    mult = np.array(mult)
-    a_std = a_std * mult[:, None]
-    b_std = b_std * mult
-    basis = np.array(basis, dtype=np.intp)
+    # once the row is divided by its scale and then by the slack's scaled
+    # entry -1/scale_i. The round trip, not an exact negation, is what makes
+    # an entry that the scaling underflows count as zero
+    mult = 1.0 / (-1.0 / row_scale)
+    basis = np.arange(n_std - m, n_std)
     slacks = slice(n_std - m, n_std)
-
-    # columns: standard | artificials | x0 when shared | right-hand side
-    x0 = n_std + len(art_rows)
-    tableau = np.zeros((m + 1, x0 + bool(sharing) + 1))
-    tableau[:m, :n_std] = a_std
-    tableau[:m, -1] = b_std
+    # columns: standard | right-hand side; phase 1 runs on a zero cost row
+    tableau = np.zeros((m + 1, n_std + 1))
+    tableau[:m, :n_std] = std.a / row_scale[:, None] * mult[:, None]
+    tableau[:m, -1] = problem.rhs / row_scale * mult
+    # the most violated row, relative to its scale, leaves first (lowest row
+    # on ties); with no violated row phase 1 makes no pivot
+    ratio = tableau[:m, -1] / row_scale
+    first = int(ratio.argmin()) if ratio.min(initial=0.0) < 0.0 else None
     pivots = 0
-    if art_rows or sharing:
-        if art_rows:
-            tableau[art_rows, range(n_std, x0)] = 1.0
-            # phase-1 reduced costs of x0 + sum of artificials: artificial
-            # rows subtracted from their unit costs
-            tableau[-1, :n_std] = -a_std[art_rows].sum(axis=0)
-            tableau[-1, -1] = -b_std[art_rows].sum()
-        if sharing:
-            # x0 has entry -1 in each sharing row as equilibrated above, so
-            # -|mult_i| once the row is divided by its slack's entry. It enters
-            # where the equilibrated b_i is most negative (lowest row on
-            # ties): every basic value is then nonnegative, and the pivot's
-            # rounding stays at each row's own scale
-            sharing = np.array(sharing)
-            weight = np.abs(mult[sharing])
-            tableau[sharing, x0] = -weight
-            tableau[-1, x0] = 1.0
-            entry = sharing[(b_std[sharing] / weight).argmin()]
-            _pivot(tableau, entry, x0)
-            basis[entry] = x0
-            pivots = 1
+    while True:
+        status = _run_dual_simplex(tableau, basis, std.free, first)
+        if status is None or pivots + status[-1] > _MAX_PIVOTS:
+            raise NumericalBreakdown("pivot budget exhausted")
+        pivots += status[-1]
+        if status[0] == OPTIMAL:
+            break
+        row = status[1]
+        if np.count_nonzero(_movers(tableau[row, :n_std], std.free)):
+            raise NumericalBreakdown("phase-1 stalled at a row that a column can move")
+        if tableau[row, -1] < -tol:
+            return LpOutcome(status=INFEASIBLE, pivots=pivots,
+                             farkas=_farkas_ray(problem, tableau[row, slacks] + 0.0, tol))
+        # short by rounding only: the row's basic value becomes 0, and the
+        # dual simplex goes on from the next negative row
+        tableau[row, -1], first = 0.0, None
 
-        # only the first n_std columns are priced in either phase, so x0 and
-        # the artificials never re-enter once they leave; neither is free
-        free = np.zeros(tableau.shape[1] - 1, dtype=bool)
-        free[:n_std] = std.free
-        pivots += _run_simplex(tableau, basis, n_std, free)[-1]
-        if -tableau[-1, -1] > tol:
-            # infeasibility certificate: phase-1 optimum is positive and its
-            # reduced costs are nonnegative, and 0 on free columns, so no
-            # feasible point exists
-            d = tableau[-1, :n_std]
-            if np.count_nonzero(np.where(std.free, np.abs(d), -d) > 10 * PIVOT_TOL):
-                raise NumericalBreakdown("phase-1 terminated without optimality certificate")
-            # the phase-1 dual, read off the slack block as the optimal dual is below
-            y = tableau[-1, slacks] + 0.0
-            return LpOutcome(status=INFEASIBLE, pivots=pivots, farkas=_farkas_ray(problem, y, tol))
-
-        # drive leftover auxiliaries out of the basis. Their values are below
-        # the feasibility tolerance, so clamp to zero first: pivoting a
-        # nonzero residual through a small entry would amplify it onto a
-        # structural variable. Each row has its own slack, so no row is zero
-        # over the standard columns unless rounding made it so
-        for i in (basis >= n_std).nonzero()[0].tolist():
-            entries = np.abs(tableau[i, :n_std])
-            best = entries.argmax()
-            if entries[best] <= PIVOT_TOL:
-                raise NumericalBreakdown("an auxiliary column cannot leave the basis")
-            tableau[i, -1] = 0.0
-            _pivot(tableau, i, best)
-            basis[i] = best
-
-    # phase 2: rebuild reduced costs for the true objective, which costs
-    # the auxiliary columns nothing
+    # phase 2: reduced costs for the true objective
     tableau[-1] = -(std.c[basis] @ tableau[:-1])
     tableau[-1, :n_std] += std.c
-
-    # every basic column is a standard one now
-    status = _run_simplex(tableau, basis, n_std, std.free)
+    status = _run_simplex(tableau, basis, std.free)
     pivots += status[-1]
 
     if status[0] == "unbounded":
@@ -555,9 +524,10 @@ def repose(problem: LpProblem, stored: LpOutcome,
     - the ray y still has y >= 0 and the column signs of A^T y, so it
       proves infeasibility wherever y @ b > 0. It is taken only where
       y @ b > tol * max(1, |b| @ y), stricter than the y @ b > 0 it was
-      stored with: in its phase-1 scale y @ b is then past the tol at
-      which a cold solve calls the LP infeasible, with room for rounding,
-      so a re-posed "infeasible" does not meet a cold "feasible";
+      stored with: in the scale of the row it was read off, y @ b is then
+      past the tol at which a cold solve calls the LP infeasible, with room
+      for rounding, so a re-posed "infeasible" does not meet a cold
+      "feasible";
     - the basis keeps its reduced costs, so it stays dual feasible. Its
       values B^-1 b are -(block @ b) for the tableau's slack block
       (columns n .. n+m-1), which is -B^-1. Where those of its bounded
@@ -599,8 +569,7 @@ def repose(problem: LpProblem, stored: LpOutcome,
         if status is None:
             return None
         if status[0] == INFEASIBLE:
-            # row r reads beta @ a @ u = beta @ b < 0 with beta = B^-1's row r,
-            # and no entry of beta @ a that lets u move: y = -beta, the row's slack block, is a ray
+            # the stalled row's slack block is a ray, as in a cold solve's phase 1
             y = tableau[status[1], slacks] + 0.0
             return _past_margin(problem, _farkas_ray(problem, y, tol), status[-1], tol)
         pivots, values = status[-1], tableau[:m, -1]

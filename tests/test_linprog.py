@@ -210,8 +210,8 @@ def test_dual_has_no_negative_zero():
 
 def test_determinism_bitwise():
     rng = np.random.default_rng(17)
-    # over free variables three rows start violated, so they share the
-    # auxiliary column; rows 0 and 1 tie at the most negative scaled b_i
+    # over free variables three rows start violated, and rows 0 and 1 tie
+    # as the most violated relative to their scale: the lower one leaves first
     tied = make_problem([1.0, 1.0, 1.0], [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
                         [2.0, 2.0, 0.5])
     for problem in [_random_canonical(rng) for _ in range(10)] + [tied]:
@@ -280,9 +280,10 @@ def _cone_lp(rng, n_states, n_assets):
     return make_problem(payoffs @ (psi / psi.sum()), payoffs.T, -x)
 
 
-def test_violated_rows_share_one_auxiliary_column():
-    # 16 states, 3 assets: with one shared auxiliary column these take
-    # about 6 pivots on average, with one artificial per losing state 14
+def test_many_violated_rows_take_few_phase_one_pivots():
+    # 16 states, 3 assets, every losing state a row violated at the start:
+    # phase 1 takes under 5 pivots on average here, where one artificial
+    # column per losing state took 14
     rng = np.random.default_rng(5)
     pivots = []
     for _ in range(40):
@@ -292,6 +293,16 @@ def test_violated_rows_share_one_auxiliary_column():
         assert out.status == OPTIMAL
         pivots.append(out.pivots)
     assert np.mean(pivots) <= 8
+
+
+def test_most_violated_row_leaves_first():
+    # min x s.t. 4x >= 1, 2x >= 1, x >= 3: relative to their scales 4, 2 and
+    # 3 the rows are short by 1/4, 1/2 and 1 at x = 0, so x >= 3 leaves first
+    # and one pivot makes every row hold. Bland's lowest row first would
+    # take three pivots, through x = 1/4 and x = 1/2
+    for nonneg in (False, True):
+        out = solve_lp(make_problem([1.0], [[4.0], [2.0], [1.0]], [1.0, 1.0, 3.0], [nonneg]))
+        assert out.status == OPTIMAL and out.x.tolist() == [3.0] and out.pivots == 1
 
 
 def test_slack_rows_need_no_pivot():
@@ -454,8 +465,8 @@ def test_matches_highs_on_planted_statuses(status, seed):
 
 @pytest.mark.parametrize("status, seed", [(OPTIMAL, 37), (INFEASIBLE, 41), (UNBOUNDED, 43)])
 def test_matches_highs_when_rows_start_violated(status, seed):
-    # at least three rows start violated, so phase 1 opens with the shared
-    # auxiliary column. The planted status is the reference; HiGHS's status
+    # at least three rows start violated, so phase 1 makes dual pivots from
+    # several negative rows. The planted status is the reference; HiGHS's status
     # is not asserted on planted-unbounded problems, some of which it calls
     # infeasible here too
     pytest.importorskip("scipy.optimize")
@@ -556,13 +567,14 @@ def test_with_rhs_validates_the_new_rhs(rhs):
         LpProblem(**{**_VALID, "rhs": [2.0]}))
 
 
-def test_entries_that_scaling_underflows_count_as_zero():
-    # an entry of 1e-320 in a row scaled by about 1e9 is 0 in the scaled
-    # block the solver works on, so every pivot is that of the problem with
-    # that entry 0. The rows stay below the scale 1/PIVOT_TOL = 1e10 that
-    # solve_lp refuses, so the solves compared are real
+def _underflow_lps():
+    """200 seeded LPs with rows scaled to about 1e9, each in two copies.
+
+    Yields (zeros, tiny, has_tiny): the same LP with some entries of its
+    scaled rows 0 in one copy and 1e-320 in the other, and whether it has
+    any such entry.
+    """
     rng = np.random.default_rng(61)
-    solved = 0
     for _ in range(200):
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a, b = rng.normal(size=(m, n)), rng.normal(size=m)
@@ -571,11 +583,36 @@ def test_entries_that_scaling_underflows_count_as_zero():
         tiny = big[:, None] & (rng.uniform(size=(m, n)) < 0.5)
         senses = [(GE, LE, EQ)[k] for k in rng.integers(0, 3, size=m)]
         c, nonneg = rng.normal(size=n), rng.uniform(size=n) < 0.5
-        want = _outcome_bytes(_one_row_form(c, np.where(tiny, 0.0, a), b, senses, nonneg))
-        assert _outcome_bytes(_one_row_form(c, np.where(tiny, 1e-320, a), b, senses, nonneg)) \
-            == want
-        solved += tiny.any() and want != "breakdown"
+        yield (_one_row_form(c, np.where(tiny, 0.0, a), b, senses, nonneg),
+               _one_row_form(c, np.where(tiny, 1e-320, a), b, senses, nonneg), tiny.any())
+
+
+def test_entries_that_scaling_underflows_count_as_zero():
+    # an entry of 1e-320 in a row scaled by about 1e9 is 0 in the scaled
+    # block the solver works on, so every pivot is that of the problem with
+    # that entry 0. The rows stay below the scale 1/PIVOT_TOL = 1e10 that
+    # solve_lp refuses, so the solves compared are real
+    solved = 0
+    for zeros, tiny, has_tiny in _underflow_lps():
+        want = _outcome_bytes(zeros)
+        assert _outcome_bytes(tiny) == want
+        solved += has_tiny and want != "breakdown"
     assert solved >= 100
+
+
+def test_rays_of_huge_rows_hold_against_highs():
+    # on the LPs above, every one called infeasible with a checked Farkas
+    # ray is one HiGHS calls infeasible. A few called infeasible carry no
+    # ray, and HiGHS solves 3 of those: two at |x| about 1e9, one unbounded
+    pytest.importorskip("scipy.optimize")
+    unsound = solved = 0
+    for problem, _, _ in _underflow_lps():
+        out = solve_lp(problem)
+        if out.status == INFEASIBLE:
+            highs_status = _highs(problem)[0]
+            unsound += out.farkas is not None and highs_status != INFEASIBLE
+            solved += highs_status in (OPTIMAL, UNBOUNDED)
+    assert unsound == 0 and solved <= 3, (unsound, solved)
 
 
 def test_problems_compare_by_identity():
@@ -624,13 +661,9 @@ def test_reposed_basis_answers_like_a_cold_solve():
 @pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
 def test_reposed_rays_answer_like_a_cold_solve(status):
     # a kept Farkas ray or unbounded basis re-posed at moved right-hand
-    # sides: wherever it answers, a cold solve gives the same status, or
-    # breaks down. The planted ray holds the equation rows only up to
-    # rounding, and once at a move of 1e-6 the cold solve's own ray fails
-    # its certificate, while the stored one, with a point B^-1 b >= 0 that
-    # passes the feasibility certificate, still answers. At another such
-    # move the cold solve breaks down too, but a basic value that is 0 reads
-    # -7.8e-13 off the stored tableau, so the stored basis is refused there
+    # sides: wherever it answers, a cold solve gives the same status and
+    # never breaks down, though the planted ray holds the equation rows
+    # only up to rounding
     rng = np.random.default_rng(73)
     reposed = refused = breakdowns = 0
     for violated in (False, True):
@@ -654,7 +687,7 @@ def test_reposed_rays_answer_like_a_cold_solve(status):
                 breakdowns += cold == "breakdown"
                 assert cold == "breakdown" or cold[0] == status
     assert reposed >= 250 and refused >= 25, (reposed, refused)
-    assert breakdowns == (1 if status == UNBOUNDED else 0)
+    assert breakdowns == 0
 
 
 def test_basis_on_optimal_and_unbounded_outcomes():
@@ -681,7 +714,7 @@ def _with_violated_rows(problem, k):
 
 
 def test_slack_block_is_minus_the_basis_inverse():
-    # whatever the row scaling and start (slack, artificial or shared x0),
+    # whatever the row scaling and however many rows start violated,
     # a final tableau's standard columns are B^-1 [A | -I], so its slack
     # block is -B^-1, and an optimal dual is c_B B^-1, as a linear solve gives it
     rng = np.random.default_rng(83)
@@ -827,7 +860,7 @@ def test_row_that_proves_infeasibility_returns_none():
     # row 0 and row 1's slack. At b = (2, -1) that slack is -1, and its row
     # reads s1 + s0 = -1 with no negative entry: no x has 2 <= x <= 1. The
     # dual simplex stops there, and the row gives the Farkas ray y = (1, 1),
-    # the cold solve's up to scale. At b0 = 1 + 1e-9, y @ b = 1e-9 is inside
+    # the one a cold solve's phase 1 stops with. At b0 = 1 + 1e-9, y @ b = 1e-9 is inside
     # the margin tol * max(1, |b| @ y) = 2e-8 and a cold solve calls the LP
     # feasible, so the same stop returns None
     problem = make_problem([1.0], [[1.0], [-1.0]], [0.0, -1.0])
@@ -835,7 +868,7 @@ def test_row_that_proves_infeasibility_returns_none():
     moved = problem.with_rhs([2.0, -1.0])
     out = repose(moved, stored)
     assert out.status == INFEASIBLE and out.farkas.tolist() == [1.0, 1.0]
-    assert solve_lp(moved).farkas.tolist() == [0.5, 0.5]
+    assert solve_lp(moved).farkas.tolist() == out.farkas.tolist()
     moved = problem.with_rhs([1.0 + 1e-9, -1.0])
     assert repose(moved, stored) is None
     assert solve_lp(moved).status == OPTIMAL
@@ -905,26 +938,34 @@ def test_dual_re_solve_keeps_a_negative_free_value_basic():
 
 
 def test_basic_free_column_never_leaves_a_primal_solve(monkeypatch):
-    # every pivot that _run_simplex makes, on planted LPs with free columns:
-    # the column leaving is never free, and free columns do enter, in both
-    # directions, and end basic at negative values
+    # every pivot that _run_simplex or _run_dual_simplex makes, on planted
+    # LPs with free columns: the column leaving is never free, and free
+    # columns do enter, in both directions, and end basic at negative
+    # values. A primal pivot lowers a column whose reduced cost is
+    # positive, a dual one a column whose entry in the leaving row (whose
+    # negative value rises to 0) is positive
     pivots, loop = [], {}
-    real_run, real_pivot = linprog._run_simplex, linprog._pivot
+    real_pivot = linprog._pivot
 
-    def run(tableau, basis, n_priced, free):
-        loop.update(basis=basis, free=free, cost=tableau[-1])
-        try:
-            return real_run(tableau, basis, n_priced, free)
-        finally:
-            loop.clear()
+    def watch(real, falls):
+        def run(tableau, basis, free, *first):
+            loop.update(basis=basis, free=free, falls=falls)
+            try:
+                return real(tableau, basis, free, *first)
+            finally:
+                loop.clear()
+        return run
 
     def pivot(tableau, row, col):
         if loop:
             free = loop["free"]
-            pivots.append((free[loop["basis"][row]], free[col], loop["cost"][col] > 0.0))
+            pivots.append((free[loop["basis"][row]], free[col], loop["falls"](tableau, row, col)))
         real_pivot(tableau, row, col)
 
-    monkeypatch.setattr(linprog, "_run_simplex", run)
+    monkeypatch.setattr(linprog, "_run_simplex", watch(
+        linprog._run_simplex, lambda tableau, row, col: tableau[-1, col] > 0.0))
+    monkeypatch.setattr(linprog, "_run_dual_simplex", watch(
+        linprog._run_dual_simplex, lambda tableau, row, col: tableau[row, col] > 0.0))
     monkeypatch.setattr(linprog, "_pivot", pivot)
     rng = np.random.default_rng(79)
     negative = 0
@@ -954,14 +995,14 @@ def test_free_column_entering_decreasing_gives_a_ray_of_its_sign():
 
 
 def test_phase_one_certificate_refuses_a_free_column_left_out(monkeypatch):
-    # -x >= 1 over free x is feasible: phase 1 has x enter decreasing. A loop
-    # that never lets a free column enter that way stops with the phase-1
-    # optimum 1 > tol; the certificate then meets x's positive reduced cost
-    # and raises instead of calling the LP infeasible
+    # -x >= 1 over free x is feasible: phase 1 has x enter at row 0, whose
+    # value -1 rises to 0 as x falls. A loop that never lets a free column
+    # enter stops at that row, 1 short; the certificate then meets x's
+    # entry and raises instead of calling the LP infeasible
     problem = make_problem([0.0], [[-1.0]], [1.0])
     assert solve_lp(problem).x.tolist() == [-1.0]
-    real_run = linprog._run_simplex
-    monkeypatch.setattr(linprog, "_run_simplex", lambda tableau, basis, n_priced, free:
-                        real_run(tableau, basis, n_priced, np.zeros_like(free)))
+    real_run = linprog._run_dual_simplex
+    monkeypatch.setattr(linprog, "_run_dual_simplex", lambda tableau, basis, free, first=None:
+                        real_run(tableau, basis, np.zeros_like(free), first))
     with pytest.raises(NumericalBreakdown, match="phase-1"):
         solve_lp(problem)
