@@ -178,7 +178,11 @@ def make_problem(objective, lhs, rhs, nonneg=None) -> LpProblem:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """Solver result. ``x``/``objective_value``/``dual`` present iff optimal, ``ray`` iff unbounded.
+    """Solver result. ``x``/``dual`` present iff optimal, ``ray`` iff unbounded.
+
+    ``objective_value`` is the LP's value in [-inf, +inf] (Rockafellar
+    1970, section 4): the optimum, +inf (the default) where the LP is
+    infeasible and -inf where it is unbounded.
 
     ``dual`` holds one multiplier per row of the original problem, c_B B^-1
     of the final basis, nonnegative on every row. The union scan in
@@ -202,7 +206,7 @@ class LpOutcome:
 
     status: str
     x: np.ndarray | None = None
-    objective_value: float | None = None
+    objective_value: float = math.inf
     dual: np.ndarray | None = None
     ray: np.ndarray | None = None
     pivots: int = 0
@@ -407,17 +411,18 @@ def _farkas_ray(problem: LpProblem, y: np.ndarray, tol: float) -> np.ndarray | N
     be at most 0 and at least y @ b. y is checked on the problem's own
     unscaled data: an entry below -tol fails, other negative entries
     become 0, each |r_j| must be within tol times (|A|^T y)_j, the scale of
-    its rounding (only r_j itself on a nonnegative column), and y @ b must
-    be positive. y keeps the scale of its row, in which y @ b is minus the
-    row's value up to rounding: ``solve_lp`` calls the LP infeasible
-    because that value is below -tol.
+    its rounding (only r_j itself on a nonnegative column), floored at the
+    smallest normal float, which subnormal entries cannot underflow to 0,
+    and y @ b must be positive. y keeps the scale of its row, in which
+    y @ b is minus the row's value up to rounding: ``solve_lp`` calls the LP
+    infeasible because that value is below -tol.
     """
     if y.min(initial=0.0) < -tol:
         return None
     y = np.maximum(y, 0.0) + 0.0
     lhs = problem.lhs
     r = lhs.T @ y
-    limit = tol * (np.abs(lhs).T @ y)
+    limit = tol * np.maximum(np.abs(lhs).T @ y, np.finfo(float).tiny)
     if np.count_nonzero(np.where(problem.nonneg, r, np.abs(r)) > limit):
         return None
     return y if float(problem.rhs @ y) > 0.0 else None
@@ -490,7 +495,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         ray = d_std[:problem.n_cols] + 0.0
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
-        return LpOutcome(status=UNBOUNDED, ray=ray, pivots=pivots, basis=basis, _final=tableau)
+        return LpOutcome(status=UNBOUNDED, objective_value=-math.inf, ray=ray, pivots=pivots,
+                         basis=basis, _final=tableau)
 
     x_std = np.zeros(n_std)
     x_std[basis] = tableau[:-1, -1]
@@ -579,7 +585,8 @@ def repose(problem: LpProblem, stored: LpOutcome,
     if not _certify_optimal(problem, x, 10 * tol):
         return None
     if stored.status == UNBOUNDED:
-        return LpOutcome(status=UNBOUNDED, ray=stored.ray, basis=basis, _final=tableau)
+        return LpOutcome(status=UNBOUNDED, objective_value=-math.inf, ray=stored.ray,
+                         basis=basis, _final=tableau)
     dual, support = stored.dual, stored.support
     if pivots:
         dual, support = tableau[-1, slacks] + 0.0, None

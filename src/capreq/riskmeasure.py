@@ -43,8 +43,8 @@ import numpy as np
 
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
-from .linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                      _dual_support, make_problem, repose, solve_lp)
+from .linprog import (DEFAULT_FEAS_TOL, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, _dual_support,
+                      make_problem, repose, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -82,17 +82,20 @@ def extreal_str(value: float) -> str | float:
 class RiskResult:
     """Requirement value plus, when available, a certified optimal movement.
 
-    ``attained`` means a concrete eligible payoff was verified: it moves the
-    position into the acceptance set and its price matches the value. A
-    finite value with ``attained=False`` is legitimate - the infimum need
-    not be attained.
+    ``attained`` means a concrete eligible payoff was verified and kept as
+    ``optimal_payoff``: it moves the position into the acceptance set and
+    its price matches the value. A finite value that is not attained is
+    legitimate - the infimum need not be attained.
     """
 
     value: float
     optimal_payoff: np.ndarray | None = None
-    attained: bool = False
     strategy: str = ""
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def attained(self) -> bool:
+        return self.optimal_payoff is not None
 
 
 def _exact_systems(a: AcceptanceSet, vm: ValidatedMarket) -> tuple[PolyhedralRep, ...]:
@@ -223,44 +226,42 @@ class MembershipOracle:
         x = np.asarray(position, dtype=float)
         out, index, scanned, pruned = _cheapest(self.a, lambda i: self._solve("direct", i, x),
                                                 self.tol)
-        diagnostics = {"loss_sets_scanned": scanned, "systems_pruned": pruned}
-        if out is None:
-            return RiskResult(POS_INF, strategy=strategy, diagnostics=diagnostics)
+        result = RiskResult(out.objective_value, strategy=strategy,
+                            diagnostics={"loss_sets_scanned": scanned, "systems_pruned": pruned})
         if out.status == UNBOUNDED:
-            diagnostics["unbounded_loss_set"] = index
-            return RiskResult(NEG_INF, strategy=strategy, diagnostics=diagnostics)
-        diagnostics.update(system=index, pivots=out.pivots)
-        s1 = self.vm.market.payoffs
-        return RiskResult(float(out.objective_value), attained=True, strategy=strategy,
-                          optimal_payoff=s1.T @ out.x[:s1.shape[0]], diagnostics=diagnostics)
+            result.diagnostics["unbounded_loss_set"] = index
+        elif out.status == OPTIMAL:
+            result.diagnostics.update(system=index, pivots=out.pivots)
+            s1 = self.vm.market.payoffs
+            result.optimal_payoff = s1.T @ out.x[:s1.shape[0]]
+        return result
 
     def cash_lp(self, position):
         """Cheapest cash level m with position + m U - K^T c acceptable, over all systems.
 
-        Returns (status, m, payoff): optimal with the minimal m and the
-        payoff m U - K^T c that attains it, unbounded with m = -inf, or
-        infeasible with m = +inf (payoff None for both). The systems go
-        through ``_cheapest``: those no solved system's dual covers first,
-        in index order, then a covered one only while its bound is under the
-        incumbent. Ties keep the earliest system, so the reported payoff is
-        deterministic and, on a cold context, equals a full scan's.
+        Returns (m, payoff): the scan's value m in [-inf, +inf] (+inf where
+        no cash level makes the position reachable, -inf where every one
+        does) and, at a finite m, the payoff m U - K^T c, else None. The
+        systems go through ``_cheapest``: those no solved system's dual
+        covers first, in index order, then a covered one only while its
+        bound is under the incumbent. Ties keep the earliest system, so the
+        reported payoff is deterministic and, on a cold context, equals a
+        full scan's.
         """
         y = np.asarray(position, dtype=float)
-        out, _, _, _ = _cheapest(self.a, lambda i: self._solve("cash", i, y), self.tol)
-        if out is None:
-            return INFEASIBLE, POS_INF, None
-        if out.status == UNBOUNDED:
-            return UNBOUNDED, NEG_INF, None
+        out = _cheapest(self.a, lambda i: self._solve("cash", i, y), self.tol)[0]
+        if out.status != OPTIMAL:
+            return out.objective_value, None
         m, c = float(out.x[0]), out.x[1:1 + self.kernel.shape[0]]
-        return OPTIMAL, m, m * self.vm.numeraire - self.kernel.T @ c
+        return m, m * self.vm.numeraire - self.kernel.T @ c
 
     def reachable_along_u(self, position) -> bool:
         """Some cash level makes the position reachable (value < +inf)."""
-        return self.cash_lp(position)[0] != INFEASIBLE
+        return self.cash_lp(position)[0] < POS_INF
 
     def line_along_u(self, position) -> bool:
         """Every cash level keeps the position reachable (value -inf)."""
-        return self.cash_lp(position)[0] == UNBOUNDED
+        return self.cash_lp(position)[0] == NEG_INF
 
     def contains(self, position) -> bool:
         return self.witness(position) is not None
@@ -326,30 +327,30 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     """Requirement along the numeraire modulo the pricing kernel.
 
     One cash-minimising LP per system (``MembershipOracle.cash_lp`` on a
-    context of its own):
-    infeasible is +inf, unbounded is -inf, otherwise the optimum. Its
-    payoff is reported as ``attained`` when it moves the position into the
-    set (``member``) at the value's price.
+    context of its own), whose value in [-inf, +inf] is the requirement.
+    Its payoff is reported as ``attained`` when it moves the position into
+    the set (``member``) at the value's price.
     """
     x = np.asarray(position, dtype=float)
-    status, m, payoff = MembershipOracle(a, vm, tol).cash_lp(x)
+    m, payoff = MembershipOracle(a, vm, tol).cash_lp(x)
     result = RiskResult(m, strategy="reduction", diagnostics={"tag_test": "structural"})
-    if status != OPTIMAL or not a.member(x + payoff):
+    if payoff is None or not a.member(x + payoff):
         return result
     # the payoff is in the span up to rounding at its own magnitude
     span_tol = 1e-9 * max(1.0, float(np.abs(payoff).max()))
     if abs(vm.price(payoff, span_tol) - m) <= 10 * BISECT_TOL:
-        result.optimal_payoff, result.attained = payoff, True
+        result.optimal_payoff = payoff
     return result
 
 
 def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcome]],
-              tol: float) -> tuple[LpOutcome | None, int, int, int]:
+              tol: float) -> tuple[LpOutcome, int, int, int]:
     """Minimum over ``a.systems`` of the LP ``solve(i)`` answers: (outcome, index, LPs, pruned).
 
-    The first unbounded outcome ends the scan (-inf). Otherwise the optimum
-    of least (value, index), so the earliest system on ties and a
-    deterministic payoff, or None when every system is infeasible (+inf).
+    Each outcome carries its LP's value in [-inf, +inf]. The first
+    unbounded outcome ends the scan (-inf). Otherwise the outcome of least
+    (value, index), so the earliest system on ties and a deterministic
+    payoff; it is infeasible (+inf) only when every system solved is.
 
     A checked optimal dual y is supported on rows S (``_dual_bound``); every
     system that has all of S has the same LP rows there, over auxiliaries of
@@ -371,8 +372,7 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
     """
     systems, incidence = a.systems, a.incidence
     if len(systems) == 1:
-        out = solve(0)[1]
-        return (None if out.status == INFEASIBLE else out), 0, 1, 0
+        return solve(0)[1], 0, 1, 0
     level = np.full(len(systems), NEG_INF)
     unsolved = np.ones(len(systems), dtype=bool)
     best, best_index, incumbent, scanned = None, -1, POS_INF, 0
@@ -388,12 +388,10 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
         scanned += 1
         if out.status == UNBOUNDED:
             return out, index, scanned, int(np.count_nonzero(unsolved & ~live))
-        if out.status != OPTIMAL:
-            continue
         value = out.objective_value
-        if value < incumbent or (value == incumbent and index < best_index):
+        if best is None or value < incumbent or (value == incumbent and index < best_index):
             best, best_index, incumbent = out, index, value
-        if incidence is None:
+        if incidence is None or out.status != OPTIMAL:
             continue
         certificate = _dual_bound(lp, out.dual, tol, out.support)
         if certificate is not None:
@@ -472,7 +470,7 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     through membership, and ``DegenerateAcceptance`` if the requirement is
     -inf at zero (the induced set would be the whole space, not proper).
     """
-    at_zero = MembershipOracle(a, vm, tol).cash_lp(np.zeros(a.dim))[1]
+    at_zero = MembershipOracle(a, vm, tol).cash_lp(np.zeros(a.dim))[0]
     if at_zero == NEG_INF:
         raise DegenerateAcceptance("requirement is -inf at the zero position")
     moves = np.vstack([vm.numeraire, vm.kernel_basis])   # m U + K^T c, m >= 0 first
@@ -482,7 +480,7 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
                     for rep in a.systems)
 
     def member(x: np.ndarray) -> bool:
-        return MembershipOracle(a, vm, tol).cash_lp(x)[1] <= BISECT_TOL
+        return MembershipOracle(a, vm, tol).cash_lp(x)[0] <= BISECT_TOL
 
     return AcceptanceSet(
         dim=a.dim, member=member, non_member=-(max(at_zero, 0.0) + 1.0) * vm.numeraire,

@@ -6,9 +6,12 @@ are stored, and the seed is captured, so re-running reproduces the report
 bit for bit). A check asks every position of its (set, market) pair of one
 solve context (``MembershipOracle``), which answers a repeated LP matrix
 from its kept Farkas rays and bases, re-solving a kept optimal basis by
-the dual simplex where it no longer fits. Comparisons within a tolerance
-band of a decision boundary count as inconclusive, never as violations:
-values solved to a tolerance cannot adjudicate exact ties.
+the dual simplex where it no longer fits. Every value is an extended
+real: an LP's value (``LpOutcome.objective_value``) is +inf where it is
+infeasible and -inf where it is unbounded, so a check reads a tag
+(``_tag``) off a value and never off a solver status. Comparisons within a
+tolerance band of a decision boundary count as inconclusive, never as
+violations: values solved to a tolerance cannot adjudicate exact ties.
 
 Checks cover: the risk-measure axioms (monotonicity, translation
 invariance), the level-set identities against directional classification,
@@ -28,7 +31,7 @@ import numpy as np
 
 from .acceptance import AcceptanceSet, PolyhedralRep
 from .directional import PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_member, rec_member
-from .linprog import DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .linprog import DEFAULT_FEAS_TOL, solve_lp
 from .market import ValidatedMarket
 from .riskmeasure import (BISECT_TOL, MembershipOracle, NEG_INF, POS_INF, NotPolyhedral,
                           RiskResult, induced_rho_acceptance, solve_rho)
@@ -177,13 +180,14 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
                          seed: int = 0, tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Finiteness characterization of the requirement.
 
-    A finite value means the position is reachable at some cash level but
-    not at all of them, and the position shifted by its own requirement must
-    classify on the directional boundary (within the band, else
-    inconclusive). Infinite tags are cross-checked against the status of
-    the oracle's cash-minimising LP (infeasible: not reachable; unbounded:
-    the whole numeraire line is reachable). A set known only through
-    membership is refused (``NotPolyhedral``).
+    The requirement's tag must be the tag of the oracle's cash-minimising
+    LP scan (``cash_lp``): +inf where no cash level makes the position
+    reachable, -inf where the whole numeraire line is reachable, and finite
+    where some cash level is but not all of them; a position whose two
+    tags differ is one ``domain`` violation carrying both. A finite value
+    must also shift the position onto the directional boundary (within the
+    band, else inconclusive). A set known only through membership is
+    refused (``NotPolyhedral``).
     """
     oracle = MembershipOracle(a, vm, tol)
     band = 10 * BISECT_TOL
@@ -194,25 +198,11 @@ def check_domain_theorem(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 20
     for trial in range(trials):
         x = _sample_position(rng, n)
         value = oracle.requirement(x).value
-        status = oracle.cash_lp(x)[0]
-        reachable, line = status != INFEASIBLE, status == UNBOUNDED
-        if _tag(value) == "pos_inf":
-            if reachable:
-                report.violation(trial=trial, check="domain", x=_listify(x),
-                                 value="pos_inf", reachable=True)
+        tag, cash = _tag(value), _tag(oracle.cash_lp(x)[0])
+        if tag != cash:
+            report.violation(trial=trial, check="domain", x=_listify(x), value=tag, cash=cash)
             continue
-        if not reachable:
-            report.violation(trial=trial, check="domain", x=_listify(x),
-                             value=value, reachable=False)
-            continue
-        if _tag(value) == "neg_inf":
-            if not line:
-                report.violation(trial=trial, check="line", x=_listify(x),
-                                 value="neg_inf", line_contained=False)
-            continue
-        if line:
-            report.violation(trial=trial, check="line", x=_listify(x),
-                             value=value, line_contained=True)
+        if tag != "finite":
             continue
         # finite: boundary classification at the solved level, band-tolerant
         shifted = x + value * u
@@ -234,14 +224,6 @@ def _spanning_set(n: int) -> np.ndarray:
     return np.vstack([np.eye(n), -np.ones(n)])
 
 
-def _optimum(problem: LpProblem, tol: float) -> float:
-    """Optimal value of a minimising LP: -inf when unbounded, +inf when infeasible."""
-    out = solve_lp(problem, tol=tol)
-    if out.status == OPTIMAL:
-        return out.objective_value
-    return NEG_INF if out.status == UNBOUNDED else POS_INF
-
-
 def _whole_space(rep: PolyhedralRep, kernel: np.ndarray, tol: float) -> bool:
     """Is B = A + span K everything, for A the system ``rep``?
 
@@ -252,9 +234,9 @@ def _whole_space(rep: PolyhedralRep, kernel: np.ndarray, tol: float) -> bool:
     has a homogenised block too).
     """
     n = rep.rows.shape[1]
-    return (all(_optimum(rep.lp(s, kernel, homogeneous=True), tol) < POS_INF
+    return (all(solve_lp(rep.lp(s, kernel, homogeneous=True), tol).objective_value < POS_INF
                 for s in _spanning_set(n))
-            and _optimum(rep.lp(np.zeros(n), kernel), tol) < POS_INF)
+            and solve_lp(rep.lp(np.zeros(n), kernel), tol).objective_value < POS_INF)
 
 
 def _signed_margin(rep: PolyhedralRep, kernel: np.ndarray, x: np.ndarray,
@@ -269,10 +251,10 @@ def _signed_margin(rep: PolyhedralRep, kernel: np.ndarray, x: np.ndarray,
     no part, so the margin is independent of the directional probes.
     """
     spanning = _spanning_set(len(x))
-    inside = min(-_optimum(rep.lp(x, kernel, [-s]), tol) for s in spanning)
+    inside = min(-solve_lp(rep.lp(x, kernel, [-s]), tol).objective_value for s in spanning)
     if inside > 0:
         return inside
-    return -_optimum(rep.lp(x, kernel, spanning, nonnegative=True), tol)
+    return -solve_lp(rep.lp(x, kernel, spanning, nonnegative=True), tol).objective_value
 
 
 def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 25,
@@ -509,9 +491,9 @@ def check_directional_vs_topological(a: AcceptanceSet, vm: ValidatedMarket,
         report.notes.append("reachable set is the whole space; operators trivially agree")
         return report
 
-    cond_closure = _optimum(rep.lp(u, kernel, homogeneous=True), tol) < POS_INF
+    cond_closure = solve_lp(rep.lp(u, kernel, homogeneous=True), tol).objective_value < POS_INF
     cond_interior = cond_closure and all(
-        _optimum(rep.lp(s, kernel, [u], homogeneous=True), tol) < POS_INF
+        solve_lp(rep.lp(s, kernel, [u], homogeneous=True), tol).objective_value < POS_INF
         for s in _spanning_set(vm.n_states))
     report.notes.append(f"closure_condition={cond_closure}")
     report.notes.append(f"interior_condition={cond_interior}")

@@ -1,5 +1,6 @@
 """LP kernel: statuses, certificates, determinism, duality."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -424,6 +425,14 @@ def _violated_at_start(problem):
     return int(np.count_nonzero(problem.rhs > 0))
 
 
+def _check_value(out):
+    """The value is the LP's in [-inf, +inf]: +inf iff infeasible, -inf iff unbounded."""
+    value = out.objective_value
+    assert (value == math.inf) == (out.status == INFEASIBLE)
+    assert (value == -math.inf) == (out.status == UNBOUNDED)
+    assert math.isfinite(value) == (out.status == OPTIMAL)
+
+
 def _check_farkas(problem, out):
     """1 if ``out`` carries a Farkas ray that holds on the original data, 0 if it has none.
 
@@ -457,6 +466,7 @@ def test_matches_highs_on_planted_statuses(status, seed):
         highs_status, highs_value = _highs(problem)
         assert out.status == status
         assert highs_status == status
+        _check_value(out)
         if status == OPTIMAL:
             assert abs(out.objective_value - highs_value) <= 1e-7 * max(1.0, abs(highs_value))
         rays += _check_farkas(problem, out)
@@ -526,14 +536,14 @@ def test_dual_present_without_rows():
 
 
 def _outcome_bytes(problem):
-    """Status, pivots and the bytes of x, value, dual and ray, or the error a solve raised."""
+    """Status, pivots and the bytes of x, value, dual, ray and Farkas ray, or the error raised."""
     try:
         out = solve_lp(problem)
     except NumericalBreakdown:   # a breakdown must repeat too
         return "breakdown"
     return (out.status, out.pivots) + tuple(
         None if v is None else np.asarray(v, dtype=float).tobytes()
-        for v in (out.x, out.objective_value, out.dual, out.ray))
+        for v in (out.x, out.objective_value, out.dual, out.ray, out.farkas))
 
 
 def test_with_rhs_solves_bitwise_as_a_fresh_problem():
@@ -650,6 +660,8 @@ def test_reposed_basis_answers_like_a_cold_solve():
                 pivoted += out.pivots > 0
                 cold = solve_lp(moved)
                 assert out.status == cold.status == OPTIMAL
+                _check_value(out)
+                _check_value(cold)
                 assert abs(out.objective_value - cold.objective_value) <= 1e-9 * max(
                     1.0, abs(cold.objective_value))
                 assert np.count_nonzero(moved.lhs @ out.x - rhs < -1e-7 * max(
@@ -683,6 +695,7 @@ def test_reposed_rays_answer_like_a_cold_solve(status):
                     continue
                 reposed += 1
                 assert out.status == status and out.pivots == 0
+                _check_value(out)
                 cold = _outcome_bytes(moved)
                 breakdowns += cold == "breakdown"
                 assert cold == "breakdown" or cold[0] == status

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -272,8 +274,50 @@ class TestWholeSpace:
         assert min(verdicts.values()) >= 40
 
 
+def _break_requirement(monkeypatch, shift):
+    """Make every requirement a solve context reports ``shift(value)`` instead of its value."""
+    real = MembershipOracle.requirement
+
+    def broken(self, position):
+        result = real(self, position)
+        result.value = shift(result.value)
+        return result
+
+    monkeypatch.setattr(MembershipOracle, "requirement", broken)
+
+
 class TestNegativeControls:
     """The harness must have power, not just soundness."""
+
+    @pytest.mark.parametrize("shift, domain, levelset, induced", [
+        (lambda v: v + 1.0, {"boundary": 20}, 10, {"idempotence": 5, "level_set": 4}),
+        (lambda v: math.inf, {"domain": 20}, 39, {"idempotence": 5, "level_set": 13}),
+    ], ids=["plus-one", "plus-inf"])
+    def test_broken_requirement_fails_each_check(self, two_state_market, monkeypatch, shift,
+                                                  domain, levelset, induced):
+        # every value of this AVaR set is finite, so +1 moves the level sets
+        # and +inf also breaks the domain tags
+        a = avar_acceptance(uniform_space(2), 0.5)
+        _break_requirement(monkeypatch, shift)
+        report = check_domain_theorem(a, two_state_market, trials=20, seed=1)
+        assert Counter(v["check"] for v in report.violations) == domain
+        assert all((v["value"], v["cash"]) == ("pos_inf", "finite")
+                   for v in report.violations if v["check"] == "domain")
+        report = check_levelset_theorem(a, two_state_market, grid=5, seed=1)
+        assert [v["expected"] for v in report.violations] == ["outside"] * levelset
+        report = check_induced_set_theorem(a, two_state_market, trials=20, seed=1)
+        assert Counter(v["check"] for v in report.violations) == induced
+
+    def test_swapped_infinite_tags_fail_the_domain_check(self, numeraire_line_market,
+                                                        monkeypatch):
+        # every value the corner set takes at these 30 positions is infinite,
+        # so only a check that compares the tags themselves, not finiteness, sees the swap
+        a = corner_acceptance_r3()
+        assert check_domain_theorem(a, numeraire_line_market, trials=30, seed=1).passed
+        _break_requirement(monkeypatch, lambda v: -v if math.isinf(v) else v)
+        report = check_domain_theorem(a, numeraire_line_market, trials=30, seed=1)
+        assert Counter((v["check"], v["value"], v["cash"]) for v in report.violations) == {
+            ("domain", "pos_inf", "neg_inf"): 15, ("domain", "neg_inf", "pos_inf"): 15}
 
     def test_non_monotone_set(self, numeraire_line_market):
         bad = non_monotone_acceptance_r3()
