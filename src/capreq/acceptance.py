@@ -90,22 +90,24 @@ class PolyhedralRep:
         """
         return self.rhs - self.rows @ y
 
-    def lp(self, y, kernel, moves=(), homogeneous: bool = False,
+    def lp(self, y, kernel, moves=(), cost=None, homogeneous: bool = False,
            nonnegative: bool = False) -> LpProblem:
         """The LP over (m, c, aux) for y + moves^T m - kernel^T c in this system.
 
         Each row of ``moves`` is a direction with its own coefficient m, free
-        or, with ``nonnegative``, at least zero; the LP minimises the sum of
-        the coefficients, and without moves it only asks for feasibility.
+        or, with ``nonnegative``, at least zero; the LP minimises ``cost @ m``,
+        the sum of the coefficients where ``cost`` is None, and without moves
+        it only asks for feasibility. The direct LP over portfolio weights is
+        this LP with the payoffs as moves, the prices as costs and no kernel.
         ``homogeneous`` zeroes the right-hand side, so the LP asks about the
         recession cone of the set instead of the set; the auxiliaries keep
         their signs, which a cone keeps too.
         """
-        lhs = np.column_stack([self.rows @ d for d in moves]
-                              + [-(self.rows @ kernel.T), self.aux])
+        moves = np.reshape(np.asarray(moves, dtype=float), (-1, self.rows.shape[1]))
+        lhs = np.hstack([self.rows @ moves.T, -(self.rows @ kernel.T), self.aux])
         rhs = -(self.rows @ y) if homogeneous else self.rhs_at(y)
         objective = np.zeros(lhs.shape[1])
-        objective[:len(moves)] = 1.0
+        objective[:len(moves)] = 1.0 if cost is None else cost
         nonneg = np.zeros(lhs.shape[1], dtype=bool)
         nonneg[:len(moves)] = nonnegative
         nonneg[lhs.shape[1] - self.n_aux:] = self.aux_nonneg
@@ -141,7 +143,7 @@ def _pure_rep(rows, rhs) -> PolyhedralRep:
     return PolyhedralRep(rows, np.zeros((rows.shape[0], 0)), np.asarray(rhs, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcceptanceSet:
     """Membership oracle over positions plus structural metadata.
 
@@ -154,7 +156,8 @@ class AcceptanceSet:
     of one system needs none, and a union without one is solved system by
     system. The three flags are tri-state: True/False as
     asserted by the constructor, None for unknown; the validator can
-    falsify asserted-True flags by sampling but never certify them.
+    falsify asserted-True flags by sampling but never certify them. Two
+    sets compare equal only when they are the same object.
     """
 
     dim: int

@@ -49,9 +49,12 @@ class MarketParseError(UsageError):
     """Market file is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpace:
-    """Finite probability space: state labels plus strictly positive weights."""
+    """Finite probability space: state labels plus strictly positive weights.
+
+    Two spaces compare equal only when they are the same object.
+    """
 
     labels: tuple[str, ...]
     probs: np.ndarray
@@ -78,9 +81,12 @@ def uniform_space(n: int) -> ScenarioSpace:
     return ScenarioSpace(tuple(f"s{i}" for i in range(n)), np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Market:
-    """Raw market: prices and payoff matrix of the eligible assets (row i = asset i)."""
+    """Raw market: prices and payoff matrix of the eligible assets (row i = asset i).
+
+    Two markets compare equal only when they are the same object.
+    """
 
     space: ScenarioSpace
     prices: np.ndarray
@@ -105,7 +111,7 @@ class Market:
         return self.prices.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidatedMarket:
     """Market with derived structure: span basis, pricing covector, kernel, numeraire.
 
@@ -113,7 +119,8 @@ class ValidatedMarket:
     ``price_covector[i]`` is the price of basis payoff i, so any eligible
     payoff Z prices to ``price_covector @ (m_basis @ Z)``. ``kernel_basis``
     rows are orthonormal, eligible and priced zero; there are dim(M) - 1 of
-    them. ``numeraire`` is a nonnegative eligible payoff of price one.
+    them. ``numeraire`` is a nonnegative eligible payoff of price one. Two
+    validated markets compare equal only when they are the same object.
     """
 
     market: Market

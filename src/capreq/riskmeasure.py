@@ -31,11 +31,21 @@ or unbounded basis wherever it still certifies the status there, and
 from the optimal outcome by the dual simplex, in no pivot where its basis
 still fits and a few where it does not. The module functions are
 one-shot: each builds a context for its one position, so it solves every
-LP cold and keeps nothing.
+LP cold and keeps no outcome.
+
+The only state shared across calls is each system's position-free LP
+(``_template``): its matrix, costs and signs, validated and standardised
+once per (system, market, kind). It holds no basis, ray or dual, it is
+immutable, and the map holds the system and the market weakly, so an
+entry goes with either. Contexts and one-shot calls pose it at their
+position by ``LpProblem.with_rhs``, which gives the LP a fresh build
+would, bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +54,7 @@ import numpy as np
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
 from .linprog import (DEFAULT_FEAS_TOL, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, _dual_support,
-                      make_problem, repose, solve_lp)
+                      repose, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -116,9 +126,41 @@ def _exact_systems(a: AcceptanceSet, vm: ValidatedMarket) -> tuple[PolyhedralRep
     return a.systems
 
 
+_TEMPLATES = weakref.WeakKeyDictionary()   # ValidatedMarket -> kind -> PolyhedralRep -> LpProblem
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _template(kind: str, rep: PolyhedralRep, vm: ValidatedMarket) -> LpProblem:
+    """System ``rep``'s LP of ``kind`` on ``vm`` at the zero position, built once per triple.
+
+    ``direct`` is the LP over portfolio weights (the payoffs as moves at
+    the prices), ``cash`` the LP over (cash, kernel coordinates) and
+    ``witness`` the zero-cost one over kernel coordinates; all three carry
+    the system's auxiliaries. Only the right-hand side depends on the
+    position, so a caller poses it by ``with_rhs(rep.rhs_at(y))``. The map
+    keys the market and the system weakly and keeps no outcome. It is keyed
+    by market first, so a set of many systems costs one weak reference per
+    system and kind, not a map each.
+    """
+    with _TEMPLATES_LOCK:
+        by_kind = _TEMPLATES.setdefault(vm, {})
+        by_rep = by_kind.get(kind)
+        if by_rep is None:
+            by_rep = by_kind[kind] = weakref.WeakKeyDictionary()
+        lp = by_rep.get(rep)
+        if lp is None:
+            zero = np.zeros(vm.n_states)
+            if kind == "direct":   # no kernel: the weights span every eligible payoff
+                lp = rep.lp(zero, np.zeros((0, vm.n_states)), vm.market.payoffs, vm.market.prices)
+            else:
+                lp = rep.lp(zero, vm.kernel_basis, [vm.numeraire] if kind == "cash" else ())
+            by_rep[rep] = lp
+        return lp
+
+
 @dataclass
 class _Kept:
-    """One system's LP of one kind, as first built, and the outcomes kept to re-pose it."""
+    """One system's LP of one kind (its template) and the outcomes kept to re-pose it."""
 
     lp: LpProblem
     rays: list = field(default_factory=list)        # infeasible, one per Farkas-ray support
@@ -134,9 +176,10 @@ class MembershipOracle:
     weights (``requirement``), the cash LP over (cash, kernel coordinates,
     auxiliaries) (``cash_lp``) and the zero-cost witness LP (``witness``,
     ``contains``). Only their right-hand side depends on the position
-    (``PolyhedralRep.rhs_at``). So the context builds each system's LP of
-    each kind at its first use and re-poses it by ``LpProblem.with_rhs``
-    after that, and it keeps the outcomes that LP's solves ended on
+    (``PolyhedralRep.rhs_at``). So the context poses each system's LP of
+    each kind from its template (``_template``) at its first use and
+    re-poses it by ``LpProblem.with_rhs`` after that, and it keeps the
+    outcomes that LP's solves ended on
     (``_Kept``): one Farkas ray per distinct support, found by a cold solve
     or by a dual re-solve that stopped at a row proving infeasibility, the
     latest optimal outcome, cold or re-posed, and one unbounded basis per
@@ -158,9 +201,11 @@ class MembershipOracle:
     and where the optimum is not unique, possibly another optimal point of
     the same value.
 
-    A context belongs to one caller, who decides how long its LPs live; the
-    module's functions (``solve_rho``, ``rho_reduction``, ...) each build
-    their own for one position, so they stay pure and solve every LP cold.
+    A context belongs to one caller, who decides how long its outcomes
+    live; the module's functions (``solve_rho``, ``rho_reduction``, ...)
+    each build their own for one position, so they stay pure and solve
+    every LP cold. The only state shared across contexts and calls is each
+    system's position-free LP template, which is immutable and weakly held.
     Every LP is solved to the feasibility tolerance ``tol``. A set known
     only through membership is refused (``NotPolyhedral``).
     """
@@ -176,22 +221,14 @@ class MembershipOracle:
     def _solve(self, kind: str, index: int, y: np.ndarray) -> tuple[LpProblem, LpOutcome]:
         """System ``index``'s LP of ``kind`` at position y and its outcome."""
         rep = self.a.systems[index]
-        kept, out, stored = self._kept.get((kind, index)), None, None
+        kept = self._kept.get((kind, index))
         if kept is None:
-            if kind == "direct":
-                s0, s1 = self.vm.market.prices, self.vm.market.payoffs
-                lp = make_problem(np.concatenate([s0, np.zeros(rep.n_aux)]),
-                                  np.hstack([rep.rows @ s1.T, rep.aux]), rep.rhs_at(y),
-                                  np.concatenate([np.zeros(len(s0), dtype=bool), rep.aux_nonneg]))
-            else:
-                lp = rep.lp(y, self.kernel, [self.vm.numeraire] if kind == "cash" else ())
-            kept = self._kept[kind, index] = _Kept(lp)
-        else:
-            lp = kept.lp.with_rhs(rep.rhs_at(y))
-            for stored in (*kept.rays, *kept.optimal, *kept.unbounded):
-                out = repose(lp, stored, self.tol)
-                if out is not None:
-                    break
+            kept = self._kept[kind, index] = _Kept(_template(kind, rep, self.vm))
+        lp, out, stored = kept.lp.with_rhs(rep.rhs_at(y)), None, None
+        for stored in (*kept.rays, *kept.optimal, *kept.unbounded):
+            out = repose(lp, stored, self.tol)
+            if out is not None:
+                break
         if out is None:
             out = solve_lp(lp, tol=self.tol)
             # an unbounded basis is kept once per set of columns
@@ -327,7 +364,9 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     """Requirement along the numeraire modulo the pricing kernel.
 
     One cash-minimising LP per system (``MembershipOracle.cash_lp`` on a
-    context of its own), whose value in [-inf, +inf] is the requirement.
+    context of its own, so every LP is solved cold; only each system's
+    immutable, weakly held LP template is shared across calls), whose value
+    in [-inf, +inf] is the requirement.
     Its payoff is reported as ``attained`` when it moves the position into
     the set (``member``) at the value's price.
     """
@@ -419,7 +458,9 @@ def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
                   tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement as a single LP over portfolio weights (sets of exactly one system).
 
-    One-shot: the LP is solved cold on a context of its own.
+    One-shot: the LP is solved cold on a context of its own. The only state
+    shared across calls is the system's position-free LP template, which is
+    immutable and weakly held (``_template``).
     """
     if a.only_system is None:
         raise NotPolyhedral("the direct LP needs exactly one polyhedral system")
@@ -442,14 +483,20 @@ def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
     and drops the rest. It reports the value, payoff and system (the
     earliest on ties, the first unbounded) a full scan does. At 10-14
     equiprobable states it solves about 6.4 of 45-91 LPs, and at 16 states
-    and alpha 0.25 a median of 20 of 1,820.
+    and alpha 0.25 a median of 20 of 1,820. One-shot: every LP is solved
+    cold on a context of its own; only each system's immutable, weakly held
+    LP template is shared across calls.
     """
     return MembershipOracle(a, vm, tol)._requirement(position, "var_enum")
 
 
 def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
               tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
-    """Requirement by the direct LP: one for a set of one system, else the union scan."""
+    """Requirement by the direct LP: one for a set of one system, else the union scan.
+
+    One-shot, as ``rho_direct_lp`` and ``rho_var_exact`` are: every LP is
+    solved cold, and only the systems' LP templates are shared across calls.
+    """
     if a.only_system is not None:
         return rho_direct_lp(a, vm, position, tol)
     return rho_var_exact(a, vm, position, tol)

@@ -21,7 +21,7 @@ from capreq.acceptance import (PROB_EPS, AcceptanceParseError, BadNormal,
                                intersect, load_acceptance, loss_probability,
                                oracle_acceptance, positive_cone,
                                validate_acceptance, var_acceptance)
-from capreq.market import ScenarioSpace, uniform_space
+from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.linprog import OPTIMAL, make_problem, solve_lp
 
 
@@ -426,10 +426,15 @@ def test_loss_probability_treats_zero_as_non_loss():
 
 
 def test_blocks_compare_by_identity():
-    # blocks hold arrays, so equal data cannot give one truth value:
-    # == is identity and never raises
+    # blocks, sets, spaces and markets hold arrays, so equal data cannot
+    # give one truth value: == is identity and never raises
+    def market():
+        return Market(uniform_space(2), [1.0, 1.0], [[1.0, 1.0], [2.0, 0.5]])
+
     for make in (lambda: ac.PolyhedralRep(np.eye(2), np.ones((2, 2)), [0.0, 1.0]),
-                 lambda: ac.RowIncidence((np.array([0, 1]), np.array([1, 2])))):
+                 lambda: ac.RowIncidence((np.array([0, 1]), np.array([1, 2]))),
+                 lambda: positive_cone(2), lambda: uniform_space(2), market,
+                 lambda: validate_market(market())):
         block = make()
         assert block == block
         assert block != make()

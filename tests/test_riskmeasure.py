@@ -1,11 +1,16 @@
 """Requirement solvers: strategy examples, agreement, axioms, degeneracy."""
 
+import gc
 import itertools
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import capreq.linprog as lpmod
 import capreq.riskmeasure as rm
 from capreq.acceptance import (MAX_SYSTEMS, PROB_EPS, AcceptanceSet, DimensionMismatch,
                                PolyhedralRep, avar_acceptance, compute_avar, feasible_loss_sets,
@@ -846,6 +851,81 @@ class TestSolveContext:
         for a, vm in _context_instances(rng, 10):
             x = rng.uniform(-5.0, 5.0, size=vm.n_states)
             solve_rho(a, vm, x), rho_reduction(a, vm, x)
+
+
+def _template_sets(space):
+    """The cone, an AVaR set and a VaR union of 15 systems, on 6 equiprobable states."""
+    return (positive_cone(6), avar_acceptance(space, 0.4), var_acceptance(space, 0.35))
+
+
+def _fresh_copy(vm):
+    """``vm`` validated anew from copies of its data: equal arrays, another object."""
+    m = vm.market
+    return validate_market(Market(m.space, m.prices.copy(), m.payoffs.copy()))
+
+
+def _answers(a, vm, x):
+    """solve_rho's and rho_reduction's values (``float.hex``) and payoffs (bytes) at x."""
+    return [(float(r.value).hex(), None if r.optimal_payoff is None else r.optimal_payoff.tobytes())
+            for r in (solve_rho(a, vm, x), rho_reduction(a, vm, x))]
+
+
+class TestLpTemplates:
+    """One-shot calls pose each system's LP from a template kept per (system, market, kind)."""
+
+    def test_each_matrix_standardised_once_with_unchanged_answers(self, monkeypatch):
+        built, touched, real_standard, real_solve = [], [], lpmod._Standard, rm.solve_lp
+        monkeypatch.setattr(lpmod, "_Standard", lambda lp: built.append(1) or real_standard(lp))
+        monkeypatch.setattr(rm, "solve_lp", lambda lp, *args, **kw:
+                            touched.append(lp._std) or real_solve(lp, *args, **kw))
+        rng = np.random.default_rng(149)
+        vm = random_market(rng, n_states=6, uniform_probs=True)
+        for a in _template_sets(vm.space):
+            positions = rng.uniform(-5.0, 5.0, size=(24, 6))
+            built.clear(), touched.clear()
+            warm = [_answers(a, vm, x) for x in positions]
+            # one standard form per (system, kind) solved, direct or cash, over all 48 calls
+            distinct = len({id(std) for std in touched})
+            assert len(built) == distinct <= 2 * len(a.systems) and len(touched) >= 48
+            # a cold template map builds the same LPs: the same bits
+            assert warm == [_answers(a, _fresh_copy(vm), x) for x in positions]
+        assert len(a.systems) == 15 and distinct > 2
+        # the same systems on another market pose that market's LPs
+        other, x = random_market(rng, n_states=6, uniform_probs=True), positions[0]
+        assert _answers(a, other, x) == _answers(var_acceptance(other.space, 0.35), other, x)
+
+    def test_templates_hold_neither_set_nor_market(self):
+        rng = np.random.default_rng(151)
+        vm = random_market(rng, n_states=6, uniform_probs=True)
+        a = var_acceptance(vm.space, 0.35)
+        _answers(a, vm, rng.uniform(-5.0, 5.0, size=6))
+        system, market = weakref.ref(a.systems[0]), weakref.ref(vm)
+        del a
+        gc.collect()
+        assert system() is None and market() is not None
+        del vm
+        gc.collect()
+        assert market() is None
+
+    def test_threads_answer_as_a_sequential_run(self):
+        # four workers race to build the templates of one (set, market) pair
+        rng = np.random.default_rng(157)
+        vm = random_market(rng, n_states=6, uniform_probs=True)
+        positions = rng.uniform(-5.0, 5.0, size=(12, 6))
+        copy = _fresh_copy(vm)
+        want = [_answers(a, copy, x) for a in _template_sets(copy.space) for x in positions]
+        sets = _template_sets(vm.space)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda: [_answers(a, vm, x)
+                                                for a in sets for x in positions])
+                           for _ in range(4)]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 4
 
 
 class TestAvarSignAsBound:
