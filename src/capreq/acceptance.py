@@ -5,8 +5,8 @@ position space, and is monotone (adding a nonnegative payoff never breaks
 acceptability). This module provides the standard constructions - the
 positive cone, value-at-risk and average-value-at-risk sublevel sets,
 monotone halfspaces and intersections - each as a finite union of
-polyhedral systems that the solvers exploit, and a sampling validator that
-can falsify asserted structure.
+polyhedral systems, which is what the solvers and the property checks
+take; membership is a predicate on top of them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,8 +27,6 @@ MEMBER_TOL = 1e-9
 PROB_EPS = 1e-12
 ENUM_CAP = 16   # most states whose loss sets are enumerated
 MAX_SYSTEMS = math.comb(16, 8)   # most systems an enumerable VaR set has (12,870)
-
-TriState = Optional[bool]
 
 
 class DimensionMismatch(CapreqError, ValueError):
@@ -145,7 +143,7 @@ def _pure_rep(rows, rhs) -> PolyhedralRep:
 
 @dataclass(frozen=True, eq=False)
 class AcceptanceSet:
-    """Membership oracle over positions plus structural metadata.
+    """A set of positions: the union of its polyhedral systems, with a membership test.
 
     ``member`` must be pure. ``non_member`` witnesses properness. The set is
     the union of ``systems``, a tuple, and the solvers take only such sets:
@@ -154,10 +152,7 @@ class AcceptanceSet:
     systems built here carries their ``incidence`` on its distinct rows,
     which lets the solvers skip systems a solved one already bounds; a set
     of one system needs none, and a union without one is solved system by
-    system. The three flags are tri-state: True/False as
-    asserted by the constructor, None for unknown; the validator can
-    falsify asserted-True flags by sampling but never certify them. Two
-    sets compare equal only when they are the same object.
+    system. Two sets compare equal only when they are the same object.
     """
 
     dim: int
@@ -166,9 +161,6 @@ class AcceptanceSet:
     kind: str = "oracle"
     systems: tuple[PolyhedralRep, ...] | str | None = None
     incidence: RowIncidence | None = None
-    is_convex: TriState = None
-    is_cone: TriState = None
-    closed_under_addition: TriState = None
     member_tol: float = MEMBER_TOL
 
     def __post_init__(self):
@@ -198,7 +190,6 @@ def positive_cone(n: int) -> AcceptanceSet:
     return AcceptanceSet(
         dim=n, member=member, non_member=witness, kind="positive_cone",
         systems=(_pure_rep(np.eye(n), np.zeros(n)),),
-        is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
 
@@ -220,7 +211,6 @@ def halfspace_acceptance(normal) -> AcceptanceSet:
     return AcceptanceSet(
         dim=w.shape[0], member=member, non_member=-unit / float(np.linalg.norm(unit)),
         kind="halfspace", systems=(_pure_rep(unit.reshape(1, -1), np.zeros(1)),),
-        is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
 
@@ -330,7 +320,7 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     dominates (then the set is an intersection of halfspaces), which covers
     the small-alpha case where it collapses to the positive cone. Above
     ENUM_CAP states the loss sets are not enumerated: the set is refused by
-    the solvers and the flag stays unknown.
+    the solvers.
     """
     _check_alpha(alpha)
     tol = MEMBER_TOL
@@ -339,18 +329,16 @@ def var_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     def member(x: np.ndarray) -> bool:
         return loss_probability(space, x, tol) <= alpha + PROB_EPS
 
-    systems, incidence, convex = f"{n} states exceed the enumeration cap {ENUM_CAP}", None, None
+    systems, incidence = f"{n} states exceed the enumeration cap {ENUM_CAP}", None
     if n <= ENUM_CAP:
         # system J keeps the rows e_w, w not in J, so its distinct rows are its kept states
         eye, states = np.eye(n), np.arange(n)
         kept = tuple(np.delete(states, j) for j in feasible_loss_sets(space, alpha))
         systems = tuple(_pure_rep(eye[k], np.zeros(len(k))) for k in kept)
-        convex = len(systems) == 1
-        incidence = None if convex else RowIncidence(kept)
+        incidence = None if len(systems) == 1 else RowIncidence(kept)
     return AcceptanceSet(
         dim=n, member=member, non_member=-np.ones(n),
-        kind="var", systems=systems, incidence=incidence, is_convex=convex, is_cone=True,
-        closed_under_addition=convex,
+        kind="var", systems=systems, incidence=incidence,
     )
 
 
@@ -382,7 +370,6 @@ def avar_acceptance(space: ScenarioSpace, alpha: float) -> AcceptanceSet:
     return AcceptanceSet(
         dim=n, member=member, non_member=-np.ones(n),
         kind="avar", systems=(PolyhedralRep(rows, aux, np.zeros(n + 1), nonneg),),
-        is_convex=True, is_cone=True, closed_under_addition=True,
     )
 
 
@@ -401,16 +388,10 @@ def intersect(sets: list[AcceptanceSet]) -> AcceptanceSet:
     def member(x: np.ndarray) -> bool:
         return all(a.member(x) for a in parts)
 
-    def combine(flags) -> TriState:
-        return True if all(f is True for f in flags) else None
-
     systems, incidence = _product([a.systems for a in parts])
     return AcceptanceSet(
         dim=dim, member=member, non_member=parts[0].non_member.copy(),
         kind="intersection", systems=systems, incidence=incidence,
-        is_convex=combine([a.is_convex for a in parts]),
-        is_cone=combine([a.is_cone for a in parts]),
-        closed_under_addition=combine([a.closed_under_addition for a in parts]),
     )
 
 
@@ -459,115 +440,14 @@ def _stack(reps) -> PolyhedralRep:
                          np.concatenate([rep.aux_nonneg for rep in reps]))
 
 
-def oracle_acceptance(dim: int, member: Callable[[np.ndarray], bool], non_member,
-                      is_convex: TriState = None, is_cone: TriState = None,
-                      closed_under_addition: TriState = None) -> AcceptanceSet:
-    """Wrap a user-supplied membership oracle with asserted (falsifiable) flags.
+def oracle_acceptance(dim: int, member: Callable[[np.ndarray], bool],
+                      non_member) -> AcceptanceSet:
+    """Wrap a user-supplied membership oracle as a set without systems.
 
-    The set has no systems, so the sampling validator and the sampled
-    recession probe take it, and every solver refuses it.
+    Every solver and property check refuses it (``NotPolyhedral``).
     """
     return AcceptanceSet(dim=dim, member=member,
-                         non_member=np.asarray(non_member, dtype=float),
-                         kind="oracle", is_convex=is_convex, is_cone=is_cone,
-                         closed_under_addition=closed_under_addition)
-
-
-@dataclass
-class AcceptanceValidationReport:
-    """Outcome of the sampling validator; empty violation list means pass."""
-
-    checks_run: int
-    violations: list[dict] = field(default_factory=list)
-    flags_falsified: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations and not self.flags_falsified
-
-
-def validate_acceptance(a: AcceptanceSet, sample_count: int = 200,
-                        rng_seed: int = 0) -> AcceptanceValidationReport:
-    """Check the acceptance-set axioms and falsify asserted flags by sampling.
-
-    Verifies 0-membership, the stored properness witness, and monotonicity
-    on random (member, nonnegative bump) pairs. For flags asserted True it
-    searches for midpoint / scaling / addition counterexamples; sampling can
-    only ever falsify, never certify.
-    """
-    rng = np.random.default_rng(rng_seed)
-    n = a.dim
-    report = AcceptanceValidationReport(checks_run=0)
-
-    report.checks_run += 1
-    if not a(np.zeros(n)):
-        report.violations.append({"check": "zero_member", "point": [0.0] * n})
-    report.checks_run += 1
-    if a(a.non_member):
-        report.violations.append({"check": "proper", "point": a.non_member.tolist()})
-
-    members = [np.zeros(n), np.ones(n)]
-    attempts = 0
-    while len(members) < sample_count and attempts < 20 * sample_count:
-        x = rng.uniform(-5.0, 5.0, size=n)
-        attempts += 1
-        if a(x):
-            members.append(x)
-
-    for x in members[:sample_count]:
-        report.checks_run += 1
-        bump = rng.uniform(0.0, 3.0, size=n)
-        if not a(x + bump):
-            report.violations.append({"check": "monotone", "point": x.tolist(),
-                                      "bump": bump.tolist()})
-
-    if a.is_cone is True:
-        for x in members[:sample_count]:
-            report.checks_run += 1
-            for lam in (0.5, 2.0):
-                if not a(lam * x):
-                    report.flags_falsified["is_cone"] = {"point": x.tolist(), "lambda": lam}
-                    break
-            if "is_cone" in report.flags_falsified:
-                break
-
-    if a.is_convex is True and len(members) >= 2:
-        for _ in range(sample_count):
-            report.checks_run += 1
-            i, j = rng.integers(0, len(members), size=2)
-            mid = 0.5 * (members[i] + members[j])
-            if not a(mid):
-                report.flags_falsified["is_convex"] = {
-                    "a": members[i].tolist(), "b": members[j].tolist()}
-                break
-
-    if a.closed_under_addition is True and len(members) >= 2:
-        for _ in range(sample_count):
-            report.checks_run += 1
-            i, j = rng.integers(0, len(members), size=2)
-            if not a(members[i] + members[j]):
-                report.flags_falsified["closed_under_addition"] = {
-                    "a": members[i].tolist(), "b": members[j].tolist()}
-                break
-
-    return report
-
-
-def find_convexity_violation(a: AcceptanceSet, rng_seed: int = 0,
-                             trials: int = 2000) -> tuple[np.ndarray, np.ndarray] | None:
-    """Search for two members whose midpoint falls outside (evidence of non-convexity)."""
-    rng = np.random.default_rng(rng_seed)
-    n = a.dim
-    members = []
-    for _ in range(trials):
-        x = rng.uniform(-5.0, 5.0, size=n)
-        if a(x):
-            members.append(x)
-        if len(members) >= 2:
-            for other in members[:-1]:
-                if not a(0.5 * (x + other)):
-                    return other, x
-    return None
+                         non_member=np.asarray(non_member, dtype=float), kind="oracle")
 
 
 def load_acceptance(source, space: ScenarioSpace) -> AcceptanceSet:

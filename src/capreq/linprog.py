@@ -43,8 +43,8 @@ block (below).
 
 At these sizes a call costs Python and numpy call overhead, not
 arithmetic, so the work is split by what it depends on. Once per matrix,
-when an ``LpProblem`` is built: validation, the unscaled standard block
-and objective, and each row's largest entry (``_Standard``).
+when an ``LpProblem`` is built: validation, the standard objective and
+column signs, and each row's largest entry (``_Standard``).
 ``LpProblem.with_rhs`` shares all of it, so a matrix re-solved for many
 right-hand sides pays for it once. On every call: the right-hand side,
 the row scales and the scaled block, the first row to leave, both
@@ -219,30 +219,30 @@ class LpOutcome:
 class _Standard:
     """What ``solve_lp`` derives from a problem's data other than its right-hand side.
 
-    The problem becomes min c @ u s.t. a @ u = rhs over the standard
-    columns u = (x, s): the n original columns, whole, then one slack per
-    row with entry -1, so a = [lhs | -I] and c = [objective | 0]. ``free``
-    flags the standard columns without a sign bound, the original free
-    ones; every other column, slacks included, is >= 0. A free column is
-    not split into a difference of two bounded ones: the simplex lets it
-    enter in either direction and never chooses it to leave.
+    The problem becomes min c @ u s.t. [lhs | -I] u = rhs over the
+    standard columns u = (x, s): the n original columns, whole, then one
+    slack per row with entry -1, and c = [objective | 0]. The block itself
+    is not kept: ``solve_lp`` writes ``lhs`` and the slack diagonal into
+    its tableau. ``free`` flags the standard columns without a sign bound,
+    the original free ones; every other column, slacks included, is >= 0.
+    A free column is not split into a difference of two bounded ones: the
+    simplex lets it enter in either direction and never chooses it to
+    leave.
 
-    ``row_max`` holds each row's largest |a|, at least the slack's 1,
-    which row equilibration needs.
+    ``row_max`` holds each row's largest entry of the block in magnitude,
+    max(1, max |lhs|) counting the slack's 1, which row equilibration
+    needs.
     """
 
-    __slots__ = ("free", "a", "c", "row_max")
+    __slots__ = ("free", "c", "row_max")
 
     def __init__(self, problem: LpProblem):
         m, n = problem.lhs.shape
         self.free = np.zeros(n + m, dtype=bool)
         self.free[:n] = ~problem.nonneg
-        self.a = np.zeros((m, n + m))
-        self.a[:, :n] = problem.lhs
-        np.fill_diagonal(self.a[:, n:], -1.0)
         self.c = np.zeros(n + m)
         self.c[:n] = problem.objective
-        self.row_max = np.abs(self.a).max(axis=1)
+        self.row_max = np.maximum(np.abs(problem.lhs).max(axis=1), 1.0)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -438,7 +438,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
         raise MalformedProblem("tolerances must be positive and finite")
 
     std = problem._std
-    m, n_std = std.a.shape
+    m, n = problem.lhs.shape
+    n_std = n + m
     # each row's scale keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^33) entries).
     # row_max counts the slack's 1, so every scale is at least 1
@@ -446,17 +447,23 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     if np.count_nonzero(row_scale >= 1.0 / PIVOT_TOL):
         raise NumericalBreakdown("a row's scale reaches 1/PIVOT_TOL, so its slack cannot pivot")
 
-    # slack starting basis: row i starts on its slack, column n_std - m + i,
+    # slack starting basis: row i starts on its slack, column n + i,
     # once the row is divided by its scale and then by the slack's scaled
     # entry -1/scale_i. The round trip, not an exact negation, is what makes
     # an entry that the scaling underflows count as zero
     mult = 1.0 / (-1.0 / row_scale)
-    basis = np.arange(n_std - m, n_std)
-    slacks = slice(n_std - m, n_std)
-    # columns: standard | right-hand side; phase 1 runs on a zero cost row
+    basis = np.arange(n, n_std)
+    slacks = slice(n, n_std)
+    # columns: standard | right-hand side; phase 1 runs on a zero cost row.
+    # Rows [lhs | -I | rhs] are written, then scaled in place; the slack
+    # diagonal, entry (i, n + i), sits n_std + 2 apart in the flat view
     tableau = np.zeros((m + 1, n_std + 1))
-    tableau[:m, :n_std] = std.a / row_scale[:, None] * mult[:, None]
-    tableau[:m, -1] = problem.rhs / row_scale * mult
+    tableau[:m, :n] = problem.lhs
+    tableau.reshape(-1)[n:m * (n_std + 2):n_std + 2] = -1.0
+    tableau[:m, -1] = problem.rhs
+    body = tableau[:m]
+    body /= row_scale[:, None]
+    body *= mult[:, None]
     # the most violated row, relative to its scale, leaves first (lowest row
     # on ties); with no violated row phase 1 makes no pivot
     ratio = tableau[:m, -1] / row_scale

@@ -512,10 +512,10 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
     the old ones keeping their signs. A shared row gains the same entries in
     every system, so the source's ``incidence`` carries over. ``member`` is
     one cash LP scan (requirement <= ``BISECT_TOL``) on a context of its own,
-    so the set keeps no solver state between calls. Inherits the structural
-    flags of the source set. Raises ``NotPolyhedral`` for a set known only
-    through membership, and ``DegenerateAcceptance`` if the requirement is
-    -inf at zero (the induced set would be the whole space, not proper).
+    so the set keeps no solver state between calls. Raises
+    ``NotPolyhedral`` for a set known only through membership, and
+    ``DegenerateAcceptance`` if the requirement is -inf at zero (the
+    induced set would be the whole space, not proper).
     """
     at_zero = MembershipOracle(a, vm, tol).cash_lp(np.zeros(a.dim))[0]
     if at_zero == NEG_INF:
@@ -531,8 +531,5 @@ def induced_rho_acceptance(a: AcceptanceSet, vm: ValidatedMarket,
 
     return AcceptanceSet(
         dim=a.dim, member=member, non_member=-(max(at_zero, 0.0) + 1.0) * vm.numeraire,
-        kind="induced", systems=systems, incidence=a.incidence,
-        is_convex=a.is_convex, is_cone=a.is_cone,
-        closed_under_addition=a.closed_under_addition,
-        member_tol=BISECT_TOL,
+        kind="induced", systems=systems, incidence=a.incidence, member_tol=BISECT_TOL,
     )

@@ -19,6 +19,13 @@ the domain/finiteness characterization, the two degeneracy conditions, the
 acceptance-set variation identity, the good-deal biconditional, the induced
 acceptance set, and the equality of directional and topological operators
 on polyhedral instances.
+
+Every check takes a set given by its polyhedral systems and refuses one
+known only through membership (``NotPolyhedral``). A claim about the set
+alone, not about positions, is decided by LPs per system and samples
+nothing: the degeneracy certificates on a set of one system, and the
+good-deal biconditional, whose hypothesis, kernel witness and good deal
+are each an LP from the zero position.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .directional import PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_memb
 from .linprog import DEFAULT_FEAS_TOL, solve_lp
 from .market import ValidatedMarket
 from .riskmeasure import (BISECT_TOL, MembershipOracle, NEG_INF, POS_INF, NotPolyhedral,
-                          RiskResult, induced_rho_acceptance, solve_rho)
+                          RiskResult, _exact_systems, induced_rho_acceptance, solve_rho)
 
 
 @dataclass
@@ -268,8 +275,8 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     auxiliaries (AVaR) included: B is the whole space iff it holds 0 and
     its recession cone holds e_1, ..., e_n and -(e_1 + ... + e_n), each one
     feasibility LP on the membership oracle's block (with a zero
-    right-hand side for the cone). Sets of several systems or none are
-    reported as not certifiable and nothing is asserted on coverage.
+    right-hand side for the cone). A union of several systems is reported
+    as not certifiable, both notes read None, and nothing is asserted.
     """
     context = MembershipOracle(a, vm, tol)
     rng = np.random.default_rng(seed)
@@ -278,16 +285,16 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
     probes = [_sample_position(rng, n) for _ in range(grid)]
     probes.append(np.zeros(n))
 
-    whole_space = None
+    whole_space = minus_u_recedes = None
     if (rep := a.only_system) is not None:
         whole_space = _whole_space(rep, vm.kernel_basis, tol)
+        minus_u_recedes = rec_member(a, -vm.numeraire)
     else:
         report.notes.append("not one polyhedral system; coverage not certified")
     report.notes.append(f"whole_space_certified={whole_space}")
 
-    minus_u_recedes = rec_member(a, -vm.numeraire)
-    report.notes.append(f"minus_numeraire_recedes={minus_u_recedes.verdict}"
-                        f" exact={minus_u_recedes.exact}")
+    report.notes.append(f"minus_numeraire_recedes={minus_u_recedes}"
+                        f" exact={minus_u_recedes is not None}")
 
     for x in probes:
         report.trials += 1
@@ -295,7 +302,7 @@ def check_degeneracy_lemmas(a: AcceptanceSet, vm: ValidatedMarket, grid: int = 2
         if whole_space is True and value != NEG_INF:
             report.violation(check="whole_space_degeneracy", x=_listify(x),
                              value=value if math.isfinite(value) else _tag(value))
-        if minus_u_recedes.verdict is True and minus_u_recedes.exact and math.isfinite(value):
+        if minus_u_recedes is True and math.isfinite(value):
             report.violation(check="recession_dichotomy", x=_listify(x), value=value)
     return report
 
@@ -374,52 +381,54 @@ def check_variation_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 5
     return report
 
 
-def check_good_deal_lemma(a: AcceptanceSet, vm: ValidatedMarket, trials: int = 400,
-                          seed: int = 0) -> PropertyReport:
+def check_good_deal_lemma(a: AcceptanceSet, vm: ValidatedMarket,
+                          tol: float = DEFAULT_FEAS_TOL) -> PropertyReport:
     """Good deals exist iff the acceptance set meets the pricing kernel nontrivially.
 
-    Hypothesis guard: the set must not contain any negative multiple of the
-    numeraire (checked on a scale ladder; failure is reported, and the
-    biconditional is not asserted). A kernel witness is automatically a good
-    deal (price zero); conversely a good deal with the numeraire component
-    stripped must be a nonzero kernel element of the set, and that
-    constructive step is what the check asserts.
+    A good deal is a nonzero eligible payoff -s U + K^T c of the set with
+    price -s <= 0. Each question is an LP per system (``PolyhedralRep.lp``,
+    from the zero position), decided past ``tol``:
+
+    * hypothesis: the set holds no -t U with t > 0 (max t >= 0 with -t U
+      in the system). Where it fails, this is noted, every system counts
+      as inconclusive and the biconditional is not asserted;
+    * kernel witness: the system holds a nonzero K^T c (min of c_j and of
+      -c_j over K^T c in the system, 2k LPs for a kernel of dimension k);
+      a witness is a good deal of price 0;
+    * a good deal of negative price: max s >= 0 with -s U + K^T c in the
+      system.
+
+    The check asserts the biconditional on the union: a good deal without
+    a kernel witness is a ``biconditional`` violation. On a monotone set
+    the step holds by stripping the numeraire: -s U + K^T c lies below
+    K^T c, which is nonzero under the hypothesis, since U >= 0. A set
+    without systems is refused (``NotPolyhedral``).
     """
-    rng = np.random.default_rng(seed)
-    report = PropertyReport("good_deal_lemma", trials=trials, seed=seed)
-    u = vm.numeraire
+    systems = _exact_systems(a, vm)
+    report = PropertyReport("good_deal_lemma", trials=len(systems))
+    n, u, kernel = vm.n_states, vm.numeraire, vm.kernel_basis
+    origin, no_kernel = np.zeros(n), np.zeros((0, n))
+    signed = np.vstack([np.eye(len(kernel)), -np.eye(len(kernel))])
 
-    for t in (1e-6, 1e-3, 0.1, 1.0, 10.0):
-        if a(-t * u):
-            report.notes.append(f"hypothesis_failed: contains -{t} * numeraire")
-            report.inconclusive = trials
-            return report
+    def lowest(problem) -> float:
+        return solve_lp(problem, tol).objective_value
 
-    kernel_dim = vm.kernel_basis.shape[0]
-    good_deal = None
-    kernel_witness = None
-    for trial in range(trials):
-        coords = rng.uniform(-3.0, 3.0, size=kernel_dim)
-        k = vm.kernel_basis.T @ coords
-        if np.abs(k).max(initial=0.0) > 1e-9 and a(k):
-            kernel_witness = k
-        z = _sample_eligible(rng, vm)
-        if np.abs(z).max(initial=0.0) > 1e-9 and a(z) and vm.price(z) <= 1e-9:
-            good_deal = z
-        if good_deal is not None and kernel_witness is not None:
-            break
+    most_t = max(-lowest(rep.lp(origin, no_kernel, [-u], [-1.0], nonnegative=True))
+                 for rep in systems)
+    if most_t > tol:
+        report.notes.append(f"hypothesis_failed: contains -t * numeraire for t up to {most_t}")
+        report.inconclusive = report.trials
+        return report
 
-    report.notes.append(f"good_deal_found={good_deal is not None}")
-    report.notes.append(f"kernel_witness_found={kernel_witness is not None}")
-
-    if good_deal is not None and kernel_witness is None:
-        # strip the numeraire component: the result is a kernel element and
-        # must witness the other side of the biconditional
-        stripped = good_deal - vm.price(good_deal) * u
-        nonzero = np.abs(stripped).max(initial=0.0) > 1e-9
-        if not (nonzero and a(stripped)):
-            report.violation(check="biconditional", good_deal=_listify(good_deal),
-                             stripped=_listify(stripped), stripped_member=bool(a(stripped)))
+    kernel_witness = any(lowest(rep.lp(origin, no_kernel, kernel, cost)) < -tol
+                         for rep in systems for cost in signed)
+    priced_deal = None if kernel_witness else next(
+        (i for i, rep in enumerate(systems)
+         if lowest(rep.lp(origin, kernel, [-u], [-1.0], nonnegative=True)) < -tol), None)
+    report.notes.append(f"good_deal_found={kernel_witness or priced_deal is not None}")
+    report.notes.append(f"kernel_witness_found={kernel_witness}")
+    if priced_deal is not None:
+        report.violation(check="biconditional", system=priced_deal)
     return report
 
 

@@ -100,8 +100,7 @@ def corner_acceptance_r3() -> AcceptanceSet:
 
     return AcceptanceSet(
         dim=3, member=member, non_member=np.array([-1.0, -1.0, -1.0]),
-        kind="corner", systems=(PolyhedralRep(rows, np.zeros((2, 0)), np.zeros(2)),),
-        is_convex=True, is_cone=True, closed_under_addition=True)
+        kind="corner", systems=(PolyhedralRep(rows, np.zeros((2, 0)), np.zeros(2)),))
 
 
 def non_monotone_acceptance_r3() -> AcceptanceSet:
@@ -119,8 +118,7 @@ def non_monotone_acceptance_r3() -> AcceptanceSet:
 
     return AcceptanceSet(
         dim=3, member=member, non_member=np.array([0.0, 0.0, -1.0]),
-        kind="non_monotone", systems=(PolyhedralRep(rows, np.zeros((2, 0)), [0.0, -2.0]),),
-        is_convex=True)
+        kind="non_monotone", systems=(PolyhedralRep(rows, np.zeros((2, 0)), [0.0, -2.0]),))
 
 
 @pytest.fixture

@@ -17,12 +17,11 @@ import capreq.acceptance as ac
 from capreq.acceptance import (PROB_EPS, AcceptanceParseError, BadNormal,
                                DimensionMismatch, avar_acceptance,
                                compute_avar, compute_var, feasible_loss_sets,
-                               find_convexity_violation, halfspace_acceptance,
-                               intersect, load_acceptance, loss_probability,
-                               oracle_acceptance, positive_cone,
-                               validate_acceptance, var_acceptance)
+                               halfspace_acceptance, intersect, load_acceptance,
+                               loss_probability, positive_cone, var_acceptance)
 from capreq.market import Market, ScenarioSpace, uniform_space, validate_market
 from capreq.linprog import OPTIMAL, make_problem, solve_lp
+from conftest import loadable_sets
 
 
 def var_grid_oracle(space, x, alpha, lo=-25.0, hi=25.0, steps=200_001):
@@ -237,7 +236,6 @@ class TestVarAcceptance:
     def test_cone_flag_and_scaling(self):
         sp = uniform_space(3)
         a = var_acceptance(sp, 0.4)
-        assert a.is_cone is True
         rng = np.random.default_rng(53)
         for _ in range(200):
             x = rng.uniform(-4, 4, size=3)
@@ -245,16 +243,15 @@ class TestVarAcceptance:
                 assert a(0.5 * x) and a(2.0 * x)
 
     def test_convexity_flag_tracks_structure(self):
+        # one system (a convex polyhedron) exactly when one loss set dominates
         sp = uniform_space(3)
-        assert var_acceptance(sp, 0.1).is_convex is True    # collapses to no losses
-        assert var_acceptance(sp, 0.4).is_convex is False
+        assert len(var_acceptance(sp, 0.1).systems) == 1    # collapses to no losses
+        assert len(var_acceptance(sp, 0.4).systems) == 3
 
     def test_nonconvexity_witnessed(self):
-        sp = uniform_space(3)
-        a = var_acceptance(sp, 0.4)
-        pair = find_convexity_violation(a, rng_seed=1)
-        assert pair is not None
-        x, y = pair
+        # one loss state in three is allowed at 0.4, two are not
+        a = var_acceptance(uniform_space(3), 0.4)
+        x, y = np.array([-2.0, 1.0, 1.0]), np.array([1.0, -2.0, 1.0])
         assert a(x) and a(y) and not a(0.5 * (x + y))
 
 
@@ -292,8 +289,7 @@ class TestFeasibleLossSets:
 
         monkeypatch.setattr(ac, "feasible_loss_sets", refuse)
         a = var_acceptance(uniform_space(17), 0.5)
-        assert a.is_convex is None and a.closed_under_addition is None
-        assert a.is_cone is True
+        assert isinstance(a.systems, str) and a.incidence is None
 
 
 class TestAvarAcceptance:
@@ -366,31 +362,18 @@ class TestIntersect:
         assert len(ac._product([tuple(untouched)])[0]) == 2
 
 
-class TestValidateAcceptance:
-    def test_positive_cone_passes(self):
-        report = validate_acceptance(positive_cone(3))
-        assert report.passed
-
-    def test_var_convexity_falsified_when_claimed(self):
-        sp = uniform_space(3)
-        a = var_acceptance(sp, 0.4)
-        # override the honest False flag with a wrong assertion
-        import dataclasses
-        wrong = dataclasses.replace(a, is_convex=True)
-        report = validate_acceptance(wrong, sample_count=400, rng_seed=3)
-        assert "is_convex" in report.flags_falsified
-
-    def test_halfspace_properness_confirmed(self):
-        a = halfspace_acceptance([1.0, 0.0])
-        report = validate_acceptance(a)
-        assert report.passed
-        assert not a(a.non_member)
-
-    def test_non_monotone_oracle_flagged(self):
-        bad = oracle_acceptance(
-            2, lambda x: bool(x[0] >= 0 and x[1] <= 5.0), [-1.0, 0.0])
-        report = validate_acceptance(bad, sample_count=300, rng_seed=5)
-        assert any(v["check"] == "monotone" for v in report.violations)
+class TestAxiomsOfEveryConstruction:
+    def test_zero_member_proper_and_monotone(self):
+        # every loadable set holds 0, rejects its own witness, and keeps a
+        # member under any nonnegative bump
+        rng = np.random.default_rng(71)
+        for n in (2, 3, 5):
+            for a in loadable_sets(rng, uniform_space(n)):
+                assert a(np.zeros(n)) and not a(a.non_member), a.kind
+                for _ in range(100):
+                    x = rng.uniform(-5.0, 5.0, size=n)
+                    if a(x):
+                        assert a(x + rng.uniform(0.0, 3.0, size=n)), (a.kind, x)
 
 
 class TestAcceptanceJson:

@@ -4,8 +4,10 @@
 and ``perfbench/tracer.py`` patches the functions its span tables name, so
 a renamed strategy or function must fail here rather than in a benchmark
 run. The tracer's self-check also equates a ``var_enum`` solve's
-``solve_lp`` calls with its ``loss_sets_scanned``. The benchmark files are
-read, never modified.
+``solve_lp`` calls with its ``loss_sets_scanned``, and a smoke run of the
+first ops of three workloads, untraced and traced, catches a change that
+breaks a workload or the tracer before a benchmark run does. The
+benchmark files are read, never modified.
 """
 
 import importlib
@@ -90,3 +92,30 @@ def test_lp_info_reads_a_solved_problem(bench):
     want = (4, OPTIMAL, out.pivots)
     assert tracer._lp_info((problem,), {}, out) == want
     assert tracer._lp_info((), {"problem": problem}, out) == want
+
+
+@pytest.mark.parametrize("workload", ["direct_sweep", "var_enum", "harness"])
+def test_first_ops_answer_alike_traced_and_untraced(bench, workload):
+    # a smoke run of the benchmark in process: the first ops of seed 1 pass
+    # their checks with the same digests untraced and traced, and the
+    # tracer's counts agree with the engine's diagnostics
+    workloads, tracer_module = bench
+    setup, root, count = workloads.SETUPS[workload], PERFBENCH.parent, 8
+    tracer = tracer_module.Tracer()
+    with tracer.tracing(op=-1):
+        traced_ops = setup(1, root)
+    ops = setup(1, root)
+
+    def answer(op):
+        try:
+            return op.check(op.run())
+        except workloads.REFUSALS as exc:
+            return type(exc).__name__
+
+    for k in range(count):
+        plain = answer(ops[k])
+        with tracer.tracing(op=k):
+            assert answer(traced_ops[k]) == plain, k
+    metrics, problems = tracer.analyse(count, 1.0)
+    assert problems == []
+    assert metrics["linprog.calls_per_op"] > 0

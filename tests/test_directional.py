@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from capreq.acceptance import (avar_acceptance, halfspace_acceptance,
-                               oracle_acceptance, positive_cone)
+                               oracle_acceptance, positive_cone, var_acceptance)
 from capreq.directional import (PROBE_SCALE, dir_bd_member, dir_cl_member, dir_int_member,
                                 rec_member)
 from capreq.market import uniform_space
-from capreq.riskmeasure import MembershipOracle, solve_rho
+from capreq.riskmeasure import MembershipOracle, NotPolyhedral, solve_rho
 from conftest import corner_acceptance_r3
 
 U2 = np.array([1.0, 1.0])
@@ -58,38 +58,29 @@ class TestProbeLadder:
 
 class TestRecession:
     def test_positive_cone_recedes_along_ones(self):
-        check = rec_member(positive_cone(2), [1.0, 1.0])
-        assert check.verdict is True and check.exact
+        assert rec_member(positive_cone(2), [1.0, 1.0]) is True
 
     def test_halfspace_fails_negative_direction(self):
-        check = rec_member(halfspace_acceptance([1.0, 0.0]), [-1.0, -1.0])
-        assert check.verdict is False and check.exact
-        base, lam = check.witness
-        moved = base + lam * np.array([-1.0, -1.0])
-        assert not halfspace_acceptance([1.0, 0.0])(moved)
+        a = halfspace_acceptance([1.0, 0.0])
+        assert rec_member(a, [-1.0, -1.0]) is False
+        assert not a(np.array([-1.0, -1.0]))
 
     def test_corner_set_recedes_both_ways_along_third_axis(self):
         a = corner_acceptance_r3()
-        assert rec_member(a, [0.0, 0.0, 1.0]).verdict is True
-        assert rec_member(a, [0.0, 0.0, -1.0]).verdict is True
+        assert rec_member(a, [0.0, 0.0, 1.0]) is True
+        assert rec_member(a, [0.0, 0.0, -1.0]) is True
 
     def test_avar_block_certified(self):
         a = avar_acceptance(uniform_space(4), 0.5)
-        assert rec_member(a, np.ones(4)).verdict is True
-        assert rec_member(a, -np.ones(4)).verdict is False
+        assert rec_member(a, np.ones(4)) is True
+        assert rec_member(a, -np.ones(4)) is False
 
-    def test_oracle_sampling_tristate(self):
-        a = oracle_acceptance(2, lambda x: bool(min(x) >= -1e-9), [-1.0, 0.0])
-        assert rec_member(a, [1.0, 1.0]).verdict is None  # unknown-true
-        check = rec_member(a, [-1.0, -1.0])
-        assert check.verdict is False
-        base, lam = check.witness
-        assert not a(base + lam * np.array([-1.0, -1.0]))
-
-    def test_oracle_base_points_must_belong(self):
-        a = oracle_acceptance(2, lambda x: bool(min(x) >= -1e-9), [-1.0, 0.0])
-        with pytest.raises(ValueError):
-            rec_member(a, [1.0, 1.0], base_points=[np.array([-5.0, 0.0])])
+    def test_union_and_oracle_sets_refused(self):
+        union = var_acceptance(uniform_space(2), 0.5)
+        oracle = oracle_acceptance(2, lambda x: bool(min(x) >= -1e-9), [-1.0, 0.0])
+        for a in (union, oracle):
+            with pytest.raises(NotPolyhedral):
+                rec_member(a, [1.0, 1.0])
 
 
 class TestStructuralProperties:

@@ -122,8 +122,7 @@ class TestMembershipBracket:
         a = AcceptanceSet(dim=2, member=lambda x: bool(x[0] >= -1e-9 and x[1] <= 2.0 + 1e-9),
                           non_member=np.array([-1.0, 3.0]), kind="half_strip",
                           systems=(PolyhedralRep(np.array([[1.0, 0.0], [0.0, -1.0]]),
-                                                 np.zeros((2, 0)), [0.0, -2.0]),),
-                          is_convex=True)
+                                                 np.zeros((2, 0)), [0.0, -2.0]),))
         x = [1.0, 1.0]
         assert solve_rho(a, two_state_market, x).value == NEG_INF
         assert rm.rho_from_membership(MembershipOracle(a, two_state_market).contains,
@@ -1006,11 +1005,6 @@ class TestInduced:
         a = halfspace_acceptance([1.0, 0.0])
         with pytest.raises(DegenerateAcceptance):
             induced_rho_acceptance(a, half_price_market)
-
-    def test_flags_inherited(self, two_state_market):
-        induced = induced_rho_acceptance(positive_cone(2), two_state_market)
-        assert induced.is_convex is True
-        assert induced.is_cone is True
 
     def test_grid_set_refused(self, two_state_market):
         a = oracle_acceptance(2, lambda x: bool(np.all(x >= -1e-9)), [-1.0, 0.0])

@@ -8,8 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from capreq.acceptance import (PolyhedralRep, avar_acceptance, halfspace_acceptance, intersect,
-                               oracle_acceptance, positive_cone, var_acceptance)
+from capreq.acceptance import (AcceptanceSet, PolyhedralRep, avar_acceptance,
+                               halfspace_acceptance, intersect, oracle_acceptance, positive_cone,
+                               var_acceptance)
 from capreq.market import Market, uniform_space, validate_market
 from capreq.riskmeasure import (NEG_INF, induced_rho_acceptance,
                                 rho_from_membership, rho_reduction, rho_var_exact, solve_rho,
@@ -21,7 +22,8 @@ from capreq.verify import (NotPolyhedral, PropertyReport, _whole_space,
                            check_induced_set_theorem, check_levelset_theorem,
                            check_risk_measure_axioms, check_solver_agreement,
                            check_variation_lemma)
-from conftest import corner_acceptance_r3, non_monotone_acceptance_r3, random_market
+from conftest import (corner_acceptance_r3, loadable_sets, non_monotone_acceptance_r3,
+                      random_market)
 
 
 class TestAxioms:
@@ -61,7 +63,8 @@ class TestLevelSets:
 
     def test_oracle_strategy_rejected(self, two_state_market):
         bad = oracle_acceptance(2, lambda x: bool(min(x) >= 0), [-1.0, 0.0])
-        for check in (check_levelset_theorem, check_domain_theorem, check_variation_lemma):
+        for check in (check_levelset_theorem, check_domain_theorem, check_variation_lemma,
+                      check_good_deal_lemma):
             with pytest.raises(NotPolyhedral):
                 check(bad, two_state_market)
 
@@ -116,6 +119,7 @@ class TestDegeneracy:
                                          two_state_market, grid=5, seed=12)
         assert report.passed
         assert "whole_space_certified=None" in report.notes
+        assert "minus_numeraire_recedes=None exact=False" in report.notes
 
 
 class TestVariation:
@@ -136,23 +140,76 @@ class TestVariation:
         assert not report.passed
 
 
+def _ray_cone(d) -> AcceptanceSet:
+    """{t d : t >= 0} as one system: X - t d = 0 written as two rows each, t >= 0."""
+    d = np.asarray(d, dtype=float)
+    n = len(d)
+
+    def member(x: np.ndarray) -> bool:
+        t = max(float(x @ d) / float(d @ d), 0.0)
+        return bool(np.allclose(x, t * d, atol=1e-9))
+
+    rep = PolyhedralRep(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([-d, d])[:, None],
+                        np.zeros(2 * n), [True])
+    return AcceptanceSet(dim=n, member=member, non_member=-d, kind="ray", systems=(rep,))
+
+
 class TestGoodDeal:
     def test_no_arbitrage_no_witnesses(self, two_state_market):
-        report = check_good_deal_lemma(positive_cone(2), two_state_market, seed=16)
+        report = check_good_deal_lemma(positive_cone(2), two_state_market)
         assert report.passed
         assert "good_deal_found=False" in report.notes
         assert "kernel_witness_found=False" in report.notes
 
     def test_free_payoff_market_witnesses(self, second_coord_market):
-        report = check_good_deal_lemma(positive_cone(2), second_coord_market, seed=17)
+        report = check_good_deal_lemma(positive_cone(2), second_coord_market)
         assert report.passed  # biconditional consistent: both sides witnessed
         assert "kernel_witness_found=True" in report.notes
 
     def test_hypothesis_guard(self, two_state_market):
-        # a set containing negative cash multiples skips the biconditional
-        lax = oracle_acceptance(2, lambda x: bool(x.sum() >= -100.0), [-200.0, 0.0])
-        report = check_good_deal_lemma(lax, two_state_market, seed=18)
+        # {x0 + x1 >= -100} holds -t * numeraire for t up to 50: the
+        # biconditional is skipped
+        lax = AcceptanceSet(dim=2, member=lambda x: bool(x.sum() >= -100.0),
+                            non_member=np.array([-200.0, 0.0]), kind="lax",
+                            systems=(PolyhedralRep([[1.0, 1.0]], np.zeros((1, 0)), [-100.0]),))
+        report = check_good_deal_lemma(lax, two_state_market)
         assert any("hypothesis_failed" in n for n in report.notes)
+        assert report.passed and report.inconclusive == report.trials == 1
+
+    def test_planted_ray_cone_violates(self, two_state_market):
+        # the ray through -U + k holds a good deal of negative price but no
+        # kernel point other than 0: it is not monotone, so the lemma fails
+        vm = two_state_market
+        a = _ray_cone(-vm.numeraire + vm.kernel_basis[0])
+        report = check_good_deal_lemma(a, vm)
+        assert [v["check"] for v in report.violations] == ["biconditional"]
+        assert "good_deal_found=True" in report.notes
+        assert "kernel_witness_found=False" in report.notes
+
+    def test_lps_find_what_sampling_finds(self):
+        # a 400-point sampler of kernel points and eligible payoffs: every
+        # witness or good deal it finds, the LPs find too
+        rng = np.random.default_rng(97)
+        sampled = Counter()
+        for _ in range(12):
+            vm = random_market(rng, n_states=int(rng.integers(2, 6)))
+            kernel, k = vm.kernel_basis, vm.kernel_basis.shape[0]
+            for a in loadable_sets(rng, vm.space):
+                report = check_good_deal_lemma(a, vm)
+                assert report.passed and not report.inconclusive, report.notes
+                for coords in rng.uniform(-3.0, 3.0, size=(400, k)):
+                    point = kernel.T @ coords
+                    if np.abs(point).max() > 1e-9 and a(point):
+                        sampled["witness"] += 1
+                        assert "kernel_witness_found=True" in report.notes, a.kind
+                        break
+                for coords in rng.uniform(-2.0, 2.0, size=(400, vm.dim_m)):
+                    z = vm.m_basis.T @ coords
+                    if np.abs(z).max() > 1e-9 and a(z) and vm.price(z) <= 1e-9:
+                        sampled["deal"] += 1
+                        assert "good_deal_found=True" in report.notes, a.kind
+                        break
+        assert sampled["witness"] and sampled["deal"], sampled
 
 
 class TestInducedSet:
