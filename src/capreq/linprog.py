@@ -47,10 +47,11 @@ when an ``LpProblem`` is built: validation, the standard objective and
 column signs, and each row's largest entry (``_Standard``).
 ``LpProblem.with_rhs`` shares all of it, so a matrix re-solved for many
 right-hand sides pays for it once. On every call: the right-hand side,
-the row scales and the scaled block, the first row to leave, both
-phases, the certificates and the dual. Phase 1 makes no pivot when no row
-starts violated. The array work is whole-array, and a pivot is a fixed
-handful of array operations.
+the row scales, and either the answer from the matrix's start (below) or
+a cold solve: the scaled block, the first row to leave, both phases, the
+certificates and the dual. Phase 1 makes no pivot when no row starts
+violated. The array work is whole-array, and a pivot is a fixed handful
+of array operations.
 
 Every status leaves a certificate that does not depend on the right-hand
 side b except through one test. An infeasible outcome carries a Farkas
@@ -71,7 +72,15 @@ fit by the dual simplex (Lemke 1954) on a copy of its tableau, which
 stays dual feasible; a row at which the dual simplex stops gives a
 Farkas ray as a cold solve's stalled row does. It certifies the answer as
 a solve's is.
-``solve_lp`` itself keeps nothing between calls.
+
+``solve_lp`` keeps no outcome of a call. A matrix may hold one outcome
+that depends on no right-hand side, its start (``_prime``): at b = 0 the
+point x = 0 is feasible, so the homogeneous LP ends optimal, on a basis
+dual feasible at every b, or unbounded, on a ray that holds at every b.
+``solve_lp`` answers each right-hand side of such a matrix as ``repose``
+answers from that start, with no pivot or by the dual simplex, and by a
+cold solve only where that returns None. Its answer at b thus depends on
+b and the matrix alone, never on what was solved before.
 """
 
 from __future__ import annotations
@@ -189,7 +198,7 @@ class LpOutcome:
     ``riskmeasure`` checks it against the problem's data and uses it as a
     lower bound on the other systems. ``support`` holds the rows S on which
     ``repose`` checked that dual (``_dual_support``); it is None on a cold
-    solve's outcome, whose dual is unchecked.
+    solve's outcome (both phases), whose dual is unchecked.
 
     ``farkas`` holds, on an infeasible outcome, the slack block's row at
     which the dual simplex stopped, in phase 1 or in ``repose``, as a
@@ -231,10 +240,11 @@ class _Standard:
 
     ``row_max`` holds each row's largest entry of the block in magnitude,
     max(1, max |lhs|) counting the slack's 1, which row equilibration
-    needs.
+    needs. ``start`` is the outcome of the homogeneous LP that ``_prime``
+    kept, or None: ``solve_lp`` answers every right-hand side from it first.
     """
 
-    __slots__ = ("free", "c", "row_max")
+    __slots__ = ("free", "c", "row_max", "start")
 
     def __init__(self, problem: LpProblem):
         m, n = problem.lhs.shape
@@ -243,6 +253,7 @@ class _Standard:
         self.c = np.zeros(n + m)
         self.c[:n] = problem.objective
         self.row_max = np.maximum(np.abs(problem.lhs).max(axis=1), 1.0)
+        self.start = None
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -432,21 +443,72 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     """Solve a dense LP and certify the reported status.
 
     Deterministic: Bland's anti-cycling rule with lowest-index tie breaking,
-    so identical inputs give identical pivot sequences and outputs.
+    so identical inputs give identical pivot sequences and outputs. Where
+    the matrix holds a start (``_prime``), the LP is answered from it as
+    ``repose`` answers, and by both phases from the slack basis only where
+    that returns None.
     """
     if not 0 < tol < math.inf:
         raise MalformedProblem("tolerances must be positive and finite")
-
-    std = problem._std
-    m, n = problem.lhs.shape
-    n_std = n + m
     # each row's scale keeps violations comparable across rows of very
     # different magnitudes (bracket probes mix O(1) and O(2^33) entries).
     # row_max counts the slack's 1, so every scale is at least 1
-    row_scale = np.maximum(std.row_max, np.abs(problem.rhs))
+    row_scale = np.maximum(problem._std.row_max, np.abs(problem.rhs))
     if np.count_nonzero(row_scale >= 1.0 / PIVOT_TOL):
         raise NumericalBreakdown("a row's scale reaches 1/PIVOT_TOL, so its slack cannot pivot")
+    start = problem._std.start
+    # an unbounded start's ray was certified at DEFAULT_FEAS_TOL, not at tol
+    if start is not None and (start.status == OPTIMAL or _certify_ray(problem, start.ray, tol)):
+        out = repose(problem, start, tol)
+        if out is not None:
+            return out
+    return _two_phase(problem, tol, row_scale)
 
+
+def _prime(problem: LpProblem) -> None:
+    """Keep the outcome of ``problem``'s homogeneous LP as its matrix's start, where it pivoted.
+
+    At right-hand side 0 the point x = 0 is feasible, so the LP ends
+    optimal, on a basis that is dual feasible at every right-hand side, or
+    unbounded, on a ray that does not depend on it. Either outcome lets
+    ``solve_lp`` answer any right-hand side from it by ``repose``. One
+    that made no pivot ends on the slack basis, which a cold solve starts
+    from anyway, so it is not kept; a zero cost always ends there. Every
+    ``with_rhs`` twin shares the start, so a matrix is primed before it is
+    shared (``riskmeasure._template`` primes it under its lock).
+    """
+    std = problem._std
+    # solve_lp refuses every right-hand side of a row past 1/PIVOT_TOL
+    if not np.count_nonzero(std.c) or np.count_nonzero(std.row_max >= 1.0 / PIVOT_TOL):
+        return
+    try:
+        out = _two_phase(problem.with_rhs(np.zeros(problem.n_rows)), DEFAULT_FEAS_TOL,
+                         std.row_max)
+    except NumericalBreakdown:
+        return
+    if out.pivots:
+        std.start = out
+
+
+def _most_violated(values, bounded):
+    """The first row to leave: the bounded row of least value, or None where none is below 0.
+
+    The lowest row wins ties. Phase 1 passes each slack's value over its
+    row's scale, so the row most violated relative to its scale leaves
+    first; ``repose`` passes the basic values B^-1 b as they are, the dual
+    simplex's most infeasible row (Dantzig's rule).
+    """
+    ratio = np.where(bounded, values, 0.0)
+    if not np.count_nonzero(ratio < 0.0):
+        return None
+    return int(ratio.argmin())
+
+
+def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray) -> LpOutcome:
+    """Both phases from the slack basis, rows scaled by ``row_scale``; ``solve_lp``'s cold path."""
+    std = problem._std
+    m, n = problem.lhs.shape
+    n_std = n + m
     # slack starting basis: row i starts on its slack, column n + i,
     # once the row is divided by its scale and then by the slack's scaled
     # entry -1/scale_i. The round trip, not an exact negation, is what makes
@@ -464,10 +526,8 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     body = tableau[:m]
     body /= row_scale[:, None]
     body *= mult[:, None]
-    # the most violated row, relative to its scale, leaves first (lowest row
-    # on ties); with no violated row phase 1 makes no pivot
-    ratio = tableau[:m, -1] / row_scale
-    first = int(ratio.argmin()) if ratio.min(initial=0.0) < 0.0 else None
+    # with no violated row phase 1 makes no pivot
+    first = _most_violated(tableau[:m, -1] / row_scale, ~std.free[basis])
     pivots = 0
     while True:
         status = _run_dual_simplex(tableau, basis, std.free, first)
@@ -573,12 +633,13 @@ def repose(problem: LpProblem, stored: LpOutcome,
     tableau, basis, pivots = stored._final, stored.basis, 0
     slacks = slice(n, n + m)
     values = -(tableau[:m, slacks] @ problem.rhs)
-    if np.count_nonzero((values < 0.0) & ~std.free[basis]):
+    first = _most_violated(values, ~std.free[basis])
+    if first is not None:
         if stored.status == UNBOUNDED:
             return None
         tableau, basis = tableau.copy(), basis.copy()
         tableau[:m, -1] = values
-        status = _run_dual_simplex(tableau, basis, std.free)
+        status = _run_dual_simplex(tableau, basis, std.free, first)
         if status is None:
             return None
         if status[0] == INFEASIBLE:

@@ -30,16 +30,19 @@ Farkas rays, latest optimal outcome and unbounded bases they ended on
 or unbounded basis wherever it still certifies the status there, and
 from the optimal outcome by the dual simplex, in no pivot where its basis
 still fits and a few where it does not. The module functions are
-one-shot: each builds a context for its one position, so it solves every
-LP cold and keeps no outcome.
+one-shot: each builds a context for its one position, so it re-poses no
+outcome of another position.
 
 The only state shared across calls is each system's position-free LP
 (``_template``): its matrix, costs and signs, validated and standardised
-once per (system, market, kind). It holds no basis, ray or dual, it is
-immutable, and the map holds the system and the market weakly, so an
-entry goes with either. Contexts and one-shot calls pose it at their
+once per (system, market, kind), and its start, the outcome of its LP at
+right-hand side 0 (``linprog._prime``). The start depends on no position:
+``solve_lp`` answers every position of the LP from it first, so an answer
+is the same bits whatever was asked before. The template is not changed
+after it is built, and the map holds the system and the market weakly, so
+an entry goes with either. Contexts and one-shot calls pose it at their
 position by ``LpProblem.with_rhs``, which gives the LP a fresh build
-would, bit for bit.
+would, bit for bit, and shares its start.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
 from .linprog import (DEFAULT_FEAS_TOL, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, _dual_support,
-                      repose, solve_lp)
+                      _prime, repose, solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -137,8 +140,10 @@ def _template(kind: str, rep: PolyhedralRep, vm: ValidatedMarket) -> LpProblem:
     the prices), ``cash`` the LP over (cash, kernel coordinates) and
     ``witness`` the zero-cost one over kernel coordinates; all three carry
     the system's auxiliaries. Only the right-hand side depends on the
-    position, so a caller poses it by ``with_rhs(rep.rhs_at(y))``. The map
-    keys the market and the system weakly and keeps no outcome. It is keyed
+    position, so a caller poses it by ``with_rhs(rep.rhs_at(y))``. The LP
+    is primed (``linprog._prime``) before it is shared, so its start, the
+    one outcome it keeps, depends on no position. The map keys the market
+    and the system weakly. It is keyed
     by market first, so a set of many systems costs one weak reference per
     system and kind, not a map each.
     """
@@ -154,6 +159,7 @@ def _template(kind: str, rep: PolyhedralRep, vm: ValidatedMarket) -> LpProblem:
                 lp = rep.lp(zero, np.zeros((0, vm.n_states)), vm.market.payoffs, vm.market.prices)
             else:
                 lp = rep.lp(zero, vm.kernel_basis, [vm.numeraire] if kind == "cash" else ())
+            _prime(lp)
             by_rep[rep] = lp
         return lp
 
@@ -191,11 +197,12 @@ class MembershipOracle:
     either sign) and otherwise re-solved by the dual simplex from its
     tableau; then an unbounded basis, where those values are nonnegative.
     Every answer's point is certified on the original data, and an optimal
-    one's dual by the sign rule and a duality-gap check. It solves cold
-    (``solve_lp``) only when none answers there: the first time, where a
+    one's dual by the sign rule and a duality-gap check. It calls
+    ``solve_lp`` only when none answers there: the first time, where a
     row proves the LP infeasible but its ray fails its check or the
     margin, where a certificate fails, or where an unbounded basis no
-    longer fits.
+    longer fits. ``solve_lp`` answers from the template's start, as
+    ``repose`` does, before it solves cold.
     The answers are a cold solve's up to rounding, not bit for bit: the
     same statuses, values within rounding (1e-12 relative in the tests),
     and where the optimum is not unique, possibly another optimal point of
@@ -203,9 +210,11 @@ class MembershipOracle:
 
     A context belongs to one caller, who decides how long its outcomes
     live; the module's functions (``solve_rho``, ``rho_reduction``, ...)
-    each build their own for one position, so they stay pure and solve
-    every LP cold. The only state shared across contexts and calls is each
-    system's position-free LP template, which is immutable and weakly held.
+    each build their own for one position, so they stay pure: each LP is
+    answered from its template's start or solved cold. The only state
+    shared across contexts and calls is each system's position-free LP
+    template with its start, which no solve changes and the map holds
+    weakly.
     Every LP is solved to the feasibility tolerance ``tol``. A set known
     only through membership is refused (``NotPolyhedral``).
     """
@@ -364,9 +373,9 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     """Requirement along the numeraire modulo the pricing kernel.
 
     One cash-minimising LP per system (``MembershipOracle.cash_lp`` on a
-    context of its own, so every LP is solved cold; only each system's
-    immutable, weakly held LP template is shared across calls), whose value
-    in [-inf, +inf] is the requirement.
+    context of its own, so no outcome of another position is re-posed; only
+    each system's weakly held LP template and its position-free start are
+    shared across calls), whose value in [-inf, +inf] is the requirement.
     Its payoff is reported as ``attained`` when it moves the position into
     the set (``member``) at the value's price.
     """
@@ -458,9 +467,10 @@ def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,
                   tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement as a single LP over portfolio weights (sets of exactly one system).
 
-    One-shot: the LP is solved cold on a context of its own. The only state
-    shared across calls is the system's position-free LP template, which is
-    immutable and weakly held (``_template``).
+    One-shot: the LP is answered from its template's start, or solved cold,
+    on a context of its own. The only state shared across calls is the
+    system's position-free LP template and its start, weakly held
+    (``_template``).
     """
     if a.only_system is None:
         raise NotPolyhedral("the direct LP needs exactly one polyhedral system")
@@ -483,9 +493,9 @@ def rho_var_exact(a: AcceptanceSet, vm: ValidatedMarket, position,
     and drops the rest. It reports the value, payoff and system (the
     earliest on ties, the first unbounded) a full scan does. At 10-14
     equiprobable states it solves about 6.4 of 45-91 LPs, and at 16 states
-    and alpha 0.25 a median of 20 of 1,820. One-shot: every LP is solved
-    cold on a context of its own; only each system's immutable, weakly held
-    LP template is shared across calls.
+    and alpha 0.25 a median of 20 of 1,820. One-shot: no outcome of another
+    position is re-posed; only each system's weakly held LP template and
+    its position-free start are shared across calls.
     """
     return MembershipOracle(a, vm, tol)._requirement(position, "var_enum")
 
@@ -494,8 +504,9 @@ def solve_rho(a: AcceptanceSet, vm: ValidatedMarket, position,
               tol: float = DEFAULT_FEAS_TOL) -> RiskResult:
     """Requirement by the direct LP: one for a set of one system, else the union scan.
 
-    One-shot, as ``rho_direct_lp`` and ``rho_var_exact`` are: every LP is
-    solved cold, and only the systems' LP templates are shared across calls.
+    One-shot, as ``rho_direct_lp`` and ``rho_var_exact`` are: only the
+    systems' LP templates and their position-free starts are shared across
+    calls.
     """
     if a.only_system is not None:
         return rho_direct_lp(a, vm, position, tol)

@@ -233,7 +233,7 @@ class TestVarAcceptance:
             x = rng.uniform(-4, 4, size=4)
             assert a(x) == (compute_var(sp, x, 0.35) <= a.member_tol)
 
-    def test_cone_flag_and_scaling(self):
+    def test_members_stay_members_under_scaling(self):
         sp = uniform_space(3)
         a = var_acceptance(sp, 0.4)
         rng = np.random.default_rng(53)
@@ -242,7 +242,7 @@ class TestVarAcceptance:
             if a(x):
                 assert a(0.5 * x) and a(2.0 * x)
 
-    def test_convexity_flag_tracks_structure(self):
+    def test_one_system_exactly_when_one_loss_set_dominates(self):
         # one system (a convex polyhedron) exactly when one loss set dominates
         sp = uniform_space(3)
         assert len(var_acceptance(sp, 0.1).systems) == 1    # collapses to no losses

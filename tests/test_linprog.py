@@ -1019,3 +1019,98 @@ def test_phase_one_certificate_refuses_a_free_column_left_out(monkeypatch):
                         real_run(tableau, basis, np.zeros_like(free), first))
     with pytest.raises(NumericalBreakdown, match="phase-1"):
         solve_lp(problem)
+
+
+def _primed(problem):
+    """``problem``'s data as a matrix of its own, primed with its homogeneous LP's start."""
+    twin = LpProblem(problem.objective, problem.lhs, problem.rhs, problem.nonneg)
+    linprog._prime(twin)
+    return twin
+
+
+@pytest.mark.parametrize("status", [OPTIMAL, INFEASIBLE, UNBOUNDED])
+def test_primed_solves_answer_like_two_phase_solves(status, monkeypatch):
+    # the planted LPs at their own and at moved right-hand sides, solved from
+    # the homogeneous start and by both phases from the slack basis: the same
+    # statuses and values, a checked Farkas ray on every infeasible answer
+    # from the start and a certified ray on every unbounded one
+    cold_calls, two_phase = [], linprog._two_phase
+
+    def counted(problem, *args):
+        cold_calls.append(problem)
+        return two_phase(problem, *args)
+
+    monkeypatch.setattr(linprog, "_two_phase", counted)
+    rng = np.random.default_rng(61)
+    started, answered = 0, {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for violated in (False, True):
+        for _ in range(60):
+            problem = _planted_lp(rng, status, violated)
+            primed = _primed(problem)
+            started += primed._std.start is not None
+            for rhs in (problem.rhs, problem.rhs + rng.normal(size=problem.n_rows)):
+                cold, moved = solve_lp(problem.with_rhs(rhs)), primed.with_rhs(rhs)
+                cold_calls.clear()
+                out = solve_lp(moved)
+                from_start = primed._std.start is not None and not cold_calls
+                answered[out.status] += from_start
+                assert out.status == cold.status
+                _check_value(out)
+                if out.status == OPTIMAL:
+                    assert abs(out.objective_value - cold.objective_value) <= 1e-12 * max(
+                        1.0, abs(cold.objective_value))
+                elif out.status == INFEASIBLE:
+                    assert _check_farkas(moved, out) == (1 if from_start else
+                                                         _check_farkas(moved, cold))
+                else:
+                    assert linprog._certify_ray(moved, out.ray, 1e-9)
+    # a planted-unbounded LP's start is an unbounded basis, which answers only
+    # where its basic values stay nonnegative
+    assert started >= 90 and answered[status] >= 20, (started, answered)
+
+
+def test_primed_problem_keeps_the_refusal_and_tol_validation():
+    # min x s.t. x >= 1, x >= 0 over a free x; at right-hand side 0 x enters the basis
+    problem = _primed(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
+    assert problem._std.start.status == OPTIMAL and problem._std.start.pivots == 1
+    out = solve_lp(problem)
+    assert out.x.tolist() == [1.0] and out.pivots == 0 and out.support.tolist() == [0]
+    # the start fits at b = (1e10, 0) too, but the row is past 1/PIVOT_TOL
+    with pytest.raises(NumericalBreakdown):
+        solve_lp(problem.with_rhs([1.0 / linprog.PIVOT_TOL, 0.0]))
+    for value in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(MalformedProblem):
+            solve_lp(problem, tol=value)
+
+
+def test_start_answers_only_with_a_checked_dual():
+    # the start's dual (1, 0) closes the gap at b = (1, 0); (0, 1) passes the
+    # sign rule but leaves a gap of 1, and (-1, 2) fails the sign rule. Either
+    # sends the LP to both phases, whose outcome carries no checked support
+    problem = _primed(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
+    start = problem._std.start
+    assert start.dual.tolist() == [1.0, 0.0]
+    for dual in ([0.0, 1.0], [-1.0, 2.0]):
+        problem._std.start = replace(start, dual=np.array(dual))
+        out = solve_lp(problem)
+        assert out.dual.tolist() == [1.0, 0.0] and out.support is None
+
+
+def test_no_start_is_kept_from_a_homogeneous_solve_without_pivots():
+    # at right-hand side 0 the slack basis is optimal for a cost >= 0 on
+    # nonnegative columns and for a zero cost, and a free column with cost -1
+    # and no row to stop it is unbounded there, all with no pivot
+    for problem in (make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0], [True]),
+                    make_problem([0.0, 0.0], [[1.0, -1.0]], [1.0]),
+                    make_problem([-1.0], [[1.0]], [0.0])):
+        linprog._prime(problem)
+        assert problem._std.start is None
+    # min -x0 s.t. x1 - x0 >= b over x0 >= 0 and a free x1: at b = 0 x0 enters, then x1
+    # rises without bound along the ray (1, 1)
+    unbounded = make_problem([-1.0, 0.0], [[-1.0, 1.0]], [0.0], [True, False])
+    linprog._prime(unbounded)
+    start = unbounded._std.start
+    assert start.status == UNBOUNDED and start.pivots == 1
+    # x0 is basic at -b, so the start fits at b = -5
+    out = solve_lp(unbounded.with_rhs([-5.0]))
+    assert out.status == UNBOUNDED and out.pivots == 0 and out.ray is start.ray

@@ -512,6 +512,11 @@ def _direct_problem(vm, x):
                                     _nonneg(len(s0), rep.aux_nonneg))
 
 
+def _engine_problem(kind, vm, x):
+    """The LP of ``kind`` of one system as the engine poses it: its template at x."""
+    return lambda rep: rm._template(kind, rep, vm).with_rhs(rep.rhs_at(x))
+
+
 def _cash_problem(vm, x):
     """The cash-minimising LP over (cash, kernel coordinates, auxiliaries) of one system."""
     def problem(rep):
@@ -566,13 +571,18 @@ class TestDualPruning:
     """The scan skips systems a solved system's dual bounds, and answers as a full scan does."""
 
     def test_matches_unpruned_scan(self):
+        # tags and values against a cold scan of LPs built here; the reported
+        # system against a full scan of the engine's own LPs, whose start
+        # leaves the optima of exactly tied systems a few ulps apart
         rng = np.random.default_rng(97)
         counts = {"finite": 0, "neg_inf": 0, "pos_inf": 0, "ties": 0, "pruned": 0}
         for a, vm, x in _union_instances(rng, 300):
-            tag, index, value, values = _unpruned_scan(a.systems, _direct_problem(vm, x))
+            tag, _, value, values = _unpruned_scan(a.systems, _direct_problem(vm, x))
+            engine = _unpruned_scan(a.systems, _engine_problem("direct", vm, x))
+            engine_tag, index = engine[:2]
             r = rho_var_exact(a, vm, x)
             diag = r.diagnostics
-            assert _tag(r.value) == tag
+            assert _tag(r.value) == tag == engine_tag
             if tag == "neg_inf":
                 assert diag["unbounded_loss_set"] == index
             else:
@@ -648,7 +658,7 @@ class TestDualPruning:
         # system's optimum a few ulps above theirs, within the margin; seed 102 has one
         order, out_of_order = _record_solve_order(monkeypatch), 0
         for a, vm, x in _union_instances(np.random.default_rng(102), 300):
-            problem = _direct_problem(vm, x)
+            problem = _engine_problem("direct", vm, x)
             tag, index, value, _ = _unpruned_scan(a.systems, problem)
             order.clear()
             r = rho_var_exact(a, vm, x)
@@ -810,8 +820,9 @@ class TestSolveContext:
     def test_reports_equal_the_cold_reports(self, monkeypatch):
         # probes sit 2^-24 from solved levels, so a stored basis taken a
         # rounding error outside its region would move them across the band.
-        # With ``repose`` off no stored ray or basis answers any LP, and no
-        # kept optimal basis is re-solved by dual pivots: those run inside it
+        # With the context's ``repose`` off no stored ray or basis answers any
+        # LP, and no kept optimal basis is re-solved by dual pivots: those run
+        # inside it.
         rng = np.random.default_rng(131)
         instances = list(_context_instances(rng, 10))
         checks = (lambda a, vm, s: check_domain_theorem(a, vm, trials=8, seed=s),
@@ -819,18 +830,20 @@ class TestSolveContext:
                   lambda a, vm, s: check_risk_measure_axioms(a, vm, trials=6, seed=s))
         warm = [check(a, vm, seed).to_json()
                 for seed, (a, vm) in enumerate(instances) for check in checks]
+        # and with linprog's own ``repose`` off, no LP is answered from its start
         monkeypatch.setattr(rm, "repose", lambda *args, **kwargs: None)
+        monkeypatch.setattr(lpmod, "repose", lambda *args, **kwargs: None)
         cold = [check(a, vm, seed).to_json()
                 for seed, (a, vm) in enumerate(instances) for check in checks]
         assert warm == cold
 
     def test_levelset_check_lp_count_of_a_fixed_instance(self, monkeypatch):
         # four VaR systems at 4 states: solved cold, this check takes 106 LPs;
-        # kept rays and bases answer 100 of them, 1 of those after a dual
-        # pivot. The 6 cold LPs are each LP's first solve (4), a witness LP
-        # first optimal where only a ray was kept, and an unbounded direct LP
-        # whose kept basis reads a basic value that is 0 up to rounding as
-        # -1.7e-15 there, so it is refused
+        # kept rays and bases answer 101 of them. The 5 ``solve_lp`` calls are
+        # each LP's first solve (4; both direct LPs answer from their start
+        # with no pivot) and a witness LP first optimal where only a ray was
+        # kept. The unbounded direct LP's kept basis is its start's, which
+        # fits at every later position
         calls, real = [], rm.solve_lp
         monkeypatch.setattr(rm, "solve_lp", lambda *a, **kw: calls.append(1) or real(*a, **kw))
         rng = np.random.default_rng(5)
@@ -838,18 +851,40 @@ class TestSolveContext:
         a = var_acceptance(vm.space, 0.3)
         report = check_levelset_theorem(a, vm, grid=3, seed=5)
         assert len(a.systems) == 4 and report.passed and report.trials == 27
-        assert len(calls) == 6
+        assert len(calls) == 5
 
-    def test_one_shot_solves_reuse_no_basis(self, monkeypatch):
-        # a one-shot call solves every LP cold and never tests a stored ray or basis
+    def test_one_shot_solves_repose_no_outcome_of_another_position(self, monkeypatch):
+        # a one-shot call tests no ray or basis its context kept, and
+        # ``solve_lp`` re-poses nothing but its matrix's start, which was
+        # solved at right-hand side 0, not at any position
+        starts, real = [], lpmod.repose
+
         def no_reuse(*args, **kwargs):
             raise AssertionError("a one-shot call re-posed a stored outcome")
 
+        def start_only(problem, stored, tol):
+            assert stored is problem._std.start
+            starts.append(stored)
+            return real(problem, stored, tol)
+
         monkeypatch.setattr(rm, "repose", no_reuse)
+        monkeypatch.setattr(lpmod, "repose", start_only)
         rng = np.random.default_rng(137)
         for a, vm in _context_instances(rng, 10):
             x = rng.uniform(-5.0, 5.0, size=vm.n_states)
             solve_rho(a, vm, x), rho_reduction(a, vm, x)
+        assert len(starts) >= 20
+
+    def test_one_shot_answers_do_not_depend_on_what_was_asked_before(self):
+        # the start depends on no position, so an answer is the same bits
+        # whether its position is asked first (on a freshly validated copy of
+        # the market), after other positions, or in reversed order
+        rng = np.random.default_rng(139)
+        for a, vm in _context_instances(rng, 10):
+            positions = rng.uniform(-5.0, 5.0, size=(6, vm.n_states))
+            first = [_answers(a, _fresh_copy(vm), x) for x in positions]
+            assert first == [_answers(a, vm, x) for x in positions]
+            assert first == [_answers(a, vm, x) for x in positions[::-1]][::-1]
 
 
 def _template_sets(space):
