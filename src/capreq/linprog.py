@@ -63,15 +63,20 @@ y @ b > 0. It is checked on the original data and proves infeasibility
 wherever y @ b > 0. An optimal or
 unbounded outcome carries its final basis and tableau: the basis's
 reduced costs, so an optimal basis's dual, are the same at every b, and
-an unbounded outcome's ray does not depend on b. ``repose`` answers the
-same matrix at another right-hand side from one of them (right-hand-side
-parametric LP): with no pivot from a ray, or from a basis whose values
-B^-1 b are still nonnegative on its bounded columns (a free column's
-value may have changed sign), and from an optimal basis they no longer
-fit by the dual simplex (Lemke 1954) on a copy of its tableau, which
-stays dual feasible; a row at which the dual simplex stops gives a
-Farkas ray as a cold solve's stalled row does. It certifies the answer as
-a solve's is.
+an optimal outcome carries the rows on which that dual passed its check
+(``_dual_support``). An unbounded outcome's ray is a direction of
+negative cost in the matrix's recession cone (Rockafellar 1970, section
+8), so it does not depend on b: the LP is unbounded wherever it is
+feasible. Its tableau keeps a zero cost row, on which every basis is dual
+feasible. ``repose`` answers the same matrix at another right-hand side
+from one of them (right-hand-side parametric LP): with no pivot from a
+ray, or from a basis whose values B^-1 b are still nonnegative on its
+bounded columns (a free column's value may have changed sign), and from
+a basis they no longer fit by the dual simplex (Lemke 1954) on a copy of
+its tableau, which stays dual feasible. A row at which that stops gives
+an optimal basis a Farkas ray, as a cold solve's stalled row does; an
+unbounded basis answers nothing there, and a cold phase 1 decides. It
+certifies the answer as a solve's is.
 
 ``solve_lp`` keeps no outcome of a call. A matrix may hold one outcome
 that depends on no right-hand side, its start (``_prime``): at b = 0 the
@@ -79,14 +84,15 @@ point x = 0 is feasible, so the homogeneous LP ends optimal, on a basis
 dual feasible at every b, or unbounded, on a ray that holds at every b.
 ``solve_lp`` answers each right-hand side of such a matrix as ``repose``
 answers from that start, with no pivot or by the dual simplex, and by a
-cold solve only where that returns None. Its answer at b thus depends on
-b and the matrix alone, never on what was solved before.
+cold solve only where that returns None; where the start is unbounded,
+the cold solve stops after phase 1. Its answer at b thus depends on b and
+the matrix alone, never on what was solved before.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,11 +200,11 @@ class LpOutcome:
     infeasible and -inf where it is unbounded.
 
     ``dual`` holds one multiplier per row of the original problem, c_B B^-1
-    of the final basis, nonnegative on every row. The union scan in
-    ``riskmeasure`` checks it against the problem's data and uses it as a
-    lower bound on the other systems. ``support`` holds the rows S on which
-    ``repose`` checked that dual (``_dual_support``); it is None on a cold
-    solve's outcome (both phases), whose dual is unchecked.
+    of the final basis, nonnegative on every row. ``support`` holds the
+    rows S on which that dual passed its check on the problem's data
+    (``_dual_support``), or None where it failed; every optimal outcome,
+    cold or re-posed, is checked. The union scan in ``riskmeasure`` uses
+    y_S as a lower bound on the other systems.
 
     ``farkas`` holds, on an infeasible outcome, the slack block's row at
     which the dual simplex stopped, in phase 1 or in ``repose``, as a
@@ -208,9 +214,9 @@ class LpOutcome:
     standard column (``_Standard``: column j < n is the original column j,
     column n + i row i's slack) per row; a free column, once basic, stays
     so. Such an outcome keeps, privately, its final tableau (``_final``),
-    whose slack block is -B^-1 (module docstring). ``repose`` re-poses a
-    ray, or re-poses or re-solves a basis, at another right-hand side of
-    the same matrix.
+    whose slack block is -B^-1 (module docstring); an unbounded outcome's
+    has a zero cost row. ``repose`` re-poses a ray, or re-poses or
+    re-solves a basis, at another right-hand side of the same matrix.
     """
 
     status: str
@@ -445,8 +451,10 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     Deterministic: Bland's anti-cycling rule with lowest-index tie breaking,
     so identical inputs give identical pivot sequences and outputs. Where
     the matrix holds a start (``_prime``), the LP is answered from it as
-    ``repose`` answers, and by both phases from the slack basis only where
-    that returns None.
+    ``repose`` answers, and from the slack basis only where that returns
+    None: by both phases, or by phase 1 alone where the start is unbounded.
+    The start's ray or dual was checked at ``DEFAULT_FEAS_TOL``; at another
+    ``tol`` it is checked again first.
     """
     if not 0 < tol < math.inf:
         raise MalformedProblem("tolerances must be positive and finite")
@@ -457,12 +465,17 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_FEAS_TOL) -> LpOutcome:
     if np.count_nonzero(row_scale >= 1.0 / PIVOT_TOL):
         raise NumericalBreakdown("a row's scale reaches 1/PIVOT_TOL, so its slack cannot pivot")
     start = problem._std.start
-    # an unbounded start's ray was certified at DEFAULT_FEAS_TOL, not at tol
-    if start is not None and (start.status == OPTIMAL or _certify_ray(problem, start.ray, tol)):
+    if start is not None and tol != DEFAULT_FEAS_TOL:
+        # the start's ray or dual was checked at DEFAULT_FEAS_TOL: check it at tol
+        if start.ray is not None:
+            start = start if _certify_ray(problem, start.ray, tol) else None
+        else:
+            start = replace(start, support=_dual_support(problem, start.dual, tol))
+    if start is not None:
         out = repose(problem, start, tol)
         if out is not None:
             return out
-    return _two_phase(problem, tol, row_scale)
+    return _two_phase(problem, tol, row_scale, None if start is None else start.ray)
 
 
 def _prime(problem: LpProblem) -> None:
@@ -470,8 +483,9 @@ def _prime(problem: LpProblem) -> None:
 
     At right-hand side 0 the point x = 0 is feasible, so the LP ends
     optimal, on a basis that is dual feasible at every right-hand side, or
-    unbounded, on a ray that does not depend on it. Either outcome lets
-    ``solve_lp`` answer any right-hand side from it by ``repose``. One
+    unbounded, on a ray that does not depend on it, with a zero cost row.
+    Either outcome lets ``solve_lp`` answer any right-hand side from it by
+    ``repose``, and an unbounded one ends a cold solve after phase 1. One
     that made no pivot ends on the slack basis, which a cold solve starts
     from anyway, so it is not kept; a zero cost always ends there. Every
     ``with_rhs`` twin shares the start, so a matrix is primed before it is
@@ -504,8 +518,14 @@ def _most_violated(values, bounded):
     return int(ratio.argmin())
 
 
-def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray) -> LpOutcome:
-    """Both phases from the slack basis, rows scaled by ``row_scale``; ``solve_lp``'s cold path."""
+def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray,
+               ray: np.ndarray | None = None) -> LpOutcome:
+    """Both phases from the slack basis, rows scaled by ``row_scale``; ``solve_lp``'s cold path.
+
+    ``ray`` is an unbounded start's ray, certified at ``tol``. It holds at
+    every right-hand side, so once phase 1 finds the LP feasible the LP is
+    unbounded along it, and phase 2 does not run.
+    """
     std = problem._std
     m, n = problem.lhs.shape
     n_std = n + m
@@ -545,6 +565,10 @@ def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray) -> LpOutco
         # short by rounding only: the row's basic value becomes 0, and the
         # dual simplex goes on from the next negative row
         tableau[row, -1], first = 0.0, None
+    if ray is not None:
+        # phase 1's tableau keeps its zero cost row, as every unbounded outcome's does
+        return LpOutcome(status=UNBOUNDED, objective_value=-math.inf, ray=ray, pivots=pivots,
+                         basis=basis, _final=tableau)
 
     # phase 2: reduced costs for the true objective
     tableau[-1] = -(std.c[basis] @ tableau[:-1])
@@ -562,6 +586,8 @@ def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray) -> LpOutco
         ray = d_std[:problem.n_cols] + 0.0
         if not _certify_ray(problem, ray, tol):
             raise NumericalBreakdown("unbounded ray failed verification")
+        # a zero cost row makes the kept basis dual feasible at every right-hand side
+        tableau[-1] = 0.0
         return LpOutcome(status=UNBOUNDED, objective_value=-math.inf, ray=ray, pivots=pivots,
                          basis=basis, _final=tableau)
 
@@ -575,7 +601,7 @@ def _two_phase(problem: LpProblem, tol: float, row_scale: np.ndarray) -> LpOutco
     # y = c_B B^-1: slack i costs 0 and its column is -e_i, so its reduced cost is y_i
     dual = tableau[-1, slacks] + 0.0
     return LpOutcome(status=OPTIMAL, x=x, objective_value=value, dual=dual, pivots=pivots,
-                     basis=basis, _final=tableau)
+                     basis=basis, support=_dual_support(problem, dual, tol), _final=tableau)
 
 
 def _past_margin(problem: LpProblem, y: np.ndarray | None, pivots: int,
@@ -592,7 +618,8 @@ def repose(problem: LpProblem, stored: LpOutcome,
 
     ``stored`` is an outcome of a problem with the same matrix
     (``with_rhs``): infeasible with a Farkas ray, or optimal or unbounded
-    with its final tableau. Only the right-hand side b changed, so:
+    with its final tableau, an unbounded one's on a zero cost row. Only
+    the right-hand side b changed, so:
 
     - the ray y still has y >= 0 and the column signs of A^T y, so it
       proves infeasibility wherever y @ b > 0. It is taken only where
@@ -607,24 +634,29 @@ def repose(problem: LpProblem, stored: LpOutcome,
       columns are all nonnegative, a test that takes no tolerance, the
       basis is optimal (Gal & Nedoma 1972), or still ends on the stored
       unbounded ray, with no pivot; a free column's basic value may have
-      either sign. Otherwise an optimal basis is re-solved by the dual
-      simplex (Lemke 1954) on a copy of its tableau
-      (``_run_dual_simplex``); None past the pivot budget. Where a row
-      with a negative value has no entering column, that row r of
-      B^-1 b = B^-1 A u proves the LP infeasible: y = -(row r of B^-1),
-      the slack block's row r, is a Farkas ray. It answers "infeasible"
-      only where it passes ``_farkas_ray`` and the margin above, else
-      None, and a cold solve decides. An unbounded basis is not re-solved.
+      either sign. Otherwise the basis is re-solved by the dual simplex
+      (Lemke 1954) on a copy of its tableau (``_run_dual_simplex``); None
+      past the pivot budget. Where a row with a negative value has no
+      entering column, that row r of B^-1 b = B^-1 A u proves the LP
+      infeasible: y = -(row r of B^-1), the slack block's row r, is a
+      Farkas ray. From an optimal basis it answers "infeasible" only where
+      it passes ``_farkas_ray`` and the margin above, else None, and a
+      cold solve decides. From an unbounded basis it answers None, and a
+      cold phase 1 decides every "infeasible": on a zero cost row every
+      ratio ties, and a stop just past the margin can fall on an LP that
+      is feasible.
 
     The point must pass ``solve_lp``'s own certificate on the original
     data. An optimal answer must also have its dual y pass the sign rule
-    (``_dual_support``, rows S; ``stored.support`` is taken as it is when
-    no pivot was made) and close the gap |c x - b_S y_S| to within ``tol``
-    of max(1, |c| |x|, |b| |y|); it carries S as ``support``, its pivots
-    and its tableau. An unbounded basis with a certified point has a
-    feasible point, and the stored ray, which does not depend on b, makes
-    the LP unbounded. A no-pivot answer shares ``stored``'s tableau, dual
-    and basis; a re-solve pivots a copy, so ``stored`` is never written to.
+    (``_dual_support``, rows S; with no pivot the dual is ``stored``'s,
+    and so is S, None where it failed) and close the gap |c x - b_S y_S|
+    to within ``tol`` of max(1, |c| |x|, |b| |y|); it carries S as
+    ``support``, its pivots and its tableau. An unbounded basis with a
+    certified point has a feasible point, and the stored ray, which does
+    not depend on b, makes the LP unbounded; the answer carries that ray,
+    its pivots and its tableau. A no-pivot answer shares ``stored``'s
+    tableau, dual and basis; a re-solve pivots a copy, so ``stored`` is
+    never written to.
     """
     if stored.status == INFEASIBLE:
         return _past_margin(problem, stored.farkas, 0, tol)
@@ -635,12 +667,11 @@ def repose(problem: LpProblem, stored: LpOutcome,
     values = -(tableau[:m, slacks] @ problem.rhs)
     first = _most_violated(values, ~std.free[basis])
     if first is not None:
-        if stored.status == UNBOUNDED:
-            return None
         tableau, basis = tableau.copy(), basis.copy()
         tableau[:m, -1] = values
         status = _run_dual_simplex(tableau, basis, std.free, first)
-        if status is None:
+        # a stall on a zero cost row is left to a cold phase 1
+        if status is None or (status[0] == INFEASIBLE and stored.status == UNBOUNDED):
             return None
         if status[0] == INFEASIBLE:
             # the stalled row's slack block is a ray, as in a cold solve's phase 1
@@ -654,14 +685,13 @@ def repose(problem: LpProblem, stored: LpOutcome,
         return None
     if stored.status == UNBOUNDED:
         return LpOutcome(status=UNBOUNDED, objective_value=-math.inf, ray=stored.ray,
-                         basis=basis, _final=tableau)
+                         pivots=pivots, basis=basis, _final=tableau)
     dual, support = stored.dual, stored.support
     if pivots:
-        dual, support = tableau[-1, slacks] + 0.0, None
-    if support is None:
+        dual = tableau[-1, slacks] + 0.0
         support = _dual_support(problem, dual, tol)
-        if support is None:
-            return None
+    if support is None:
+        return None
     value = float(std.c @ x_std) + 0.0
     y, b = dual[support], problem.rhs[support]
     scale = max(1.0, float(np.abs(std.c) @ x_std), float(np.abs(b) @ y))

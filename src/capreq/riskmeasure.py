@@ -24,14 +24,13 @@ acceptable at arbitrarily negative cost).
 
 Every LP of a system depends on the position only through its right-hand
 side, so a caller who asks many positions of one (set, market) pair builds
-one solve context, ``MembershipOracle``: it keeps each system's LPs and the
-Farkas rays, latest optimal outcome and unbounded bases they ended on
-(right-hand-side parametric LP). A position is answered from a kept ray
-or unbounded basis wherever it still certifies the status there, and
-from the optimal outcome by the dual simplex, in no pivot where its basis
-still fits and a few where it does not. The module functions are
-one-shot: each builds a context for its one position, so it re-poses no
-outcome of another position.
+one solve context, ``MembershipOracle``: it keeps each system's LPs, the
+Farkas rays they ended on and the latest outcome with a basis, optimal or
+unbounded (right-hand-side parametric LP). A position is answered from a
+kept ray wherever it still certifies infeasibility there, and from the
+basis by the dual simplex, in no pivot where it still fits and a few where
+it does not. The module functions are one-shot: each builds a context for
+its one position, so it re-poses no outcome of another position.
 
 The only state shared across calls is each system's position-free LP
 (``_template``): its matrix, costs and signs, validated and standardised
@@ -56,8 +55,8 @@ import numpy as np
 
 from . import CapreqError
 from .acceptance import AcceptanceSet, DimensionMismatch, PolyhedralRep
-from .linprog import (DEFAULT_FEAS_TOL, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, _dual_support,
-                      _prime, repose, solve_lp)
+from .linprog import (DEFAULT_FEAS_TOL, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, _prime, repose,
+                      solve_lp)
 from .market import ValidatedMarket
 
 NEG_INF = float("-inf")
@@ -169,9 +168,8 @@ class _Kept:
     """One system's LP of one kind (its template) and the outcomes kept to re-pose it."""
 
     lp: LpProblem
-    rays: list = field(default_factory=list)        # infeasible, one per Farkas-ray support
-    optimal: tuple = ()                             # the latest optimal outcome, once there is one
-    unbounded: list = field(default_factory=list)   # one per set of basic columns
+    rays: list = field(default_factory=list)   # infeasible, one per Farkas-ray support
+    basis: tuple = ()                          # the latest outcome with a basis, once there is one
 
 
 class MembershipOracle:
@@ -187,22 +185,21 @@ class MembershipOracle:
     re-poses it by ``LpProblem.with_rhs`` after that, and it keeps the
     outcomes that LP's solves ended on
     (``_Kept``): one Farkas ray per distinct support, found by a cold solve
-    or by a dual re-solve that stopped at a row proving infeasibility, the
-    latest optimal outcome, cold or re-posed, and one unbounded basis per
-    set of columns.
+    or by a dual re-solve that stopped at a row proving infeasibility, and
+    one basis, the latest outcome, cold or re-posed, that has one (optimal,
+    or unbounded with a zero cost row).
     A later position tries them in that order through ``linprog.repose``:
     a ray's margin on the new right-hand side, tested by one dot product;
-    then the optimal basis, answered with no pivot where its values on
-    bounded columns are nonnegative (no tolerance; a free column's may have
-    either sign) and otherwise re-solved by the dual simplex from its
-    tableau; then an unbounded basis, where those values are nonnegative.
+    then the basis, answered with no pivot where its values on bounded
+    columns are nonnegative (no tolerance; a free column's may have either
+    sign) and otherwise re-solved by the dual simplex from its tableau.
     Every answer's point is certified on the original data, and an optimal
     one's dual by the sign rule and a duality-gap check. It calls
     ``solve_lp`` only when none answers there: the first time, where a
     row proves the LP infeasible but its ray fails its check or the
-    margin, where a certificate fails, or where an unbounded basis no
-    longer fits. ``solve_lp`` answers from the template's start, as
-    ``repose`` does, before it solves cold.
+    margin, where an unbounded basis's re-solve stops at such a row, or
+    where a certificate fails. ``solve_lp`` answers from the template's
+    start, as ``repose`` does, before it solves cold.
     The answers are a cold solve's up to rounding, not bit for bit: the
     same statuses, values within rounding (1e-12 relative in the tests),
     and where the optimum is not unique, possibly another optimal point of
@@ -234,25 +231,20 @@ class MembershipOracle:
         if kept is None:
             kept = self._kept[kind, index] = _Kept(_template(kind, rep, self.vm))
         lp, out, stored = kept.lp.with_rhs(rep.rhs_at(y)), None, None
-        for stored in (*kept.rays, *kept.optimal, *kept.unbounded):
+        for stored in (*kept.rays, *kept.basis):
             out = repose(lp, stored, self.tol)
             if out is not None:
                 break
         if out is None:
             out = solve_lp(lp, tol=self.tol)
-            # an unbounded basis is kept once per set of columns
-            if out.status == UNBOUNDED and not any(
-                    set(out.basis.tolist()) == set(other.basis.tolist())
-                    for other in kept.unbounded):
-                kept.unbounded.append(out)
         # a ray is kept once per support, whether a cold solve or a dual
         # re-solve of the optimal basis found it; a kept ray's answer holds that ray
         if out.farkas is not None and (stored is None or out.farkas is not stored.farkas):
             rows = out.farkas > 0.0
             if not any(np.array_equal(rows, other.farkas > 0.0) for other in kept.rays):
                 kept.rays.append(out)
-        if out.status == OPTIMAL:
-            kept.optimal = (out,)
+        if out.basis is not None:
+            kept.basis = (out,)
         return lp, out
 
     def requirement(self, position) -> RiskResult:
@@ -270,8 +262,7 @@ class MembershipOracle:
         ``pivots`` or as ``unbounded_loss_set``, both a full scan's.
         """
         x = np.asarray(position, dtype=float)
-        out, index, scanned, pruned = _cheapest(self.a, lambda i: self._solve("direct", i, x),
-                                                self.tol)
+        out, index, scanned, pruned = _cheapest(self.a, lambda i: self._solve("direct", i, x))
         result = RiskResult(out.objective_value, strategy=strategy,
                             diagnostics={"loss_sets_scanned": scanned, "systems_pruned": pruned})
         if out.status == UNBOUNDED:
@@ -295,7 +286,7 @@ class MembershipOracle:
         full scan's.
         """
         y = np.asarray(position, dtype=float)
-        out = _cheapest(self.a, lambda i: self._solve("cash", i, y), self.tol)[0]
+        out = _cheapest(self.a, lambda i: self._solve("cash", i, y))[0]
         if out.status != OPTIMAL:
             return out.objective_value, None
         m, c = float(out.x[0]), out.x[1:1 + self.kernel.shape[0]]
@@ -391,8 +382,8 @@ def rho_reduction(a: AcceptanceSet, vm: ValidatedMarket, position,
     return result
 
 
-def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcome]],
-              tol: float) -> tuple[LpOutcome, int, int, int]:
+def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcome]]
+              ) -> tuple[LpOutcome, int, int, int]:
     """Minimum over ``a.systems`` of the LP ``solve(i)`` answers: (outcome, index, LPs, pruned).
 
     Each outcome carries its LP's value in [-inf, +inf]. The first
@@ -400,7 +391,7 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
     (value, index), so the earliest system on ties and a deterministic
     payoff; it is infeasible (+inf) only when every system solved is.
 
-    A checked optimal dual y is supported on rows S (``_dual_bound``); every
+    A checked optimal dual y is supported on rows S (``out.support``); every
     system that has all of S has the same LP rows there, over auxiliaries of
     the same signs, so y_S is a feasible dual of its LP too. Its LP is then
     bounded, and by weak duality no cheaper than b_S @ y_S. ``level[i]`` is
@@ -414,7 +405,7 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
     the system a full scan does. A covered system is bounded and uncovered
     systems are solved in index order, so the first unbounded one met is a
     full scan's first too; ``pruned`` then counts only the systems dropped
-    so far. A set of one system solves its one LP and checks no dual; a
+    so far. A set of one system solves its one LP and reads no support; a
     union without ``incidence`` has no coverage to prune by, so every
     system is solved.
     """
@@ -439,28 +430,13 @@ def _cheapest(a: AcceptanceSet, solve: Callable[[int], tuple[LpProblem, LpOutcom
         value = out.objective_value
         if best is None or value < incumbent or (value == incumbent and index < best_index):
             best, best_index, incumbent = out, index, value
-        if incidence is None or out.status != OPTIMAL:
+        support = out.support   # None unless optimal with a checked dual
+        if incidence is None or support is None:
             continue
-        certificate = _dual_bound(lp, out.dual, tol, out.support)
-        if certificate is not None:
-            bound, support = certificate
-            raised = bound - BOUND_MARGIN * max(1.0, abs(bound))
-            covered = incidence.matrix[:, incidence.ids[index][support]].all(axis=1)
-            level[covered & (level < raised)] = raised
-
-
-def _dual_bound(lp: LpProblem, dual: np.ndarray, tol: float, support=None):
-    """(b_S @ y_S, S) for an optimal dual y of ``lp``, or None.
-
-    S and the check on y are ``linprog._dual_support``'s; a dual that fails
-    the check bounds nothing. A ``support`` that ``repose`` already checked
-    is taken as it is.
-    """
-    if support is None:
-        support = _dual_support(lp, dual, tol)
-    if support is None:
-        return None
-    return float(lp.rhs[support] @ dual[support]), support
+        bound = float(lp.rhs[support] @ out.dual[support])
+        raised = bound - BOUND_MARGIN * max(1.0, abs(bound))
+        covered = incidence.matrix[:, incidence.ids[index][support]].all(axis=1)
+        level[covered & (level < raised)] = raised
 
 
 def rho_direct_lp(a: AcceptanceSet, vm: ValidatedMarket, position,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capreq import linprog
-from capreq.linprog import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, MalformedProblem,
-                            NumericalBreakdown, _pivot, make_problem, repose, solve_lp)
+from capreq.linprog import (DEFAULT_FEAS_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
+                            MalformedProblem, NumericalBreakdown, _dual_support, _pivot,
+                            make_problem, repose, solve_lp)
 
 # row senses that the random generators draw; ``_one_row_form`` poses them as A x >= b
 GE, LE, EQ = ">=", "<=", "="
@@ -636,17 +637,27 @@ def test_problems_compare_by_identity():
     assert len({p, p}) == 1
 
 
+def _check_support(problem, out):
+    """1 if optimal ``out`` carries the rows ``_dual_support`` gives its dual, 0 if it has none."""
+    want = _dual_support(problem, out.dual, DEFAULT_FEAS_TOL)
+    assert (out.support is None) == (want is None)
+    assert want is None or out.support.tolist() == want.tolist()
+    return int(want is not None)
+
+
 def test_reposed_basis_answers_like_a_cold_solve():
     # a kept optimal basis re-posed at a nearby right-hand side: where it is
     # still optimal it answers with no pivot, elsewhere the dual simplex
-    # re-solves it. Every answer is a cold solve's value with a certified dual
+    # re-solves it. Every answer is a cold solve's value with a certified
+    # dual, and every cold optimum carries the support of its checked dual
     rng = np.random.default_rng(67)
-    kept = pivoted = 0
+    kept = pivoted = supported = 0
     for violated in (False, True):
         for _ in range(100):
             problem = _planted_lp(rng, OPTIMAL, violated)
             stored = solve_lp(problem)
             assert len(stored.basis) == problem.n_rows
+            supported += _check_support(problem, stored)
             for step in (1e-6, 1e-3, 1e-1):
                 # the rows shifted along a random direction, some of them relaxed
                 shift = step * rng.normal(size=problem.n_cols) * ~problem.nonneg
@@ -662,12 +673,13 @@ def test_reposed_basis_answers_like_a_cold_solve():
                 assert out.status == cold.status == OPTIMAL
                 _check_value(out)
                 _check_value(cold)
+                _check_support(moved, cold)
                 assert abs(out.objective_value - cold.objective_value) <= 1e-9 * max(
                     1.0, abs(cold.objective_value))
                 assert np.count_nonzero(moved.lhs @ out.x - rhs < -1e-7 * max(
                     1.0, float(np.abs(moved.lhs).max()) * float(np.abs(out.x).max()))) == 0
                 _check_dual(moved, out)
-    assert kept >= 300 and pivoted >= 100, (kept, pivoted)
+    assert kept >= 300 and pivoted >= 100 and supported >= 150, (kept, pivoted, supported)
 
 
 @pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
@@ -675,9 +687,12 @@ def test_reposed_rays_answer_like_a_cold_solve(status):
     # a kept Farkas ray or unbounded basis re-posed at moved right-hand
     # sides: wherever it answers, a cold solve gives the same status and
     # never breaks down, though the planted ray holds the equation rows
-    # only up to rounding
+    # only up to rounding. A ray answers with no pivot; an unbounded basis
+    # that no longer fits is re-solved on a copy of its zero-cost tableau
+    # and answers with the stored ray, and where that re-solve stops at a
+    # row it answers nothing, so a cold phase 1 decides
     rng = np.random.default_rng(73)
-    reposed = refused = breakdowns = 0
+    reposed = refused = breakdowns = pivoted = 0
     for violated in (False, True):
         for _ in range(100):
             problem = _planted_lp(rng, status, violated)
@@ -694,13 +709,16 @@ def test_reposed_rays_answer_like_a_cold_solve(status):
                     refused += 1
                     continue
                 reposed += 1
-                assert out.status == status and out.pivots == 0
+                assert out.status == status and (status == UNBOUNDED or out.pivots == 0)
+                if status == UNBOUNDED:
+                    assert out.ray is stored.ray and not np.count_nonzero(out._final[-1])
+                    pivoted += out.pivots > 0
                 _check_value(out)
                 cold = _outcome_bytes(moved)
                 breakdowns += cold == "breakdown"
                 assert cold == "breakdown" or cold[0] == status
     assert reposed >= 250 and refused >= 25, (reposed, refused)
-    assert breakdowns == 0
+    assert breakdowns == 0 and (status == INFEASIBLE or pivoted >= 100), (breakdowns, pivoted)
 
 
 def test_basis_on_optimal_and_unbounded_outcomes():
@@ -835,6 +853,13 @@ def test_ill_conditioned_basis_fails_the_certificate(monkeypatch):
     assert refused >= 10
 
 
+def _with_dual(problem, out, dual):
+    """``out`` with ``dual`` and the support ``_dual_support`` gives it: a support certifies
+    only the dual it was computed from."""
+    dual = np.array(dual)
+    return replace(out, dual=dual, support=_dual_support(problem, dual, DEFAULT_FEAS_TOL))
+
+
 def test_dual_that_fails_its_check_is_never_reposed():
     # min x0 s.t. x0 >= 1, x1 >= 0 over free x: the optimal dual is (1, 0).
     # (1, 1) leaves r = A^T y - c = (0, 1) on the free x1, and (-1, 0) is
@@ -842,16 +867,18 @@ def test_dual_that_fails_its_check_is_never_reposed():
     # gap at this right-hand side
     problem = make_problem([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
     good = solve_lp(problem)
-    assert good.dual.tolist() == [1.0, 0.0]
+    assert good.dual.tolist() == [1.0, 0.0] and good.support.tolist() == [0]
     assert repose(problem, good) is not None
     for dual in ([1.0, 1.0], [-1.0, 0.0]):
-        assert repose(problem, replace(good, dual=np.array(dual))) is None
+        bad = _with_dual(problem, good, dual)
+        assert bad.support is None and repose(problem, bad) is None
     # min x s.t. x >= 1, x >= 0: y = 0.5 passes the sign rule but bounds the
     # optimum 1 only by b y = 0.5, so the gap refuses it
     problem = make_problem([1.0], [[1.0]], [1.0], nonneg=[True])
     good = solve_lp(problem)
     assert repose(problem, good) is not None
-    assert repose(problem, replace(good, dual=np.array([0.5]))) is None
+    bad = _with_dual(problem, good, [0.5])
+    assert bad.support.tolist() == [0] and repose(problem, bad) is None
 
 
 def test_dual_after_a_pivot_must_pass_its_check():
@@ -904,18 +931,23 @@ def test_farkas_ray_is_refused_inside_its_margin():
     assert out.status == INFEASIBLE and out.pivots == 0 and out.farkas is stored.farkas
 
 
-def test_unbounded_basis_with_a_negative_basic_value_is_refused():
+def test_unbounded_basis_with_a_negative_basic_value_is_re_solved():
     # min -x1 s.t. x0 >= b0, x0 >= b1, x1 >= 0: x1 rises without bound from
     # the basis that holds x0 and the slacks of rows 1 and 2. At b1 = 1 + 1e-12
-    # row 1's slack would be -1e-12, inside every feasibility tolerance; the
-    # basis is refused though the LP is still unbounded there
+    # row 1's slack is -1e-12, inside every feasibility tolerance, so the
+    # basis is not taken as it is. Its tableau keeps a zero cost row, on
+    # which every basis is dual feasible, so the dual simplex re-solves it to
+    # a feasible basis, and the stored ray makes the LP unbounded there
     problem = make_problem([0.0, -1.0], [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0])
     stored = solve_lp(problem)
     assert stored.status == UNBOUNDED and stored.basis.tolist() == [0, 3, 4]
+    assert not np.count_nonzero(stored._final[-1])
     out = repose(problem.with_rhs([1.0, 1.0, 0.0]), stored)
     assert out.status == UNBOUNDED and out.pivots == 0 and out.ray is stored.ray
     moved = problem.with_rhs([1.0, 1.0 + 1e-12, 0.0])
-    assert repose(moved, stored) is None
+    out = repose(moved, stored)
+    assert out.status == UNBOUNDED and out.pivots >= 1 and out.ray is stored.ray
+    assert not np.count_nonzero(out._final[-1]) and out._final is not stored._final
     assert solve_lp(moved).status == UNBOUNDED
 
 
@@ -1086,14 +1118,24 @@ def test_primed_problem_keeps_the_refusal_and_tol_validation():
 def test_start_answers_only_with_a_checked_dual():
     # the start's dual (1, 0) closes the gap at b = (1, 0); (0, 1) passes the
     # sign rule but leaves a gap of 1, and (-1, 2) fails the sign rule. Either
-    # sends the LP to both phases, whose outcome carries no checked support
+    # sends the LP to both phases, whose outcome carries its own dual's support
     problem = _primed(make_problem([1.0], [[1.0], [1.0]], [1.0, 0.0]))
     start = problem._std.start
     assert start.dual.tolist() == [1.0, 0.0]
     for dual in ([0.0, 1.0], [-1.0, 2.0]):
-        problem._std.start = replace(start, dual=np.array(dual))
+        problem._std.start = _with_dual(problem, start, dual)
         out = solve_lp(problem)
-        assert out.dual.tolist() == [1.0, 0.0] and out.support is None
+        assert out.dual.tolist() == [1.0, 0.0] and out.support.tolist() == [0]
+    # min x0 s.t. x0 >= 1, x1 >= 0 over free x: (1, 5e-10) closes the gap and
+    # passes the check at the default tol, where 5e-10 is no part of the
+    # support. At tol 1e-12 it is, and it leaves r = 5e-10 on the free x1, so
+    # the start is checked again there and refused
+    problem = _primed(make_problem([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0]))
+    start = problem._std.start
+    problem._std.start = _with_dual(problem, start, [1.0, 5e-10])
+    assert solve_lp(problem).dual.tolist() == [1.0, 5e-10]
+    out = solve_lp(problem, tol=1e-12)
+    assert out.dual.tolist() == [1.0, 0.0] and out.support.tolist() == [0]
 
 
 def test_no_start_is_kept_from_a_homogeneous_solve_without_pivots():
@@ -1114,3 +1156,37 @@ def test_no_start_is_kept_from_a_homogeneous_solve_without_pivots():
     # x0 is basic at -b, so the start fits at b = -5
     out = solve_lp(unbounded.with_rhs([-5.0]))
     assert out.status == UNBOUNDED and out.pivots == 0 and out.ray is start.ray
+
+
+def test_unbounded_start_leaves_only_phase_one_to_a_cold_solve(monkeypatch):
+    # min -x0 s.t. x1 - x0 >= b0, x0 - x1 >= b1 over x0 >= 0 and a free x1:
+    # the start's ray (1, 1) holds at every right-hand side, so the LP is
+    # unbounded wherever it is feasible (b0 + b1 <= 0). Where the start
+    # answers nothing, phase 1 alone decides: the ray where it finds a
+    # feasible basis, a Farkas ray where it stops at a row
+    problem = _primed(make_problem([-1.0, 0.0], [[-1.0, 1.0], [1.0, -1.0]], [0.0, 0.0],
+                                   [True, False]))
+    start = problem._std.start
+    assert start.status == UNBOUNDED and start.ray.tolist() == [1.0, 1.0]
+    phase_two, run_simplex = [], linprog._run_simplex
+
+    def counted(*args):
+        phase_two.append(args)
+        return run_simplex(*args)
+
+    monkeypatch.setattr(linprog, "_run_simplex", counted)
+    monkeypatch.setattr(linprog, "repose", lambda *args: None)
+    out = solve_lp(problem.with_rhs([5.0, -7.0]))
+    assert out.status == UNBOUNDED and out.ray is start.ray and out.pivots >= 1
+    assert not np.count_nonzero(out._final[-1])
+    out = solve_lp(problem.with_rhs([5.0, -4.0]))
+    assert out.status == INFEASIBLE and _check_farkas(problem.with_rhs([5.0, -4.0]), out) == 1
+    assert not phase_two
+    # a start's ray off its row by 1e-9 is certified at the default tol but
+    # not at 1e-12: there phase 2 runs and finds a ray of its own
+    problem._std.start = replace(start, ray=np.array([1.0, 1.0 - 1e-9]))
+    moved = problem.with_rhs([5.0, -7.0])
+    assert solve_lp(moved).ray is problem._std.start.ray
+    out = solve_lp(moved, tol=1e-12)
+    assert out.status == UNBOUNDED and phase_two
+    assert linprog._certify_ray(moved, out.ray, 1e-12)

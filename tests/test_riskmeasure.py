@@ -478,9 +478,9 @@ def _index_order_scan(a, problem):
         if out.status != OPTIMAL:
             continue
         best = min(best, out.objective_value)
-        certificate = rm._dual_bound(lp, out.dual, tol)
-        if certificate is not None:
-            bound, support = certificate
+        support = out.support
+        if support is not None:
+            bound = float(lp.rhs[support] @ out.dual[support])
             certified.append((bound - rm.BOUND_MARGIN * max(1.0, abs(bound)),
                               inc.matrix[:, inc.ids[i][support]].all(axis=1)))
         for level, covered in certified:
@@ -493,11 +493,11 @@ def _record_solve_order(monkeypatch):
     """A list that records, in solve order, the index of each system whose LP ``rm`` solves."""
     order, cheapest = [], rm._cheapest
 
-    def tagged(a, solve, tol):
+    def tagged(a, solve):
         def recorded(index):
             order.append(index)
             return solve(index)
-        return cheapest(a, recorded, tol)
+        return cheapest(a, recorded)
 
     monkeypatch.setattr(rm, "_cheapest", tagged)
     return order
@@ -706,35 +706,45 @@ class TestDualPruning:
         def lp(rows, rhs, u_nonneg):
             return make_problem([1.0, 0.0], rows, rhs, [False, u_nonneg])
 
-        # min w s.t. w + u >= 5, w >= 2: optimum 2 at (2, 3)
+        def bound(problem, y):
+            """(b_S @ y_S, S) for the rows S of a checked dual y, or None."""
+            support = lpmod._dual_support(problem, y, 1e-8)
+            return None if support is None else (float(problem.rhs[support] @ y[support]), support)
+
+        # min w s.t. w + u >= 5, w >= 2: optimum 2 at (2, 3), whose dual solve_lp checks
         signed = lp([[1.0, 1.0], [1.0, 0.0]], [5.0, 2.0], True)
-        assert rm._dual_bound(signed, np.array([1.0, 0.0]), 1e-8) is None   # r_u = 1 > 0
-        bound, support = rm._dual_bound(signed, np.array([0.0, 1.0]), 1e-8)
-        assert bound == 2.0 and support.tolist() == [1]
+        assert bound(signed, np.array([1.0, 0.0])) is None   # r_u = 1 > 0
+        value, support = bound(signed, np.array([0.0, 1.0]))
+        assert value == 2.0 and support.tolist() == [1]
+        assert solve_lp(signed).support.tolist() == [1]
         # min w s.t. w - u >= 0, w >= 2: y = (1/2, 1/2) has r_u = -1/2, a bound only if u >= 0
         rows = [[1.0, -1.0], [1.0, 0.0]]
         half = np.array([0.5, 0.5])
-        assert rm._dual_bound(lp(rows, [0.0, 2.0], True), half, 1e-8)[0] == 1.0
-        assert rm._dual_bound(lp(rows, [0.0, 2.0], False), half, 1e-8) is None
+        assert bound(lp(rows, [0.0, 2.0], True), half)[0] == 1.0
+        assert bound(lp(rows, [0.0, 2.0], False), half) is None
 
     def test_one_system_does_no_certificate_work(self, two_state_market, monkeypatch):
-        solves, real = [], rm.solve_lp
+        # the one dual check is the solver's own, of the answer's dual (its
+        # support); the scan bounds no other system by it
+        solves, checks, real, real_check = [], [], rm.solve_lp, lpmod._dual_support
 
         def counting(*args, **kwargs):
             solves.append(args)
             return real(*args, **kwargs)
 
-        def no_certificate(*args):
-            raise AssertionError("a one-system set checks no dual")
+        def counted_check(*args):
+            checks.append(args)
+            return real_check(*args)
 
         monkeypatch.setattr(rm, "solve_lp", counting)
-        monkeypatch.setattr(rm, "_dual_bound", no_certificate)
+        monkeypatch.setattr(lpmod, "_dual_support", counted_check)
         for a in (positive_cone(2), var_acceptance(two_state_market.space, 0.1),
                   intersect([positive_cone(2), avar_acceptance(two_state_market.space, 0.5)])):
             assert len(a.systems) == 1 and a.incidence is None
             solves.clear()
+            checks.clear()
             r = rho_direct_lp(a, two_state_market, [-1.0, 2.0])
-            assert len(solves) == 1
+            assert len(solves) == 1 and len(checks) <= 1
             assert (r.diagnostics["loss_sets_scanned"], r.diagnostics["systems_pruned"]) == (1, 0)
 
     @pytest.mark.parametrize("solver", [solve_rho, rho_reduction])
